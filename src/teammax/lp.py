@@ -1,10 +1,12 @@
 """Dense linear programming with a deterministic primal simplex.
 
-The solver is a textbook two-phase tableau simplex using Bland's
-anti-cycling rule, so the pivot sequence (and therefore the returned
-optimal basis) is a pure function of the input LP. Problems in this
-package are small and well scaled; determinism and exactness of the
-returned bases matter more than raw speed here.
+The solver is a textbook two-phase tableau simplex. It prices with
+Dantzig's largest-coefficient rule and falls back to Bland's anti-cycling
+rule during long runs of degenerate pivots (see _run_simplex). Every
+choice, ties included, is a fixed function of the tableau, so the pivot
+sequence (and therefore the returned optimal basis) is a pure function of
+the input LP. Problems in this package are small and well scaled; the
+tolerances below are absolute.
 """
 
 from __future__ import annotations
@@ -16,6 +18,10 @@ import numpy as np
 FEASIBILITY_TOL = 1e-9
 OPTIMALITY_TOL = 1e-9
 _CHECK_TOL = 1e-8
+# ratios this close count as tied, and a step this short as degenerate
+_RATIO_TIE_TOL = 1e-12
+# consecutive degenerate pivots after which pricing falls back to Bland's rule
+_DEGENERATE_STREAK = 50
 
 
 class LpSolveError(RuntimeError):
@@ -72,6 +78,8 @@ class LpSolution:
     objective_value: float
     variable_values: np.ndarray | None
     iterations: int
+    # optimal duals of the a_ub rows (None unless status is "optimal")
+    duals: np.ndarray | None = None
 
 
 def _pivot(tableau: np.ndarray, row: int, col: int) -> None:
@@ -81,38 +89,88 @@ def _pivot(tableau: np.ndarray, row: int, col: int) -> None:
     tableau -= np.outer(factors, tableau[row])
 
 
+def _ratio_test(
+    col: np.ndarray, rhs: np.ndarray, basis: list[int]
+) -> tuple[int, float]:
+    """Leaving row for an entering column and its ratio; row -1 if the
+    column is unbounded.
+
+    The minimum ratio rhs[i] / col[i] over rows with col[i] > tolerance;
+    ratios within _RATIO_TIE_TOL of each other tie and go to the lowest
+    basic variable index. A minimum that no other row comes within the
+    tolerance of is the row the sequential scan would pick, so the scan runs
+    only when there is a tie to break.
+    """
+    rows = (col > FEASIBILITY_TOL).nonzero()[0]
+    if rows.size == 0:
+        return -1, np.inf
+    ratios = rhs[rows] / col[rows]
+    k = ratios.argmin()
+    best = ratios[k]
+    if np.count_nonzero(ratios <= best + _RATIO_TIE_TOL) == 1:
+        return int(rows[k]), float(best)
+    leaving = _ratio_test_sequential(col, rhs, basis)
+    return leaving, float(rhs[leaving] / col[leaving])
+
+
+def _ratio_test_sequential(
+    col: np.ndarray, rhs: np.ndarray, basis: list[int]
+) -> int:
+    best_ratio = np.inf
+    leaving = -1
+    for i in range(col.size):
+        if col[i] > FEASIBILITY_TOL:
+            ratio = rhs[i] / col[i]
+            if ratio < best_ratio - _RATIO_TIE_TOL or (
+                ratio <= best_ratio + _RATIO_TIE_TOL
+                and (leaving < 0 or basis[i] < basis[leaving])
+            ):
+                if ratio < best_ratio:
+                    best_ratio = ratio
+                leaving = i
+    return leaving
+
+
 def _run_simplex(
     tableau: np.ndarray, basis: list[int], max_iter: int
 ) -> tuple[str, int]:
-    """Minimize the cost in tableau[-1] in place. Bland's rule throughout:
-    entering column is the lowest index with a negative reduced cost, the
-    leaving row breaks ratio ties by lowest basic variable index."""
+    """Minimize the cost in tableau[-1] in place.
+
+    The entering column is Dantzig's: the most negative reduced cost, ties
+    to the lowest index. After _DEGENERATE_STREAK consecutive degenerate
+    pivots (step ratio at most _RATIO_TIE_TOL) it switches to Bland's rule,
+    the lowest index with a negative reduced cost, and switches back at the
+    first non-degenerate pivot. The leaving row breaks ratio ties by lowest
+    basic variable index throughout, which is Bland's leaving rule.
+
+    Termination: a non-degenerate pivot strictly lowers the objective, so
+    no basis seen before it recurs after it, and a cycle would have to lie
+    within one run of degenerate pivots. Such a run makes at most
+    _DEGENERATE_STREAK Dantzig pivots and then continues under Bland's rule,
+    which cannot cycle (Bland, Math. Oper. Res. 1977), so every run ends.
+    """
     num_rows = tableau.shape[0] - 1
+    degenerate = 0
     for pivots in range(max_iter):
         cost = tableau[-1, :-1]
-        entering = -1
-        for j in range(cost.size):
-            if cost[j] < -OPTIMALITY_TOL:
-                entering = j
-                break
-        if entering < 0:
-            return "optimal", pivots
+        if degenerate < _DEGENERATE_STREAK:
+            entering = int(cost.argmin())
+            if cost[entering] >= -OPTIMALITY_TOL:
+                return "optimal", pivots
+        else:
+            improving = (cost < -OPTIMALITY_TOL).nonzero()[0]
+            if improving.size == 0:
+                return "optimal", pivots
+            entering = int(improving[0])
         col = tableau[:num_rows, entering]
         rhs = tableau[:num_rows, -1]
-        best_ratio = np.inf
-        leaving = -1
-        for i in range(num_rows):
-            if col[i] > FEASIBILITY_TOL:
-                ratio = rhs[i] / col[i]
-                if ratio < best_ratio - 1e-12 or (
-                    ratio <= best_ratio + 1e-12
-                    and (leaving < 0 or basis[i] < basis[leaving])
-                ):
-                    if ratio < best_ratio:
-                        best_ratio = ratio
-                    leaving = i
+        leaving, step = _ratio_test(col, rhs, basis)
         if leaving < 0:
             return "unbounded", pivots
+        if step <= _RATIO_TIE_TOL:
+            degenerate += 1
+        else:
+            degenerate = 0
         _pivot(tableau, leaving, entering)
         basis[leaving] = entering
     raise LpSolveError(
@@ -124,10 +182,10 @@ def _run_simplex(
 def solve_lp(lp: LinearProgram) -> LpSolution:
     """Solve with a two-phase primal simplex.
 
-    Returns status "optimal" with the first optimal basic solution found
-    under Bland's rule, or "infeasible"/"unbounded". Raises LpSolveError if
-    the arithmetic breaks down (non-termination, residuals out of
-    tolerance).
+    Returns status "optimal" with the first optimal basic solution the
+    pivot rule of _run_simplex reaches, and the duals of the a_ub rows, or
+    "infeasible"/"unbounded". Raises LpSolveError if the arithmetic breaks
+    down (non-termination, residuals out of tolerance).
     """
     nvar = lp.num_variables
     # split free variables into positive and negative parts
@@ -239,7 +297,10 @@ def solve_lp(lp: LinearProgram) -> LpSolution:
 
     _validate_solution(lp, x)
     objective = float(lp.objective @ x)
-    return LpSolution("optimal", objective, x, iterations)
+    # the reduced cost of a row's slack is that row's dual (for a flipped
+    # row both the slack column and the dual change sign)
+    duals = tableau[-1, nsplit : nsplit + n_ub].copy()
+    return LpSolution("optimal", objective, x, iterations, duals)
 
 
 def _validate_solution(lp: LinearProgram, x: np.ndarray) -> None:
@@ -287,13 +348,27 @@ def build_maxmin_lp(matrix: np.ndarray) -> LinearProgram:
 def solve_maxmin(matrix: np.ndarray) -> tuple[float, np.ndarray]:
     """Value and optimal row mixture of a zero-sum matrix game.
 
-    These LPs are always feasible and bounded; anything else is a solver
-    defect and raises LpSolveError.
+    The value is certified from both sides: solve_lp checks that the row
+    mixture is feasible, so it guarantees the value, and the LP's duals
+    are a column mixture y that holds every row to at most the value,
+    max_r (matrix @ y)_r <= value. These LPs are always feasible and
+    bounded; anything else, or a certificate that does not check, is a
+    solver defect and raises LpSolveError.
     """
+    matrix = np.asarray(matrix, dtype=np.float64)
     solution = solve_lp(build_maxmin_lp(matrix))
     if solution.status != "optimal":
         raise LpSolveError(f"maxmin LP came back {solution.status}")
-    return solution.objective_value, solution.variable_values[:-1]
+    value = solution.objective_value
+    y = solution.duals
+    if y.min() < -_CHECK_TOL or abs(y.sum() - 1.0) > _CHECK_TOL:
+        raise LpSolveError("maxmin LP duals are not a column mixture")
+    excess = float((matrix @ y).max()) - value
+    if excess > _CHECK_TOL:
+        raise LpSolveError(
+            f"maxmin value not optimal: a row beats the column mixture by {excess:.3e}"
+        )
+    return value, solution.variable_values[:-1]
 
 
 def member_payoff_matrix(game, profile, member: int) -> np.ndarray:

@@ -13,10 +13,15 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from teammax.game import MixedStrategy, TeamGame, TeamProfile
+import teammax.lp as lp_module
+from teammax.game import MixedStrategy, TeamGame, TeamProfile, to_joint_game
+from teammax.generators import make_instance
 from teammax.lp import (
     LinearProgram,
+    LpSolution,
     LpSolveError,
+    _ratio_test,
+    _ratio_test_sequential,
     build_best_response_lp,
     build_maxmin_lp,
     lp_to_text,
@@ -53,6 +58,8 @@ def test_two_variable_optimum_by_hand():
     assert solution.objective_value == pytest.approx(2.8, abs=1e-9)
     assert np.allclose(solution.variable_values, [1.6, 1.2], atol=1e-9)
     assert solution.iterations > 0
+    # dual prices of the two rows: y1 + 3 y2 = 1, 2 y1 + y2 = 1
+    assert np.allclose(solution.duals, [0.4, 0.2], atol=1e-9)
 
 
 def test_binding_equality():
@@ -89,7 +96,7 @@ def test_redundant_equality_rows_survive():
 
 
 def test_degenerate_vertex_terminates():
-    # three constraints meet at (1, 0); Bland's rule must not cycle
+    # three constraints meet at (1, 0); the pivot rule must not cycle
     lp = _lp([1, 0], [[1, 0], [1, 1], [1, 2]], [1, 1, 1])
     solution = solve_lp(lp)
     assert solution.status == "optimal"
@@ -101,6 +108,55 @@ def test_negative_rhs_rows_handled():
     solution = solve_lp(_lp([-1], [[-1]], [-2]))
     assert solution.status == "optimal"
     assert solution.variable_values[0] == pytest.approx(2.0)
+    # raising the bound -2 by t lowers the optimum -x by t
+    assert solution.duals == pytest.approx([1.0])
+
+
+def test_beale_cycling_example_terminates():
+    # Beale's LP cycles under the largest-coefficient rule alone; the
+    # fallback to Bland's rule after a run of degenerate pivots ends it
+    lp = _lp(
+        [0.75, -150.0, 1.0 / 50.0, -6.0],
+        [
+            [0.25, -60.0, -1.0 / 25.0, 9.0],
+            [0.5, -90.0, -1.0 / 50.0, 3.0],
+            [0.0, 0.0, 1.0, 0.0],
+        ],
+        [0.0, 0.0, 1.0],
+    )
+    solution = solve_lp(lp)
+    assert solution.status == "optimal"
+    assert solution.objective_value == pytest.approx(0.05, abs=1e-12)
+    assert np.allclose(solution.variable_values, [0.04, 0.0, 1.0, 0.0], atol=1e-12)
+
+
+def test_same_lp_twice_is_bitwise_identical_and_few_pivots():
+    game, _ = make_instance("random", n=3, m=40, seed=0)
+    lp = build_maxmin_lp(to_joint_game(game))
+    first, second = solve_lp(lp), solve_lp(lp)
+    assert first.iterations == second.iterations
+    assert np.array_equal(first.variable_values, second.variable_values)
+    assert np.array_equal(first.duals, second.duals)
+    # Bland's rule alone needs 4,711 pivots on this correlated LP
+    assert first.iterations < 1000
+
+
+@given(st.data())
+def test_ratio_test_matches_the_sequential_scan(data):
+    # few distinct entries, so that ratios often tie and the basis order
+    # has to break the tie
+    size = data.draw(st.integers(1, 8))
+
+    def entries(values):
+        return np.array(data.draw(st.lists(st.sampled_from(values), min_size=size, max_size=size)))
+
+    col = entries([-1.0, 0.0, 0.5, 1.0, 2.0])
+    rhs = entries([0.0, 1.0, 2.0])
+    basis = data.draw(st.permutations(range(size)))
+    leaving, step = _ratio_test(col, rhs, basis)
+    assert leaving == _ratio_test_sequential(col, rhs, basis)
+    if leaving >= 0:
+        assert step == rhs[leaving] / col[leaving]
 
 
 def test_solution_satisfies_constraints():
@@ -150,6 +206,19 @@ def test_single_column_is_best_row_mix():
     # one adversary action: value is just the max row entry
     value, _ = solve_maxmin(np.array([[0.2], [0.9], [0.4]]))
     assert value == pytest.approx(0.9)
+
+
+@pytest.mark.parametrize(
+    "duals, message",
+    [([0.0, 0.0], "not a column mixture"), ([0.0, 1.0], "a row beats")],
+)
+def test_maxmin_rejects_a_value_its_duals_do_not_certify(monkeypatch, duals, message):
+    # a feasible but suboptimal answer for [[2, 1], [0, 0]]: row 1 played
+    # purely guarantees 0, the value is 1; only the duals can show it
+    suboptimal = LpSolution("optimal", 0.0, np.array([0.0, 1.0, 0.0]), 1, np.array(duals))
+    monkeypatch.setattr(lp_module, "solve_lp", lambda lp: suboptimal)
+    with pytest.raises(LpSolveError, match=message):
+        solve_maxmin(np.array([[2.0, 1.0], [0.0, 0.0]]))
 
 
 def test_maxmin_strategy_achieves_its_value():
