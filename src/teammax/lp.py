@@ -89,48 +89,6 @@ def _pivot(tableau: np.ndarray, row: int, col: int) -> None:
     tableau -= np.outer(factors, tableau[row])
 
 
-def _ratio_test(
-    col: np.ndarray, rhs: np.ndarray, basis: list[int]
-) -> tuple[int, float]:
-    """Leaving row for an entering column and its ratio; row -1 if the
-    column is unbounded.
-
-    The minimum ratio rhs[i] / col[i] over rows with col[i] > tolerance;
-    ratios within _RATIO_TIE_TOL of each other tie and go to the lowest
-    basic variable index. A minimum that no other row comes within the
-    tolerance of is the row the sequential scan would pick, so the scan runs
-    only when there is a tie to break.
-    """
-    rows = (col > FEASIBILITY_TOL).nonzero()[0]
-    if rows.size == 0:
-        return -1, np.inf
-    ratios = rhs[rows] / col[rows]
-    k = ratios.argmin()
-    best = ratios[k]
-    if np.count_nonzero(ratios <= best + _RATIO_TIE_TOL) == 1:
-        return int(rows[k]), float(best)
-    leaving = _ratio_test_sequential(col, rhs, basis)
-    return leaving, float(rhs[leaving] / col[leaving])
-
-
-def _ratio_test_sequential(
-    col: np.ndarray, rhs: np.ndarray, basis: list[int]
-) -> int:
-    best_ratio = np.inf
-    leaving = -1
-    for i in range(col.size):
-        if col[i] > FEASIBILITY_TOL:
-            ratio = rhs[i] / col[i]
-            if ratio < best_ratio - _RATIO_TIE_TOL or (
-                ratio <= best_ratio + _RATIO_TIE_TOL
-                and (leaving < 0 or basis[i] < basis[leaving])
-            ):
-                if ratio < best_ratio:
-                    best_ratio = ratio
-                leaving = i
-    return leaving
-
-
 def _run_simplex(
     tableau: np.ndarray, basis: list[int], max_iter: int
 ) -> tuple[str, int]:
@@ -164,10 +122,21 @@ def _run_simplex(
             entering = int(improving[0])
         col = tableau[:num_rows, entering]
         rhs = tableau[:num_rows, -1]
-        leaving, step = _ratio_test(col, rhs, basis)
+        best_ratio = np.inf
+        leaving = -1
+        for i in range(num_rows):
+            if col[i] > FEASIBILITY_TOL:
+                ratio = rhs[i] / col[i]
+                if ratio < best_ratio - _RATIO_TIE_TOL or (
+                    ratio <= best_ratio + _RATIO_TIE_TOL
+                    and (leaving < 0 or basis[i] < basis[leaving])
+                ):
+                    if ratio < best_ratio:
+                        best_ratio = ratio
+                    leaving = i
         if leaving < 0:
             return "unbounded", pivots
-        if step <= _RATIO_TIE_TOL:
+        if rhs[leaving] / col[leaving] <= _RATIO_TIE_TOL:
             degenerate += 1
         else:
             degenerate = 0

@@ -20,8 +20,6 @@ from teammax.lp import (
     LinearProgram,
     LpSolution,
     LpSolveError,
-    _ratio_test,
-    _ratio_test_sequential,
     build_best_response_lp,
     build_maxmin_lp,
     lp_to_text,
@@ -108,7 +106,7 @@ def test_negative_rhs_rows_handled():
     solution = solve_lp(_lp([-1], [[-1]], [-2]))
     assert solution.status == "optimal"
     assert solution.variable_values[0] == pytest.approx(2.0)
-    # raising the bound -2 by t lowers the optimum -x by t
+    # raising the bound -2 by t raises the optimum of -x by t
     assert solution.duals == pytest.approx([1.0])
 
 
@@ -139,24 +137,6 @@ def test_same_lp_twice_is_bitwise_identical_and_few_pivots():
     assert np.array_equal(first.duals, second.duals)
     # Bland's rule alone needs 4,711 pivots on this correlated LP
     assert first.iterations < 1000
-
-
-@given(st.data())
-def test_ratio_test_matches_the_sequential_scan(data):
-    # few distinct entries, so that ratios often tie and the basis order
-    # has to break the tie
-    size = data.draw(st.integers(1, 8))
-
-    def entries(values):
-        return np.array(data.draw(st.lists(st.sampled_from(values), min_size=size, max_size=size)))
-
-    col = entries([-1.0, 0.0, 0.5, 1.0, 2.0])
-    rhs = entries([0.0, 1.0, 2.0])
-    basis = data.draw(st.permutations(range(size)))
-    leaving, step = _ratio_test(col, rhs, basis)
-    assert leaving == _ratio_test_sequential(col, rhs, basis)
-    if leaving >= 0:
-        assert step == rhs[leaving] / col[leaving]
 
 
 def test_solution_satisfies_constraints():
@@ -219,6 +199,21 @@ def test_maxmin_rejects_a_value_its_duals_do_not_certify(monkeypatch, duals, mes
     monkeypatch.setattr(lp_module, "solve_lp", lambda lp: suboptimal)
     with pytest.raises(LpSolveError, match=message):
         solve_maxmin(np.array([[2.0, 1.0], [0.0, 0.0]]))
+
+
+@pytest.mark.xfail(
+    strict=True,
+    raises=(LpSolveError, AssertionError),
+    reason="known defect: a tiny nonzero payoff beside entries of order one "
+    "becomes a degenerate pivot, and the rounding it magnifies breaks the "
+    "absolute 1e-8 checks",
+)
+@pytest.mark.parametrize("big", [-5.0, -3.0])
+def test_maxmin_badly_scaled_row(big):
+    # one row, two columns: the value is the smaller entry, big; with
+    # big = -5 the residual check raises, with -3 the value is 3.7e-9 off
+    value, _ = solve_maxmin(np.array([[-(2.0**-24), big]]))
+    assert value == pytest.approx(big, abs=1e-9)
 
 
 def test_maxmin_strategy_achieves_its_value():

@@ -48,6 +48,7 @@ def _matrix(draw, entries):
 def _float_matrices(draw):
     # well scaled, as the solver's absolute tolerances assume: a nonzero
     # entry near 1e-8 beside entries of order one can break its 1e-8 checks
+    # (test_maxmin_badly_scaled_row in test_lp.py holds that defect)
     magnitudes = st.floats(1e-3, 10.0)
     return _matrix(draw, st.one_of(st.just(0.0), magnitudes, magnitudes.map(lambda v: -v)))
 
