@@ -43,7 +43,7 @@ from .metrics import (
     write_aggregate_csv,
     write_rows_csv,
 )
-from .solvers import SOLVER_NAMES, DEFAULT_TIMEOUT, SolveReport, run_solver
+from .solvers import SOLVER_NAMES, SOLVERS, DEFAULT_TIMEOUT, SolveReport, run_solver
 
 EXIT_OK = 0
 EXIT_VERIFICATION_FAILED = 1
@@ -67,23 +67,12 @@ def _fmt_probs(probs) -> str:
 
 def _solver_params(args) -> dict:
     """Collect the solver keyword parameters that were actually given."""
-    params = {}
-    for name in (
-        "epsilon",
-        "restarts",
-        "seed",
-        "accuracy",
-        "target_error",
-        "budget",
-        "max_nodes",
-        "pivot",
-        "init",
-        "max_evaluations",
-    ):
-        value = getattr(args, name, None)
-        if value is not None:
-            params[name] = value
-    return params
+    names = dict.fromkeys(key for _, params in SOLVERS.values() for key in params)
+    return {
+        name: getattr(args, name)
+        for name in names
+        if getattr(args, name, None) is not None
+    }
 
 
 def _report_dict(report: SolveReport) -> dict:

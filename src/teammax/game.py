@@ -259,13 +259,25 @@ def _check_profile(game: TeamGame, profile: TeamProfile) -> None:
             )
 
 
+def contract_except(tensor: np.ndarray, vectors, keep: int | None = None) -> np.ndarray:
+    """Contract a payoff tensor against per-player vectors.
+
+    Axis j is contracted with vectors[j] for every j < len(vectors) other
+    than `keep`, in ascending j; vectors[keep] is ignored. The result has the
+    kept axis first, then the axes from len(vectors) on, in order.
+    """
+    out = tensor if keep is None else np.moveaxis(tensor, keep, 0)
+    axis = 0 if keep is None else 1
+    for j, vec in enumerate(vectors):
+        if j != keep:
+            out = np.tensordot(out, vec, axes=([axis], [0]))
+    return out
+
+
 def per_adversary_utilities(game: TeamGame, profile: TeamProfile) -> np.ndarray:
     """Expected team utility for each pure adversary action."""
     _check_profile(game, profile)
-    out = game.team_utility
-    for s in profile:
-        out = np.tensordot(s.probs, out, axes=([0], [0]))
-    return out
+    return contract_except(game.team_utility, [s.probs for s in profile])
 
 
 def team_value(game: TeamGame, profile: TeamProfile) -> ValueReport:
@@ -274,7 +286,10 @@ def team_value(game: TeamGame, profile: TeamProfile) -> ValueReport:
     A pure adversary minimizer always suffices: the adversary's expected
     utility is linear in her own mixture.
     """
-    per_action = per_adversary_utilities(game, profile)
+    return _worst_case(per_adversary_utilities(game, profile))
+
+
+def _worst_case(per_action: np.ndarray) -> ValueReport:
     worst = int(np.argmin(per_action))
     return ValueReport(
         value=float(per_action[worst]),
@@ -303,27 +318,7 @@ def joint_team_value(game: TeamGame, dist: JointDistribution) -> ValueReport:
             f"joint distribution over {dist.team_sizes} does not match "
             f"team sizes {game.team_sizes}"
         )
-    matrix = to_joint_game(game)
-    per_action = dist.probs @ matrix
-    worst = int(np.argmin(per_action))
-    return ValueReport(
-        value=float(per_action[worst]),
-        minimizing_adversary_action=worst,
-        per_adversary_utility=_frozen_array(per_action),
-    )
-
-
-def _deviation_payoffs(
-    game: TeamGame, strategies: list[MixedStrategy], player: int
-) -> np.ndarray:
-    """Expected team utility of each pure action of `player`, others fixed."""
-    out = np.moveaxis(game.team_utility, player, 0)
-    for j in range(game.num_players):
-        if j == player:
-            continue
-        # after moveaxis, the remaining axes keep their original order
-        out = np.tensordot(out, strategies[j].probs, axes=([1], [0]))
-    return out
+    return _worst_case(dist.probs @ to_joint_game(game))
 
 
 def verify_nash(
@@ -343,13 +338,14 @@ def verify_nash(
         raise ValueError("adversary strategy does not match the game")
     if tolerance < 0:
         raise ValueError("tolerance must be nonnegative")
-    strategies = list(profile) + [adversary]
+    vectors = [s.probs for s in profile] + [adversary.probs]
     gaps = np.zeros(game.num_players)
     best = np.zeros(game.num_players, dtype=np.int64)
     for i in range(game.num_players):
-        team_payoffs = _deviation_payoffs(game, strategies, i)
+        # team payoff of each pure action of player i, the others fixed
+        team_payoffs = contract_except(game.team_utility, vectors, i)
         own = team_payoffs if i < game.num_team_members else -team_payoffs
-        current = float(own @ strategies[i].probs)
+        current = float(own @ vectors[i])
         k = int(np.argmax(own))
         gaps[i] = float(own[k]) - current
         best[i] = k

@@ -15,6 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .game import contract_except
+
 FEASIBILITY_TOL = 1e-9
 OPTIMALITY_TOL = 1e-9
 _CHECK_TOL = 1e-8
@@ -349,13 +351,11 @@ def member_payoff_matrix(game, profile, member: int) -> np.ndarray:
     """
     if not 0 <= member < game.num_team_members:
         raise ValueError(f"member index {member} out of range")
-    out = np.moveaxis(game.team_utility, member, 0)
-    for j in range(game.num_team_members):
-        if j == member:
-            continue
-        # axis 1 is always the next remaining teammate axis
-        out = np.tensordot(out, profile[j].probs, axes=([1], [0]))
-    return out
+    if len(profile) != game.num_team_members:
+        raise ValueError(
+            f"{len(profile)} strategies for {game.num_team_members} team members"
+        )
+    return contract_except(game.team_utility, [s.probs for s in profile], member)
 
 
 def build_best_response_lp(game, profile, member: int) -> LinearProgram:

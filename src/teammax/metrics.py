@@ -28,10 +28,10 @@ from .game import TeamGame, normalize_payoffs
 from .generators import GENERATOR_FAMILIES, make_instance
 from .solvers import (
     DEFAULT_TIMEOUT,
-    SOLVER_NAMES,
     SolveReport,
     correlated_team_maxmin,
     run_solver,
+    solver_params,
 )
 
 RATIO_TOL = 1e-7
@@ -140,16 +140,16 @@ class GameSpec:
 
 @dataclass(frozen=True)
 class SolverSpec:
-    """A solver registry name plus keyword parameters."""
+    """A solver registry name plus keyword parameters the solver takes."""
 
     name: str
     params: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        if self.name not in SOLVER_NAMES:
-            raise ConfigError(
-                f"unknown solver {self.name!r}, expected one of {SOLVER_NAMES}"
-            )
+        try:
+            solver_params(self.name, self.params)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
 
     def params_json(self) -> str:
         return json.dumps(self.params, sort_keys=True, separators=(",", ":"))
@@ -194,6 +194,8 @@ class ResultRow:
     restarts: int
     wall_ms: float
     converged: bool
+    # "<ExceptionType>: <message>" for a failed cell, empty otherwise
+    error: str = ""
 
 
 CSV_HEADER = (
@@ -210,6 +212,7 @@ CSV_HEADER = (
     "iterations",
     "restarts",
     "wall_ms",
+    "error",
     "converged",
 )
 
@@ -244,33 +247,20 @@ def _build_instance(spec: GameSpec, seed: int) -> tuple[str, TeamGame]:
 
 def _run_cell(task) -> ResultRow:
     instance_id, spec_family, seed, game, solver, timeout, record_wall = task
+    cell = dict(
+        instance_id=instance_id,
+        generator=spec_family,
+        n=game.num_players,
+        m=game.max_team_actions,
+        seed=seed,
+        solver=solver.name,
+        params=solver.params_json(),
+    )
     try:
         report = run_solver(solver.name, game, timeout=timeout, **solver.params)
-        row = ResultRow(
-            instance_id=instance_id,
-            generator=spec_family,
-            n=game.num_players,
-            m=game.max_team_actions,
-            seed=seed,
-            solver=solver.name,
-            params=solver.params_json(),
-            lower=report.lower_bound,
-            upper=report.upper_bound,
-            ratio=bracket_ratio(report.lower_bound, report.upper_bound),
-            iterations=report.iterations,
-            restarts=report.restarts_used,
-            wall_ms=report.wall_time * 1000.0 if record_wall else 0.0,
-            converged=report.converged,
-        )
-    except Exception:
-        row = ResultRow(
-            instance_id=instance_id,
-            generator=spec_family,
-            n=game.num_players,
-            m=game.max_team_actions,
-            seed=seed,
-            solver=solver.name,
-            params=solver.params_json(),
+    except Exception as exc:
+        return ResultRow(
+            **cell,
             lower=math.nan,
             upper=math.nan,
             ratio=math.nan,
@@ -278,17 +268,27 @@ def _run_cell(task) -> ResultRow:
             restarts=0,
             wall_ms=0.0,
             converged=False,
+            error=f"{type(exc).__name__}: {exc}",
         )
-    return row
+    return ResultRow(
+        **cell,
+        lower=report.lower_bound,
+        upper=report.upper_bound,
+        ratio=bracket_ratio(report.lower_bound, report.upper_bound),
+        iterations=report.iterations,
+        restarts=report.restarts_used,
+        wall_ms=report.wall_time * 1000.0 if record_wall else 0.0,
+        converged=report.converged,
+    )
 
 
 def run_experiment(config: ExperimentConfig) -> list[ResultRow]:
     """Run every (instance, solver) cell and return the sorted result table.
 
-    Failures of individual cells are recorded as rows with NaN bounds and
-    converged=False; they never abort the batch. Rows are sorted by
-    (instance_id, solver, params) so assembly order is irrelevant, which
-    keeps multi-worker runs deterministic.
+    Failures of individual cells are recorded as rows with NaN bounds,
+    converged=False and the exception in `error`; they never abort the
+    batch. Rows are sorted by (instance_id, solver, params) so assembly
+    order is irrelevant, which keeps multi-worker runs deterministic.
     """
     tasks = []
     for spec in config.games:

@@ -7,8 +7,8 @@ here reports certified brackets instead of pretending to be exact:
 * reconstruct_mixed / reconstruct_best_pivot: independent profile recovered
   from the correlated optimum, a lower bound with a multiplicative
   guarantee.
-* support_enumeration: additive epsilon guarantee by enumerating discretized
-  mixtures (exponential work, instrumented and budget-capped).
+* support_enumeration: additive epsilon guarantee by searching every
+  profile of discretized mixtures (exponential work, budget-capped).
 * iterated_lp: alternating best-response LP ascent with random restarts,
   a monotone anytime lower bound.
 * global_optimize: anytime lower/upper bracket combining the above with a
@@ -33,7 +33,6 @@ from .game import (
     MixedStrategy,
     TeamGame,
     TeamProfile,
-    per_adversary_utilities,
     team_value,
     to_joint_game,
     uniform_profile,
@@ -202,10 +201,7 @@ class EnumerationParams:
         return math.comb(num_actions + self.multiset_size - 1, self.multiset_size)
 
     def total_candidates(self, game: TeamGame) -> int:
-        total = 1
-        for m in game.team_sizes:
-            total *= self.candidates_per_member(m)
-        return total
+        return math.prod(self.candidates_per_member(m) for m in game.team_sizes)
 
 
 def _require_normalized(game: TeamGame, who: str) -> None:
@@ -226,12 +222,11 @@ def support_enumeration(
 ) -> SolveReport:
     """Additive epsilon-approximation by enumerating discretized mixtures.
 
-    Requires payoffs in [0, 1]. For each team member, enumerates all action
-    multisets of the prescribed cardinality in lexicographic order and takes
-    the candidate profile with the best exact worst-case value; a pure
-    adversary minimizer suffices for the inner evaluation. The full cross
-    product is streamed, never materialized. When it runs to completion the
-    lower bound is within epsilon of the team-maxmin value.
+    Requires payoffs in [0, 1]. Every member mixes over the action
+    multisets of the prescribed cardinality; _grid_search scores every
+    profile of such mixtures exactly and keeps the first best one. When it
+    runs to completion the lower bound is within epsilon of the team-maxmin
+    value.
 
     budget caps the number of candidate profiles visited; hitting the cap
     reports converged=False with the best bracket so far. iterations in the
@@ -242,37 +237,9 @@ def support_enumeration(
         raise ValueError("budget must be at least 1")
     start = time.perf_counter()
     params = EnumerationParams.for_game(game, epsilon)
-    size = params.multiset_size
-    member_mixtures = []
-    for m in game.team_sizes:
-        rows = [
-            np.bincount(combo, minlength=m).astype(np.float64) / size
-            for combo in itertools.combinations_with_replacement(range(m), size)
-        ]
-        member_mixtures.append(np.asarray(rows))
-    tensor = game.team_utility
-    best_value = -math.inf
-    best_combo = None
-    visited = 0
-    exhausted = True
-    for combo in itertools.product(*(range(len(g)) for g in member_mixtures)):
-        if budget is not None and visited >= budget:
-            exhausted = False
-            break
-        visited += 1
-        out = tensor
-        for i, row in enumerate(combo):
-            out = np.tensordot(member_mixtures[i][row], out, axes=([0], [0]))
-        value = float(out.min())
-        if value > best_value:
-            best_value = value
-            best_combo = combo
-    witness = TeamProfile(
-        tuple(
-            MixedStrategy(i, member_mixtures[i][row])
-            for i, row in enumerate(best_combo)
-        )
-    )
+    total = params.total_candidates(game)
+    visited = total if budget is None else min(budget, total)
+    best_value, witness = _grid_search(game, params.multiset_size, visited)
     cap = 1.0 if upper_bound is None else min(1.0, upper_bound)
     return SolveReport(
         lower_bound=best_value,
@@ -281,7 +248,7 @@ def support_enumeration(
         iterations=visited,
         restarts_used=0,
         wall_time=time.perf_counter() - start,
-        converged=exhausted,
+        converged=visited == total,
     )
 
 
@@ -396,18 +363,85 @@ def iterated_lp(
 
 
 # ---------------------------------------------------------------------------
-# certified brute-force oracle
+# grid search and the certified brute-force oracle
+
+# entries of the largest member grid or folded tensor the grid search builds
+_MAX_MATERIALIZED = 12_000_000
+# entries of one chunk of candidate payoffs
+_CHUNK_ENTRIES = 4_000_000
 
 
 def _compositions(total: int, parts: int):
     """All nonnegative integer vectors of the given length summing to total,
-    in lexicographic order."""
+    in reverse lexicographic order."""
     if parts == 1:
         yield (total,)
         return
-    for head in range(total + 1):
+    for head in range(total, -1, -1):
         for rest in _compositions(total - head, parts - 1):
             yield (head,) + rest
+
+
+def _grid_search(
+    game: TeamGame, steps: int, budget: int
+) -> tuple[float, TeamProfile]:
+    """Best worst-case value over profiles of grid mixtures.
+
+    Member i's grid holds every mixture with probabilities in units of
+    1/steps, in reverse lexicographic order of the action counts, which is
+    the order itertools.combinations_with_replacement lists the action
+    multisets of size steps. Candidates are the cross product of the grids
+    in product order, member 0 outermost; the first `budget` of them are
+    scored exactly, and the first one with the best value is returned.
+
+    Members last..1 are folded into the tensor once; chunks of member 0's
+    grid are then contracted against it, minimized over the adversary and
+    maximized. Raises CapacityError before building a member grid or a
+    folded tensor of more than _MAX_MATERIALIZED entries.
+    """
+    sizes = game.team_sizes
+    members = len(sizes)
+    counts = [math.comb(steps + m - 1, m - 1) for m in sizes]
+    largest = max(c * m for c, m in zip(counts, sizes))
+    folded_size = game.team_utility.size
+    for i in range(members - 1, 0, -1):
+        folded_size = folded_size // sizes[i] * counts[i]
+        largest = max(largest, folded_size)
+    if largest > _MAX_MATERIALIZED:
+        raise CapacityError(
+            f"a grid of {largest} entries exceeds the cap of {_MAX_MATERIALIZED}"
+        )
+    grids = [
+        np.asarray(list(_compositions(steps, m)), dtype=np.float64) / steps
+        for m in sizes
+    ]
+    # fold members last..1, leaving axes (m_0, m_adv, P_last, ..., P_1), and
+    # put the grid axes in member order so that candidates flatten in
+    # product order
+    folded = game.team_utility
+    for i in range(members - 1, 0, -1):
+        folded = np.tensordot(folded, grids[i].T, axes=([i], [0]))
+    folded = np.ascontiguousarray(
+        folded.transpose(0, 1, *range(members, 1, -1))
+    )
+    per_row = math.prod(counts[1:])
+    chunk_rows = max(1, _CHUNK_ENTRIES // (folded.size // sizes[0]))
+    best_value = -math.inf
+    best_index = 0
+    for offset in range(0, -(-budget // per_row), chunk_rows):
+        block = grids[0][offset : offset + chunk_rows]
+        # axis 1 is the adversary; minimize over it, then score the prefix
+        worst = np.tensordot(block, folded, axes=([1], [0])).min(axis=1)
+        worst = worst.reshape(-1)[: budget - offset * per_row]
+        flat = int(np.argmax(worst))
+        if worst[flat] > best_value:
+            best_value = float(worst[flat])
+            best_index = offset * per_row + flat
+    choice = np.unravel_index(best_index, counts)
+    witness = TeamProfile(
+        tuple(MixedStrategy(i, grids[i][c]) for i, c in enumerate(choice))
+    )
+    return best_value, witness
 
 
 def _rounding_constant(m: int) -> float:
@@ -435,8 +469,8 @@ def grid_oracle(
 
     The step count k is rounded up to a multiple of lcm(team sizes) when
     small, which puts the uniform profile on the grid. Intended for tiny
-    games; anything needing more than max_evaluations combinations raises
-    CapacityError.
+    games; anything needing more than max_evaluations combinations, or a
+    grid too large to materialize, raises CapacityError.
     """
     _require_normalized(game, "grid_oracle")
     if target_error <= 0:
@@ -454,53 +488,14 @@ def grid_oracle(
         if scale <= 512:
             k = ((k + scale - 1) // scale) * scale
         error_bound = members * worst / k
-    counts = [math.comb(k + m - 1, m - 1) for m in team_sizes]
-    total = 1
-    for c in counts:
-        total *= c
+    total = math.prod(math.comb(k + m - 1, m - 1) for m in team_sizes)
     if total > max_evaluations:
         raise CapacityError(
             f"{total} grid combinations exceed the cap of {max_evaluations}"
         )
-    if max(c * m for c, m in zip(counts, team_sizes)) > 12_000_000:
-        raise CapacityError("a single member grid is too large to materialize")
-    grids = [
-        np.asarray(list(_compositions(k, m)), dtype=np.float64) / k
-        for m in team_sizes
-    ]
-    # contract members other than the first, leaving axes
-    # (m_0, m_adv, P_last, ..., P_1)
-    folded = np.asarray(game.team_utility)
-    for i in range(members - 1, 0, -1):
-        folded = np.tensordot(folded, grids[i].T, axes=([i], [0]))
-    trailing = int(np.prod(folded.shape[1:])) if folded.ndim > 1 else 1
-    chunk_rows = max(1, 4_000_000 // max(trailing, 1))
-    best_value = -math.inf
-    best_index: tuple[int, ...] = ()
-    first = grids[0]
-    for offset in range(0, first.shape[0], chunk_rows):
-        block = first[offset : offset + chunk_rows]
-        values = np.tensordot(block, folded, axes=([1], [0]))
-        # axis 1 is the adversary; minimize over it, then maximize the rest
-        worst_case = values.min(axis=1)
-        flat = int(np.argmax(worst_case))
-        value = float(worst_case.reshape(-1)[flat])
-        if value > best_value:
-            best_value = value
-            local = np.unravel_index(flat, worst_case.shape)
-            best_index = (offset + int(local[0]),) + tuple(
-                int(x) for x in local[1:]
-            )
-    # trailing axes run over members (last, ..., 1)
-    choice = [0] * members
-    choice[0] = best_index[0]
-    for pos, member in enumerate(range(members - 1, 0, -1)):
-        choice[member] = best_index[1 + pos]
-    witness = TeamProfile(
-        tuple(MixedStrategy(i, grids[i][choice[i]]) for i in range(members))
-    )
+    value, witness = _grid_search(game, k, total)
     return OracleEstimate(
-        value=best_value,
+        value=value,
         error_bound=error_bound,
         witness=witness,
         resolution=k,
@@ -709,14 +704,81 @@ def global_optimize(
 # registry
 
 
-SOLVER_NAMES = (
-    "correlated",
-    "reconstruct",
-    "support-enum",
-    "iterated-lp",
-    "global",
-    "oracle",
-)
+def _correlated(game: TeamGame, timeout: float, pivot: int) -> SolveReport:
+    start = time.perf_counter()
+    dist, value = correlated_team_maxmin(game)
+    profile = reconstruct_mixed(dist, game, pivot)
+    return SolveReport(
+        lower_bound=team_value(game, profile).value,
+        upper_bound=value,
+        witness=profile,
+        iterations=1,
+        restarts_used=0,
+        wall_time=time.perf_counter() - start,
+        converged=True,
+    )
+
+
+def _oracle(
+    game: TeamGame, timeout: float, target_error: float, max_evaluations: int
+) -> SolveReport:
+    start = time.perf_counter()
+    estimate = grid_oracle(game, target_error, max_evaluations)
+    return SolveReport(
+        lower_bound=estimate.value,
+        upper_bound=estimate.value + estimate.error_bound,
+        witness=estimate.witness,
+        iterations=estimate.evaluations,
+        restarts_used=0,
+        wall_time=time.perf_counter() - start,
+        converged=True,
+    )
+
+
+# name -> (runner, accepted keyword parameters with their defaults). A runner
+# takes the game, the timeout and those parameters, and calls its solver by
+# module-level name, so that a wrapper installed on that name sees the call.
+SOLVERS = {
+    "correlated": (_correlated, {"pivot": 0}),
+    "reconstruct": (lambda game, timeout: reconstruct_best_pivot(game), {}),
+    "support-enum": (
+        lambda game, timeout, **p: support_enumeration(game, **p),
+        {"epsilon": 1.0, "budget": None, "upper_bound": None},
+    ),
+    "iterated-lp": (
+        lambda game, timeout, **p: iterated_lp(game, timeout=timeout, **p),
+        {"init": "random", "restarts": 10, "seed": 0, "max_rounds": 1000},
+    ),
+    "global": (
+        lambda game, timeout, **p: global_optimize(game, budget=timeout, **p),
+        {"accuracy": 1e-6, "seed": 0, "restarts": 8, "max_nodes": 20_000},
+    ),
+    "oracle": (_oracle, {"target_error": 0.01, "max_evaluations": 20_000_000}),
+}
+SOLVER_NAMES = tuple(SOLVERS)
+
+
+def solver_params(name: str, params: dict) -> dict:
+    """The named solver's keyword parameters: its defaults updated by
+    `params`, each value converted to its default's type where that is a
+    number. Raises ValueError for an unknown solver or a parameter the
+    solver does not take."""
+    if name not in SOLVERS:
+        raise ValueError(f"unknown solver {name!r}, expected one of {SOLVER_NAMES}")
+    defaults = SOLVERS[name][1]
+    unknown = sorted(set(params) - set(defaults))
+    if unknown:
+        accepted = ", ".join(defaults) or "no parameters"
+        raise ValueError(
+            f"solver {name!r} does not take {', '.join(unknown)}; "
+            f"it accepts {accepted}"
+        )
+    return {
+        key: type(defaults[key])(value)
+        if isinstance(defaults[key], (int, float))
+        else value
+        for key, value in {**defaults, **params}.items()
+    }
 
 
 def run_solver(
@@ -726,62 +788,8 @@ def run_solver(
 
     Used by the command line and the experiment harness; every solver comes
     back as a SolveReport so downstream code never cares which one ran.
+    Unknown names and parameters raise ValueError.
     """
-    if name == "correlated":
-        start = time.perf_counter()
-        dist, value = correlated_team_maxmin(game)
-        pivot = int(params.get("pivot", 0))
-        profile = reconstruct_mixed(dist, game, pivot)
-        return SolveReport(
-            lower_bound=team_value(game, profile).value,
-            upper_bound=value,
-            witness=profile,
-            iterations=1,
-            restarts_used=0,
-            wall_time=time.perf_counter() - start,
-            converged=True,
-        )
-    if name == "reconstruct":
-        return reconstruct_best_pivot(game)
-    if name == "support-enum":
-        return support_enumeration(
-            game,
-            epsilon=float(params.get("epsilon", 1.0)),
-            budget=params.get("budget"),
-            upper_bound=params.get("upper_bound"),
-        )
-    if name == "iterated-lp":
-        return iterated_lp(
-            game,
-            init=params.get("init", "random"),
-            restarts=int(params.get("restarts", 10)),
-            seed=int(params.get("seed", 0)),
-            timeout=DEFAULT_TIMEOUT if timeout is None else timeout,
-            max_rounds=int(params.get("max_rounds", 1000)),
-        )
-    if name == "global":
-        return global_optimize(
-            game,
-            accuracy=float(params.get("accuracy", 1e-6)),
-            budget=DEFAULT_TIMEOUT if timeout is None else timeout,
-            seed=int(params.get("seed", 0)),
-            restarts=int(params.get("restarts", 8)),
-            max_nodes=int(params.get("max_nodes", 20_000)),
-        )
-    if name == "oracle":
-        start = time.perf_counter()
-        estimate = grid_oracle(
-            game,
-            target_error=float(params.get("target_error", 0.01)),
-            max_evaluations=int(params.get("max_evaluations", 20_000_000)),
-        )
-        return SolveReport(
-            lower_bound=estimate.value,
-            upper_bound=estimate.value + estimate.error_bound,
-            witness=estimate.witness,
-            iterations=estimate.evaluations,
-            restarts_used=0,
-            wall_time=time.perf_counter() - start,
-            converged=True,
-        )
-    raise ValueError(f"unknown solver {name!r}, expected one of {SOLVER_NAMES}")
+    resolved = solver_params(name, params)
+    runner = SOLVERS[name][0]
+    return runner(game, DEFAULT_TIMEOUT if timeout is None else timeout, **resolved)

@@ -103,6 +103,13 @@ def test_solve_support_enum_quarter(tmp_path, capsys):
     assert float(lower.split()[-1]) == pytest.approx(0.25, abs=1e-9)
 
 
+def test_solve_flag_the_solver_does_not_take_is_usage_error(tmp_path, capsys):
+    path = _generate(tmp_path, "diagonal", "--n", "3", "--m", "2")
+    assert main(["solve", str(path), "--solver", "reconstruct", "--epsilon", "0.5"]) == 2
+    assert "does not take epsilon" in capsys.readouterr().err
+    assert main(["solve", str(path), "--solver", "oracle", "--budget", "3"]) == 2
+
+
 def test_solve_never_prints_lower_above_upper(tmp_path, capsys):
     path = _generate(tmp_path, "random", "--n", "3", "--m", "3", "--seed", "3")
     capsys.readouterr()

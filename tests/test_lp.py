@@ -294,6 +294,13 @@ def test_member_payoff_matrix_ignores_own_mixture():
     )
 
 
+def test_member_payoff_matrix_needs_one_strategy_per_member():
+    game = _counting_game()
+    short = TeamProfile((MixedStrategy(0, np.array([1.0, 0.0])),))
+    with pytest.raises(ValueError):
+        member_payoff_matrix(game, short, 0)
+
+
 def test_best_response_lp_recovers_best_value():
     game = _counting_game()
     profile = TeamProfile(

@@ -1,6 +1,7 @@
 """Metrics and experiment-harness tests: premium estimates against
 closed-form family values, ratio conventions, CSV determinism."""
 
+import csv
 import json
 import math
 
@@ -123,6 +124,16 @@ def test_solver_spec_validation():
         SolverSpec(name="newton")
 
 
+def test_solver_spec_rejects_parameters_the_solver_does_not_take():
+    SolverSpec(name="support-enum", params={"epsilon": 0.5, "budget": 10})
+    data = {
+        "games": [{"family": "poa"}],
+        "solvers": [{"name": "support-enum", "params": {"espilon": 0.5}}],
+    }
+    with pytest.raises(ConfigError, match="espilon"):
+        experiment_config_from_dict(data)
+
+
 def test_solver_spec_params_json_is_canonical():
     spec = SolverSpec(name="iterated-lp", params={"seed": 1, "restarts": 2})
     assert spec.params_json() == '{"restarts":2,"seed":1}'
@@ -214,9 +225,9 @@ def test_run_experiment_empty_solver_list():
     assert run_experiment(config) == []
 
 
-def test_run_experiment_isolates_cell_failures():
+def test_run_experiment_isolates_cell_failures(tmp_path):
     # the raw irrational game has payoffs outside [0, 1]; support-enum
-    # rejects it, but the batch must keep going and record the failure
+    # rejects it, but the batch must keep going and record why it failed
     config = ExperimentConfig(
         games=(
             GameSpec(family="irrational", seeds=(0,)),
@@ -236,8 +247,20 @@ def test_run_experiment_isolates_cell_failures():
     assert failed[0].generator == "irrational"
     assert failed[0].solver == "support-enum"
     assert not failed[0].converged
+    assert failed[0].error.startswith(
+        "ValueError: support_enumeration requires payoffs normalized to [0, 1]"
+    )
     good = [r for r in rows if not math.isnan(r.lower)]
     assert len(good) == 3
+    assert all(r.error == "" for r in good)
+
+    first, second = tmp_path / "first.csv", tmp_path / "second.csv"
+    write_rows_csv(rows, first)
+    write_rows_csv(run_experiment(config), second)
+    assert first.read_bytes() == second.read_bytes()
+    with open(first, newline="") as handle:
+        errors = [row["error"] for row in csv.DictReader(handle)]
+    assert sorted(errors) == ["", "", "", failed[0].error]
 
 
 def test_run_experiment_normalize_flag():

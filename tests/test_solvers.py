@@ -6,7 +6,12 @@ heuristics must all agree within their certified tolerances on the same
 instances. No solver is ever validated only against itself.
 """
 
+import itertools
+import json
 import math
+import pathlib
+import re
+import runpy
 
 import numpy as np
 import pytest
@@ -43,8 +48,12 @@ from teammax.solvers import (
     reconstruct_best_pivot,
     reconstruct_mixed,
     run_solver,
+    solver_params,
     support_enumeration,
 )
+from teammax.solvers import _grid_search
+
+REPO = pathlib.Path(__file__).resolve().parent.parent
 
 
 def _report(lower, upper):
@@ -275,6 +284,68 @@ def test_enumeration_witness_achieves_bound():
     for strategy in report.witness:
         scaled = strategy.probs * size
         assert np.allclose(scaled, np.round(scaled), atol=1e-12)
+
+
+def test_enumeration_refuses_grids_too_large_to_build():
+    # each member grid would hold C(125, 9) mixtures of 10 actions
+    wide = normalize_payoffs(random_team_game(3, 10, seed=0))
+    with pytest.raises(CapacityError):
+        support_enumeration(wide, epsilon=0.1, budget=10)
+    # member grids of 3,003 mixtures each, but folding two members into the
+    # tensor would build 6 * 6 * 3003 * 3003 entries
+    deep = normalize_payoffs(random_team_game(4, 6, seed=0))
+    with pytest.raises(CapacityError):
+        support_enumeration(deep, epsilon=0.3, budget=10)
+
+
+def _random_game(sizes, seed):
+    rng = np.random.default_rng(seed)
+    return TeamGame(len(sizes), sizes, rng.random(sizes))
+
+
+@pytest.mark.parametrize(
+    "game, steps",
+    [
+        (normalize_payoffs(random_team_game(3, 4, seed=1)), 2),
+        (normalize_payoffs(random_team_game(4, 3, seed=2)), 2),
+        (normalize_payoffs(random_team_game(4, 2, seed=3)), 3),
+        (_random_game((2, 3, 4, 3), seed=4), 2),
+        (_random_game((3, 2, 2, 3, 2), seed=5), 2),
+    ],
+)
+def test_grid_search_matches_brute_force(game, steps):
+    # reference: the multisets of each member in the order of
+    # combinations_with_replacement, crossed with itertools.product (member 0
+    # outermost) and scored one profile at a time with team_value
+    grids = [
+        [
+            np.bincount(combo, minlength=m) / steps
+            for combo in itertools.combinations_with_replacement(range(m), steps)
+        ]
+        for m in game.team_sizes
+    ]
+    candidates = list(itertools.product(*grids))
+    values = [
+        team_value(
+            game, TeamProfile(tuple(MixedStrategy(i, p) for i, p in enumerate(c)))
+        ).value
+        for c in candidates
+    ]
+    total = len(candidates)
+    for budget in (1, total - 1, total):
+        best = int(np.argmax(values[:budget]))
+        value, witness = _grid_search(game, steps, budget)
+        assert value == pytest.approx(values[best], abs=1e-12)
+        for strategy, probs in zip(witness, candidates[best]):
+            assert np.array_equal(strategy.probs, probs)
+
+
+def test_grid_search_ties_go_to_the_first_candidate_across_chunks():
+    # 1,542 x 1,542 candidates, scored in two chunks of member 0's grid
+    game = TeamGame(3, (2, 2, 2), np.zeros(8))
+    value, witness = _grid_search(game, 1541, 1542**2)
+    assert value == 0.0
+    assert [list(s.probs) for s in witness] == [[1.0, 0.0], [1.0, 0.0]]
 
 
 def test_enumeration_additive_guarantee_against_oracle():
@@ -527,6 +598,38 @@ def test_run_solver_unknown_name():
     game, _ = diagonal_game(3, 2)
     with pytest.raises(ValueError):
         run_solver("newton", game)
+
+
+def test_run_solver_rejects_unknown_parameter():
+    game, _ = diagonal_game(3, 2)
+    with pytest.raises(ValueError, match="accepts epsilon, budget, upper_bound"):
+        run_solver("support-enum", game, espilon=0.5)
+    with pytest.raises(ValueError, match="does not take seed"):
+        run_solver("reconstruct", game, seed=0)
+
+
+def test_registry_accepts_every_shipped_parameter():
+    workloads = runpy.run_path(str(REPO / "bench" / "workloads.py"), run_name="w")
+    used = [
+        (rung.solver, rung.params)
+        for workload in workloads["WORKLOADS"].values()
+        for rung in workload.rungs + workload.smoke
+    ]
+    script = runpy.run_path(str(REPO / "scripts" / "run_random_games.py"), run_name="s")
+    used += list(script["SOLVERS"].items())
+    for path in sorted((REPO / "configs").glob("*.json")):
+        entries = json.loads(path.read_text())["solvers"]
+        used += [(entry["name"], entry.get("params", {})) for entry in entries]
+    assert len({name for name, _ in used}) >= 5
+    for name, params in used:
+        solver_params(name, params)
+
+
+def test_readme_solver_table_lists_the_registry():
+    readme = (REPO / "README.md").read_text()
+    table = readme.split("## Solvers", 1)[1].split("\n\n", 2)[1]
+    names = re.findall(r"^\| `([^`]+)` \|", table, flags=re.MULTILINE)
+    assert tuple(names) == SOLVER_NAMES
 
 
 def test_run_solver_correlated_uses_requested_pivot():
