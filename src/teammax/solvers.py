@@ -277,10 +277,16 @@ def iterated_lp(
     """Alternating best-response LP ascent over team members.
 
     Per round, every member's best worst-case response against the fixed
-    others is solved as an LP; only the member with the largest achievable
-    value is replaced (ties to the lowest member index), so the current
-    value never decreases. A round that cannot improve the value by
-    improvement_tol leaves the profile untouched and ends the restart.
+    others is taken; only the member with the largest achievable value is
+    replaced (ties to the lowest member index), so the current value never
+    decreases. A round that cannot improve the value by improvement_tol
+    leaves the profile untouched and ends the restart.
+
+    A member's best-response LP ignores its own strategy, so the mover's
+    response stays valid after its move: the first round of a restart solves
+    one LP per member, each later round one per member whose teammates
+    moved, i.e. num_team_members - 1. The results are those of re-solving
+    every member each round, bit for bit.
 
     init selects the first restart's profile: "uniform", "random", or an
     explicit TeamProfile. Later restarts always start from a random point
@@ -318,6 +324,9 @@ def iterated_lp(
         value = team_value(game, profile).value
         trace = [value]
         settled = False
+        # member i's (value, mixture) best response to the current profile,
+        # None until solved; it depends only on i's teammates
+        responses: list[tuple[float, np.ndarray] | None] = [None] * num_members
         for _ in range(max_rounds):
             if time.perf_counter() > deadline:
                 timed_out = True
@@ -325,22 +334,26 @@ def iterated_lp(
             total_rounds += 1
             round_best = -math.inf
             round_member = -1
-            round_mixture = None
             for i in range(num_members):
-                v, x = solve_maxmin(member_payoff_matrix(game, profile, i))
-                if v > round_best:
-                    round_best, round_member = v, i
-                    round_mixture = x
+                if responses[i] is None:
+                    responses[i] = solve_maxmin(member_payoff_matrix(game, profile, i))
+                if responses[i][0] > round_best:
+                    round_best, round_member = responses[i][0], i
             if round_best - value < improvement_tol:
                 settled = True
                 break
             strategies = list(profile)
             strategies[round_member] = MixedStrategy(
-                round_member, np.maximum(round_mixture, 0.0)
+                round_member, np.maximum(responses[round_member][1], 0.0)
             )
             profile = TeamProfile(tuple(strategies))
             value = round_best
             trace.append(value)
+            # the mover's LP ignores its own strategy, so only its response
+            # stays valid
+            responses = [
+                r if i == round_member else None for i, r in enumerate(responses)
+            ]
         traces.append(tuple(trace))
         restarts_done += 1
         if value > best_value:

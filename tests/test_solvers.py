@@ -51,7 +51,9 @@ from teammax.solvers import (
     solver_params,
     support_enumeration,
 )
-from teammax.solvers import _grid_search
+from teammax.lp import member_payoff_matrix, solve_maxmin
+from teammax.rng import SplitMix64
+from teammax.solvers import _grid_search, _random_profile
 
 REPO = pathlib.Path(__file__).resolve().parent.parent
 
@@ -454,6 +456,130 @@ def test_iterated_lp_timeout_reports_not_converged():
     report = iterated_lp(game, restarts=50, seed=0, timeout=0.0)
     assert not report.converged
     assert report.restarts_used <= 50
+
+
+def _reference_ascent(game, init, restarts, seed):
+    """iterated_lp without reuse: every member's LP is re-solved each round.
+
+    Returns (lower, iterations, traces, witness, converged)."""
+    master = SplitMix64(seed)
+    best_value, best_profile = -math.inf, None
+    traces, rounds, all_settled = [], 0, True
+    for r in range(restarts):
+        rng = master.spawn(r)
+        if r == 0 and isinstance(init, TeamProfile):
+            profile = init
+        elif r == 0 and init == "uniform":
+            profile = uniform_profile(game)
+        else:
+            profile = _random_profile(game, rng)
+        value = team_value(game, profile).value
+        trace, settled = [value], False
+        for _ in range(1000):
+            rounds += 1
+            responses = [
+                solve_maxmin(member_payoff_matrix(game, profile, i))
+                for i in range(game.num_team_members)
+            ]
+            best_member = -1
+            round_best = -math.inf
+            for i, (v, _) in enumerate(responses):
+                if v > round_best:
+                    round_best, best_member = v, i
+            if round_best - value < 1e-9:
+                settled = True
+                break
+            strategies = list(profile)
+            strategies[best_member] = MixedStrategy(
+                best_member, np.maximum(responses[best_member][1], 0.0)
+            )
+            profile = TeamProfile(tuple(strategies))
+            value = round_best
+            trace.append(value)
+        traces.append(tuple(trace))
+        all_settled = all_settled and settled
+        if value > best_value:
+            best_value, best_profile = value, profile
+    return best_value, rounds, tuple(traces), best_profile, all_settled
+
+
+def _explicit_profile(game, seed):
+    rng = np.random.default_rng(seed)
+    return TeamProfile(
+        tuple(
+            MixedStrategy(i, rng.dirichlet(np.ones(m)))
+            for i, m in enumerate(game.team_sizes)
+        )
+    )
+
+
+_ASCENT_GAMES = [
+    random_team_game(3, 4, seed=0),
+    random_team_game(3, 6, seed=1),
+    random_team_game(4, 3, seed=2),
+    random_team_game(5, 2, seed=3),
+    diagonal_game(3, 3)[0],
+    poa_game()[0],
+]
+
+
+@pytest.mark.parametrize(
+    "game",
+    _ASCENT_GAMES,
+    ids=["n3-m4", "n3-m6", "n4-m3", "n5-m2", "diagonal-n3-m3", "poa"],
+)
+@pytest.mark.parametrize("init", ["uniform", "random", "explicit"])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_iterated_lp_equals_ascent_that_re_solves_every_member(game, init, seed):
+    start = _explicit_profile(game, seed) if init == "explicit" else init
+    report = iterated_lp(game, init=start, restarts=3, seed=seed)
+    lower, rounds, traces, witness, settled = _reference_ascent(
+        game, start, restarts=3, seed=seed
+    )
+    assert report.lower_bound == lower
+    assert report.upper_bound == max(float(game.team_utility.max()), lower)
+    assert report.iterations == rounds
+    assert report.restarts_used == 3
+    assert report.traces == traces
+    assert report.converged == settled
+    for got, want in zip(report.witness, witness, strict=True):
+        assert np.array_equal(got.probs, want.probs)
+
+
+def _count_lp_calls(monkeypatch):
+    calls = []
+
+    def counted(matrix):
+        calls.append(matrix.shape)
+        return solve_maxmin(matrix)
+
+    monkeypatch.setattr("teammax.solvers.solve_maxmin", counted)
+    return calls
+
+
+@pytest.mark.parametrize("players", [3, 4])
+def test_iterated_lp_solves_only_the_movers_teammates(monkeypatch, players):
+    # the first round of a restart solves every member; each accepted move
+    # leaves the mover's response valid, so every later round solves the
+    # n_team - 1 others
+    game = random_team_game(players, 4, seed=7)
+    members = game.num_team_members
+    calls = _count_lp_calls(monkeypatch)
+    report = iterated_lp(game, restarts=4, seed=3)
+    assert report.converged
+    assert any(len(trace) > 2 for trace in report.traces)
+    assert len(calls) == sum(
+        members + (len(trace) - 1) * (members - 1) for trace in report.traces
+    )
+
+
+def test_iterated_lp_single_round_solves_every_member(monkeypatch):
+    game = random_team_game(4, 4, seed=7)
+    calls = _count_lp_calls(monkeypatch)
+    report = iterated_lp(game, restarts=4, seed=3, max_rounds=1)
+    assert len(calls) == 4 * game.num_team_members
+    assert all(len(trace) == 2 for trace in report.traces)
+    assert not report.converged
 
 
 # ---------------------------------------------------------------------------
