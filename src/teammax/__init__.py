@@ -5,166 +5,38 @@ adversary. The package computes the exact correlated team value by linear
 programming, certified lower/upper brackets of the harder independent-mixing
 (team-maxmin) value, and the efficiency metrics comparing the two, plus
 benchmark generators and a batch experiment harness.
+
+The names below are the ones the README's quick start uses, plus the errors
+the package raises; everything else is imported from its submodule.
 """
 
-from .game import (
-    CapacityError,
-    GameFormatError,
-    JointDistribution,
-    MixedStrategy,
-    NashVerdict,
-    TeamGame,
-    TeamProfile,
-    ValueReport,
-    expected_team_utility,
-    game_from_dict,
-    game_to_dict,
-    joint_team_value,
-    load_game,
-    load_strategies,
-    normalize_payoffs,
-    per_adversary_utilities,
-    pure_adversary,
-    pure_profile,
-    pure_strategy,
-    save_game,
-    save_profile,
-    team_value,
-    to_joint_game,
-    uniform_adversary,
-    uniform_profile,
-    uniform_strategy,
-    verify_nash,
-)
-from .generators import (
-    GENERATOR_FAMILIES,
-    InstanceFacts,
-    NamedProfile,
-    coordination_game,
-    diagonal_game,
-    irrational_game,
-    make_instance,
-    poa_game,
-    pou_one_game,
-    random_team_game,
-)
-from .lp import (
-    LinearProgram,
-    LpSolution,
-    LpSolveError,
-    build_best_response_lp,
-    build_maxmin_lp,
-    member_payoff_matrix,
-    solve_lp,
-    solve_maxmin,
-)
-from .metrics import (
-    AggregateRow,
-    ConfigError,
-    ExperimentConfig,
-    GameSpec,
-    PouReport,
-    ResultRow,
-    SolverSpec,
-    aggregate_rows,
-    approximation_ratio,
-    compute_pou,
-    load_experiment_config,
-    run_experiment,
-    write_aggregate_csv,
-    write_rows_csv,
-)
-from .rng import SplitMix64
+from .game import CapacityError, GameFormatError, TeamGame
+from .lp import LpSolveError
+from .metrics import ConfigError, compute_pou
 from .solvers import (
-    DEFAULT_TIMEOUT,
-    SOLVER_NAMES,
-    EnumerationParams,
-    OracleEstimate,
     SolveReport,
     correlated_team_maxmin,
     global_optimize,
     grid_oracle,
     iterated_lp,
     reconstruct_best_pivot,
-    reconstruct_mixed,
     run_solver,
-    support_enumeration,
 )
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "AggregateRow",
     "CapacityError",
     "ConfigError",
-    "DEFAULT_TIMEOUT",
-    "EnumerationParams",
-    "ExperimentConfig",
-    "GENERATOR_FAMILIES",
     "GameFormatError",
-    "GameSpec",
-    "InstanceFacts",
-    "JointDistribution",
-    "LinearProgram",
-    "LpSolution",
     "LpSolveError",
-    "MixedStrategy",
-    "NamedProfile",
-    "NashVerdict",
-    "OracleEstimate",
-    "PouReport",
-    "ResultRow",
-    "SOLVER_NAMES",
     "SolveReport",
-    "SolverSpec",
-    "SplitMix64",
     "TeamGame",
-    "TeamProfile",
-    "ValueReport",
-    "aggregate_rows",
-    "approximation_ratio",
-    "build_best_response_lp",
-    "build_maxmin_lp",
     "compute_pou",
-    "coordination_game",
     "correlated_team_maxmin",
-    "diagonal_game",
-    "expected_team_utility",
-    "game_from_dict",
-    "game_to_dict",
     "global_optimize",
     "grid_oracle",
-    "irrational_game",
     "iterated_lp",
-    "joint_team_value",
-    "load_experiment_config",
-    "load_game",
-    "load_strategies",
-    "make_instance",
-    "member_payoff_matrix",
-    "normalize_payoffs",
-    "per_adversary_utilities",
-    "poa_game",
-    "pou_one_game",
-    "pure_adversary",
-    "pure_profile",
-    "pure_strategy",
-    "random_team_game",
     "reconstruct_best_pivot",
-    "reconstruct_mixed",
-    "run_experiment",
     "run_solver",
-    "save_game",
-    "save_profile",
-    "solve_lp",
-    "solve_maxmin",
-    "support_enumeration",
-    "team_value",
-    "to_joint_game",
-    "uniform_adversary",
-    "uniform_profile",
-    "uniform_strategy",
-    "verify_nash",
-    "write_aggregate_csv",
-    "write_rows_csv",
 ]

@@ -291,55 +291,108 @@ def _validate_solution(lp: LinearProgram, x: np.ndarray) -> None:
 # LP builders for maxmin problems
 
 
-def build_maxmin_lp(matrix: np.ndarray) -> LinearProgram:
+def build_maxmin_lp(
+    matrix: np.ndarray,
+    lows: np.ndarray | None = None,
+    highs: np.ndarray | None = None,
+) -> LinearProgram:
     """LP for the row player's maxmin of a zero-sum matrix game.
 
     Variables are the row probabilities followed by the value variable v:
     maximize v subject to, for every column c,
     v - sum_r matrix[r, c] x_r <= 0, and sum_r x_r = 1, x >= 0, v free.
+
+    A box lows <= x <= highs restricts the row mixture further. Its rows
+    follow the column rows: x_r <= highs[r] for every row, then
+    -x_r <= -lows[r] for every row with lows[r] > 0, in row order.
     """
     matrix = np.asarray(matrix, dtype=np.float64)
     if matrix.ndim != 2 or matrix.size == 0:
         raise ValueError("matrix must be two-dimensional and nonempty")
     rows, cols = matrix.shape
-    objective = np.zeros(rows + 1)
+    nvar = rows + 1
+    objective = np.zeros(nvar)
     objective[-1] = 1.0
-    a_ub = np.zeros((cols, rows + 1))
-    a_ub[:, :rows] = -matrix.T
-    a_ub[:, rows] = 1.0
-    b_ub = np.zeros(cols)
-    a_eq = np.zeros((1, rows + 1))
+    blocks = [np.zeros((cols, nvar))]
+    blocks[0][:, :rows] = -matrix.T
+    blocks[0][:, rows] = 1.0
+    rhs = [np.zeros(cols)]
+    if highs is not None:
+        upper = np.zeros((rows, nvar))
+        upper[:, :rows] = np.eye(rows)
+        blocks.append(upper)
+        rhs.append(highs)
+    if lows is not None and (mask := lows > 0.0).any():
+        lower = np.zeros((int(mask.sum()), nvar))
+        lower[:, :rows] = -np.eye(rows)[mask]
+        blocks.append(lower)
+        rhs.append(-lows[mask])
+    a_eq = np.zeros((1, nvar))
     a_eq[0, :rows] = 1.0
-    b_eq = np.ones(1)
-    nonneg = np.ones(rows + 1, dtype=bool)
+    nonneg = np.ones(nvar, dtype=bool)
     nonneg[rows] = False
-    return LinearProgram(objective, a_ub, b_ub, a_eq, b_eq, nonneg)
+    return LinearProgram(
+        objective, np.vstack(blocks), np.concatenate(rhs), a_eq, np.ones(1), nonneg
+    )
 
 
-def solve_maxmin(matrix: np.ndarray) -> tuple[float, np.ndarray]:
-    """Value and optimal row mixture of a zero-sum matrix game.
+def check_maxmin(
+    matrix: np.ndarray,
+    solution: LpSolution,
+    lows: np.ndarray | None = None,
+    highs: np.ndarray | None = None,
+) -> tuple[float, np.ndarray]:
+    """Value and row mixture of a solution of build_maxmin_lp(matrix, lows,
+    highs), certified from both sides.
 
-    The value is certified from both sides: solve_lp checks that the row
-    mixture is feasible, so it guarantees the value, and the LP's duals
-    are a column mixture y that holds every row to at most the value,
-    max_r (matrix @ y)_r <= value. These LPs are always feasible and
-    bounded; anything else, or a certificate that does not check, is a
-    solver defect and raises LpSolveError.
+    solve_lp checks that the row mixture is feasible, so it guarantees the
+    value. The duals of the column rows are a column mixture y, and no row
+    mixture in the box earns more than max_x x @ (matrix @ y) against it
+    (minimax over the box and the simplex, both convex), which must not
+    exceed the value. These LPs are always feasible and bounded; anything
+    else, or a certificate that does not check, is a solver defect and
+    raises LpSolveError.
     """
-    matrix = np.asarray(matrix, dtype=np.float64)
-    solution = solve_lp(build_maxmin_lp(matrix))
     if solution.status != "optimal":
         raise LpSolveError(f"maxmin LP came back {solution.status}")
+    matrix = np.asarray(matrix, dtype=np.float64)
     value = solution.objective_value
-    y = solution.duals
+    y = solution.duals[: matrix.shape[1]]
     if y.min() < -_CHECK_TOL or abs(y.sum() - 1.0) > _CHECK_TOL:
         raise LpSolveError("maxmin LP duals are not a column mixture")
-    excess = float((matrix @ y).max()) - value
+    excess = _box_max(matrix @ y, lows, highs) - value
     if excess > _CHECK_TOL:
         raise LpSolveError(
             f"maxmin value not optimal: a row beats the column mixture by {excess:.3e}"
         )
     return value, solution.variable_values[:-1]
+
+
+def _box_max(
+    payoffs: np.ndarray, lows: np.ndarray | None, highs: np.ndarray | None
+) -> float:
+    """max of x @ payoffs over the mixtures x with lows <= x <= highs.
+
+    Every row gets its low, and the mass left is poured into the rows in
+    order of payoff, best first, each up to its high. Without a box the
+    best row takes all of it.
+    """
+    if lows is None and highs is None:
+        return float(payoffs.max())
+    lows = np.zeros(payoffs.size) if lows is None else lows
+    highs = np.ones(payoffs.size) if highs is None else highs
+    order = np.argsort(-payoffs, kind="stable")
+    room = (highs - lows)[order]
+    # mass the better rows take before each row's turn
+    before = np.cumsum(room) - room
+    fill = np.clip(1.0 - lows.sum() - before, 0.0, room)
+    return float(lows @ payoffs + fill @ payoffs[order])
+
+
+def solve_maxmin(matrix: np.ndarray) -> tuple[float, np.ndarray]:
+    """Value and optimal row mixture of a zero-sum matrix game, certified
+    by check_maxmin."""
+    return check_maxmin(matrix, solve_lp(build_maxmin_lp(matrix)))
 
 
 def member_payoff_matrix(game, profile, member: int) -> np.ndarray:
@@ -356,37 +409,3 @@ def member_payoff_matrix(game, profile, member: int) -> np.ndarray:
             f"{len(profile)} strategies for {game.num_team_members} team members"
         )
     return contract_except(game.team_utility, [s.probs for s in profile], member)
-
-
-def build_best_response_lp(game, profile, member: int) -> LinearProgram:
-    """LP for one team member's best worst-case response.
-
-    With every teammate fixed to `profile`, the member faces a zero-sum
-    matrix game against the adversary; her best response is that game's
-    maxmin mixture.
-    """
-    return build_maxmin_lp(member_payoff_matrix(game, profile, member))
-
-
-def lp_to_text(lp: LinearProgram, name: str = "lp") -> str:
-    """Plain-text dump of an LP in the common LP file layout (debug aid)."""
-
-    def term(coef: float, j: int) -> str:
-        return f"{coef:+.12g} x{j}"
-
-    lines = [f"\\ {name}", "Maximize", " obj: " + _expr(lp.objective, term)]
-    lines.append("Subject To")
-    for i in range(lp.b_ub.size):
-        lines.append(f" c{i}: " + _expr(lp.a_ub[i], term) + f" <= {lp.b_ub[i]:.12g}")
-    for i in range(lp.b_eq.size):
-        lines.append(f" e{i}: " + _expr(lp.a_eq[i], term) + f" = {lp.b_eq[i]:.12g}")
-    lines.append("Bounds")
-    for j in range(lp.num_variables):
-        lines.append(f" x{j} free" if not lp.nonneg[j] else f" 0 <= x{j}")
-    lines.append("End")
-    return "\n".join(lines) + "\n"
-
-
-def _expr(coefs: np.ndarray, term) -> str:
-    parts = [term(float(c), j) for j, c in enumerate(coefs) if c != 0.0]
-    return " ".join(parts) if parts else "0"

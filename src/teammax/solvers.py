@@ -38,7 +38,8 @@ from .game import (
     uniform_profile,
 )
 from .lp import (
-    LinearProgram,
+    build_maxmin_lp,
+    check_maxmin,
     member_payoff_matrix,
     solve_lp,
     solve_maxmin,
@@ -527,45 +528,6 @@ def _box_products(parts: list[np.ndarray]) -> np.ndarray:
     return out
 
 
-def _box_bound_lp(matrix: np.ndarray, lows: np.ndarray, highs: np.ndarray) -> LinearProgram:
-    """Correlated maxmin restricted to joint probabilities inside the box.
-
-    Product strategies drawn from the per-member boxes have joint action
-    probabilities between the products of the interval endpoints, so this
-    LP upper-bounds the best independent profile inside the box.
-    """
-    rows, cols = matrix.shape
-    nvar = rows + 1
-    objective = np.zeros(nvar)
-    objective[-1] = 1.0
-    blocks = [np.zeros((cols, nvar))]
-    blocks[0][:, :rows] = -matrix.T
-    blocks[0][:, rows] = 1.0
-    rhs = [np.zeros(cols)]
-    upper = np.zeros((rows, nvar))
-    upper[:, :rows] = np.eye(rows)
-    blocks.append(upper)
-    rhs.append(highs)
-    mask = lows > 0.0
-    if np.any(mask):
-        lower = np.zeros((int(mask.sum()), nvar))
-        lower[:, :rows] = -np.eye(rows)[mask]
-        blocks.append(lower)
-        rhs.append(-lows[mask])
-    a_eq = np.zeros((1, nvar))
-    a_eq[0, :rows] = 1.0
-    nonneg = np.ones(nvar, dtype=bool)
-    nonneg[-1] = False
-    return LinearProgram(
-        objective,
-        np.vstack(blocks),
-        np.concatenate(rhs),
-        a_eq,
-        np.ones(1),
-        nonneg,
-    )
-
-
 def _tighten_box(los: list[np.ndarray], his: list[np.ndarray]) -> bool:
     """Intersect interval boxes with the probability simplex; returns False
     when the intersection is empty."""
@@ -612,7 +574,9 @@ def global_optimize(
     split on the widest coordinate interval and each box is bounded by the
     correlated relaxation restricted to it, pruning boxes that cannot beat
     the incumbent. Bounds are valid whenever it stops; converged means the
-    bracket width reached `accuracy`.
+    bracket width reached `accuracy`. Every node bound is certified by
+    check_maxmin, so a node LP that is not solved to optimality raises
+    LpSolveError.
     """
     _require_normalized(game, "global_optimize")
     if accuracy <= 0:
@@ -677,16 +641,14 @@ def global_optimize(
                     child_los[member][action] = mid
                 if not _tighten_box(child_los, child_his):
                     continue
-                lp = _box_bound_lp(
-                    matrix,
-                    _box_products(child_los),
-                    _box_products(child_his),
-                )
-                solution = solve_lp(lp)
-                if solution.status != "optimal":
-                    continue
-                bound = solution.objective_value
-                probe = _box_probe(game, solution.variable_values[:-1])
+                # the correlated relaxation restricted to the box: product
+                # strategies from the member boxes have joint probabilities
+                # between the products of the interval endpoints
+                lows = _box_products(child_los)
+                highs = _box_products(child_his)
+                solution = solve_lp(build_maxmin_lp(matrix, lows, highs))
+                bound, probs = check_maxmin(matrix, solution, lows, highs)
+                probe = _box_probe(game, probs)
                 if probe is not None:
                     probe_value = team_value(game, probe).value
                     if probe_value > lower:

@@ -20,14 +20,14 @@ from teammax.lp import (
     LinearProgram,
     LpSolution,
     LpSolveError,
-    build_best_response_lp,
     build_maxmin_lp,
-    lp_to_text,
+    check_maxmin,
     member_payoff_matrix,
     solve_lp,
     solve_maxmin,
 )
 from teammax.rng import SplitMix64
+from teammax.solvers import _box_products, _tighten_box
 
 
 def _lp(objective, a_ub=None, b_ub=None, a_eq=None, b_eq=None, nonneg=None):
@@ -245,10 +245,107 @@ def test_maxmin_lp_structure():
     assert solution.objective_value == pytest.approx(0.5)
 
 
-def test_lp_to_text_mentions_every_section():
-    text = lp_to_text(build_maxmin_lp(np.eye(2)))
-    for keyword in ("Maximize", "Subject To", "Bounds", "End"):
-        assert keyword in text
+# ---------------------------------------------------------------------------
+# box-restricted maxmin LPs (branch-and-bound nodes)
+
+
+def box_from_splits(team_sizes, splits):
+    """Joint-probability box of a branch-and-bound node: halve the interval
+    of (member, action) for each split as global_optimize does, keep the
+    lower half when `upper` is false, and intersect with the simplex.
+    Splits that would empty the box are skipped. Returns the products of
+    the member interval endpoints, (lows, highs)."""
+    los = [np.zeros(m) for m in team_sizes]
+    his = [np.ones(m) for m in team_sizes]
+    for member, action, upper in splits:
+        member %= len(team_sizes)
+        action %= team_sizes[member]
+        child_los = [arr.copy() for arr in los]
+        child_his = [arr.copy() for arr in his]
+        mid = (los[member][action] + his[member][action]) / 2.0
+        if upper:
+            child_los[member][action] = mid
+        else:
+            child_his[member][action] = mid
+        if _tighten_box(child_los, child_his):
+            los, his = child_los, child_his
+    return _box_products(los), _box_products(his)
+
+
+def _reference_box_lp(matrix, lows, highs):
+    # the box LP as global_optimize built it before build_maxmin_lp took a box
+    rows, cols = matrix.shape
+    nvar = rows + 1
+    objective = np.zeros(nvar)
+    objective[-1] = 1.0
+    blocks = [np.zeros((cols, nvar))]
+    blocks[0][:, :rows] = -matrix.T
+    blocks[0][:, rows] = 1.0
+    rhs = [np.zeros(cols)]
+    upper = np.zeros((rows, nvar))
+    upper[:, :rows] = np.eye(rows)
+    blocks.append(upper)
+    rhs.append(highs)
+    mask = lows > 0.0
+    if np.any(mask):
+        lower = np.zeros((int(mask.sum()), nvar))
+        lower[:, :rows] = -np.eye(rows)[mask]
+        blocks.append(lower)
+        rhs.append(-lows[mask])
+    a_eq = np.zeros((1, nvar))
+    a_eq[0, :rows] = 1.0
+    nonneg = np.ones(nvar, dtype=bool)
+    nonneg[-1] = False
+    return LinearProgram(
+        objective, np.vstack(blocks), np.concatenate(rhs), a_eq, np.ones(1), nonneg
+    )
+
+
+@pytest.mark.parametrize("n, m", [(3, 3), (3, 4), (4, 3)])
+@pytest.mark.parametrize("upper", [False, True])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_box_lp_is_the_reference_box_lp_bit_for_bit(n, m, upper, seed):
+    # two splits per member on random actions. Lower halves leave at least
+    # two of m >= 3 highs at 1, so every low stays 0; upper halves raise a
+    # low of every member, which adds -x_r <= -lows[r] rows
+    game, _ = make_instance("random", n=n, m=m, seed=seed)
+    matrix = to_joint_game(game)
+    draws = SplitMix64(seed).floats(2 * (n - 1))
+    splits = [(i, int(d * m), upper) for i, d in enumerate(draws)]
+    lows, highs = box_from_splits(game.team_sizes, splits)
+    assert np.any(lows > 0.0) == upper
+    assert np.any(highs < 1.0)
+    got = build_maxmin_lp(matrix, lows, highs)
+    want = _reference_box_lp(matrix, lows, highs)
+    for field in ("objective", "a_ub", "b_ub", "a_eq", "b_eq", "nonneg"):
+        a, b = getattr(got, field), getattr(want, field)
+        assert np.array_equal(a, b) and a.tobytes() == b.tobytes(), field
+
+
+def test_box_certificate_by_hand():
+    # [[2, 1], [0, 0]] with x_0 <= 1/2: x = (1/2, 1/2) guarantees 1/2, and
+    # column 1 holds every mixture in the box to 1/2, although row 0 alone
+    # would earn 1 against it
+    matrix = np.array([[2.0, 1.0], [0.0, 0.0]])
+    highs = np.array([0.5, 1.0])
+    solution = solve_lp(build_maxmin_lp(matrix, highs=highs))
+    value, strategy = check_maxmin(matrix, solution, highs=highs)
+    assert value == pytest.approx(0.5)
+    assert np.allclose(strategy, [0.5, 0.5])
+    duals = np.array([0.0, 1.0, 0.0, 0.0])
+    right = LpSolution("optimal", 0.5, np.array([0.5, 0.5, 0.5]), 1, duals)
+    assert check_maxmin(matrix, right, highs=highs)[0] == 0.5
+    with pytest.raises(LpSolveError, match="a row beats"):
+        check_maxmin(matrix, right)
+    low = LpSolution("optimal", 0.4, np.array([0.4, 0.6, 0.4]), 1, duals)
+    with pytest.raises(LpSolveError, match="a row beats"):
+        check_maxmin(matrix, low, highs=highs)
+
+
+def test_certificate_rejects_a_solution_that_is_not_optimal():
+    matrix = np.eye(2)
+    with pytest.raises(LpSolveError, match="came back infeasible"):
+        check_maxmin(matrix, LpSolution("infeasible", float("nan"), None, 3))
 
 
 # ---------------------------------------------------------------------------
@@ -309,9 +406,9 @@ def test_best_response_lp_recovers_best_value():
             MixedStrategy(1, np.array([1.0, 0.0])),
         )
     )
-    solution = solve_lp(build_best_response_lp(game, profile, 0))
+    value, _ = solve_maxmin(member_payoff_matrix(game, profile, 0))
     # pure row 1 of [[0,1],[4,5]] guarantees 4
-    assert solution.objective_value == pytest.approx(4.0)
+    assert value == pytest.approx(4.0)
 
 
 def test_three_team_members_contraction():

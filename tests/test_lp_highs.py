@@ -10,11 +10,19 @@ from hypothesis import strategies as st
 
 optimize = pytest.importorskip("scipy.optimize")
 
-from teammax.lp import solve_maxmin  # noqa: E402
+from teammax.lp import (  # noqa: E402
+    build_maxmin_lp,
+    check_maxmin,
+    solve_lp,
+    solve_maxmin,
+)
+from test_lp import box_from_splits  # noqa: E402
 
 
-def _highs_maxmin(matrix: np.ndarray) -> float:
+def _highs_maxmin(matrix: np.ndarray, lows=None, highs=None) -> float:
     rows, cols = matrix.shape
+    lows = np.zeros(rows) if lows is None else lows
+    highs = np.full(rows, None) if highs is None else highs
     objective = np.zeros(rows + 1)
     objective[-1] = -1.0
     a_ub = np.hstack([-matrix.T, np.ones((cols, 1))])
@@ -25,7 +33,7 @@ def _highs_maxmin(matrix: np.ndarray) -> float:
         b_ub=np.zeros(cols),
         A_eq=a_eq,
         b_eq=[1.0],
-        bounds=[(0, None)] * rows + [(None, None)],
+        bounds=list(zip(lows, highs)) + [(None, None)],
         method="highs",
         # tighter than HiGHS's defaults (1e-7), so that the reference is
         # exact to well below the 1e-9 asked of solve_maxmin
@@ -72,3 +80,26 @@ def test_maxmin_value_matches_highs(matrix):
     value, strategy = solve_maxmin(matrix)
     assert value == pytest.approx(_highs_maxmin(matrix), abs=1e-9)
     assert (strategy @ matrix).min() >= value - 1e-8
+
+
+@st.composite
+def _boxed_games(draw):
+    # the joint payoff matrix of a normalized team game (entries 0 or at
+    # least 1e-3, as in _float_matrices) and a branch-and-bound node's box
+    shapes = [((3, 3), 3), ((4, 4), 4), ((3, 3, 3), 3)]
+    team_sizes, adversary = draw(st.sampled_from(shapes))
+    size = int(np.prod(team_sizes)) * adversary
+    entries = st.one_of(st.just(0.0), st.floats(1e-3, 1.0))
+    values = draw(st.lists(entries, min_size=size, max_size=size))
+    split = st.tuples(st.integers(0, 2), st.integers(0, 3), st.booleans())
+    lows, highs = box_from_splits(team_sizes, draw(st.lists(split, max_size=8)))
+    return np.array(values).reshape(-1, adversary), lows, highs
+
+
+@given(_boxed_games())
+def test_box_maxmin_value_matches_highs(case):
+    matrix, lows, highs = case
+    solution = solve_lp(build_maxmin_lp(matrix, lows, highs))
+    value, strategy = check_maxmin(matrix, solution, lows, highs)
+    assert value == pytest.approx(_highs_maxmin(matrix, lows, highs), abs=1e-9)
+    assert np.all(strategy >= lows - 1e-9) and np.all(strategy <= highs + 1e-9)

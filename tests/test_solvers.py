@@ -758,6 +758,16 @@ def test_readme_solver_table_lists_the_registry():
     assert tuple(names) == SOLVER_NAMES
 
 
+def test_readme_library_quick_start_runs():
+    # the package's top-level names are the ones this block imports
+    readme = (REPO / "README.md").read_text()
+    block = readme.split("## Quick start (library)", 1)[1]
+    code = block.split("```python\n", 1)[1].split("```", 1)[0]
+    namespace = {}
+    exec(compile(code, "README.md", "exec"), namespace)
+    assert namespace["v_c"] == 0.5
+
+
 def test_run_solver_correlated_uses_requested_pivot():
     game, _ = diagonal_game(3, 2)
     report = run_solver("correlated", game, pivot=1)
