@@ -1,12 +1,20 @@
 """Dense linear programming with a deterministic primal simplex.
 
-The solver is a textbook two-phase tableau simplex. It prices with
+The kernel is a textbook tableau simplex (_run_simplex). It prices with
 Dantzig's largest-coefficient rule and falls back to Bland's anti-cycling
-rule during long runs of degenerate pivots (see _run_simplex). Every
-choice, ties included, is a fixed function of the tableau, so the pivot
-sequence (and therefore the returned optimal basis) is a pure function of
-the input LP. Problems in this package are small and well scaled; the
-tolerances below are absolute.
+rule during long runs of degenerate pivots. Every choice, ties included,
+is a fixed function of the tableau, so the pivot sequence (and therefore
+the returned optimal basis) is a pure function of the input LP.
+
+Two front ends run on it. solve_lp takes a general LinearProgram with a
+two-phase method; the branch-and-bound node LPs (build_maxmin_lp with a
+box, certified by check_maxmin) go through it. solve_maxmin solves an
+unboxed matrix game as a packing LP whose slack basis is feasible, so it
+needs no phase 1. It shifts and scales the payoffs into [1, 2] first,
+which costs absolute precision on a game whose payoffs span a wide range;
+the value it returns is the worth of its own row mixture, and its
+certificate bounds how far the value can be from the optimum. Problems in
+this package are small and well scaled; the tolerances below are absolute.
 """
 
 from __future__ import annotations
@@ -346,18 +354,34 @@ def check_maxmin(
     highs), certified from both sides.
 
     solve_lp checks that the row mixture is feasible, so it guarantees the
-    value. The duals of the column rows are a column mixture y, and no row
-    mixture in the box earns more than max_x x @ (matrix @ y) against it
-    (minimax over the box and the simplex, both convex), which must not
-    exceed the value. These LPs are always feasible and bounded; anything
-    else, or a certificate that does not check, is a solver defect and
-    raises LpSolveError.
+    value. The duals of the column rows are a column mixture y, which
+    _certify checks against the value over the box. These LPs are always
+    feasible and bounded; anything else, or a certificate that does not
+    check, is a solver defect and raises LpSolveError.
     """
     if solution.status != "optimal":
         raise LpSolveError(f"maxmin LP came back {solution.status}")
     matrix = np.asarray(matrix, dtype=np.float64)
     value = solution.objective_value
-    y = solution.duals[: matrix.shape[1]]
+    _certify(matrix, value, solution.duals[: matrix.shape[1]], lows, highs)
+    return value, solution.variable_values[:-1]
+
+
+def _certify(
+    matrix: np.ndarray,
+    value: float,
+    y: np.ndarray,
+    lows: np.ndarray | None = None,
+    highs: np.ndarray | None = None,
+) -> None:
+    """Raise LpSolveError unless y is a column mixture that holds every
+    row mixture in the box to at most value + _CHECK_TOL.
+
+    No row mixture in the box earns more than max_x x @ (matrix @ y)
+    against y (minimax over the box and the simplex, both convex), so the
+    optimum is at most that maximum, and a value that y holds to within
+    _CHECK_TOL is at most _CHECK_TOL below the optimum.
+    """
     if y.min() < -_CHECK_TOL or abs(y.sum() - 1.0) > _CHECK_TOL:
         raise LpSolveError("maxmin LP duals are not a column mixture")
     excess = _box_max(matrix @ y, lows, highs) - value
@@ -365,7 +389,6 @@ def check_maxmin(
         raise LpSolveError(
             f"maxmin value not optimal: a row beats the column mixture by {excess:.3e}"
         )
-    return value, solution.variable_values[:-1]
 
 
 def _box_max(
@@ -390,9 +413,109 @@ def _box_max(
 
 
 def solve_maxmin(matrix: np.ndarray) -> tuple[float, np.ndarray]:
-    """Value and optimal row mixture of a zero-sum matrix game, certified
-    by check_maxmin."""
-    return check_maxmin(matrix, solve_lp(build_maxmin_lp(matrix)))
+    """Value and an optimal row mixture x of a zero-sum matrix game, where
+    the row player maximizes.
+
+    x >= 0 and sums to 1 up to rounding, and the value is the worth of x,
+    min_c (x @ matrix)[c]. A constant matrix returns its entry and the
+    first pure row.
+
+    The payoffs are shifted and scaled into P = 1 + (M - lo) / (hi - lo)
+    in [1, 2], and the column player's side of P is solved as the packing
+    LP max 1 @ w subject to P @ w <= 1, w >= 0. Its slack basis is
+    feasible, so the simplex starts at once, with no phase 1 and no free
+    value variable. The tableau gets one row per row of P, so a tall game
+    is solved as the packing LP of -M^T instead. At the optimum w / sum(w)
+    is the column player's mixture, and the reduced costs of the slacks,
+    scaled by their sum, are the row player's. The row mixture is then
+    solved again in the original payoffs on the optimal basis's support,
+    which is exact where the shifted tableau lost bits, and kept when it
+    is still a mixture. The column mixture is checked as a certificate by
+    _certify. If it fails, the game is solved once more with the tableau
+    oriented the other way, and LpSolveError means it failed there too.
+    """
+    matrix = np.asarray(matrix, dtype=np.float64)
+    if matrix.ndim != 2 or matrix.size == 0:
+        raise ValueError("matrix must be two-dimensional and nonempty")
+    if not np.isfinite(matrix).all():
+        raise ValueError("linear program data must be finite")
+    lo, hi = float(matrix.min()), float(matrix.max())
+    if lo == hi:
+        return lo, np.eye(matrix.shape[0])[0]
+    tall = matrix.shape[0] > matrix.shape[1]
+    try:
+        return _solve_packing(matrix, lo, hi, tall)
+    except LpSolveError:
+        # on badly scaled games a tiny degenerate pivot can leave one
+        # tableau at a basis that is wrong by more than the certificate's
+        # tolerance; the other tableau pivots through other bases
+        return _solve_packing(matrix, lo, hi, not tall)
+
+
+def _solve_packing(
+    matrix: np.ndarray, lo: float, hi: float, transposed: bool
+) -> tuple[float, np.ndarray]:
+    """solve_maxmin on the packing LP of matrix, or of -matrix^T when
+    transposed, with payoffs in [lo, hi], lo < hi."""
+    # the row player of -M^T is the column player of M
+    if transposed:
+        packing = 1.0 + (hi - matrix.T) / (hi - lo)
+    else:
+        packing = 1.0 + (matrix - lo) / (hi - lo)
+    m, n = packing.shape
+    tableau = np.zeros((m + 1, n + m + 1))
+    tableau[:m, :n] = packing
+    np.fill_diagonal(tableau[:m, n:], 1.0)
+    tableau[:m, -1] = 1.0
+    # priced in payoff units when the payoffs span more than 1, so that
+    # the simplex stops within OPTIMALITY_TOL of the optimum in the
+    # original payoffs, not only in the shifted ones
+    tableau[-1, :n] = -max(1.0, hi - lo)
+    basis = list(range(n, n + m))
+    status, _ = _run_simplex(tableau, basis, 1000 * (2 * m + n + 10))
+    if status != "optimal":
+        raise LpSolveError(f"packing LP came back {status}")
+    values = np.zeros(n + m)
+    values[basis] = tableau[:m, -1]
+    w = np.maximum(values[:n], 0.0)
+    u = np.maximum(tableau[-1, n:-1], 0.0)
+    # the basic columns of P and the rows of P whose slack left the basis
+    # index the square system of the optimal basis
+    in_basis = np.zeros(n + m, dtype=bool)
+    in_basis[basis] = True
+    columns, tight = np.flatnonzero(in_basis[:n]), np.flatnonzero(~in_basis[n:])
+    if transposed:
+        x, y, support, active = w / w.sum(), u / u.sum(), columns, tight
+    else:
+        x, y, support, active = u / u.sum(), w / w.sum(), tight, columns
+    x = _solve_on_support(matrix, x, support, active)
+    value = float((x @ matrix).min())
+    _certify(matrix, value, y)
+    return value, x
+
+
+def _solve_on_support(
+    matrix: np.ndarray, x: np.ndarray, support: np.ndarray, active: np.ndarray
+) -> np.ndarray:
+    """The row mixture that pays every active column the same, on the rows
+    of support, or x unchanged if that is not a mixture.
+
+    Solves x_S @ matrix[S, T] = v, sum(x_S) = 1 for (x_S, v) with
+    |S| = |T|, the optimal basis's equations in the original payoffs.
+    """
+    k = support.size
+    system = np.zeros((k + 1, k + 1))
+    system[:k, :k] = matrix[support][:, active].T
+    system[:k, k] = -1.0
+    system[k, :k] = 1.0
+    rhs = np.zeros(k + 1)
+    rhs[k] = 1.0
+    solved = np.linalg.solve(system, rhs)[:k]
+    if not (solved >= 0.0).all():
+        return x
+    exact = np.zeros(x.size)
+    exact[support] = solved
+    return exact
 
 
 def member_payoff_matrix(game, profile, member: int) -> np.ndarray:

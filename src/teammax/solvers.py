@@ -106,7 +106,7 @@ def correlated_team_maxmin(game: TeamGame) -> tuple[JointDistribution, float]:
     independent team-maxmin value.
     """
     value, probs = solve_maxmin(to_joint_game(game))
-    dist = JointDistribution(game.team_sizes, np.maximum(probs, 0.0))
+    dist = JointDistribution(game.team_sizes, probs)
     return dist, value
 
 
@@ -345,7 +345,7 @@ def iterated_lp(
                 break
             strategies = list(profile)
             strategies[round_member] = MixedStrategy(
-                round_member, np.maximum(responses[round_member][1], 0.0)
+                round_member, responses[round_member][1]
             )
             profile = TeamProfile(tuple(strategies))
             value = round_best

@@ -192,28 +192,77 @@ def test_single_column_is_best_row_mix():
     "duals, message",
     [([0.0, 0.0], "not a column mixture"), ([0.0, 1.0], "a row beats")],
 )
-def test_maxmin_rejects_a_value_its_duals_do_not_certify(monkeypatch, duals, message):
-    # a feasible but suboptimal answer for [[2, 1], [0, 0]]: row 1 played
-    # purely guarantees 0, the value is 1; only the duals can show it
-    suboptimal = LpSolution("optimal", 0.0, np.array([0.0, 1.0, 0.0]), 1, np.array(duals))
-    monkeypatch.setattr(lp_module, "solve_lp", lambda lp: suboptimal)
+def test_maxmin_rejects_a_value_its_duals_do_not_certify(duals, message):
+    # a suboptimal answer for [[2, 1], [0, 0]]: row 1 played purely
+    # guarantees 0, the value is 1; only the column mixture can show it
+    matrix = np.array([[2.0, 1.0], [0.0, 0.0]])
+    value = float((np.array([0.0, 1.0]) @ matrix).min())
     with pytest.raises(LpSolveError, match=message):
+        lp_module._certify(matrix, value, np.array(duals))
+
+
+def test_maxmin_certifies_the_mixture_it_returns(monkeypatch):
+    # the same suboptimal row mixture, planted after the simplex: the
+    # value is its worth, 0, and the simplex's column mixture refutes it
+    monkeypatch.setattr(
+        lp_module, "_solve_on_support", lambda *args: np.array([0.0, 1.0])
+    )
+    with pytest.raises(LpSolveError, match="a row beats"):
         solve_maxmin(np.array([[2.0, 1.0], [0.0, 0.0]]))
 
 
-@pytest.mark.xfail(
-    strict=True,
-    raises=(LpSolveError, AssertionError),
-    reason="known defect: a tiny nonzero payoff beside entries of order one "
-    "becomes a degenerate pivot, and the rounding it magnifies breaks the "
-    "absolute 1e-8 checks",
-)
 @pytest.mark.parametrize("big", [-5.0, -3.0])
 def test_maxmin_badly_scaled_row(big):
-    # one row, two columns: the value is the smaller entry, big; with
-    # big = -5 the residual check raises, with -3 the value is 3.7e-9 off
+    # one row, two columns: the value is the smaller entry, big. A nonzero
+    # payoff near 1e-8 beside entries of order one once broke the general
+    # LP's absolute 1e-8 checks here
     value, _ = solve_maxmin(np.array([[-(2.0**-24), big]]))
     assert value == pytest.approx(big, abs=1e-9)
+
+
+def test_maxmin_solves_a_badly_scaled_game_on_the_other_tableau():
+    # the square tableau of this game pivots on entries of 4e-5 and 1e-9
+    # and stops at a basis that the certificate refutes by 1.6e-5; the
+    # tableau of -M^T reaches the value, 0 (scipy-HiGHS agrees)
+    matrix = np.array(
+        [
+            [0.0, 0.0, -8.600181810762484, -7.401453129164783, 6.103515625e-05],
+            [-9.208076716732654, 1e-09, 9.999999999999998, 0.0, -6.103515625e-05],
+            [2.00001, -7.665510397996925, -2.2838159790931676, 1e-09, -5.503727840529848],
+            [0.0, -1e-09, 0.0, 6.103515625e-05, 0.0],
+            [0.0, 0.001, -1e-08, 0.0, 0.0],
+        ]
+    )
+    value, strategy = solve_maxmin(matrix)
+    assert value == pytest.approx(0.0, abs=1e-9)
+    assert (strategy @ matrix).min() == value
+
+
+@pytest.mark.parametrize("shape", [(1, 1), (3, 2), (2, 3)])
+def test_constant_matrix_is_its_entry_and_the_first_row(shape):
+    value, strategy = solve_maxmin(np.full(shape, -0.75))
+    assert value == -0.75
+    assert np.array_equal(strategy, np.eye(shape[0])[0])
+
+
+def test_same_matrix_twice_is_bitwise_identical_and_few_pivots(monkeypatch):
+    game, _ = make_instance("random", n=3, m=40, seed=0)
+    matrix = to_joint_game(game)
+    pivots = []
+    run = lp_module._run_simplex
+
+    def counted(*args):
+        status, count = run(*args)
+        pivots.append(count)
+        return status, count
+
+    monkeypatch.setattr(lp_module, "_run_simplex", counted)
+    (first, x_first), (second, x_second) = solve_maxmin(matrix), solve_maxmin(matrix)
+    assert first == second
+    assert x_first.tobytes() == x_second.tobytes()
+    # one simplex run per solve (no phase 1), and few pivots on this
+    # 1600 x 40 correlated LP
+    assert len(pivots) == 2 and pivots[0] == pivots[1] < 1000
 
 
 def test_maxmin_strategy_achieves_its_value():
@@ -225,13 +274,24 @@ def test_maxmin_strategy_achieves_its_value():
     assert (strategy @ matrix).min() == pytest.approx(value, abs=1e-8)
 
 
-@given(st.integers(min_value=0, max_value=10_000))
-def test_minimax_duality_on_random_matrices(seed):
+@given(
+    st.integers(min_value=0, max_value=10_000),
+    st.integers(min_value=1, max_value=8),
+    st.integers(min_value=1, max_value=8),
+)
+def test_minimax_duality_on_random_matrices(seed, rows, cols):
+    # tall, wide and square games: the tableau takes the smaller side as
+    # its rows, so M and -M^T run opposite orientations unless square
     rng = SplitMix64(seed)
-    matrix = rng.floats(25).reshape(5, 5) * 2.0 - 1.0
-    primal, _ = solve_maxmin(matrix)
-    dual, _ = solve_maxmin(-matrix.T)
-    assert primal == pytest.approx(-dual, abs=1e-7)
+    matrix = rng.floats(rows * cols).reshape(rows, cols) * 2.0 - 1.0
+    primal, x = solve_maxmin(matrix)
+    dual, y = solve_maxmin(-matrix.T)
+    assert primal == pytest.approx(-dual, abs=1e-12)
+    # each value is the worth of its own mixture
+    assert primal == (x @ matrix).min() and dual == (y @ -matrix.T).min()
+    for mixture in (x, y):
+        assert mixture.min() >= 0.0
+        assert mixture.sum() == pytest.approx(1.0, abs=1e-12)
 
 
 def test_maxmin_lp_structure():

@@ -5,7 +5,7 @@ scipy is a test-only dependency; without it this module is skipped.
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, note, settings, target
 from hypothesis import strategies as st
 
 optimize = pytest.importorskip("scipy.optimize")
@@ -80,6 +80,34 @@ def test_maxmin_value_matches_highs(matrix):
     value, strategy = solve_maxmin(matrix)
     assert value == pytest.approx(_highs_maxmin(matrix), abs=1e-9)
     assert (strategy @ matrix).min() >= value - 1e-8
+
+
+@st.composite
+def _badly_scaled_matrices(draw):
+    # magnitudes from 1e-9 to 10 beside zeros: solve_maxmin shifts the
+    # payoffs into [1, 2], which costs absolute precision in proportion to
+    # the payoff range
+    magnitudes = st.floats(1e-9, 10.0)
+    return _matrix(draw, st.one_of(st.just(0.0), magnitudes, magnitudes.map(lambda v: -v)))
+
+
+@settings(max_examples=200)
+@given(_badly_scaled_matrices())
+def test_badly_scaled_maxmin_value_matches_highs(matrix):
+    value, x = solve_maxmin(matrix)
+    # the row mixture of -M^T is a column mixture of M, so the game's value
+    # lies in [value, upper]; each solve certifies its own side to 1e-8
+    _, y = solve_maxmin(-matrix.T)
+    upper = float((matrix @ y).max())
+    width = upper - value
+    scale = max(1.0, float(matrix.max() - matrix.min()))
+    note(f"certified bracket [{value!r}, {upper!r}], width {width:.3e}")
+    target(width, label="certificate width")
+    assert value == (x @ matrix).min()
+    assert -1e-13 * scale <= width <= 2e-8
+    # HiGHS lies in the bracket, up to its own accuracy on these games
+    highs = _highs_maxmin(matrix)
+    assert value - 1e-9 * scale <= highs <= upper + 1e-9 * scale
 
 
 @st.composite
