@@ -6,13 +6,17 @@ rule during long runs of degenerate pivots. Every choice, ties included,
 is a fixed function of the tableau, so the pivot sequence (and therefore
 the returned optimal basis) is a pure function of the input LP.
 
-Two front ends run on it. solve_lp takes a general LinearProgram with a
-two-phase method; the branch-and-bound node LPs (build_maxmin_lp with a
-box, certified by check_maxmin) go through it. solve_maxmin solves an
-unboxed matrix game as a packing LP whose slack basis is feasible, so it
-needs no phase 1. It shifts and scales the payoffs into [1, 2] first,
-which costs absolute precision on a game whose payoffs span a wide range;
-the value it returns is the worth of its own row mixture, and its
+Every LP here has one form: maximize c @ x subject to A @ x <= b, x >= 0,
+with b >= 0. Its slack basis is feasible, so solve_lp runs the simplex once
+from it: no phase 1, no artificial or free variables, no equality rows.
+build_maxmin_lp writes every maxmin LP in that form, a branch-and-bound
+node's box included: the payoffs are shifted and scaled into [1, 2], the
+column player's side is solved as a packing LP, and the box on the row
+mixture becomes extra columns. check_maxmin reads both mixtures off the
+solution and certifies the value; solve_maxmin, for an unboxed game, also
+orients the tableau by shape and refines the row mixture in the original
+payoffs. The shift costs absolute precision on a game whose payoffs span a
+wide range; the value returned is the worth of the row mixture, and its
 certificate bounds how far the value can be from the optimum. Problems in
 this package are small and well scaled; the tolerances below are absolute.
 """
@@ -40,63 +44,42 @@ class LpSolveError(RuntimeError):
 
 @dataclass(frozen=True, eq=False)
 class LinearProgram:
-    """maximize objective @ x
-    subject to a_ub @ x <= b_ub, a_eq @ x == b_eq,
-    x[j] >= 0 where nonneg[j], x[j] free otherwise.
+    """maximize objective @ x subject to a_ub @ x <= b_ub, x >= 0, where
+    b_ub >= 0, so that the slack basis is feasible. The fields are float
+    arrays of shapes (n,), (m, n) and (m,).
     """
 
     objective: np.ndarray
     a_ub: np.ndarray
     b_ub: np.ndarray
-    a_eq: np.ndarray
-    b_eq: np.ndarray
-    nonneg: np.ndarray
 
     def __post_init__(self):
-        c = np.atleast_1d(np.asarray(self.objective, dtype=np.float64))
-        nvar = c.size
-        a_ub = np.asarray(self.a_ub, dtype=np.float64).reshape(-1, nvar)
-        b_ub = np.atleast_1d(np.asarray(self.b_ub, dtype=np.float64))
-        a_eq = np.asarray(self.a_eq, dtype=np.float64).reshape(-1, nvar)
-        b_eq = np.atleast_1d(np.asarray(self.b_eq, dtype=np.float64))
-        nonneg = np.atleast_1d(np.asarray(self.nonneg, dtype=bool))
-        if b_ub.size != a_ub.shape[0] or b_eq.size != a_eq.shape[0]:
-            raise ValueError("constraint matrix and rhs sizes disagree")
-        if nonneg.size != nvar:
-            raise ValueError("nonneg mask size does not match the objective")
-        for arr in (c, a_ub, b_ub, a_eq, b_eq):
-            if arr.size and not np.all(np.isfinite(arr)):
-                raise ValueError("linear program data must be finite")
-        for name, arr in (
-            ("objective", c),
-            ("a_ub", a_ub),
-            ("b_ub", b_ub),
-            ("a_eq", a_eq),
-            ("b_eq", b_eq),
-            ("nonneg", nonneg),
-        ):
-            object.__setattr__(self, name, arr)
-
-    @property
-    def num_variables(self) -> int:
-        return self.objective.size
+        c, a, b = self.objective, self.a_ub, self.b_ub
+        if a.ndim != 2 or c.shape != a.shape[1:] or b.shape != a.shape[:1]:
+            raise ValueError("objective, constraint matrix and rhs sizes disagree")
+        # solve_lp checks that the data is finite, on its tableau
+        if not b.min(initial=0.0) >= 0.0:
+            raise ValueError("the rhs must be nonnegative")
 
 
 @dataclass(frozen=True, eq=False)
 class LpSolution:
-    status: str  # "optimal" | "infeasible" | "unbounded"
+    status: str  # "optimal" | "unbounded"
     objective_value: float
     variable_values: np.ndarray | None
     iterations: int
-    # optimal duals of the a_ub rows (None unless status is "optimal")
+    # optimal duals of the a_ub rows, the reduced costs of their slacks,
+    # and the optimal basis: column j < n is x[j] and column n + i the
+    # slack of row i, for n variables (None unless status is "optimal")
     duals: np.ndarray | None = None
+    basis: list[int] | None = None
 
 
 def _pivot(tableau: np.ndarray, row: int, col: int) -> None:
     tableau[row] /= tableau[row, col]
     factors = tableau[:, col].copy()
     factors[row] = 0.0
-    tableau -= np.outer(factors, tableau[row])
+    tableau -= factors[:, None] * tableau[row]
 
 
 def _run_simplex(
@@ -130,8 +113,10 @@ def _run_simplex(
             if improving.size == 0:
                 return "optimal", pivots
             entering = int(improving[0])
-        col = tableau[:num_rows, entering]
-        rhs = tableau[:num_rows, -1]
+        # the scan reads Python floats, which compare and divide as the
+        # tableau's float64 entries do
+        col = tableau[:num_rows, entering].tolist()
+        rhs = tableau[:num_rows, -1].tolist()
         best_ratio = np.inf
         leaving = -1
         for i in range(num_rows):
@@ -159,144 +144,51 @@ def _run_simplex(
 
 
 def solve_lp(lp: LinearProgram) -> LpSolution:
-    """Solve with a two-phase primal simplex.
+    """Solve with the primal simplex from the slack basis.
 
-    Returns status "optimal" with the first optimal basic solution the
-    pivot rule of _run_simplex reaches, and the duals of the a_ub rows, or
-    "infeasible"/"unbounded". Raises LpSolveError if the arithmetic breaks
-    down (non-termination, residuals out of tolerance).
+    The tableau is [a_ub | I | b_ub] under the cost row [-objective | 0 | 0];
+    b_ub >= 0 makes the slack basis feasible, so one run of _run_simplex
+    solves the LP. Returns status "optimal" with the first optimal basic
+    solution the pivot rule reaches, the duals of the a_ub rows and the
+    basis, or status "unbounded". Raises ValueError on data that is not
+    finite, and LpSolveError if the arithmetic breaks down
+    (non-termination, residuals out of tolerance).
     """
-    nvar = lp.num_variables
-    # split free variables into positive and negative parts
-    col_var: list[int] = []
-    col_sign: list[float] = []
-    for j in range(nvar):
-        col_var.append(j)
-        col_sign.append(1.0)
-        if not lp.nonneg[j]:
-            col_var.append(j)
-            col_sign.append(-1.0)
-    nsplit = len(col_var)
-    signs = np.asarray(col_sign)
-    split = lp.objective[np.asarray(col_var)] * signs
-
-    n_ub = lp.b_ub.size
-    n_eq = lp.b_eq.size
-    num_rows = n_ub + n_eq
-    a_rows = np.zeros((num_rows, nsplit + n_ub))
-    rhs = np.zeros(num_rows)
-    if n_ub:
-        a_rows[:n_ub, :nsplit] = lp.a_ub[:, np.asarray(col_var)] * signs
-        a_rows[:n_ub, nsplit : nsplit + n_ub] = np.eye(n_ub)
-        rhs[:n_ub] = lp.b_ub
-    if n_eq:
-        a_rows[n_ub:, :nsplit] = lp.a_eq[:, np.asarray(col_var)] * signs
-        rhs[n_ub:] = lp.b_eq
-    flip = rhs < 0
-    a_rows[flip] *= -1.0
-    rhs[flip] = -rhs[flip]
-
-    # slack columns stay basic where their coefficient survived as +1
-    needs_artificial = [True] * num_rows
-    basis = [0] * num_rows
-    for i in range(n_ub):
-        if not flip[i]:
-            basis[i] = nsplit + i
-            needs_artificial[i] = False
-    art_cols = []
-    total_cols = nsplit + n_ub
-    for i in range(num_rows):
-        if needs_artificial[i]:
-            art_cols.append((i, total_cols))
-            basis[i] = total_cols
-            total_cols += 1
-
-    tableau = np.zeros((num_rows + 1, total_cols + 1))
-    tableau[:num_rows, : nsplit + n_ub] = a_rows
-    tableau[:num_rows, -1] = rhs
-    for i, c in art_cols:
-        tableau[i, c] = 1.0
-
-    max_iter = 1000 * (num_rows + total_cols + 10)
-    iterations = 0
-
-    if art_cols:
-        # phase 1: minimize the sum of artificials
-        tableau[-1, :] = 0.0
-        for _, c in art_cols:
-            tableau[-1, c] = 1.0
-        for i in range(num_rows):
-            if tableau[-1, basis[i]] != 0.0:
-                tableau[-1] -= tableau[-1, basis[i]] * tableau[i]
-        status, pivots = _run_simplex(tableau, basis, max_iter)
-        iterations += pivots
-        if status != "optimal":
-            raise LpSolveError("phase 1 reported an unbounded problem")
-        if -tableau[-1, -1] > 1e-7:
-            return LpSolution("infeasible", float("nan"), None, iterations)
-        artificial_set = {c for _, c in art_cols}
-        for i in range(num_rows):
-            if basis[i] in artificial_set:
-                # degenerate artificial at zero: swap it for any real column
-                pivot_col = -1
-                for j in range(nsplit + n_ub):
-                    if abs(tableau[i, j]) > FEASIBILITY_TOL:
-                        pivot_col = j
-                        break
-                if pivot_col >= 0:
-                    _pivot(tableau, i, pivot_col)
-                    basis[i] = pivot_col
-        keep_rows = [
-            i for i in range(num_rows) if basis[i] not in artificial_set
-        ]
-        if len(keep_rows) < num_rows:
-            # rows still pinned to an artificial are redundant
-            tableau = tableau[keep_rows + [num_rows]]
-            basis = [basis[i] for i in keep_rows]
-            num_rows = len(keep_rows)
-        tableau = np.delete(tableau, sorted(artificial_set), axis=1)
-
-    # phase 2: minimize -objective
-    tableau[-1, :] = 0.0
-    tableau[-1, : nsplit] = -split
-    for i in range(num_rows):
-        if tableau[-1, basis[i]] != 0.0:
-            tableau[-1] -= tableau[-1, basis[i]] * tableau[i]
-    status, pivots = _run_simplex(tableau, basis, max_iter)
-    iterations += pivots
+    m, n = lp.a_ub.shape
+    tableau = np.zeros((m + 1, n + m + 1))
+    tableau[:m, :n] = lp.a_ub
+    np.fill_diagonal(tableau[:m, n:], 1.0)
+    tableau[:m, -1] = lp.b_ub
+    tableau[-1, :n] = -lp.objective
+    if not np.isfinite(tableau).all():
+        raise ValueError("linear program data must be finite")
+    basis = list(range(n, n + m))
+    status, pivots = _run_simplex(tableau, basis, 1000 * (2 * m + n + 10))
     if status == "unbounded":
-        return LpSolution("unbounded", float("inf"), None, iterations)
-
-    values_split = np.zeros(tableau.shape[1] - 1)
-    for i in range(num_rows):
-        values_split[basis[i]] = tableau[i, -1]
-    x = np.zeros(nvar)
-    for k in range(nsplit):
-        x[col_var[k]] += col_sign[k] * values_split[k]
-
-    _validate_solution(lp, x)
+        return LpSolution("unbounded", float("inf"), None, pivots)
+    values = np.zeros(n + m)
+    values[basis] = tableau[:m, -1]
+    x = values[:n]
+    if m and (worst := float((lp.a_ub @ x - lp.b_ub).max())) > _CHECK_TOL:
+        raise LpSolveError(f"inequality residual {worst:.3e} out of tolerance")
     objective = float(lp.objective @ x)
-    # the reduced cost of a row's slack is that row's dual (for a flipped
-    # row both the slack column and the dual change sign)
-    duals = tableau[-1, nsplit : nsplit + n_ub].copy()
-    return LpSolution("optimal", objective, x, iterations, duals)
-
-
-def _validate_solution(lp: LinearProgram, x: np.ndarray) -> None:
-    if lp.b_ub.size:
-        worst = float(np.max(lp.a_ub @ x - lp.b_ub))
-        if worst > _CHECK_TOL:
-            raise LpSolveError(f"inequality residual {worst:.3e} out of tolerance")
-    if lp.b_eq.size:
-        worst = float(np.max(np.abs(lp.a_eq @ x - lp.b_eq)))
-        if worst > _CHECK_TOL:
-            raise LpSolveError(f"equality residual {worst:.3e} out of tolerance")
-    if np.any(x[lp.nonneg] < -_CHECK_TOL):
-        raise LpSolveError("negative value for a nonnegative variable")
+    # the reduced cost of a row's slack is that row's dual
+    duals = tableau[-1, n:-1].copy()
+    return LpSolution("optimal", objective, x, pivots, duals, basis)
 
 
 # ---------------------------------------------------------------------------
-# LP builders for maxmin problems
+# maxmin LPs
+
+
+def _game(matrix: np.ndarray) -> np.ndarray:
+    matrix = np.asarray(matrix, dtype=np.float64)
+    if matrix.ndim != 2 or matrix.size == 0:
+        raise ValueError("matrix must be two-dimensional and nonempty")
+    # before the shift, which would turn an infinite payoff into NaN
+    if not np.isfinite(matrix).all():
+        raise ValueError("linear program data must be finite")
+    return matrix
 
 
 def build_maxmin_lp(
@@ -304,44 +196,64 @@ def build_maxmin_lp(
     lows: np.ndarray | None = None,
     highs: np.ndarray | None = None,
 ) -> LinearProgram:
-    """LP for the row player's maxmin of a zero-sum matrix game.
+    """Packing LP of the row player's maxmin of a zero-sum matrix game, with
+    the row mixture x restricted to the box lows <= x <= highs if given.
 
-    Variables are the row probabilities followed by the value variable v:
-    maximize v subject to, for every column c,
-    v - sum_r matrix[r, c] x_r <= 0, and sum_r x_r = 1, x >= 0, v free.
+    The payoffs are shifted and scaled into P = 1 + (M - lo) / s in [1, 2],
+    where lo and hi are the smallest and largest payoff and s is
+    (hi - lo) or 1. Every mixture then earns at least 1 against every
+    column, so the row player's LP max t s.t. x @ P >= t 1 over the box and
+    the simplex has t >= 1, and u = x / t turns it into
+    min 1 @ u s.t. u @ P >= 1, u_r >= lows_r (1 @ u), u_r <= highs_r (1 @ u),
+    u >= 0, with optimum 1 / t (Charnes & Cooper, "Programming with linear
+    fractional functionals", NRLQ 1962). Its dual is the LP built here:
 
-    A box lows <= x <= highs restricts the row mixture further. Its rows
-    follow the column rows: x_r <= highs[r] for every row, then
-    -x_r <= -lows[r] for every row with lows[r] > 0, in row order.
+        max 1 @ w  s.t.  P w + sum_{r: lows_r > 0} beta_r (e_r - lows_r 1)
+                             + sum_{r: highs_r < 1} alpha_r (highs_r 1 - e_r)
+                         <= 1,   w, beta, alpha >= 0.
+
+    The variables are w, one per column of M, then beta and alpha in row
+    order; a row with lows_r = 0 or highs_r = 1 needs no column. The
+    right-hand side is all ones, so the slack basis is feasible (Dantzig,
+    *Linear Programming and Extensions* (1963), ch. 13). Without a box, or
+    with lows 0 and highs 1, the LP is max 1 @ w s.t. P w <= 1. The
+    objective is max(1, hi - lo) times 1 @ w, so that a simplex that stops
+    within OPTIMALITY_TOL of the optimum in P does so in the original
+    payoffs too. At the optimum the reduced costs of the slacks are u, and
+    w / sum(w) is the column player's mixture; check_maxmin reads both.
     """
-    matrix = np.asarray(matrix, dtype=np.float64)
-    if matrix.ndim != 2 or matrix.size == 0:
-        raise ValueError("matrix must be two-dimensional and nonempty")
-    rows, cols = matrix.shape
-    nvar = rows + 1
-    objective = np.zeros(nvar)
-    objective[-1] = 1.0
-    blocks = [np.zeros((cols, nvar))]
-    blocks[0][:, :rows] = -matrix.T
-    blocks[0][:, rows] = 1.0
-    rhs = [np.zeros(cols)]
-    if highs is not None:
-        upper = np.zeros((rows, nvar))
-        upper[:, :rows] = np.eye(rows)
-        blocks.append(upper)
-        rhs.append(highs)
+    matrix = _game(matrix)
+    lo, hi = float(matrix.min()), float(matrix.max())
+    return _packing_lp(1.0 + (matrix - lo) / ((hi - lo) or 1.0), hi - lo, lows, highs)
+
+
+def _packing_lp(
+    packing: np.ndarray,
+    spread: float,
+    lows: np.ndarray | None = None,
+    highs: np.ndarray | None = None,
+) -> LinearProgram:
+    """build_maxmin_lp on payoffs already scaled into packing, whose
+    original payoffs span spread."""
+    rows, cols = packing.shape
+    blocks = [packing]
     if lows is not None and (mask := lows > 0.0).any():
-        lower = np.zeros((int(mask.sum()), nvar))
-        lower[:, :rows] = -np.eye(rows)[mask]
-        blocks.append(lower)
-        rhs.append(-lows[mask])
-    a_eq = np.zeros((1, nvar))
-    a_eq[0, :rows] = 1.0
-    nonneg = np.ones(nvar, dtype=bool)
-    nonneg[rows] = False
-    return LinearProgram(
-        objective, np.vstack(blocks), np.concatenate(rhs), a_eq, np.ones(1), nonneg
-    )
+        blocks.append(np.eye(rows)[:, mask] - lows[mask])
+    if highs is not None and (mask := highs < 1.0).any():
+        blocks.append(highs[mask] - np.eye(rows)[:, mask])
+    a_ub = np.hstack(blocks) if len(blocks) > 1 else packing
+    objective = np.zeros(a_ub.shape[1])
+    objective[:cols] = max(1.0, spread)
+    return LinearProgram(objective, a_ub, np.ones(rows))
+
+
+def _mixtures(solution: LpSolution, cols: int) -> tuple[np.ndarray, np.ndarray]:
+    """The row mixture u / sum(u) and the column mixture w / sum(w) of an
+    optimal packing LP solution with cols columns of P, negative rounding
+    clipped to 0."""
+    u = np.maximum(solution.duals, 0.0)
+    w = np.maximum(solution.variable_values[:cols], 0.0)
+    return u / u.sum(), w / w.sum()
 
 
 def check_maxmin(
@@ -353,18 +265,28 @@ def check_maxmin(
     """Value and row mixture of a solution of build_maxmin_lp(matrix, lows,
     highs), certified from both sides.
 
-    solve_lp checks that the row mixture is feasible, so it guarantees the
-    value. The duals of the column rows are a column mixture y, which
-    _certify checks against the value over the box. These LPs are always
-    feasible and bounded; anything else, or a certificate that does not
-    check, is a solver defect and raises LpSolveError.
+    The row mixture x is the slacks' reduced costs scaled by their sum; it
+    lies in the box because the reduced costs of the beta and alpha
+    columns are nonnegative at the optimum. The value is its worth,
+    min_c (x @ matrix)[c], which x guarantees. The column mixture
+    y = w / sum(w) bounds the optimum from above: a mixture x' in the box
+    is nonnegative, so multiplying the rows of the LP by x' gives
+    x' @ P w + sum beta_r (x'_r - lows_r) + sum alpha_r (highs_r - x'_r)
+    <= 1, and the beta and alpha terms are nonnegative, so
+    x' @ P @ y <= 1 / sum(w), which at the optimum is the maxmin value of P
+    over the box. No mixture in the box earns more than that against y,
+    and _certify checks this in the original payoffs against the value.
+    The LP is bounded whenever the box meets the simplex; any other status,
+    or a certificate that does not check, is a solver defect or an empty
+    box and raises LpSolveError.
     """
     if solution.status != "optimal":
         raise LpSolveError(f"maxmin LP came back {solution.status}")
     matrix = np.asarray(matrix, dtype=np.float64)
-    value = solution.objective_value
-    _certify(matrix, value, solution.duals[: matrix.shape[1]], lows, highs)
-    return value, solution.variable_values[:-1]
+    x, y = _mixtures(solution, matrix.shape[1])
+    value = float((x @ matrix).min())
+    _certify(matrix, value, y, lows, highs)
+    return value, x
 
 
 def _certify(
@@ -417,31 +339,20 @@ def solve_maxmin(matrix: np.ndarray) -> tuple[float, np.ndarray]:
     the row player maximizes.
 
     x >= 0 and sums to 1 up to rounding, and the value is the worth of x,
-    min_c (x @ matrix)[c]. A constant matrix returns its entry and the
-    first pure row.
+    min_c (x @ matrix)[c].
 
-    The payoffs are shifted and scaled into P = 1 + (M - lo) / (hi - lo)
-    in [1, 2], and the column player's side of P is solved as the packing
-    LP max 1 @ w subject to P @ w <= 1, w >= 0. Its slack basis is
-    feasible, so the simplex starts at once, with no phase 1 and no free
-    value variable. The tableau gets one row per row of P, so a tall game
-    is solved as the packing LP of -M^T instead. At the optimum w / sum(w)
-    is the column player's mixture, and the reduced costs of the slacks,
-    scaled by their sum, are the row player's. The row mixture is then
-    solved again in the original payoffs on the optimal basis's support,
-    which is exact where the shifted tableau lost bits, and kept when it
-    is still a mixture. The column mixture is checked as a certificate by
-    _certify. If it fails, the game is solved once more with the tableau
-    oriented the other way, and LpSolveError means it failed there too.
+    The game is solved as the packing LP of build_maxmin_lp without a box.
+    The tableau gets one row per row of P, so a tall game is solved as the
+    packing LP of -M^T instead, whose packing matrix is the same shift of
+    M^T. The row mixture is then solved again in the original payoffs on
+    the optimal basis's support, which is exact where the shifted tableau
+    lost bits, and kept when it is still a mixture. The column mixture is
+    checked as a certificate by _certify. If it fails, the game is solved
+    once more with the tableau oriented the other way, and LpSolveError
+    means it failed there too.
     """
-    matrix = np.asarray(matrix, dtype=np.float64)
-    if matrix.ndim != 2 or matrix.size == 0:
-        raise ValueError("matrix must be two-dimensional and nonempty")
-    if not np.isfinite(matrix).all():
-        raise ValueError("linear program data must be finite")
+    matrix = _game(matrix)
     lo, hi = float(matrix.min()), float(matrix.max())
-    if lo == hi:
-        return lo, np.eye(matrix.shape[0])[0]
     tall = matrix.shape[0] > matrix.shape[1]
     try:
         return _solve_packing(matrix, lo, hi, tall)
@@ -456,38 +367,27 @@ def _solve_packing(
     matrix: np.ndarray, lo: float, hi: float, transposed: bool
 ) -> tuple[float, np.ndarray]:
     """solve_maxmin on the packing LP of matrix, or of -matrix^T when
-    transposed, with payoffs in [lo, hi], lo < hi."""
+    transposed, with payoffs in [lo, hi]."""
+    scale = (hi - lo) or 1.0
     # the row player of -M^T is the column player of M
     if transposed:
-        packing = 1.0 + (hi - matrix.T) / (hi - lo)
+        packing = 1.0 + (hi - matrix.T) / scale
     else:
-        packing = 1.0 + (matrix - lo) / (hi - lo)
+        packing = 1.0 + (matrix - lo) / scale
+    solution = solve_lp(_packing_lp(packing, hi - lo))
+    if solution.status != "optimal":
+        raise LpSolveError(f"packing LP came back {solution.status}")
     m, n = packing.shape
-    tableau = np.zeros((m + 1, n + m + 1))
-    tableau[:m, :n] = packing
-    np.fill_diagonal(tableau[:m, n:], 1.0)
-    tableau[:m, -1] = 1.0
-    # priced in payoff units when the payoffs span more than 1, so that
-    # the simplex stops within OPTIMALITY_TOL of the optimum in the
-    # original payoffs, not only in the shifted ones
-    tableau[-1, :n] = -max(1.0, hi - lo)
-    basis = list(range(n, n + m))
-    status, _ = _run_simplex(tableau, basis, 1000 * (2 * m + n + 10))
-    if status != "optimal":
-        raise LpSolveError(f"packing LP came back {status}")
-    values = np.zeros(n + m)
-    values[basis] = tableau[:m, -1]
-    w = np.maximum(values[:n], 0.0)
-    u = np.maximum(tableau[-1, n:-1], 0.0)
+    u_mix, w_mix = _mixtures(solution, n)
     # the basic columns of P and the rows of P whose slack left the basis
     # index the square system of the optimal basis
     in_basis = np.zeros(n + m, dtype=bool)
-    in_basis[basis] = True
+    in_basis[solution.basis] = True
     columns, tight = np.flatnonzero(in_basis[:n]), np.flatnonzero(~in_basis[n:])
     if transposed:
-        x, y, support, active = w / w.sum(), u / u.sum(), columns, tight
+        x, y, support, active = w_mix, u_mix, columns, tight
     else:
-        x, y, support, active = u / u.sum(), w / w.sum(), tight, columns
+        x, y, support, active = u_mix, w_mix, tight, columns
     x = _solve_on_support(matrix, x, support, active)
     value = float((x @ matrix).min())
     _certify(matrix, value, y)

@@ -542,17 +542,14 @@ def _tighten_box(los: list[np.ndarray], his: list[np.ndarray]) -> bool:
     return True
 
 
-def _box_probe(game: TeamGame, probs: np.ndarray) -> TeamProfile | None:
+def _box_probe(game: TeamGame, probs: np.ndarray) -> TeamProfile:
     """Round a joint distribution to its product-of-marginals profile."""
-    shaped = np.maximum(probs, 0.0).reshape(game.team_sizes)
+    shaped = probs.reshape(game.team_sizes)
     strategies = []
     for i in range(game.num_team_members):
         axes = tuple(j for j in range(game.num_team_members) if j != i)
         marginal = shaped.sum(axis=axes)
-        total = marginal.sum()
-        if total <= 0.0:
-            return None
-        strategies.append(MixedStrategy(i, marginal / total))
+        strategies.append(MixedStrategy(i, marginal / marginal.sum()))
     return TeamProfile(tuple(strategies))
 
 
@@ -574,9 +571,15 @@ def global_optimize(
     split on the widest coordinate interval and each box is bounded by the
     correlated relaxation restricted to it, pruning boxes that cannot beat
     the incumbent. Bounds are valid whenever it stops; converged means the
-    bracket width reached `accuracy`. Every node bound is certified by
-    check_maxmin, so a node LP that is not solved to optimality raises
-    LpSolveError.
+    bracket width reached `accuracy`. Each node LP is build_maxmin_lp with
+    the node's box: the packing LP with one row per joint team action and
+    a column for every joint probability whose low is positive or whose
+    high is below 1, solved in one simplex run from its slack basis. Its
+    bound is the worth of the LP's joint mixture, certified by
+    check_maxmin with the adversary mixture that holds every joint
+    strategy in the box to it, so a node LP that is not solved to
+    optimality raises LpSolveError. The product of the joint mixture's
+    marginals is a team profile, evaluated as a lower bound.
     """
     _require_normalized(game, "global_optimize")
     if accuracy <= 0:
@@ -646,13 +649,13 @@ def global_optimize(
                 # between the products of the interval endpoints
                 lows = _box_products(child_los)
                 highs = _box_products(child_his)
-                solution = solve_lp(build_maxmin_lp(matrix, lows, highs))
-                bound, probs = check_maxmin(matrix, solution, lows, highs)
+                bound, probs = check_maxmin(
+                    matrix, solve_lp(build_maxmin_lp(matrix, lows, highs)), lows, highs
+                )
                 probe = _box_probe(game, probs)
-                if probe is not None:
-                    probe_value = team_value(game, probe).value
-                    if probe_value > lower:
-                        lower, witness = probe_value, probe
+                probe_value = team_value(game, probe).value
+                if probe_value > lower:
+                    lower, witness = probe_value, probe
                 if bound > lower:
                     heapq.heappush(
                         heap,

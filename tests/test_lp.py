@@ -14,6 +14,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import teammax.lp as lp_module
+import teammax.solvers as solvers_module
 from teammax.game import MixedStrategy, TeamGame, TeamProfile, to_joint_game
 from teammax.generators import make_instance
 from teammax.lp import (
@@ -30,22 +31,12 @@ from teammax.rng import SplitMix64
 from teammax.solvers import _box_products, _tighten_box
 
 
-def _lp(objective, a_ub=None, b_ub=None, a_eq=None, b_eq=None, nonneg=None):
+def _lp(objective, a_ub=None, b_ub=None):
     objective = np.asarray(objective, dtype=float)
-    n = objective.size
     if a_ub is None:
-        a_ub, b_ub = np.zeros((0, n)), np.zeros(0)
-    if a_eq is None:
-        a_eq, b_eq = np.zeros((0, n)), np.zeros(0)
-    if nonneg is None:
-        nonneg = np.ones(n, dtype=bool)
+        a_ub, b_ub = np.zeros((0, objective.size)), np.zeros(0)
     return LinearProgram(
-        objective,
-        np.asarray(a_ub, dtype=float),
-        np.asarray(b_ub, dtype=float),
-        np.asarray(a_eq, dtype=float),
-        np.asarray(b_eq, dtype=float),
-        np.asarray(nonneg, dtype=bool),
+        objective, np.asarray(a_ub, dtype=float), np.asarray(b_ub, dtype=float)
     )
 
 
@@ -58,39 +49,12 @@ def test_two_variable_optimum_by_hand():
     assert solution.iterations > 0
     # dual prices of the two rows: y1 + 3 y2 = 1, 2 y1 + y2 = 1
     assert np.allclose(solution.duals, [0.4, 0.2], atol=1e-9)
-
-
-def test_binding_equality():
-    solution = solve_lp(_lp([1, 0], a_eq=[[1, 1]], b_eq=[1]))
-    assert solution.status == "optimal"
-    assert solution.objective_value == pytest.approx(1.0)
-    assert np.allclose(solution.variable_values, [1.0, 0.0])
-
-
-def test_free_variable_can_go_negative():
-    solution = solve_lp(_lp([1], [[1]], [-3], nonneg=[False]))
-    assert solution.status == "optimal"
-    assert solution.objective_value == pytest.approx(-3.0)
-
-
-def test_infeasible_detected():
-    assert solve_lp(_lp([1], [[1]], [-1])).status == "infeasible"
-
-
-def test_infeasible_equalities_detected():
-    lp = _lp([1, 1], a_eq=[[1, 1], [1, 1]], b_eq=[1, 2])
-    assert solve_lp(lp).status == "infeasible"
+    # both variables are basic, both slacks left the basis
+    assert sorted(solution.basis) == [0, 1]
 
 
 def test_unbounded_detected():
     assert solve_lp(_lp([1])).status == "unbounded"
-
-
-def test_redundant_equality_rows_survive():
-    lp = _lp([1, 1], a_eq=[[1, 1], [2, 2]], b_eq=[1, 2])
-    solution = solve_lp(lp)
-    assert solution.status == "optimal"
-    assert solution.objective_value == pytest.approx(1.0)
 
 
 def test_degenerate_vertex_terminates():
@@ -99,15 +63,6 @@ def test_degenerate_vertex_terminates():
     solution = solve_lp(lp)
     assert solution.status == "optimal"
     assert solution.objective_value == pytest.approx(1.0)
-
-
-def test_negative_rhs_rows_handled():
-    # x >= 2 encoded as -x <= -2, maximize -x
-    solution = solve_lp(_lp([-1], [[-1]], [-2]))
-    assert solution.status == "optimal"
-    assert solution.variable_values[0] == pytest.approx(2.0)
-    # raising the bound -2 by t raises the optimum of -x by t
-    assert solution.duals == pytest.approx([1.0])
 
 
 def test_beale_cycling_example_terminates():
@@ -129,13 +84,17 @@ def test_beale_cycling_example_terminates():
 
 
 def test_same_lp_twice_is_bitwise_identical_and_few_pivots():
-    game, _ = make_instance("random", n=3, m=40, seed=0)
-    lp = build_maxmin_lp(to_joint_game(game))
+    # a branch-and-bound node LP of the n3 m20 correlated game: 400 rows,
+    # one with a low column and 399 with a high column
+    game, _ = make_instance("random", n=3, m=20, seed=0)
+    splits = [(0, 3, True), (1, 5, False), (0, 7, False), (1, 2, True)]
+    lows, highs = box_from_splits(game.team_sizes, splits)
+    lp = build_maxmin_lp(to_joint_game(game), lows, highs)
+    assert lp.a_ub.shape == (400, 420)
     first, second = solve_lp(lp), solve_lp(lp)
     assert first.iterations == second.iterations
-    assert np.array_equal(first.variable_values, second.variable_values)
-    assert np.array_equal(first.duals, second.duals)
-    # Bland's rule alone needs 4,711 pivots on this correlated LP
+    assert first.variable_values.tobytes() == second.variable_values.tobytes()
+    assert first.duals.tobytes() == second.duals.tobytes()
     assert first.iterations < 1000
 
 
@@ -151,12 +110,24 @@ def test_solution_satisfies_constraints():
 
 
 def test_validation_rejects_bad_shapes():
-    with pytest.raises(ValueError):
-        _lp([1, 2], [[1]], [1])
-    with pytest.raises(ValueError):
-        _lp([np.inf])
-    with pytest.raises(ValueError):
-        _lp([1], [[1]], [np.nan])
+    for objective, a_ub, b_ub in [
+        ([1, 2], [[1]], [1]),
+        ([1], [[1]], [1, 1]),
+        ([np.inf], [[1]], [1]),
+        ([1], [[np.nan]], [1]),
+        ([1], [[1]], [np.nan]),
+        ([1], [[1]], [np.inf]),
+        # x >= 2 as -x <= -2: the slack basis would be infeasible
+        ([-1], [[-1]], [-2]),
+    ]:
+        with pytest.raises(ValueError):
+            solve_lp(_lp(objective, a_ub, b_ub))
+
+
+def test_maxmin_rejects_payoffs_that_are_not_finite():
+    for bad in (np.inf, -np.inf, np.nan):
+        with pytest.raises(ValueError, match="finite"):
+            solve_maxmin(np.array([[0.0, 1.0], [bad, 0.5]]))
 
 
 # ---------------------------------------------------------------------------
@@ -295,14 +266,26 @@ def test_minimax_duality_on_random_matrices(seed, rows, cols):
 
 
 def test_maxmin_lp_structure():
+    # the packing LP of P = 1 + M = [[2, 1], [1, 2]]: one variable per
+    # column, one row per row, rhs all ones
     matrix = np.array([[1.0, 0.0], [0.0, 1.0]])
     lp = build_maxmin_lp(matrix)
-    # row mixture variables plus the free value variable
-    assert lp.num_variables == 3
-    assert not lp.nonneg[-1]
-    assert lp.a_eq.shape == (1, 3)
+    assert np.array_equal(lp.a_ub, [[2.0, 1.0], [1.0, 2.0]])
+    assert np.array_equal(lp.b_ub, [1.0, 1.0])
+    assert np.array_equal(lp.objective, [1.0, 1.0])
     solution = solve_lp(lp)
-    assert solution.objective_value == pytest.approx(0.5)
+    # the optimum is 1 / (value in P) = 1 / 1.5
+    assert solution.objective_value == pytest.approx(2.0 / 3.0)
+    value, strategy = check_maxmin(matrix, solution)
+    assert value == pytest.approx(0.5)
+    assert np.allclose(strategy, [0.5, 0.5])
+    # a box adds a column e_r - lows_r for a positive low, then a column
+    # highs_r - e_r for a high below 1; payoffs spanning 2 price at 2
+    lp = build_maxmin_lp(2.0 * matrix, np.array([0.25, 0.0]), np.array([0.5, 1.0]))
+    assert np.array_equal(
+        lp.a_ub, [[2.0, 1.0, 0.75, -0.5], [1.0, 2.0, -0.25, 0.5]]
+    )
+    assert np.array_equal(lp.objective, [2.0, 2.0, 0.0, 0.0])
 
 
 # ---------------------------------------------------------------------------
@@ -333,32 +316,28 @@ def box_from_splits(team_sizes, splits):
 
 
 def _reference_box_lp(matrix, lows, highs):
-    # the box LP as global_optimize built it before build_maxmin_lp took a box
+    # the box LP as build_maxmin_lp documents it, written entry by entry: a
+    # column of shifted payoffs per adversary action, then e_r - lows_r for
+    # every row with a positive low, then highs_r - e_r for every row with a
+    # high below 1
     rows, cols = matrix.shape
-    nvar = rows + 1
-    objective = np.zeros(nvar)
-    objective[-1] = 1.0
-    blocks = [np.zeros((cols, nvar))]
-    blocks[0][:, :rows] = -matrix.T
-    blocks[0][:, rows] = 1.0
-    rhs = [np.zeros(cols)]
-    upper = np.zeros((rows, nvar))
-    upper[:, :rows] = np.eye(rows)
-    blocks.append(upper)
-    rhs.append(highs)
-    mask = lows > 0.0
-    if np.any(mask):
-        lower = np.zeros((int(mask.sum()), nvar))
-        lower[:, :rows] = -np.eye(rows)[mask]
-        blocks.append(lower)
-        rhs.append(-lows[mask])
-    a_eq = np.zeros((1, nvar))
-    a_eq[0, :rows] = 1.0
-    nonneg = np.ones(nvar, dtype=bool)
-    nonneg[-1] = False
-    return LinearProgram(
-        objective, np.vstack(blocks), np.concatenate(rhs), a_eq, np.ones(1), nonneg
-    )
+    lo, hi = matrix.min(), matrix.max()
+    columns = [
+        [1.0 + (matrix[r, c] - lo) / (hi - lo) for r in range(rows)]
+        for c in range(cols)
+    ]
+    columns += [
+        [float(r == k) - lows[k] for r in range(rows)]
+        for k in range(rows)
+        if lows[k] > 0.0
+    ]
+    columns += [
+        [highs[k] - float(r == k) for r in range(rows)]
+        for k in range(rows)
+        if highs[k] < 1.0
+    ]
+    objective = [max(1.0, hi - lo)] * cols + [0.0] * (len(columns) - cols)
+    return LinearProgram(np.array(objective), np.array(columns).T, np.ones(rows))
 
 
 @pytest.mark.parametrize("n, m", [(3, 3), (3, 4), (4, 3)])
@@ -367,7 +346,7 @@ def _reference_box_lp(matrix, lows, highs):
 def test_box_lp_is_the_reference_box_lp_bit_for_bit(n, m, upper, seed):
     # two splits per member on random actions. Lower halves leave at least
     # two of m >= 3 highs at 1, so every low stays 0; upper halves raise a
-    # low of every member, which adds -x_r <= -lows[r] rows
+    # low of every member, which adds e_r - lows_r columns
     game, _ = make_instance("random", n=n, m=m, seed=seed)
     matrix = to_joint_game(game)
     draws = SplitMix64(seed).floats(2 * (n - 1))
@@ -377,9 +356,50 @@ def test_box_lp_is_the_reference_box_lp_bit_for_bit(n, m, upper, seed):
     assert np.any(highs < 1.0)
     got = build_maxmin_lp(matrix, lows, highs)
     want = _reference_box_lp(matrix, lows, highs)
-    for field in ("objective", "a_ub", "b_ub", "a_eq", "b_eq", "nonneg"):
+    for field in ("objective", "a_ub", "b_ub"):
         a, b = getattr(got, field), getattr(want, field)
         assert np.array_equal(a, b) and a.tobytes() == b.tobytes(), field
+
+
+def test_box_of_zeros_and_ones_is_the_unboxed_lp():
+    game, _ = make_instance("random", n=3, m=4, seed=1)
+    matrix = to_joint_game(game)
+    rows = matrix.shape[0]
+    boxed = build_maxmin_lp(matrix, np.zeros(rows), np.ones(rows))
+    plain = build_maxmin_lp(matrix)
+    for field in ("objective", "a_ub", "b_ub"):
+        a, b = getattr(boxed, field), getattr(plain, field)
+        assert a.shape == b.shape and a.tobytes() == b.tobytes(), field
+
+
+@pytest.mark.parametrize(
+    "mixtures",
+    [
+        ([0.5, 0.25, 0.25], [0.2, 0.0, 0.8]),
+        ([0.0, 1.0, 0.0], [0.3, 0.3, 0.4]),
+        ([1.0, 0.0, 0.0], [0.0, 0.0, 1.0]),
+    ],
+)
+def test_point_box_returns_its_point(mixtures):
+    # lows == highs: the box holds one joint strategy, the product of the
+    # member mixtures, and the LP's value is that strategy's worth
+    game, _ = make_instance("random", n=3, m=3, seed=4)
+    matrix = to_joint_game(game)
+    point = _box_products([np.array(p) for p in mixtures])
+    solution = solve_lp(build_maxmin_lp(matrix, point, point))
+    value, strategy = check_maxmin(matrix, solution, point, point)
+    assert np.abs(strategy - point).max() <= 1e-12
+    assert abs(value - (point @ matrix).min()) <= 1e-12
+
+
+@pytest.mark.parametrize("excess", [1e-7, 1e-4, 0.5])
+def test_box_above_the_simplex_raises(excess):
+    # lows summing past 1 leave no mixture in the box: the packing LP is
+    # unbounded, and check_maxmin raises
+    matrix = np.array([[2.0, 1.0, 0.0], [0.0, 0.0, 3.0], [1.0, 2.0, 1.0]])
+    lows = np.array([0.5, 0.25, 0.25 + excess])
+    with pytest.raises(LpSolveError):
+        check_maxmin(matrix, solve_lp(build_maxmin_lp(matrix, lows)), lows)
 
 
 def test_box_certificate_by_hand():
@@ -392,20 +412,50 @@ def test_box_certificate_by_hand():
     value, strategy = check_maxmin(matrix, solution, highs=highs)
     assert value == pytest.approx(0.5)
     assert np.allclose(strategy, [0.5, 0.5])
-    duals = np.array([0.0, 1.0, 0.0, 0.0])
-    right = LpSolution("optimal", 0.5, np.array([0.5, 0.5, 0.5]), 1, duals)
+    # by hand: P = [[2, 1.5], [1, 1]] and the column 1/2 - e_0; the optimum
+    # w = (0, 0.8) with 0.4 of that column, duals u = (0.4, 0.4)
+    w = np.array([0.0, 0.8, 0.4])
+    right = LpSolution("optimal", 0.8, w, 1, np.array([0.4, 0.4]))
     assert check_maxmin(matrix, right, highs=highs)[0] == 0.5
     with pytest.raises(LpSolveError, match="a row beats"):
         check_maxmin(matrix, right)
-    low = LpSolution("optimal", 0.4, np.array([0.4, 0.6, 0.4]), 1, duals)
+    # the row mixture (0.4, 0.6) is worth only 0.4, and y = (0, 1) shows a
+    # mixture in the box that earns 0.5
+    low = LpSolution("optimal", 0.8, w, 1, np.array([0.4, 0.6]))
     with pytest.raises(LpSolveError, match="a row beats"):
         check_maxmin(matrix, low, highs=highs)
 
 
 def test_certificate_rejects_a_solution_that_is_not_optimal():
     matrix = np.eye(2)
-    with pytest.raises(LpSolveError, match="came back infeasible"):
-        check_maxmin(matrix, LpSolution("infeasible", float("nan"), None, 3))
+    with pytest.raises(LpSolveError, match="came back unbounded"):
+        check_maxmin(matrix, LpSolution("unbounded", float("inf"), None, 3))
+
+
+def test_global_optimize_runs_the_simplex_once_per_lp(monkeypatch):
+    # every LP, the node LPs included, starts from the slack basis: no
+    # phase 1, so one simplex run per solve_lp call
+    counts = {"lp": 0, "runs": 0}
+    run, solve = lp_module._run_simplex, lp_module.solve_lp
+
+    def counted_run(*args):
+        counts["runs"] += 1
+        return run(*args)
+
+    def counted_solve(lp):
+        counts["lp"] += 1
+        return solve(lp)
+
+    monkeypatch.setattr(lp_module, "_run_simplex", counted_run)
+    monkeypatch.setattr(lp_module, "solve_lp", counted_solve)
+    monkeypatch.setattr(solvers_module, "solve_lp", counted_solve)
+    game, _ = make_instance("random", n=3, m=4, seed=1)
+    report = solvers_module.global_optimize(
+        game, accuracy=1e-3, restarts=2, max_nodes=10
+    )
+    assert report.iterations > 0
+    assert counts["lp"] > 2 * report.iterations
+    assert counts["runs"] == counts["lp"]
 
 
 # ---------------------------------------------------------------------------
