@@ -32,7 +32,7 @@ from .game import (
     verify_nash,
     normalize_payoffs,
 )
-from .generators import GENERATOR_FAMILIES, make_instance
+from .generators import FAMILY_PARAMS, GENERATOR_FAMILIES, make_instance
 from .lp import LpSolveError
 from .metrics import (
     ConfigError,
@@ -94,7 +94,7 @@ def _report_dict(report: SolveReport) -> dict:
 
 def cmd_generate(args) -> int:
     params = {}
-    if args.family == "irrational":
+    if "fixed_sign" in FAMILY_PARAMS[args.family]:
         params["fixed_sign"] = not args.flawed
     _print_config(
         "generate",
@@ -162,7 +162,9 @@ def cmd_solve(args) -> int:
     return EXIT_OK
 
 
-def _load_team_profile(game: TeamGame, path) -> list[MixedStrategy]:
+def _load_profile(game: TeamGame, path) -> tuple[TeamProfile, MixedStrategy | None]:
+    """The team profile in a strategies file, plus the adversary's mixture
+    when the file has one strategy per player."""
     strategies = load_strategies(path)
     sizes = tuple(s.num_actions for s in strategies)
     if sizes not in (
@@ -173,7 +175,9 @@ def _load_team_profile(game: TeamGame, path) -> list[MixedStrategy]:
             f"profile action counts {sizes} match neither the team "
             f"{game.team_sizes} nor the full player list"
         )
-    return strategies
+    team = TeamProfile(tuple(strategies[: game.num_team_members]))
+    adversary = strategies[-1] if len(strategies) == game.num_players else None
+    return team, adversary
 
 
 def cmd_evaluate(args) -> int:
@@ -181,21 +185,12 @@ def cmd_evaluate(args) -> int:
         "evaluate", {"game": str(args.game), "profile": str(args.profile)}
     )
     game = load_game(args.game)
-    strategies = _load_team_profile(game, args.profile)
-    team = TeamProfile(
-        tuple(
-            MixedStrategy(i, s.probs)
-            for i, s in enumerate(strategies[: game.num_team_members])
-        )
-    )
+    team, adversary = _load_profile(game, args.profile)
     result = team_value(game, team)
     print(f"worst-case team value {result.value!r}")
     print(f"minimizing adversary action {result.minimizing_adversary_action}")
     print(f"per-adversary utilities {_fmt_probs(result.per_adversary_utility)}")
-    if len(strategies) == game.num_players:
-        adversary = MixedStrategy(
-            game.num_players - 1, strategies[-1].probs
-        )
+    if adversary is not None:
         value = expected_team_utility(game, team, adversary)
         print(f"expected team value vs given adversary {value!r}")
     return EXIT_OK
@@ -211,19 +206,12 @@ def cmd_verify_nash(args) -> int:
         },
     )
     game = load_game(args.game)
-    strategies = load_strategies(args.profile)
-    if len(strategies) != game.num_players:
+    team, adversary = _load_profile(game, args.profile)
+    if adversary is None:
         raise GameFormatError(
             f"verification needs one strategy per player "
-            f"({game.num_players}), got {len(strategies)}"
+            f"({game.num_players}), got {game.num_team_members}"
         )
-    team = TeamProfile(
-        tuple(
-            MixedStrategy(i, s.probs)
-            for i, s in enumerate(strategies[:-1])
-        )
-    )
-    adversary = MixedStrategy(game.num_players - 1, strategies[-1].probs)
     verdict = verify_nash(game, team, adversary, tolerance=args.tol)
     worst = int(np.argmax(verdict.gaps))
     print(f"equilibrium {str(verdict.is_equilibrium).lower()}")
@@ -263,13 +251,11 @@ def cmd_experiment(args) -> int:
     _print_config(
         "experiment",
         {
+            **vars(config),
             "config": str(args.config),
             "out_dir": str(out_dir),
             "games": len(config.games),
             "solvers": len(config.solvers),
-            "timeout": config.timeout,
-            "workers": config.workers,
-            "record_wall_time": config.record_wall_time,
         },
     )
     out_dir.mkdir(parents=True, exist_ok=True)

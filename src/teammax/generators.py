@@ -323,14 +323,17 @@ def _check_size(m: int, exponent: int) -> None:
         )
 
 
-GENERATOR_FAMILIES = (
-    "poa",
-    "diagonal",
-    "pou-one",
-    "coordination",
-    "irrational",
-    "random",
-)
+# family -> the parameters it takes besides n, m and seed, as
+# name -> (type, default); make_instance takes each of them by name
+FAMILY_PARAMS = {
+    "poa": {},
+    "diagonal": {},
+    "pou-one": {},
+    "coordination": {},
+    "irrational": {"fixed_sign": (bool, True)},
+    "random": {},
+}
+GENERATOR_FAMILIES = tuple(FAMILY_PARAMS)
 
 
 def make_instance(
@@ -338,12 +341,12 @@ def make_instance(
     n: int | None = None,
     m: int | None = None,
     seed: int | None = None,
-    **params,
+    fixed_sign: bool = True,
 ) -> tuple[TeamGame, InstanceFacts | None]:
     """Build an instance by family name (the CLI and experiment entry point).
 
     Families with fixed shape (poa, pou-one, irrational) ignore n and m.
-    Only `random` uses the seed.
+    Only `random` uses the seed, and only `irrational` uses fixed_sign.
     """
     if family == "poa":
         return poa_game()
@@ -356,7 +359,7 @@ def make_instance(
         _require(family, n=n, m=m)
         return coordination_game(n, m)
     if family == "irrational":
-        return irrational_game(bool(params.get("fixed_sign", True)))
+        return irrational_game(fixed_sign)
     if family == "random":
         _require(family, n=n, m=m)
         return random_team_game(n, m, 0 if seed is None else seed), None

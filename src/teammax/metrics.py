@@ -11,6 +11,11 @@ The experiment harness runs a grid of (instance, solver) cells, records one
 CSV row per cell with certified bounds, and aggregates mean and quartiles
 per (n, m, solver). Given identical configuration it produces byte-identical
 output, which the test suite relies on.
+
+Each experiment object's schema is its dataclass: a config's JSON objects
+are read by field name, every __post_init__ checks its values by the rule of
+solvers.check_type, and results.csv and aggregate.csv take their columns,
+in order, from the fields of ResultRow and AggregateRow.
 """
 
 from __future__ import annotations
@@ -20,15 +25,17 @@ import csv
 import json
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields
 
 import numpy as np
 
 from .game import TeamGame, normalize_payoffs
-from .generators import GENERATOR_FAMILIES, make_instance
+from .generators import FAMILY_PARAMS, GENERATOR_FAMILIES, make_instance
 from .solvers import (
     DEFAULT_TIMEOUT,
     SolveReport,
+    check_params,
+    check_type,
     correlated_team_maxmin,
     run_solver,
     solver_params,
@@ -119,7 +126,11 @@ def approximation_ratio(report_a: SolveReport, baseline: SolveReport) -> float:
 
 @dataclass(frozen=True)
 class GameSpec:
-    """One family cell of an experiment: a generator plus its seed sweep."""
+    """One family cell of an experiment: a generator plus its seed sweep.
+
+    params are the family's own parameters (FAMILY_PARAMS in generators);
+    seeds may be any nonempty list or tuple of ints and is kept as a tuple.
+    """
 
     family: str
     n: int | None = None
@@ -129,13 +140,23 @@ class GameSpec:
     normalize: bool = False
 
     def __post_init__(self):
+        check_type("family", self.family, str, ConfigError)
         if self.family not in GENERATOR_FAMILIES:
             raise ConfigError(
                 f"unknown family {self.family!r}, expected one of "
                 f"{GENERATOR_FAMILIES}"
             )
-        if not self.seeds:
-            raise ConfigError("each game entry needs at least one seed")
+        for key in ("n", "m"):
+            if getattr(self, key) is not None:
+                check_type(key, getattr(self, key), int, ConfigError)
+        if not isinstance(self.seeds, (list, tuple)) or not self.seeds:
+            raise ConfigError(f"seeds must be a nonempty list, got {self.seeds!r}")
+        seeds = tuple(check_type("seeds", s, int, ConfigError) for s in self.seeds)
+        object.__setattr__(self, "seeds", seeds)
+        check_params(
+            "family", self.family, FAMILY_PARAMS[self.family], self.params, ConfigError
+        )
+        check_type("normalize", self.normalize, bool, ConfigError)
 
 
 @dataclass(frozen=True)
@@ -146,6 +167,7 @@ class SolverSpec:
     params: dict = field(default_factory=dict)
 
     def __post_init__(self):
+        check_type("name", self.name, str, ConfigError)
         try:
             solver_params(self.name, self.params)
         except ValueError as exc:
@@ -160,7 +182,8 @@ class ExperimentConfig:
     """Full description of a batch run.
 
     record_wall_time=False zeroes the wall_ms column so reruns of the same
-    configuration are byte-identical; leave it on for benchmarking.
+    configuration are byte-identical; leave it on for benchmarking. An int
+    timeout is kept as a float.
     """
 
     games: tuple[GameSpec, ...]
@@ -170,15 +193,19 @@ class ExperimentConfig:
     workers: int = 1
 
     def __post_init__(self):
-        if self.timeout <= 0:
+        timeout = check_type("timeout", self.timeout, float, ConfigError)
+        if timeout <= 0:
             raise ConfigError("timeout must be positive")
-        if self.workers < 1:
+        object.__setattr__(self, "timeout", timeout)
+        check_type("record_wall_time", self.record_wall_time, bool, ConfigError)
+        if check_type("workers", self.workers, int, ConfigError) < 1:
             raise ConfigError("workers must be at least 1")
 
 
 @dataclass(frozen=True, eq=False)
 class ResultRow:
-    """One (instance, solver) cell of the result table."""
+    """One (instance, solver) cell of the result table; the fields are the
+    columns of results.csv, in order."""
 
     instance_id: str
     generator: str
@@ -193,28 +220,12 @@ class ResultRow:
     iterations: int
     restarts: int
     wall_ms: float
-    converged: bool
     # "<ExceptionType>: <message>" for a failed cell, empty otherwise
     error: str = ""
+    converged: bool = False
 
 
-CSV_HEADER = (
-    "instance_id",
-    "generator",
-    "n",
-    "m",
-    "seed",
-    "solver",
-    "params",
-    "lower",
-    "upper",
-    "ratio",
-    "iterations",
-    "restarts",
-    "wall_ms",
-    "error",
-    "converged",
-)
+CSV_HEADER = tuple(f.name for f in fields(ResultRow))
 
 
 def bracket_ratio(lower: float, upper: float) -> float:
@@ -230,54 +241,38 @@ def bracket_ratio(lower: float, upper: float) -> float:
     return ratio
 
 
-def _instance_id(spec: GameSpec, n: int, m: int, seed: int) -> str:
-    return f"{spec.family}-n{n}-m{m}-s{seed}"
+def _build_instance(spec: GameSpec, seed: int) -> TeamGame:
+    game, _ = make_instance(spec.family, n=spec.n, m=spec.m, seed=seed, **spec.params)
+    return normalize_payoffs(game) if spec.normalize else game
 
 
-def _build_instance(spec: GameSpec, seed: int) -> tuple[str, TeamGame]:
-    game, _ = make_instance(
-        spec.family, n=spec.n, m=spec.m, seed=seed, **spec.params
-    )
-    if spec.normalize:
-        game = normalize_payoffs(game)
-    n = game.num_players
-    m = game.max_team_actions
-    return _instance_id(spec, n, m, seed), game
+# the report of a failed cell: NaN bounds, no work, not converged
+_FAILED = SolveReport(math.nan, math.nan, None, 0, 0, 0.0, False)
 
 
 def _run_cell(task) -> ResultRow:
-    instance_id, spec_family, seed, game, solver, timeout, record_wall = task
-    cell = dict(
-        instance_id=instance_id,
-        generator=spec_family,
-        n=game.num_players,
-        m=game.max_team_actions,
+    family, seed, game, solver, config = task
+    n, m = game.num_players, game.max_team_actions
+    error = ""
+    try:
+        report = run_solver(solver.name, game, timeout=config.timeout, **solver.params)
+    except Exception as exc:
+        report, error = _FAILED, f"{type(exc).__name__}: {exc}"
+    return ResultRow(
+        instance_id=f"{family}-n{n}-m{m}-s{seed}",
+        generator=family,
+        n=n,
+        m=m,
         seed=seed,
         solver=solver.name,
         params=solver.params_json(),
-    )
-    try:
-        report = run_solver(solver.name, game, timeout=timeout, **solver.params)
-    except Exception as exc:
-        return ResultRow(
-            **cell,
-            lower=math.nan,
-            upper=math.nan,
-            ratio=math.nan,
-            iterations=0,
-            restarts=0,
-            wall_ms=0.0,
-            converged=False,
-            error=f"{type(exc).__name__}: {exc}",
-        )
-    return ResultRow(
-        **cell,
         lower=report.lower_bound,
         upper=report.upper_bound,
         ratio=bracket_ratio(report.lower_bound, report.upper_bound),
         iterations=report.iterations,
         restarts=report.restarts_used,
-        wall_ms=report.wall_time * 1000.0 if record_wall else 0.0,
+        wall_ms=report.wall_time * 1000.0 if config.record_wall_time else 0.0,
+        error=error,
         converged=report.converged,
     )
 
@@ -293,19 +288,8 @@ def run_experiment(config: ExperimentConfig) -> list[ResultRow]:
     tasks = []
     for spec in config.games:
         for seed in spec.seeds:
-            instance_id, game = _build_instance(spec, seed)
-            for solver in config.solvers:
-                tasks.append(
-                    (
-                        instance_id,
-                        spec.family,
-                        seed,
-                        game,
-                        solver,
-                        config.timeout,
-                        config.record_wall_time,
-                    )
-                )
+            game = _build_instance(spec, seed)
+            tasks += [(spec.family, seed, game, s, config) for s in config.solvers]
     if config.workers > 1 and len(tasks) > 1:
         with concurrent.futures.ProcessPoolExecutor(
             max_workers=config.workers
@@ -319,7 +303,8 @@ def run_experiment(config: ExperimentConfig) -> list[ResultRow]:
 
 @dataclass(frozen=True, eq=False)
 class AggregateRow:
-    """Mean and ratio quartiles for one (n, m, solver) cell."""
+    """Mean and ratio quartiles for one (n, m, solver) cell; the fields are
+    the columns of aggregate.csv, in order."""
 
     n: int
     m: int
@@ -335,27 +320,14 @@ class AggregateRow:
     mean_wall_ms: float
 
 
-AGGREGATE_HEADER = (
-    "n",
-    "m",
-    "solver",
-    "runs",
-    "failures",
-    "mean_lower",
-    "mean_upper",
-    "mean_ratio",
-    "ratio_q25",
-    "ratio_q50",
-    "ratio_q75",
-    "mean_wall_ms",
-)
+AGGREGATE_HEADER = tuple(f.name for f in fields(AggregateRow))
 
 
 def aggregate_rows(rows) -> list[AggregateRow]:
     """Aggregate result rows per (n, m, solver): means plus ratio quartiles.
 
     Failed rows (NaN bounds) count toward `failures` and are excluded from
-    the statistics.
+    the statistics; a cell with no other row has NaN statistics.
     """
     cells: dict[tuple[int, int, str], list[ResultRow]] = {}
     for row in rows:
@@ -364,39 +336,32 @@ def aggregate_rows(rows) -> list[AggregateRow]:
     for (n, m, solver) in sorted(cells):
         group = cells[(n, m, solver)]
         good = [r for r in group if not math.isnan(r.ratio)]
+
+        def mean(name: str) -> float:
+            if not good:
+                return math.nan
+            return float(np.mean([getattr(r, name) for r in good]))
+
+        quartiles = (math.nan,) * 3
         if good:
-            ratios = np.asarray([r.ratio for r in good])
-            q25, q50, q75 = np.quantile(ratios, [0.25, 0.50, 0.75])
-            agg = AggregateRow(
+            quartiles = np.quantile([r.ratio for r in good], [0.25, 0.50, 0.75])
+        q25, q50, q75 = (float(q) for q in quartiles)
+        out.append(
+            AggregateRow(
                 n=n,
                 m=m,
                 solver=solver,
                 runs=len(group),
                 failures=len(group) - len(good),
-                mean_lower=float(np.mean([r.lower for r in good])),
-                mean_upper=float(np.mean([r.upper for r in good])),
-                mean_ratio=float(np.mean(ratios)),
-                ratio_q25=float(q25),
-                ratio_q50=float(q50),
-                ratio_q75=float(q75),
-                mean_wall_ms=float(np.mean([r.wall_ms for r in good])),
+                mean_lower=mean("lower"),
+                mean_upper=mean("upper"),
+                mean_ratio=mean("ratio"),
+                ratio_q25=q25,
+                ratio_q50=q50,
+                ratio_q75=q75,
+                mean_wall_ms=mean("wall_ms"),
             )
-        else:
-            agg = AggregateRow(
-                n=n,
-                m=m,
-                solver=solver,
-                runs=len(group),
-                failures=len(group),
-                mean_lower=math.nan,
-                mean_upper=math.nan,
-                mean_ratio=math.nan,
-                ratio_q25=math.nan,
-                ratio_q50=math.nan,
-                ratio_q75=math.nan,
-                mean_wall_ms=math.nan,
-            )
-        out.append(agg)
+        )
     return out
 
 
@@ -408,75 +373,66 @@ def _format_cell(value) -> str:
     return str(value)
 
 
-def write_rows_csv(rows, path) -> None:
-    """Write the result table; float cells use shortest round-trip repr so
-    identical runs produce identical bytes."""
+def _write_csv(rows, header, path) -> None:
+    """Write one table: the header, then each row's fields by name; float
+    cells use shortest round-trip repr so identical runs produce identical
+    bytes."""
     with open(path, "w", newline="") as handle:
         writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(CSV_HEADER)
+        writer.writerow(header)
         for row in rows:
-            writer.writerow(
-                [_format_cell(getattr(row, name)) for name in CSV_HEADER]
-            )
+            writer.writerow([_format_cell(getattr(row, name)) for name in header])
+
+
+def write_rows_csv(rows, path) -> None:
+    """Write the result table, results.csv."""
+    _write_csv(rows, CSV_HEADER, path)
 
 
 def write_aggregate_csv(rows, path) -> None:
     """Write the plot-ready per-(n, m, solver) aggregate table."""
-    with open(path, "w", newline="") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(AGGREGATE_HEADER)
-        for row in rows:
-            writer.writerow(
-                [_format_cell(getattr(row, name)) for name in AGGREGATE_HEADER]
-            )
+    _write_csv(rows, AGGREGATE_HEADER, path)
 
 
 # ---------------------------------------------------------------------------
 # configuration files
 
 
-def experiment_config_from_dict(data: dict) -> ExperimentConfig:
-    """Parse the JSON experiment schema.
-
-    Top level: games (list), solvers (list), and optional timeout,
-    record_wall_time, workers. Each game entry: family plus optional n, m,
-    seeds, params, normalize. Each solver entry: name plus optional params.
-    """
-    if not isinstance(data, dict):
-        raise ConfigError("experiment config must be a JSON object")
-    try:
-        game_entries = data["games"]
-        solver_entries = data["solvers"]
-    except KeyError as exc:
-        raise ConfigError(f"experiment config is missing {exc.args[0]!r}")
-    games = []
-    for entry in game_entries:
-        if not isinstance(entry, dict) or "family" not in entry:
-            raise ConfigError(f"bad game entry: {entry!r}")
-        games.append(
-            GameSpec(
-                family=entry["family"],
-                n=entry.get("n"),
-                m=entry.get("m"),
-                seeds=tuple(int(s) for s in entry.get("seeds", [0])),
-                params=dict(entry.get("params", {})),
-                normalize=bool(entry.get("normalize", False)),
+def _json_object(cls, data, what: str) -> dict:
+    """`data` once it is known to be a JSON object that has only keys that
+    are fields of the dataclass `cls`, and every field without a default."""
+    check_type(what, data, dict, ConfigError)
+    names = [f.name for f in fields(cls)]
+    for key in data:
+        if key not in names:
+            raise ConfigError(
+                f"{what} has unknown key {key!r}; it accepts {', '.join(names)}"
             )
+    for f in fields(cls):
+        if f.default is MISSING and f.default_factory is MISSING and f.name not in data:
+            raise ConfigError(f"{what} is missing {f.name!r}")
+    return data
+
+
+def experiment_config_from_dict(data: dict) -> ExperimentConfig:
+    """Build an ExperimentConfig from the JSON experiment schema.
+
+    The keys of each JSON object are the fields of its dataclass:
+    ExperimentConfig at the top level, whose `games` and `solvers` are
+    lists of GameSpec and SolverSpec objects, and a field without a default
+    is required. An unknown key, a missing required key or a value of the
+    wrong JSON type raises ConfigError naming the key; the type rule is
+    check_type's.
+    """
+    data = _json_object(ExperimentConfig, data, "experiment config")
+    entries = {}
+    for key, cls in (("games", GameSpec), ("solvers", SolverSpec)):
+        check_type(key, data[key], list, ConfigError)
+        entries[key] = tuple(
+            cls(**_json_object(cls, entry, f"{key}[{i}]"))
+            for i, entry in enumerate(data[key])
         )
-    solvers = []
-    for entry in solver_entries:
-        if not isinstance(entry, dict) or "name" not in entry:
-            raise ConfigError(f"bad solver entry: {entry!r}")
-        solvers.append(
-            SolverSpec(name=entry["name"], params=dict(entry.get("params", {})))
-        )
-    return ExperimentConfig(
-        games=tuple(games),
-        solvers=tuple(solvers),
-        timeout=float(data.get("timeout", DEFAULT_TIMEOUT)),
-        record_wall_time=bool(data.get("record_wall_time", True)),
-        workers=int(data.get("workers", 1)),
-    )
+    return ExperimentConfig(**{**data, **entries})
 
 
 def load_experiment_config(path) -> ExperimentConfig:

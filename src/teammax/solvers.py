@@ -22,6 +22,7 @@ from __future__ import annotations
 import heapq
 import itertools
 import math
+import numbers
 import time
 from dataclasses import dataclass
 
@@ -48,6 +49,10 @@ from .rng import SplitMix64
 
 DEFAULT_TIMEOUT = 3600.0
 BOUND_SLACK = 1e-7
+# a round of iterated_lp must raise the team value by this much to count
+IMPROVEMENT_TOL = 1e-9
+# global_optimize splits a box at most this many times per team member
+MAX_DEPTH = 64
 
 
 @dataclass(frozen=True, eq=False)
@@ -273,14 +278,13 @@ def iterated_lp(
     seed: int = 0,
     timeout: float | None = DEFAULT_TIMEOUT,
     max_rounds: int = 1000,
-    improvement_tol: float = 1e-9,
 ) -> SolveReport:
     """Alternating best-response LP ascent over team members.
 
     Per round, every member's best worst-case response against the fixed
     others is taken; only the member with the largest achievable value is
     replaced (ties to the lowest member index), so the current value never
-    decreases. A round that cannot improve the value by improvement_tol
+    decreases. A round that cannot improve the value by IMPROVEMENT_TOL
     leaves the profile untouched and ends the restart.
 
     A member's best-response LP ignores its own strategy, so the mover's
@@ -340,7 +344,7 @@ def iterated_lp(
                     responses[i] = solve_maxmin(member_payoff_matrix(game, profile, i))
                 if responses[i][0] > round_best:
                     round_best, round_member = responses[i][0], i
-            if round_best - value < improvement_tol:
+            if round_best - value < IMPROVEMENT_TOL:
                 settled = True
                 break
             strategies = list(profile)
@@ -560,7 +564,6 @@ def global_optimize(
     seed: int = 0,
     restarts: int = 8,
     max_nodes: int = 20_000,
-    max_depth: int = 64,
 ) -> SolveReport:
     """Anytime bracket of the team-maxmin value for normalized games.
 
@@ -570,16 +573,19 @@ def global_optimize(
     upper bound by best-first branch and bound: the team strategy box is
     split on the widest coordinate interval and each box is bounded by the
     correlated relaxation restricted to it, pruning boxes that cannot beat
-    the incumbent. Bounds are valid whenever it stops; converged means the
-    bracket width reached `accuracy`. Each node LP is build_maxmin_lp with
-    the node's box: the packing LP with one row per joint team action and
-    a column for every joint probability whose low is positive or whose
-    high is below 1, solved in one simplex run from its slack basis. Its
-    bound is the worth of the LP's joint mixture, certified by
-    check_maxmin with the adversary mixture that holds every joint
-    strategy in the box to it, so a node LP that is not solved to
-    optimality raises LpSolveError. The product of the joint mixture's
-    marginals is a team profile, evaluated as a lower bound.
+    the incumbent. A box whose widest interval is at most max(accuracy /
+    1000, 1e-12), or that is MAX_DEPTH splits per team member deep, is not
+    split again: its bound stays in the upper bound. Bounds are valid
+    whenever it stops; converged means the bracket width reached
+    `accuracy`. Each node LP is build_maxmin_lp with the node's box: the
+    packing LP with one row per joint team action and a column for every
+    joint probability whose low is positive or whose high is below 1,
+    solved in one simplex run from its slack basis. Its bound is the worth
+    of the LP's joint mixture, certified by check_maxmin with the adversary
+    mixture that holds every joint strategy in the box to it, so a node LP
+    that is not solved to optimality raises LpSolveError. The product of
+    the joint mixture's marginals is a team profile, evaluated as a lower
+    bound.
     """
     _require_normalized(game, "global_optimize")
     if accuracy <= 0:
@@ -631,7 +637,7 @@ def global_optimize(
             member = max(range(members), key=lambda i: widths[i].max())
             action = int(np.argmax(widths[member]))
             width = float(widths[member][action])
-            if width <= max(accuracy * 1e-3, 1e-12) or depth >= max_depth * members:
+            if width <= max(accuracy * 1e-3, 1e-12) or depth >= MAX_DEPTH * members:
                 resolved = max(resolved, top_bound)
                 continue
             mid = los[member][action] + width / 2.0
@@ -713,50 +719,94 @@ def _oracle(
     )
 
 
-# name -> (runner, accepted keyword parameters with their defaults). A runner
-# takes the game, the timeout and those parameters, and calls its solver by
-# module-level name, so that a wrapper installed on that name sees the call.
+# name -> (runner, accepted keyword parameters as name -> (type, default)). A
+# runner takes the game, the timeout and those parameters, and calls its
+# solver by module-level name, so that a wrapper installed on that name sees
+# the call.
 SOLVERS = {
-    "correlated": (_correlated, {"pivot": 0}),
+    "correlated": (_correlated, {"pivot": (int, 0)}),
     "reconstruct": (lambda game, timeout: reconstruct_best_pivot(game), {}),
     "support-enum": (
         lambda game, timeout, **p: support_enumeration(game, **p),
-        {"epsilon": 1.0, "budget": None, "upper_bound": None},
+        {"epsilon": (float, 1.0), "budget": (int, None), "upper_bound": (float, None)},
     ),
     "iterated-lp": (
         lambda game, timeout, **p: iterated_lp(game, timeout=timeout, **p),
-        {"init": "random", "restarts": 10, "seed": 0, "max_rounds": 1000},
+        {
+            "init": (str, "random"),
+            "restarts": (int, 10),
+            "seed": (int, 0),
+            "max_rounds": (int, 1000),
+        },
     ),
     "global": (
         lambda game, timeout, **p: global_optimize(game, budget=timeout, **p),
-        {"accuracy": 1e-6, "seed": 0, "restarts": 8, "max_nodes": 20_000},
+        {
+            "accuracy": (float, 1e-6),
+            "seed": (int, 0),
+            "restarts": (int, 8),
+            "max_nodes": (int, 20_000),
+        },
     ),
-    "oracle": (_oracle, {"target_error": 0.01, "max_evaluations": 20_000_000}),
+    "oracle": (
+        _oracle,
+        {"target_error": (float, 0.01), "max_evaluations": (int, 20_000_000)},
+    ),
 }
 SOLVER_NAMES = tuple(SOLVERS)
 
 
+def check_type(key: str, value, kind: type, error=ValueError):
+    """`value` as a `kind`, or `error` naming `key` if it is not one.
+
+    The one type rule for values read from JSON or passed as solver
+    parameters: a bool is not a number, an int may stand for a float and
+    comes back as one, and nothing is parsed from a string.
+    """
+    if kind in (int, float):
+        number = numbers.Integral if kind is int else numbers.Real
+        if isinstance(value, number) and not isinstance(value, bool):
+            return kind(value)
+    elif isinstance(value, kind):
+        return value
+    raise error(f"{key} must be {kind.__name__}, got {value!r}")
+
+
+def check_params(
+    what: str, name: str, accepted: dict, params, error=ValueError
+) -> dict:
+    """The `accepted` parameters' defaults updated by `params`.
+
+    accepted maps each parameter name to its (type, default). Raises `error`,
+    prefixed with `what` and `name` (say, solver 'global'), if params is not
+    a dict, names a parameter that is not accepted, or gives one a value
+    that check_type rejects; None passes only where the default is None.
+    """
+    try:
+        check_type("params", params, dict, error)
+        unknown = sorted(set(params) - set(accepted))
+        if unknown:
+            raise error(
+                f"does not take {', '.join(unknown)}; "
+                f"it accepts {', '.join(accepted) or 'no parameters'}"
+            )
+        resolved = {key: default for key, (_, default) in accepted.items()}
+        for key, value in params.items():
+            kind, default = accepted[key]
+            if value is not None or default is not None:
+                resolved[key] = check_type(key, value, kind, error)
+    except error as exc:
+        raise error(f"{what} {name!r}: {exc}") from None
+    return resolved
+
+
 def solver_params(name: str, params: dict) -> dict:
     """The named solver's keyword parameters: its defaults updated by
-    `params`, each value converted to its default's type where that is a
-    number. Raises ValueError for an unknown solver or a parameter the
-    solver does not take."""
+    `params` (see check_params). Raises ValueError for an unknown solver, a
+    parameter the solver does not take, or a value of the wrong type."""
     if name not in SOLVERS:
         raise ValueError(f"unknown solver {name!r}, expected one of {SOLVER_NAMES}")
-    defaults = SOLVERS[name][1]
-    unknown = sorted(set(params) - set(defaults))
-    if unknown:
-        accepted = ", ".join(defaults) or "no parameters"
-        raise ValueError(
-            f"solver {name!r} does not take {', '.join(unknown)}; "
-            f"it accepts {accepted}"
-        )
-    return {
-        key: type(defaults[key])(value)
-        if isinstance(defaults[key], (int, float))
-        else value
-        for key, value in {**defaults, **params}.items()
-    }
+    return check_params("solver", name, SOLVERS[name][1], params)
 
 
 def run_solver(

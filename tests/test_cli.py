@@ -283,6 +283,25 @@ def test_verify_nash_needs_every_player(tmp_path):
     assert main(["verify-nash", str(game_path), "--profile", str(profile_path)]) == 3
 
 
+def test_verify_nash_wrong_action_counts_is_input_error(tmp_path, capsys):
+    # evaluate and verify-nash read profiles with the same loader
+    game, _ = poa_game()
+    game_path = tmp_path / "poa.json"
+    save_game(game, game_path)
+    profile_path = tmp_path / "wide.json"
+    save_profile(
+        [
+            MixedStrategy(0, np.array([0.5, 0.5])),
+            MixedStrategy(1, np.array([0.2, 0.3, 0.5])),
+            MixedStrategy(2, np.array([1.0, 0.0])),
+        ],
+        profile_path,
+    )
+    for command in ("verify-nash", "evaluate"):
+        assert main([command, str(game_path), "--profile", str(profile_path)]) == 3
+        assert "match neither the team" in capsys.readouterr().err
+
+
 def test_pou_subcommand(tmp_path, capsys):
     game_path = _generate(tmp_path, "diagonal", "--n", "3", "--m", "2")
     capsys.readouterr()
@@ -324,3 +343,39 @@ def test_experiment_bad_config_is_input_error(tmp_path):
     config_path = tmp_path / "config.json"
     config_path.write_text(json.dumps({"games": []}))
     assert main(["experiment", str(config_path), "--out-dir", str(tmp_path / "out")]) == 3
+
+
+def test_experiment_malformed_config_exits_3_before_any_output(tmp_path, capsys):
+    config_path = tmp_path / "config.json"
+    config_path.write_text(
+        json.dumps(
+            {
+                "games": [{"family": "diagonal", "n": 3, "m": 2}],
+                "solvers": [{"name": "iterated-lp", "params": {"restarts": 2.7}}],
+            }
+        )
+    )
+    out_dir = tmp_path / "out"
+    assert main(["experiment", str(config_path), "--out-dir", str(out_dir)]) == 3
+    assert not out_dir.exists()
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        "error: solver 'iterated-lp': restarts must be int, got 2.7"
+    ]
+
+
+def test_experiment_int_timeout_prints_as_float(tmp_path, capsys):
+    config_path = tmp_path / "config.json"
+    config_path.write_text(
+        json.dumps(
+            {
+                "games": [{"family": "poa"}],
+                "solvers": [{"name": "reconstruct"}],
+                "timeout": 60,
+                "record_wall_time": False,
+            }
+        )
+    )
+    assert main(["experiment", str(config_path), "--out-dir", str(tmp_path / "o")]) == 0
+    assert '"timeout": 60.0' in capsys.readouterr().out.splitlines()[0]

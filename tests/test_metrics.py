@@ -4,6 +4,8 @@ closed-form family values, ratio conventions, CSV determinism."""
 import csv
 import json
 import math
+import pathlib
+import re
 
 import numpy as np
 import pytest
@@ -168,6 +170,64 @@ def test_config_from_dict_errors():
         experiment_config_from_dict({"games": [], "solvers": [{"nope": 1}]})
     with pytest.raises(ConfigError):
         experiment_config_from_dict([1, 2, 3])
+
+
+def _malformed(part, **fragment):
+    game = {"family": "irrational", "seeds": [0], "params": {}}
+    solver = {"name": "iterated-lp", "params": {"restarts": 2}}
+    config = {"games": [game], "solvers": [solver]}
+    target = {
+        "top": config,
+        "game": game,
+        "solver": solver,
+        "solver params": solver["params"],
+        "family params": game["params"],
+    }[part]
+    target.update(fragment)
+    return config
+
+
+@pytest.mark.parametrize(
+    "key, data",
+    [
+        ("seeds", _malformed("game", seeds=5)),
+        ("params", _malformed("game", params=[1])),
+        ("timeout", _malformed("top", timeout="abc")),
+        ("seed", _malformed("game", seed=[4])),
+        ("worker", _malformed("top", worker=4)),
+        ("record_wall_time", _malformed("top", record_wall_time="false")),
+        ("restarts", _malformed("solver params", restarts=2.7)),
+        ("normalise", _malformed("game", normalise=True)),
+        ("param", _malformed("solver", param={})),
+        ("family", {"games": [{"n": 3, "m": 2}], "solvers": []}),
+        ("games", {"games": {"family": "poa"}, "solvers": []}),
+        ("fixed_sing", _malformed("family params", fixed_sing=False)),
+        ("fixed_sign", _malformed("family params", fixed_sign="false")),
+        ("workers", _malformed("top", workers=True)),
+        ("n", _malformed("game", n=3.0)),
+        ("name", _malformed("solver", name=["reconstruct"])),
+    ],
+)
+def test_config_from_dict_rejects_malformed_values(key, data):
+    experiment_config_from_dict(_malformed("top"))  # the base config is valid
+    with pytest.raises(ConfigError, match=re.escape(key)):
+        experiment_config_from_dict(data)
+
+
+def test_config_checks_values_built_in_python():
+    config = ExperimentConfig(
+        games=(GameSpec(family="irrational", seeds=[2, 3]),),
+        solvers=(SolverSpec(name="global", params={"accuracy": 1}),),
+        timeout=60,
+    )
+    assert config.games[0].seeds == (2, 3)
+    assert type(config.timeout) is float and config.timeout == 60.0
+    # the row records what the config said; the solver gets a float
+    assert config.solvers[0].params_json() == '{"accuracy":1}'
+    with pytest.raises(ConfigError, match="seeds"):
+        GameSpec(family="poa", seeds=(0, 1.5))
+    with pytest.raises(ConfigError, match="restarts"):
+        SolverSpec(name="iterated-lp", params={"restarts": True})
 
 
 def test_load_config_bad_json(tmp_path):
@@ -354,3 +414,26 @@ def test_csv_floats_are_full_precision(tmp_path):
     # 1/9 must round-trip exactly through its repr in the file
     content = path.read_text()
     assert repr(1.0 / 9.0) in content
+
+
+RESULTS_HEADER_LINE = (
+    "instance_id,generator,n,m,seed,solver,params,lower,upper,ratio,"
+    "iterations,restarts,wall_ms,error,converged"
+)
+AGGREGATE_HEADER_LINE = (
+    "n,m,solver,runs,failures,mean_lower,mean_upper,mean_ratio,"
+    "ratio_q25,ratio_q50,ratio_q75,mean_wall_ms"
+)
+
+
+def test_csv_header_lines_are_pinned_and_documented(tmp_path):
+    # the headers come from the row types' field order, so reordering a
+    # field changes the files; the README lists the same columns
+    write_rows_csv([], tmp_path / "results.csv")
+    write_aggregate_csv([], tmp_path / "aggregate.csv")
+    assert (tmp_path / "results.csv").read_text() == RESULTS_HEADER_LINE + "\n"
+    assert (tmp_path / "aggregate.csv").read_text() == AGGREGATE_HEADER_LINE + "\n"
+    readme = pathlib.Path(__file__).resolve().parent.parent / "README.md"
+    flat = " ".join(readme.read_text().split())
+    for line in (RESULTS_HEADER_LINE, AGGREGATE_HEADER_LINE):
+        assert "`" + ", ".join(line.split(",")) + "`" in flat

@@ -734,6 +734,29 @@ def test_run_solver_rejects_unknown_parameter():
         run_solver("reconstruct", game, seed=0)
 
 
+@pytest.mark.parametrize(
+    "name, params, key",
+    [
+        ("iterated-lp", {"restarts": 2.7}, "restarts"),
+        ("iterated-lp", {"restarts": True}, "restarts"),
+        ("global", {"accuracy": "1e-3"}, "accuracy"),
+        ("support-enum", {"epsilon": False}, "epsilon"),
+        ("support-enum", {"budget": 10.0}, "budget"),
+        ("correlated", {"pivot": None}, "pivot"),
+    ],
+)
+def test_solver_params_rejects_values_of_the_wrong_type(name, params, key):
+    with pytest.raises(ValueError, match=f"solver '{name}': {key} must be"):
+        solver_params(name, params)
+
+
+def test_solver_params_takes_an_int_for_a_float():
+    resolved = solver_params("global", {"accuracy": 1, "restarts": 3})
+    assert type(resolved["accuracy"]) is float and resolved["accuracy"] == 1.0
+    assert type(resolved["restarts"]) is int
+    assert solver_params("support-enum", {"budget": None})["budget"] is None
+
+
 def test_registry_accepts_every_shipped_parameter():
     workloads = runpy.run_path(str(REPO / "bench" / "workloads.py"), run_name="w")
     used = [
