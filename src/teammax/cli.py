@@ -32,11 +32,12 @@ from .game import (
     verify_nash,
     normalize_payoffs,
 )
-from .generators import FAMILY_PARAMS, GENERATOR_FAMILIES, make_instance
+from .generators import FAMILIES, GENERATOR_FAMILIES, make_instance
 from .lp import LpSolveError
 from .metrics import (
     ConfigError,
     aggregate_rows,
+    build_instances,
     compute_pou,
     load_experiment_config,
     run_experiment,
@@ -65,13 +66,18 @@ def _fmt_probs(probs) -> str:
     return "[" + ", ".join(f"{p:.6f}" for p in probs) + "]"
 
 
+# every parameter that some solver takes, with its type: one --<name> flag each
+_SOLVER_FLAGS = {
+    key: kind for _, params, _ in SOLVERS.values() for key, (kind, _) in params.items()
+}
+
+
 def _solver_params(args) -> dict:
     """Collect the solver keyword parameters that were actually given."""
-    names = dict.fromkeys(key for _, params in SOLVERS.values() for key in params)
     return {
         name: getattr(args, name)
-        for name in names
-        if getattr(args, name, None) is not None
+        for name in _SOLVER_FLAGS
+        if getattr(args, name) is not None
     }
 
 
@@ -94,7 +100,8 @@ def _report_dict(report: SolveReport) -> dict:
 
 def cmd_generate(args) -> int:
     params = {}
-    if "fixed_sign" in FAMILY_PARAMS[args.family]:
+    _, _, family_params = FAMILIES[args.family]
+    if "fixed_sign" in family_params:
         params["fixed_sign"] = not args.flawed
     _print_config(
         "generate",
@@ -136,7 +143,7 @@ def cmd_solve(args) -> int:
             "solver": args.solver,
             "timeout": args.timeout,
             "normalize": args.normalize,
-            **{k: (str(v) if isinstance(v, pathlib.Path) else v) for k, v in params.items()},
+            **params,
         },
     )
     game = load_game(args.game)
@@ -247,6 +254,7 @@ def cmd_pou(args) -> int:
 
 def cmd_experiment(args) -> int:
     config = load_experiment_config(args.config)
+    instances = build_instances(config)
     out_dir = pathlib.Path(args.out_dir)
     _print_config(
         "experiment",
@@ -260,7 +268,7 @@ def cmd_experiment(args) -> int:
     )
     out_dir.mkdir(parents=True, exist_ok=True)
     start = time.perf_counter()
-    rows = run_experiment(config)
+    rows = run_experiment(config, instances)
     elapsed = time.perf_counter() - start
     results_path = out_dir / "results.csv"
     aggregate_path = out_dir / "aggregate.csv"
@@ -279,42 +287,14 @@ def cmd_experiment(args) -> int:
 
 
 def _add_solver_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--epsilon", type=float, help="additive accuracy for support-enum"
-    )
-    parser.add_argument(
-        "--restarts", type=int, help="restarts for iterated-lp / global"
-    )
-    parser.add_argument("--seed", type=int, help="seed for randomized solvers")
-    parser.add_argument(
-        "--accuracy", type=float, help="target bracket width for global"
-    )
-    parser.add_argument(
-        "--target-error",
-        dest="target_error",
-        type=float,
-        help="certified additive error for oracle",
-    )
-    parser.add_argument(
-        "--budget", type=int, help="candidate budget for support-enum"
-    )
-    parser.add_argument(
-        "--max-nodes", dest="max_nodes", type=int, help="node cap for global"
-    )
-    parser.add_argument(
-        "--max-evaluations",
-        dest="max_evaluations",
-        type=int,
-        help="evaluation cap for oracle",
-    )
-    parser.add_argument(
-        "--pivot", type=int, help="pivot member for the correlated solver"
-    )
-    parser.add_argument(
-        "--init",
-        choices=("random", "uniform"),
-        help="initial profile for iterated-lp",
-    )
+    for name, kind in _SOLVER_FLAGS.items():
+        users = [solver for solver, (_, params, _) in SOLVERS.items() if name in params]
+        parser.add_argument(
+            "--" + name.replace("_", "-"),
+            dest=name,
+            type=kind,
+            help=f"parameter of {', '.join(users)}",
+        )
 
 
 def build_parser() -> argparse.ArgumentParser:

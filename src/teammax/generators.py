@@ -323,17 +323,46 @@ def _check_size(m: int, exponent: int) -> None:
         )
 
 
-# family -> the parameters it takes besides n, m and seed, as
-# name -> (type, default); make_instance takes each of them by name
-FAMILY_PARAMS = {
-    "poa": {},
-    "diagonal": {},
-    "pou-one": {},
-    "coordination": {},
-    "irrational": {"fixed_sign": (bool, True)},
-    "random": {},
+# name -> (builder, shape, parameters). The builder takes n, m and the seed,
+# then the family's parameters by name, and returns (game, facts or None).
+# shape names which of n and m the family requires; the parameters map each
+# of the family's own parameters to its (type, default). Only `random` uses
+# the seed, which defaults to 0.
+FAMILIES = {
+    "poa": (lambda n, m, seed: poa_game(), (), {}),
+    "diagonal": (lambda n, m, seed: diagonal_game(n, m), ("n", "m"), {}),
+    "pou-one": (lambda n, m, seed: pou_one_game(), (), {}),
+    "coordination": (lambda n, m, seed: coordination_game(n, m), ("n", "m"), {}),
+    "irrational": (
+        lambda n, m, seed, fixed_sign: irrational_game(fixed_sign),
+        (),
+        {"fixed_sign": (bool, True)},
+    ),
+    "random": (
+        lambda n, m, seed: (
+            random_team_game(n, m, 0 if seed is None else seed),
+            None,
+        ),
+        ("n", "m"),
+        {},
+    ),
 }
-GENERATOR_FAMILIES = tuple(FAMILY_PARAMS)
+GENERATOR_FAMILIES = tuple(FAMILIES)
+
+
+def check_family(
+    name: str, n: int | None = None, m: int | None = None, error=ValueError
+):
+    """The FAMILIES entry of `name`; raises `error` for an unknown family or
+    when a shape key the family requires is None."""
+    if name not in FAMILIES:
+        raise error(f"unknown family {name!r}, expected one of {GENERATOR_FAMILIES}")
+    entry = FAMILIES[name]
+    shape = {"n": n, "m": m}
+    missing = [key for key in entry[1] if shape[key] is None]
+    if missing:
+        raise error(f"family {name!r} requires {', '.join(missing)}")
+    return entry
 
 
 def make_instance(
@@ -341,32 +370,13 @@ def make_instance(
     n: int | None = None,
     m: int | None = None,
     seed: int | None = None,
-    fixed_sign: bool = True,
+    **params,
 ) -> tuple[TeamGame, InstanceFacts | None]:
     """Build an instance by family name (the CLI and experiment entry point).
 
-    Families with fixed shape (poa, pou-one, irrational) ignore n and m.
-    Only `random` uses the seed, and only `irrational` uses fixed_sign.
+    A family ignores n and m unless it requires them, and each of its
+    parameters that params does not give keeps its FAMILIES default.
     """
-    if family == "poa":
-        return poa_game()
-    if family == "diagonal":
-        _require(family, n=n, m=m)
-        return diagonal_game(n, m)
-    if family == "pou-one":
-        return pou_one_game()
-    if family == "coordination":
-        _require(family, n=n, m=m)
-        return coordination_game(n, m)
-    if family == "irrational":
-        return irrational_game(fixed_sign)
-    if family == "random":
-        _require(family, n=n, m=m)
-        return random_team_game(n, m, 0 if seed is None else seed), None
-    raise ValueError(f"unknown family {family!r}, expected one of {GENERATOR_FAMILIES}")
-
-
-def _require(family: str, **kwargs) -> None:
-    missing = [k for k, v in kwargs.items() if v is None]
-    if missing:
-        raise ValueError(f"family {family!r} requires {', '.join(missing)}")
+    build, _, accepted = check_family(family, n, m)
+    defaults = {key: default for key, (_, default) in accepted.items()}
+    return build(n, m, seed, **{**defaults, **params})

@@ -24,13 +24,12 @@ import concurrent.futures
 import csv
 import json
 import math
-import warnings
 from dataclasses import MISSING, dataclass, field, fields
 
 import numpy as np
 
 from .game import TeamGame, normalize_payoffs
-from .generators import FAMILY_PARAMS, GENERATOR_FAMILIES, make_instance
+from .generators import check_family, make_instance
 from .solvers import (
     DEFAULT_TIMEOUT,
     SolveReport,
@@ -40,8 +39,6 @@ from .solvers import (
     run_solver,
     solver_params,
 )
-
-RATIO_TOL = 1e-7
 
 
 class ConfigError(ValueError):
@@ -94,32 +91,6 @@ def compute_pou(
     )
 
 
-def approximation_ratio(report_a: SolveReport, baseline: SolveReport) -> float:
-    """Ratio of certified lower bounds: report_a against the baseline.
-
-    Greater than 1 means report_a found a better strategy than the baseline;
-    that is legitimate (the baseline may be weak) but flagged with a warning
-    so sweeps surface it. A nonpositive baseline with a positive numerator is
-    reported as infinity — the convention used for value ratios against a
-    zero-value strategy.
-    """
-    numerator = report_a.lower_bound
-    denominator = baseline.lower_bound
-    if denominator <= 0.0:
-        if numerator > 0.0:
-            return math.inf
-        if numerator == denominator:
-            return 1.0
-        return math.nan
-    ratio = numerator / denominator
-    if ratio > 1.0 + RATIO_TOL:
-        warnings.warn(
-            f"solver beat its baseline: ratio {ratio:.6g} exceeds 1",
-            stacklevel=2,
-        )
-    return ratio
-
-
 # ---------------------------------------------------------------------------
 # experiment harness
 
@@ -128,7 +99,8 @@ def approximation_ratio(report_a: SolveReport, baseline: SolveReport) -> float:
 class GameSpec:
     """One family cell of an experiment: a generator plus its seed sweep.
 
-    params are the family's own parameters (FAMILY_PARAMS in generators);
+    n and m are required by the families whose FAMILIES entry in generators
+    names them, and params are the family's own parameters from that entry;
     seeds may be any nonempty list or tuple of ints and is kept as a tuple.
     """
 
@@ -141,21 +113,15 @@ class GameSpec:
 
     def __post_init__(self):
         check_type("family", self.family, str, ConfigError)
-        if self.family not in GENERATOR_FAMILIES:
-            raise ConfigError(
-                f"unknown family {self.family!r}, expected one of "
-                f"{GENERATOR_FAMILIES}"
-            )
         for key in ("n", "m"):
             if getattr(self, key) is not None:
                 check_type(key, getattr(self, key), int, ConfigError)
+        _, _, accepted = check_family(self.family, self.n, self.m, ConfigError)
         if not isinstance(self.seeds, (list, tuple)) or not self.seeds:
             raise ConfigError(f"seeds must be a nonempty list, got {self.seeds!r}")
         seeds = tuple(check_type("seeds", s, int, ConfigError) for s in self.seeds)
         object.__setattr__(self, "seeds", seeds)
-        check_params(
-            "family", self.family, FAMILY_PARAMS[self.family], self.params, ConfigError
-        )
+        check_params("family", self.family, accepted, self.params, ConfigError)
         check_type("normalize", self.normalize, bool, ConfigError)
 
 
@@ -241,9 +207,25 @@ def bracket_ratio(lower: float, upper: float) -> float:
     return ratio
 
 
-def _build_instance(spec: GameSpec, seed: int) -> TeamGame:
-    game, _ = make_instance(spec.family, n=spec.n, m=spec.m, seed=seed, **spec.params)
-    return normalize_payoffs(game) if spec.normalize else game
+def build_instances(config: ExperimentConfig) -> list[tuple[str, int, TeamGame]]:
+    """(family, seed, game) for every seed of every game entry, in order.
+
+    Raises ConfigError naming games[i] for an instance its family rejects,
+    such as a diagonal game of two players; a CapacityError passes through.
+    """
+    instances = []
+    for i, spec in enumerate(config.games):
+        for seed in spec.seeds:
+            try:
+                game, _ = make_instance(
+                    spec.family, n=spec.n, m=spec.m, seed=seed, **spec.params
+                )
+            except ValueError as exc:
+                raise ConfigError(f"games[{i}]: {exc}") from None
+            if spec.normalize:
+                game = normalize_payoffs(game)
+            instances.append((spec.family, seed, game))
+    return instances
 
 
 # the report of a failed cell: NaN bounds, no work, not converged
@@ -277,19 +259,23 @@ def _run_cell(task) -> ResultRow:
     )
 
 
-def run_experiment(config: ExperimentConfig) -> list[ResultRow]:
+def run_experiment(config: ExperimentConfig, instances=None) -> list[ResultRow]:
     """Run every (instance, solver) cell and return the sorted result table.
 
-    Failures of individual cells are recorded as rows with NaN bounds,
-    converged=False and the exception in `error`; they never abort the
-    batch. Rows are sorted by (instance_id, solver, params) so assembly
-    order is irrelevant, which keeps multi-worker runs deterministic.
+    instances, when the caller has built them already, is
+    build_instances(config). Failures of individual cells are recorded as
+    rows with NaN bounds, converged=False and the exception in `error`;
+    they never abort the batch. Rows are sorted by (instance_id, solver,
+    params) so assembly order is irrelevant, which keeps multi-worker runs
+    deterministic.
     """
-    tasks = []
-    for spec in config.games:
-        for seed in spec.seeds:
-            game = _build_instance(spec, seed)
-            tasks += [(spec.family, seed, game, s, config) for s in config.solvers]
+    if instances is None:
+        instances = build_instances(config)
+    tasks = [
+        (family, seed, game, solver, config)
+        for family, seed, game in instances
+        for solver in config.solvers
+    ]
     if config.workers > 1 and len(tasks) > 1:
         with concurrent.futures.ProcessPoolExecutor(
             max_workers=config.workers
@@ -453,8 +439,8 @@ __all__ = [
     "ResultRow",
     "SolverSpec",
     "aggregate_rows",
-    "approximation_ratio",
     "bracket_ratio",
+    "build_instances",
     "compute_pou",
     "experiment_config_from_dict",
     "load_experiment_config",

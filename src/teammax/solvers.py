@@ -115,6 +115,17 @@ def correlated_team_maxmin(game: TeamGame) -> tuple[JointDistribution, float]:
     return dist, value
 
 
+def _correlated_upper_bound(game: TeamGame, lower: float) -> float:
+    """max(v_C, lower): v_C bounds every independent profile. A game whose
+    joint team actions exceed to_joint_game's cap gets its largest payoff
+    instead."""
+    try:
+        _, correlated_value = correlated_team_maxmin(game)
+    except CapacityError:
+        correlated_value = float(game.team_utility.max())
+    return max(correlated_value, lower)
+
+
 def reconstruct_mixed(
     dist: JointDistribution, game: TeamGame, pivot: int
 ) -> TeamProfile:
@@ -176,40 +187,6 @@ def reconstruct_best_pivot(game: TeamGame) -> SolveReport:
 # support enumeration
 
 
-@dataclass(frozen=True)
-class EnumerationParams:
-    """Discretization of the additive-epsilon enumeration.
-
-    Every member's mixture is restricted to action multisets of cardinality
-    multiset_size (probabilities in units of 1/multiset_size); the size
-    grows with ln(m)/(2 epsilon^2) where m is the largest team-member action
-    count.
-    """
-
-    epsilon: float
-    multiset_size: int
-
-    def __post_init__(self):
-        if not 0.0 < self.epsilon <= 1.0:
-            raise ValueError(f"epsilon must be in (0, 1], got {self.epsilon}")
-        if self.multiset_size < 1:
-            raise ValueError("multiset size must be at least 1")
-
-    @classmethod
-    def for_game(cls, game: TeamGame, epsilon: float) -> "EnumerationParams":
-        if not 0.0 < epsilon <= 1.0:
-            raise ValueError(f"epsilon must be in (0, 1], got {epsilon}")
-        m = game.max_team_actions
-        size = max(1, math.ceil(math.log(m) / (2.0 * epsilon * epsilon)))
-        return cls(epsilon=epsilon, multiset_size=size)
-
-    def candidates_per_member(self, num_actions: int) -> int:
-        return math.comb(num_actions + self.multiset_size - 1, self.multiset_size)
-
-    def total_candidates(self, game: TeamGame) -> int:
-        return math.prod(self.candidates_per_member(m) for m in game.team_sizes)
-
-
 def _require_normalized(game: TeamGame, who: str) -> None:
     lo = float(game.team_utility.min())
     hi = float(game.team_utility.max())
@@ -220,36 +197,45 @@ def _require_normalized(game: TeamGame, who: str) -> None:
         )
 
 
+def _check_enumeration(epsilon: float, budget: int | None = None) -> None:
+    """support_enumeration's range rules."""
+    if not 0.0 < epsilon <= 1.0:
+        raise ValueError(f"epsilon must be in (0, 1], got {epsilon}")
+    if budget is not None and budget < 1:
+        raise ValueError(f"budget must be at least 1, got {budget}")
+
+
 def support_enumeration(
     game: TeamGame,
     epsilon: float,
     budget: int | None = None,
-    upper_bound: float | None = None,
 ) -> SolveReport:
     """Additive epsilon-approximation by enumerating discretized mixtures.
 
     Requires payoffs in [0, 1]. Every member mixes over the action
-    multisets of the prescribed cardinality; _grid_search scores every
-    profile of such mixtures exactly and keeps the first best one. When it
-    runs to completion the lower bound is within epsilon of the team-maxmin
-    value.
+    multisets of cardinality max(1, ceil(ln m / (2 epsilon^2))), m the
+    largest team-member action count; _grid_search scores every profile of
+    such mixtures exactly and keeps the first best one. When it runs to
+    completion the lower bound is within epsilon of the team-maxmin value.
+    The upper bound is the correlated value v_C (see
+    _correlated_upper_bound).
 
     budget caps the number of candidate profiles visited; hitting the cap
     reports converged=False with the best bracket so far. iterations in the
     report is the exact number of candidates visited.
     """
     _require_normalized(game, "support_enumeration")
-    if budget is not None and budget < 1:
-        raise ValueError("budget must be at least 1")
+    _check_enumeration(epsilon, budget)
     start = time.perf_counter()
-    params = EnumerationParams.for_game(game, epsilon)
-    total = params.total_candidates(game)
+    steps = max(
+        1, math.ceil(math.log(game.max_team_actions) / (2.0 * epsilon * epsilon))
+    )
+    total = math.prod(_grid_counts(game.team_sizes, steps))
     visited = total if budget is None else min(budget, total)
-    best_value, witness = _grid_search(game, params.multiset_size, visited)
-    cap = 1.0 if upper_bound is None else min(1.0, upper_bound)
+    best_value, witness = _grid_search(game, steps, visited)
     return SolveReport(
         lower_bound=best_value,
-        upper_bound=cap,
+        upper_bound=_correlated_upper_bound(game, best_value),
         witness=witness,
         iterations=visited,
         restarts_used=0,
@@ -269,6 +255,14 @@ def _random_profile(game: TeamGame, rng: SplitMix64) -> TeamProfile:
             for i, m in enumerate(game.team_sizes)
         )
     )
+
+
+def _check_ascent(restarts: int, init: TeamProfile | str = "random", **_) -> None:
+    """iterated_lp's range and choice rules."""
+    if restarts < 1:
+        raise ValueError(f"restarts must be at least 1, got {restarts}")
+    if isinstance(init, str) and init not in ("random", "uniform"):
+        raise ValueError(f"init must be 'random' or 'uniform', got {init!r}")
 
 
 def iterated_lp(
@@ -298,15 +292,14 @@ def iterated_lp(
     of the flat simplex distribution, drawn from per-restart streams spawned
     off `seed`, so results do not depend on scheduling.
 
-    The report's lower bound is the best value across restarts; the trivial
-    upper bound is the largest payoff entry. iterations counts rounds summed
-    over restarts. converged is False if the timeout cut work short or some
-    restart hit max_rounds while still improving.
+    The report's lower bound is the best value across restarts; its upper
+    bound is the correlated value v_C, solved once the ascent is done (see
+    _correlated_upper_bound).
+    iterations counts rounds summed over restarts. converged is False if the
+    timeout cut work short or some restart hit max_rounds while still
+    improving.
     """
-    if restarts < 1:
-        raise ValueError("need at least one restart")
-    if isinstance(init, str) and init not in ("random", "uniform"):
-        raise ValueError(f"unknown init {init!r}")
+    _check_ascent(restarts, init)
     start = time.perf_counter()
     deadline = math.inf if timeout is None else start + timeout
     master = SplitMix64(seed)
@@ -370,7 +363,7 @@ def iterated_lp(
     converged = all_converged and not timed_out and restarts_done == restarts
     return SolveReport(
         lower_bound=best_value,
-        upper_bound=max(float(game.team_utility.max()), best_value),
+        upper_bound=_correlated_upper_bound(game, best_value),
         witness=best_profile,
         iterations=total_rounds,
         restarts_used=restarts_done,
@@ -400,6 +393,11 @@ def _compositions(total: int, parts: int):
             yield (head,) + rest
 
 
+def _grid_counts(sizes, steps: int) -> list[int]:
+    """The number of mixtures in each member's grid with `steps` steps."""
+    return [math.comb(steps + m - 1, m - 1) for m in sizes]
+
+
 def _grid_search(
     game: TeamGame, steps: int, budget: int
 ) -> tuple[float, TeamProfile]:
@@ -419,7 +417,7 @@ def _grid_search(
     """
     sizes = game.team_sizes
     members = len(sizes)
-    counts = [math.comb(steps + m - 1, m - 1) for m in sizes]
+    counts = _grid_counts(sizes, steps)
     largest = max(c * m for c, m in zip(counts, sizes))
     folded_size = game.team_utility.size
     for i in range(members - 1, 0, -1):
@@ -472,6 +470,12 @@ def _rounding_constant(m: int) -> float:
     return best
 
 
+def _check_oracle(target_error: float, **_) -> None:
+    """grid_oracle's range rule."""
+    if not target_error > 0:
+        raise ValueError(f"target_error must be positive, got {target_error}")
+
+
 def grid_oracle(
     game: TeamGame,
     target_error: float,
@@ -491,8 +495,7 @@ def grid_oracle(
     grid too large to materialize, raises CapacityError.
     """
     _require_normalized(game, "grid_oracle")
-    if target_error <= 0:
-        raise ValueError("target_error must be positive")
+    _check_oracle(target_error)
     team_sizes = game.team_sizes
     members = len(team_sizes)
     constants = [_rounding_constant(m) for m in team_sizes]
@@ -506,7 +509,7 @@ def grid_oracle(
         if scale <= 512:
             k = ((k + scale - 1) // scale) * scale
         error_bound = members * worst / k
-    total = math.prod(math.comb(k + m - 1, m - 1) for m in team_sizes)
+    total = math.prod(_grid_counts(team_sizes, k))
     if total > max_evaluations:
         raise CapacityError(
             f"{total} grid combinations exceed the cap of {max_evaluations}"
@@ -557,6 +560,13 @@ def _box_probe(game: TeamGame, probs: np.ndarray) -> TeamProfile:
     return TeamProfile(tuple(strategies))
 
 
+def _check_global(accuracy: float, restarts: int, **_) -> None:
+    """global_optimize's range rules, its ascent's included."""
+    if not accuracy > 0:
+        raise ValueError(f"accuracy must be positive, got {accuracy}")
+    _check_ascent(restarts)
+
+
 def global_optimize(
     game: TeamGame,
     accuracy: float = 1e-6,
@@ -588,8 +598,7 @@ def global_optimize(
     bound.
     """
     _require_normalized(game, "global_optimize")
-    if accuracy <= 0:
-        raise ValueError("accuracy must be positive")
+    _check_global(accuracy, restarts)
     if budget < 0:
         raise ValueError("budget must be nonnegative")
     start = time.perf_counter()
@@ -688,21 +697,6 @@ def global_optimize(
 # registry
 
 
-def _correlated(game: TeamGame, timeout: float, pivot: int) -> SolveReport:
-    start = time.perf_counter()
-    dist, value = correlated_team_maxmin(game)
-    profile = reconstruct_mixed(dist, game, pivot)
-    return SolveReport(
-        lower_bound=team_value(game, profile).value,
-        upper_bound=value,
-        witness=profile,
-        iterations=1,
-        restarts_used=0,
-        wall_time=time.perf_counter() - start,
-        converged=True,
-    )
-
-
 def _oracle(
     game: TeamGame, timeout: float, target_error: float, max_evaluations: int
 ) -> SolveReport:
@@ -719,16 +713,20 @@ def _oracle(
     )
 
 
-# name -> (runner, accepted keyword parameters as name -> (type, default)). A
-# runner takes the game, the timeout and those parameters, and calls its
-# solver by module-level name, so that a wrapper installed on that name sees
-# the call.
+# name -> (runner, parameters, check). The parameters map each keyword
+# parameter to its (type, default). The runner takes the game, the timeout
+# and those parameters, and calls its solver by module-level name, so that a
+# wrapper installed on that name sees the call. check takes the parameters
+# and raises ValueError for a value out of range or not among the choices;
+# the solver runs the same check.
 SOLVERS = {
-    "correlated": (_correlated, {"pivot": (int, 0)}),
-    "reconstruct": (lambda game, timeout: reconstruct_best_pivot(game), {}),
+    "reconstruct": (
+        lambda game, timeout: reconstruct_best_pivot(game), {}, lambda: None
+    ),
     "support-enum": (
         lambda game, timeout, **p: support_enumeration(game, **p),
-        {"epsilon": (float, 1.0), "budget": (int, None), "upper_bound": (float, None)},
+        {"epsilon": (float, 1.0), "budget": (int, None)},
+        _check_enumeration,
     ),
     "iterated-lp": (
         lambda game, timeout, **p: iterated_lp(game, timeout=timeout, **p),
@@ -738,6 +736,7 @@ SOLVERS = {
             "seed": (int, 0),
             "max_rounds": (int, 1000),
         },
+        _check_ascent,
     ),
     "global": (
         lambda game, timeout, **p: global_optimize(game, budget=timeout, **p),
@@ -747,10 +746,12 @@ SOLVERS = {
             "restarts": (int, 8),
             "max_nodes": (int, 20_000),
         },
+        _check_global,
     ),
     "oracle": (
         _oracle,
         {"target_error": (float, 0.01), "max_evaluations": (int, 20_000_000)},
+        _check_oracle,
     ),
 }
 SOLVER_NAMES = tuple(SOLVERS)
@@ -803,10 +804,17 @@ def check_params(
 def solver_params(name: str, params: dict) -> dict:
     """The named solver's keyword parameters: its defaults updated by
     `params` (see check_params). Raises ValueError for an unknown solver, a
-    parameter the solver does not take, or a value of the wrong type."""
+    parameter the solver does not take, a value of the wrong type, or one
+    that the solver's check rejects."""
     if name not in SOLVERS:
         raise ValueError(f"unknown solver {name!r}, expected one of {SOLVER_NAMES}")
-    return check_params("solver", name, SOLVERS[name][1], params)
+    _, accepted, check = SOLVERS[name]
+    resolved = check_params("solver", name, accepted, params)
+    try:
+        check(**resolved)
+    except ValueError as exc:
+        raise ValueError(f"solver {name!r}: {exc}") from None
+    return resolved
 
 
 def run_solver(
@@ -816,7 +824,8 @@ def run_solver(
 
     Used by the command line and the experiment harness; every solver comes
     back as a SolveReport so downstream code never cares which one ran.
-    Unknown names and parameters raise ValueError.
+    Unknown names and parameters, and values of the wrong type, out of
+    range or not among the choices, raise ValueError.
     """
     resolved = solver_params(name, params)
     runner = SOLVERS[name][0]

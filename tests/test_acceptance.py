@@ -36,7 +36,6 @@ from teammax.generators import (
 )
 from teammax.lp import solve_maxmin
 from teammax.metrics import (
-    approximation_ratio,
     compute_pou,
     load_experiment_config,
     run_experiment,
@@ -44,8 +43,6 @@ from teammax.metrics import (
 )
 from teammax.rng import SplitMix64
 from teammax.solvers import (
-    EnumerationParams,
-    SolveReport,
     correlated_team_maxmin,
     grid_oracle,
     iterated_lp,
@@ -124,17 +121,10 @@ def test_criterion_2_two_route_instance_with_worthless_equilibria():
         )
         assert worst_value == pytest.approx(0.0, abs=1e-12)
 
+        # a positive team-maxmin value over a worst equilibrium worth at
+        # most 0: an infinite ratio
         team_maxmin_report = run_solver("oracle", game, target_error=1e-3)
-        worst_ne_report = SolveReport(
-            lower_bound=worst_value,
-            upper_bound=worst_value,
-            witness=None,
-            iterations=0,
-            restarts_used=0,
-            wall_time=0.0,
-            converged=True,
-        )
-        assert approximation_ratio(team_maxmin_report, worst_ne_report) == math.inf
+        assert team_maxmin_report.lower_bound > 0.0 >= worst_value
 
 
 def test_criterion_3_irrational_optimum_found():
@@ -173,15 +163,13 @@ def test_criterion_5_enumeration_counts():
     with _criterion(5, "instrumented candidate counts 4900 and 25", 30.0):
         game = normalize_payoffs(random_team_game(3, 5, seed=0))
 
-        params = EnumerationParams.for_game(game, 0.5)
-        assert params.multiset_size == 4
+        # multisets of size 4 of 5 actions per member
         report = support_enumeration(game, epsilon=0.5)
         assert report.iterations == math.comb(8, 4) ** 2 == 4900
         assert report.iterations > 2**12
         assert report.converged
 
-        params = EnumerationParams.for_game(game, 0.9)
-        assert params.multiset_size == 1
+        # pure strategies only
         report = support_enumeration(game, epsilon=0.9)
         assert report.iterations == 25
         assert report.iterations > 2**4

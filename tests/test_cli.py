@@ -4,15 +4,17 @@ Each test drives main() directly with temporary files; stdout is the
 interface under test, so several tests parse it.
 """
 
+import argparse
 import json
 import math
 
 import numpy as np
 import pytest
 
-from teammax.cli import main
+from teammax.cli import build_parser, main
 from teammax.game import load_game, save_game, save_profile, MixedStrategy
 from teammax.generators import diagonal_game, poa_game
+from teammax.solvers import SOLVERS
 
 
 def _generate(tmp_path, *args):
@@ -78,7 +80,7 @@ def test_unknown_subcommand_is_usage_error():
 def test_solve_correlated_prints_upper_half(tmp_path, capsys):
     path = _generate(tmp_path, "diagonal", "--n", "3", "--m", "2")
     capsys.readouterr()
-    assert main(["solve", str(path), "--solver", "correlated"]) == 0
+    assert main(["solve", str(path), "--solver", "reconstruct"]) == 0
     out = capsys.readouterr().out
     assert out.startswith("config {")
     upper = next(l for l in out.splitlines() if l.startswith("upper bound"))
@@ -110,11 +112,40 @@ def test_solve_flag_the_solver_does_not_take_is_usage_error(tmp_path, capsys):
     assert main(["solve", str(path), "--solver", "oracle", "--budget", "3"]) == 2
 
 
+def test_solve_flags_are_the_solver_table_parameters(tmp_path, capsys):
+    parser = build_parser()
+    commands = next(
+        a for a in parser._actions if isinstance(a, argparse._SubParsersAction)
+    )
+    own = {"help", "game", "solver", "timeout", "normalize", "out"}
+    flags = {
+        action.dest: (action.option_strings, action.type)
+        for action in commands.choices["solve"]._actions
+        if action.dest not in own
+    }
+    table = {
+        key: (["--" + key.replace("_", "-")], kind)
+        for _, params, _ in SOLVERS.values()
+        for key, (kind, _) in params.items()
+    }
+    assert flags == table
+    # a parameter that two solvers take has one type
+    for key, (_, kind) in table.items():
+        assert {p[key][0] for _, p, _ in SOLVERS.values() if key in p} == {kind}
+
+    path = _generate(tmp_path, "random", "--n", "3", "--m", "3", "--seed", "3")
+    capsys.readouterr()
+    args = ["solve", str(path), "--solver", "iterated-lp", "--init", "uniform"]
+    assert main([*args, "--restarts", "2", "--max-rounds", "5"]) == 0
+    assert '"max_rounds": 5' in capsys.readouterr().out.splitlines()[0]
+    assert main([*args[:-1], "uniformly"]) == 2
+    assert "init must be 'random' or 'uniform'" in capsys.readouterr().err
+
+
 def test_solve_never_prints_lower_above_upper(tmp_path, capsys):
     path = _generate(tmp_path, "random", "--n", "3", "--m", "3", "--seed", "3")
     capsys.readouterr()
     for solver, extra in (
-        ("correlated", []),
         ("reconstruct", []),
         ("iterated-lp", ["--restarts", "2", "--seed", "0"]),
         ("support-enum", ["--epsilon", "1.0"]),
@@ -152,13 +183,13 @@ def test_solve_stdout_deterministic(tmp_path, capsys):
 
 
 def test_solve_missing_file_is_input_error(tmp_path, capsys):
-    assert main(["solve", str(tmp_path / "nope.json"), "--solver", "correlated"]) == 3
+    assert main(["solve", str(tmp_path / "nope.json"), "--solver", "reconstruct"]) == 3
 
 
 def test_solve_corrupt_file_is_input_error(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("{broken")
-    assert main(["solve", str(bad), "--solver", "correlated"]) == 3
+    assert main(["solve", str(bad), "--solver", "reconstruct"]) == 3
 
 
 def test_solve_unnormalized_oracle_is_usage_error(tmp_path):
@@ -363,6 +394,42 @@ def test_experiment_malformed_config_exits_3_before_any_output(tmp_path, capsys)
     assert captured.err.splitlines() == [
         "error: solver 'iterated-lp': restarts must be int, got 2.7"
     ]
+
+
+@pytest.mark.parametrize(
+    "game, solver, key",
+    [
+        ({"family": "diagonal", "n": 3}, {"name": "reconstruct"}, "requires m"),
+        ({"family": "diagonal", "n": 2, "m": 2}, {"name": "reconstruct"}, "games[0]"),
+        (
+            {"family": "poa"},
+            {"name": "iterated-lp", "params": {"init": "uniformly"}},
+            "init",
+        ),
+        ({"family": "poa"}, {"name": "global", "params": {"restarts": 0}}, "restarts"),
+        (
+            {"family": "poa"},
+            {"name": "support-enum", "params": {"epsilon": 2}},
+            "epsilon",
+        ),
+        ({"family": "poa"}, {"name": "correlated"}, "'correlated'"),
+        (
+            {"family": "poa"},
+            {"name": "support-enum", "params": {"upper_bound": 0.5}},
+            "upper_bound",
+        ),
+    ],
+)
+def test_experiment_rejects_before_any_output(tmp_path, capsys, game, solver, key):
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps({"games": [game], "solvers": [solver]}))
+    out_dir = tmp_path / "out"
+    assert main(["experiment", str(config_path), "--out-dir", str(out_dir)]) == 3
+    assert not out_dir.exists()
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    [line] = captured.err.splitlines()
+    assert line.startswith("error: ") and key in line
 
 
 def test_experiment_int_timeout_prints_as_float(tmp_path, capsys):

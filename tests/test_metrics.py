@@ -22,7 +22,6 @@ from teammax.metrics import (
     ResultRow,
     SolverSpec,
     aggregate_rows,
-    approximation_ratio,
     bracket_ratio,
     compute_pou,
     experiment_config_from_dict,
@@ -32,19 +31,6 @@ from teammax.metrics import (
     write_rows_csv,
 )
 from teammax.generators import diagonal_game, pou_one_game
-from teammax.solvers import SolveReport
-
-
-def _report(lower, upper=None):
-    return SolveReport(
-        lower_bound=lower,
-        upper_bound=lower if upper is None else upper,
-        witness=None,
-        iterations=0,
-        restarts_used=0,
-        wall_time=0.0,
-        converged=True,
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -75,9 +61,9 @@ def test_pou_is_one_when_correlation_cannot_help():
 
 
 def test_pou_estimate_dominates_exact_premium():
-    # a weaker lower bound can only inflate the estimate
+    # a lower bound below the team-maxmin value can only inflate the estimate
     game, facts = diagonal_game(3, 3)
-    weak = compute_pou(game, team_solver="correlated", pivot=0)
+    weak = compute_pou(game, team_solver="reconstruct")
     assert weak.pou_upper_estimate >= facts.known_pou - 1e-7
 
 
@@ -85,20 +71,6 @@ def test_pou_degenerate_all_zero_game():
     game = TeamGame(3, (2, 2, 2), np.zeros(8))
     report = compute_pou(game, team_solver="reconstruct")
     assert report.pou_upper_estimate == 1.0
-
-
-def test_approximation_ratio_conventions():
-    assert approximation_ratio(_report(0.25), _report(0.25)) == 1.0
-    assert approximation_ratio(_report(0.2), _report(0.4)) == pytest.approx(0.5)
-    assert approximation_ratio(_report(0.25), _report(0.0)) == math.inf
-    assert approximation_ratio(_report(0.0), _report(0.0)) == 1.0
-    assert math.isnan(approximation_ratio(_report(-0.5, 0.0), _report(0.0)))
-
-
-def test_approximation_ratio_flags_baseline_beaten():
-    with pytest.warns(UserWarning):
-        ratio = approximation_ratio(_report(0.5), _report(0.25))
-    assert ratio == pytest.approx(2.0)
 
 
 def test_bracket_ratio():

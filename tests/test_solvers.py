@@ -38,7 +38,7 @@ from teammax.generators import (
 )
 from teammax.solvers import (
     SOLVER_NAMES,
-    EnumerationParams,
+    SOLVERS,
     OracleEstimate,
     SolveReport,
     correlated_team_maxmin,
@@ -218,23 +218,25 @@ def test_reconstruct_guarantee_on_random_games(seed):
 
 
 def test_enumeration_params_formula():
+    # multisets of size max(1, ceil(ln m / (2 epsilon^2))) of m actions
     game = normalize_payoffs(random_team_game(3, 5, seed=0))
-    assert EnumerationParams.for_game(game, 0.5).multiset_size == 4
-    assert EnumerationParams.for_game(game, 0.9).multiset_size == 1
+    report = support_enumeration(game, epsilon=0.5)
+    assert report.iterations == math.comb(8, 4) ** 2
+    for strategy in report.witness:
+        scaled = strategy.probs * 4
+        assert np.allclose(scaled, np.round(scaled), atol=1e-12)
+    assert support_enumeration(game, epsilon=0.9).iterations == 5**2
     small = normalize_payoffs(random_team_game(3, 3, seed=0))
-    assert EnumerationParams.for_game(small, 0.5).multiset_size == 3
-    params = EnumerationParams(epsilon=0.5, multiset_size=4)
-    assert params.candidates_per_member(5) == math.comb(8, 4)
-    assert params.total_candidates(game) == math.comb(8, 4) ** 2
+    assert support_enumeration(small, epsilon=0.5).iterations == math.comb(5, 3) ** 2
 
 
 def test_enumeration_params_validation():
-    with pytest.raises(ValueError):
-        EnumerationParams(epsilon=0.0, multiset_size=1)
-    with pytest.raises(ValueError):
-        EnumerationParams(epsilon=1.2, multiset_size=1)
-    with pytest.raises(ValueError):
-        EnumerationParams(epsilon=0.5, multiset_size=0)
+    game = normalize_payoffs(random_team_game(3, 2, seed=0))
+    for epsilon in (0.0, 1.2, math.nan):
+        with pytest.raises(ValueError, match="epsilon must be in"):
+            support_enumeration(game, epsilon=epsilon)
+    with pytest.raises(ValueError, match="budget must be at least 1"):
+        support_enumeration(game, epsilon=0.5, budget=0)
 
 
 def test_enumeration_visits_every_candidate():
@@ -267,12 +269,28 @@ def test_enumeration_requires_normalized_payoffs():
         support_enumeration(game, epsilon=0.5)
 
 
-def test_enumeration_upper_bound_parameter():
-    game = normalize_payoffs(random_team_game(3, 2, seed=1))
-    capped = support_enumeration(game, epsilon=1.0, upper_bound=0.9)
-    assert capped.upper_bound == pytest.approx(min(0.9, 1.0))
-    default = support_enumeration(game, epsilon=1.0)
-    assert default.upper_bound == 1.0
+def test_enumeration_upper_bound_is_the_correlated_value():
+    for seed in range(3):
+        game = normalize_payoffs(random_team_game(3, 3, seed=seed))
+        _, v_c = correlated_team_maxmin(game)
+        report = support_enumeration(game, epsilon=1.0)
+        assert report.upper_bound == max(v_c, report.lower_bound)
+        assert report.upper_bound < 1.0
+
+
+def test_upper_bound_without_the_correlated_lp_is_the_largest_payoff(monkeypatch):
+    # over to_joint_game's row cap the searches keep their lower bounds and
+    # fall back to the largest payoff, 1 on a normalized game
+    def over_the_cap(game):
+        raise CapacityError("joint team action space exceeds the cap")
+
+    monkeypatch.setattr("teammax.solvers.to_joint_game", over_the_cap)
+    game = normalize_payoffs(random_team_game(3, 3, seed=0))
+    for report in (
+        iterated_lp(game, restarts=2, seed=0),
+        support_enumeration(game, epsilon=1.0),
+    ):
+        assert report.lower_bound < report.upper_bound == 1.0
 
 
 def test_enumeration_witness_achieves_bound():
@@ -281,8 +299,9 @@ def test_enumeration_witness_achieves_bound():
     assert team_value(game, report.witness).value == pytest.approx(
         report.lower_bound, abs=1e-12
     )
-    # every witness probability is a multiple of 1/multiset_size
-    size = EnumerationParams.for_game(game, 0.8).multiset_size
+    # every witness probability is a multiple of 1/multiset_size, here
+    # ceil(ln 4 / 1.28) = 2
+    size = 2
     for strategy in report.witness:
         scaled = strategy.probs * size
         assert np.allclose(scaled, np.round(scaled), atol=1e-12)
@@ -537,7 +556,7 @@ def test_iterated_lp_equals_ascent_that_re_solves_every_member(game, init, seed)
         game, start, restarts=3, seed=seed
     )
     assert report.lower_bound == lower
-    assert report.upper_bound == max(float(game.team_utility.max()), lower)
+    assert report.upper_bound == max(correlated_team_maxmin(game)[1], lower)
     assert report.iterations == rounds
     assert report.restarts_used == 3
     assert report.traces == traces
@@ -561,14 +580,15 @@ def _count_lp_calls(monkeypatch):
 def test_iterated_lp_solves_only_the_movers_teammates(monkeypatch, players):
     # the first round of a restart solves every member; each accepted move
     # leaves the mover's response valid, so every later round solves the
-    # n_team - 1 others
+    # n_team - 1 others. One more LP, the correlated one, gives the upper
+    # bound.
     game = random_team_game(players, 4, seed=7)
     members = game.num_team_members
     calls = _count_lp_calls(monkeypatch)
     report = iterated_lp(game, restarts=4, seed=3)
     assert report.converged
     assert any(len(trace) > 2 for trace in report.traces)
-    assert len(calls) == sum(
+    assert len(calls) == 1 + sum(
         members + (len(trace) - 1) * (members - 1) for trace in report.traces
     )
 
@@ -577,7 +597,7 @@ def test_iterated_lp_single_round_solves_every_member(monkeypatch):
     game = random_team_game(4, 4, seed=7)
     calls = _count_lp_calls(monkeypatch)
     report = iterated_lp(game, restarts=4, seed=3, max_rounds=1)
-    assert len(calls) == 4 * game.num_team_members
+    assert len(calls) == 1 + 4 * game.num_team_members
     assert all(len(trace) == 2 for trace in report.traces)
     assert not report.converged
 
@@ -728,7 +748,7 @@ def test_run_solver_unknown_name():
 
 def test_run_solver_rejects_unknown_parameter():
     game, _ = diagonal_game(3, 2)
-    with pytest.raises(ValueError, match="accepts epsilon, budget, upper_bound"):
+    with pytest.raises(ValueError, match="accepts epsilon, budget$"):
         run_solver("support-enum", game, espilon=0.5)
     with pytest.raises(ValueError, match="does not take seed"):
         run_solver("reconstruct", game, seed=0)
@@ -742,12 +762,35 @@ def test_run_solver_rejects_unknown_parameter():
         ("global", {"accuracy": "1e-3"}, "accuracy"),
         ("support-enum", {"epsilon": False}, "epsilon"),
         ("support-enum", {"budget": 10.0}, "budget"),
-        ("correlated", {"pivot": None}, "pivot"),
+        ("oracle", {"max_evaluations": None}, "max_evaluations"),
     ],
 )
 def test_solver_params_rejects_values_of_the_wrong_type(name, params, key):
     with pytest.raises(ValueError, match=f"solver '{name}': {key} must be"):
         solver_params(name, params)
+
+
+@pytest.mark.parametrize(
+    "name, params, message",
+    [
+        ("support-enum", {"epsilon": 2.0}, "epsilon must be in (0, 1], got 2.0"),
+        ("support-enum", {"budget": 0}, "budget must be at least 1, got 0"),
+        ("iterated-lp", {"init": "uniformly"}, "init must be 'random' or 'uniform'"),
+        ("iterated-lp", {"restarts": 0}, "restarts must be at least 1, got 0"),
+        ("global", {"restarts": 0}, "restarts must be at least 1, got 0"),
+        ("global", {"accuracy": 0.0}, "accuracy must be positive, got 0.0"),
+        ("oracle", {"target_error": -1.0}, "target_error must be positive, got -1.0"),
+    ],
+)
+def test_solver_params_checks_ranges_and_choices(name, params, message):
+    with pytest.raises(ValueError, match=re.escape(f"solver '{name}': {message}")):
+        solver_params(name, params)
+    # the solver function runs the same check before any work
+    runner, accepted, _ = SOLVERS[name]
+    defaults = {key: default for key, (_, default) in accepted.items()}
+    game, _ = diagonal_game(3, 2)
+    with pytest.raises(ValueError, match=re.escape(message)):
+        runner(game, 60.0, **{**defaults, **params})
 
 
 def test_solver_params_takes_an_int_for_a_float():
@@ -791,11 +834,15 @@ def test_readme_library_quick_start_runs():
     assert namespace["v_c"] == 0.5
 
 
-def test_run_solver_correlated_uses_requested_pivot():
-    game, _ = diagonal_game(3, 2)
-    report = run_solver("correlated", game, pivot=1)
-    assert report.upper_bound == pytest.approx(0.5, abs=1e-9)
-    assert report.lower_bound == pytest.approx(0.25, abs=1e-9)
+def test_run_solver_reconstruct_is_at_least_every_single_pivot():
+    for seed in range(3):
+        game = normalize_payoffs(random_team_game(4, 3, seed=seed))
+        dist, v_c = correlated_team_maxmin(game)
+        report = run_solver("reconstruct", game)
+        assert report.upper_bound == max(v_c, report.lower_bound)
+        for pivot in range(game.num_team_members):
+            single = team_value(game, reconstruct_mixed(dist, game, pivot)).value
+            assert report.lower_bound >= single
 
 
 def test_run_solver_passes_epsilon_through():
