@@ -10,15 +10,17 @@ Every LP here has one form: maximize c @ x subject to A @ x <= b, x >= 0,
 with b >= 0. Its slack basis is feasible, so solve_lp runs the simplex once
 from it: no phase 1, no artificial or free variables, no equality rows.
 build_maxmin_lp writes every maxmin LP in that form, a branch-and-bound
-node's box included: the payoffs are shifted and scaled into [1, 2], the
-column player's side is solved as a packing LP, and the box on the row
-mixture becomes extra columns. check_maxmin reads both mixtures off the
-solution and certifies the value; solve_maxmin, for an unboxed game, also
-orients the tableau by shape and refines the row mixture in the original
-payoffs. The shift costs absolute precision on a game whose payoffs span a
-wide range; the value returned is the worth of the row mixture, and its
-certificate bounds how far the value can be from the optimum. Problems in
-this package are small and well scaled; the tolerances below are absolute.
+node's relaxation included: the payoffs are shifted and scaled into [1, 2],
+the column player's side is solved as a packing LP, and each linear row
+g @ x <= h on the row mixture becomes one extra column h 1 - g. check_maxmin
+reads the row mixture and the dual certificate (column mixture and row
+multipliers) off the solution and certifies the value; solve_maxmin, for a
+game without rows, also orients the tableau by shape and refines the row
+mixture in the original payoffs. The shift costs absolute precision on a
+game whose payoffs span a wide range; the value returned is the worth of
+the row mixture, and its certificate bounds how far the value can be from
+the optimum. Problems in this package are small and well scaled; the
+tolerances below are absolute.
 """
 
 from __future__ import annotations
@@ -192,59 +194,52 @@ def _game(matrix: np.ndarray) -> np.ndarray:
 
 
 def build_maxmin_lp(
-    matrix: np.ndarray,
-    lows: np.ndarray | None = None,
-    highs: np.ndarray | None = None,
+    matrix: np.ndarray, rows: tuple[np.ndarray, np.ndarray] | None = None
 ) -> LinearProgram:
     """Packing LP of the row player's maxmin of a zero-sum matrix game, with
-    the row mixture x restricted to the box lows <= x <= highs if given.
+    the row mixture x restricted to the polytope G x <= h if rows = (G, h)
+    is given.
 
     The payoffs are shifted and scaled into P = 1 + (M - lo) / s in [1, 2],
     where lo and hi are the smallest and largest payoff and s is
     (hi - lo) or 1. Every mixture then earns at least 1 against every
-    column, so the row player's LP max t s.t. x @ P >= t 1 over the box and
+    column, so the row player's LP max t s.t. x @ P >= t 1, G x <= h over
     the simplex has t >= 1, and u = x / t turns it into
-    min 1 @ u s.t. u @ P >= 1, u_r >= lows_r (1 @ u), u_r <= highs_r (1 @ u),
-    u >= 0, with optimum 1 / t (Charnes & Cooper, "Programming with linear
-    fractional functionals", NRLQ 1962). Its dual is the LP built here:
+    min 1 @ u s.t. u @ P >= 1, G u <= h (1 @ u), u >= 0, with optimum 1 / t
+    (Charnes & Cooper, "Programming with linear fractional functionals",
+    NRLQ 1962). Its dual is the LP built here:
 
-        max 1 @ w  s.t.  P w + sum_{r: lows_r > 0} beta_r (e_r - lows_r 1)
-                             + sum_{r: highs_r < 1} alpha_r (highs_r 1 - e_r)
-                         <= 1,   w, beta, alpha >= 0.
+        max 1 @ w  s.t.  P w + sum_k lambda_k (h_k 1 - G[k]) <= 1,
+                         w, lambda >= 0.
 
-    The variables are w, one per column of M, then beta and alpha in row
-    order; a row with lows_r = 0 or highs_r = 1 needs no column. The
-    right-hand side is all ones, so the slack basis is feasible (Dantzig,
-    *Linear Programming and Extensions* (1963), ch. 13). Without a box, or
-    with lows 0 and highs 1, the LP is max 1 @ w s.t. P w <= 1. The
-    objective is max(1, hi - lo) times 1 @ w, so that a simplex that stops
-    within OPTIMALITY_TOL of the optimum in P does so in the original
-    payoffs too. At the optimum the reduced costs of the slacks are u, and
-    w / sum(w) is the column player's mixture; check_maxmin reads both.
+    The variables are w, one per column of M, then lambda, one per row of
+    G in order. The right-hand side is all ones, so the slack basis is
+    feasible (Dantzig, *Linear Programming and Extensions* (1963), ch. 13).
+    Without rows the LP is max 1 @ w s.t. P w <= 1. The objective is
+    max(1, hi - lo) times 1 @ w, so that a simplex that stops within
+    OPTIMALITY_TOL of the optimum in P does so in the original payoffs too.
+    At the optimum the reduced costs of the slacks are u, and w / sum(w) is
+    the column player's mixture; check_maxmin reads both, and lambda.
     """
     matrix = _game(matrix)
     lo, hi = float(matrix.min()), float(matrix.max())
-    return _packing_lp(1.0 + (matrix - lo) / ((hi - lo) or 1.0), hi - lo, lows, highs)
+    return _packing_lp(1.0 + (matrix - lo) / ((hi - lo) or 1.0), hi - lo, rows)
 
 
 def _packing_lp(
     packing: np.ndarray,
     spread: float,
-    lows: np.ndarray | None = None,
-    highs: np.ndarray | None = None,
+    rows: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> LinearProgram:
     """build_maxmin_lp on payoffs already scaled into packing, whose
     original payoffs span spread."""
-    rows, cols = packing.shape
-    blocks = [packing]
-    if lows is not None and (mask := lows > 0.0).any():
-        blocks.append(np.eye(rows)[:, mask] - lows[mask])
-    if highs is not None and (mask := highs < 1.0).any():
-        blocks.append(highs[mask] - np.eye(rows)[:, mask])
-    a_ub = np.hstack(blocks) if len(blocks) > 1 else packing
+    a_ub = packing
+    if rows is not None:
+        g, h = rows
+        a_ub = np.hstack([packing, h - g.T])
     objective = np.zeros(a_ub.shape[1])
-    objective[:cols] = max(1.0, spread)
-    return LinearProgram(objective, a_ub, np.ones(rows))
+    objective[: packing.shape[1]] = max(1.0, spread)
+    return LinearProgram(objective, a_ub, np.ones(packing.shape[0]))
 
 
 def _mixtures(solution: LpSolution, cols: int) -> tuple[np.ndarray, np.ndarray]:
@@ -259,33 +254,40 @@ def _mixtures(solution: LpSolution, cols: int) -> tuple[np.ndarray, np.ndarray]:
 def check_maxmin(
     matrix: np.ndarray,
     solution: LpSolution,
-    lows: np.ndarray | None = None,
-    highs: np.ndarray | None = None,
+    rows: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> tuple[float, np.ndarray]:
-    """Value and row mixture of a solution of build_maxmin_lp(matrix, lows,
-    highs), certified from both sides.
+    """Value and row mixture of a solution of build_maxmin_lp(matrix, rows),
+    certified from both sides.
 
     The row mixture x is the slacks' reduced costs scaled by their sum; it
-    lies in the box because the reduced costs of the beta and alpha
-    columns are nonnegative at the optimum. The value is its worth,
-    min_c (x @ matrix)[c], which x guarantees. The column mixture
-    y = w / sum(w) bounds the optimum from above: a mixture x' in the box
-    is nonnegative, so multiplying the rows of the LP by x' gives
-    x' @ P w + sum beta_r (x'_r - lows_r) + sum alpha_r (highs_r - x'_r)
-    <= 1, and the beta and alpha terms are nonnegative, so
-    x' @ P @ y <= 1 / sum(w), which at the optimum is the maxmin value of P
-    over the box. No mixture in the box earns more than that against y,
-    and _certify checks this in the original payoffs against the value.
-    The LP is bounded whenever the box meets the simplex; any other status,
-    or a certificate that does not check, is a solver defect or an empty
-    box and raises LpSolveError.
+    satisfies G x <= h because the reduced costs of the lambda columns are
+    nonnegative at the optimum. The value is its worth,
+    min_c (x @ matrix)[c], which x guarantees. The upper side is the dual
+    certificate (y, lam): the column mixture y = w / sum(w) and the row
+    multipliers lam = lambda s / sum(w), for the scale s of
+    build_maxmin_lp. For every mixture z with G z <= h and every lam >= 0,
+    z @ matrix @ y <= z @ (matrix @ y - G^T lam) + lam @ h
+    <= max_r (matrix @ y - G^T lam)_r + lam @ h (weak duality), and
+    dividing row r of the LP by sum(w) and undoing the shift shows that
+    bound is the value at the optimum. _certify checks it in the original
+    payoffs. Without rows lam is empty and the bound is max(matrix @ y).
+    The LP is bounded whenever the polytope meets the simplex; any other
+    status, or a certificate that does not check, is a solver defect or an
+    empty polytope and raises LpSolveError.
     """
     if solution.status != "optimal":
         raise LpSolveError(f"maxmin LP came back {solution.status}")
     matrix = np.asarray(matrix, dtype=np.float64)
-    x, y = _mixtures(solution, matrix.shape[1])
+    cols = matrix.shape[1]
+    x, y = _mixtures(solution, cols)
     value = float((x @ matrix).min())
-    _certify(matrix, value, y, lows, highs)
+    if rows is None:
+        _certify(matrix, value, y)
+    else:
+        spread = float(matrix.max() - matrix.min()) or 1.0
+        weight = np.maximum(solution.variable_values[:cols], 0.0).sum()
+        lam = np.maximum(solution.variable_values[cols:], 0.0) * (spread / weight)
+        _certify(matrix, value, y, rows, lam)
     return value, x
 
 
@@ -293,45 +295,30 @@ def _certify(
     matrix: np.ndarray,
     value: float,
     y: np.ndarray,
-    lows: np.ndarray | None = None,
-    highs: np.ndarray | None = None,
+    rows: tuple[np.ndarray, np.ndarray] | None = None,
+    lam: np.ndarray | None = None,
 ) -> None:
-    """Raise LpSolveError unless y is a column mixture that holds every
-    row mixture in the box to at most value + _CHECK_TOL.
+    """Raise LpSolveError unless (y, lam) holds every row mixture z with
+    G z <= h to at most value + _CHECK_TOL, for rows = (G, h).
 
-    No row mixture in the box earns more than max_x x @ (matrix @ y)
-    against y (minimax over the box and the simplex, both convex), so the
-    optimum is at most that maximum, and a value that y holds to within
-    _CHECK_TOL is at most _CHECK_TOL below the optimum.
+    No such mixture earns more than max_r (matrix @ y - G^T lam)_r + lam @ h
+    against y (see check_maxmin), so the optimum is at most that bound, and
+    a value that the bound exceeds by at most _CHECK_TOL is at most
+    _CHECK_TOL below the optimum. Without rows the bound is max(matrix @ y),
+    minimax over the simplex.
     """
     if y.min() < -_CHECK_TOL or abs(y.sum() - 1.0) > _CHECK_TOL:
         raise LpSolveError("maxmin LP duals are not a column mixture")
-    excess = _box_max(matrix @ y, lows, highs) - value
+    if rows is None:
+        bound = float((matrix @ y).max())
+    else:
+        g, h = rows
+        bound = float((matrix @ y - lam @ g).max()) + float(lam @ h)
+    excess = bound - value
     if excess > _CHECK_TOL:
         raise LpSolveError(
             f"maxmin value not optimal: a row beats the column mixture by {excess:.3e}"
         )
-
-
-def _box_max(
-    payoffs: np.ndarray, lows: np.ndarray | None, highs: np.ndarray | None
-) -> float:
-    """max of x @ payoffs over the mixtures x with lows <= x <= highs.
-
-    Every row gets its low, and the mass left is poured into the rows in
-    order of payoff, best first, each up to its high. Without a box the
-    best row takes all of it.
-    """
-    if lows is None and highs is None:
-        return float(payoffs.max())
-    lows = np.zeros(payoffs.size) if lows is None else lows
-    highs = np.ones(payoffs.size) if highs is None else highs
-    order = np.argsort(-payoffs, kind="stable")
-    room = (highs - lows)[order]
-    # mass the better rows take before each row's turn
-    before = np.cumsum(room) - room
-    fill = np.clip(1.0 - lows.sum() - before, 0.0, room)
-    return float(lows @ payoffs + fill @ payoffs[order])
 
 
 def solve_maxmin(matrix: np.ndarray) -> tuple[float, np.ndarray]:
@@ -341,7 +328,7 @@ def solve_maxmin(matrix: np.ndarray) -> tuple[float, np.ndarray]:
     x >= 0 and sums to 1 up to rounding, and the value is the worth of x,
     min_c (x @ matrix)[c].
 
-    The game is solved as the packing LP of build_maxmin_lp without a box.
+    The game is solved as the packing LP of build_maxmin_lp without rows.
     The tableau gets one row per row of P, so a tall game is solved as the
     packing LP of -M^T instead, whose packing matrix is the same shift of
     M^T. The row mixture is then solved again in the original payoffs on

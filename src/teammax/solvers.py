@@ -528,11 +528,65 @@ def grid_oracle(
 # global anytime bounds
 
 
-def _box_products(parts: list[np.ndarray]) -> np.ndarray:
-    out = np.ones(1)
-    for vec in parts:
-        out = np.multiply.outer(out, vec).reshape(-1)
-    return out
+def _on_edge(v: np.ndarray) -> np.ndarray:
+    return (v == 0.0) | (v == 1.0)
+
+
+def _node_rows(
+    team_sizes: tuple[int, ...], los: list[np.ndarray], his: list[np.ndarray]
+) -> tuple[np.ndarray, np.ndarray]:
+    """Rows (G, h) of a branch-and-bound node's relaxation: G z <= h holds
+    for the joint distribution z of every team profile whose member i plays
+    each action a with probability in [los[i][a], his[i][a]]. z is indexed
+    by joint team action in C order, as the rows of to_joint_game.
+
+    With x_a the marginal of member i's action a, x_b that of member j's
+    action b, p_ab = x_a x_b their pair marginal and [l_a, u_a], [l_b, u_b]
+    their intervals, the rows are, in this order:
+
+    * the marginal rows l_a <= x_a <= u_a, for every member and action;
+    * for every pair of members i < j, the McCormick envelopes of p_ab
+      (McCormick, Math. Prog. 1976; Al-Khayyal & Falk, Math. Oper. Res.
+      1983), each over every pair of actions (a, b):
+      p_ab >= l_a x_b + x_a l_b - l_a l_b,
+      p_ab >= u_a x_b + x_a u_b - u_a u_b,
+      p_ab <= u_a x_b + x_a l_b - u_a l_b,
+      p_ab <= l_a x_b + x_a u_b - l_a u_b.
+
+    Rows that z >= 0 and sum(z) = 1 already imply are left out: a marginal
+    row on a low of 0 or a high of 1, and an envelope whose endpoints, 0 or
+    1, make it a Frechet bound (p_ab >= 0, p_ab >= x_a + x_b - 1,
+    p_ab <= x_a or p_ab <= x_b).
+    """
+    members = len(team_sizes)
+    actions = np.indices(team_sizes).reshape(members, -1)
+    # marks[i][a, r] is 1 where joint action r has member i play a
+    marks = [
+        (np.arange(m)[:, None] == act).astype(np.float64)
+        for m, act in zip(team_sizes, actions)
+    ]
+    g_blocks, h_blocks = [], []
+    for mark, lo, hi in zip(marks, los, his):
+        low, high = lo > 0.0, hi < 1.0
+        g_blocks += [-mark[low], mark[high]]
+        h_blocks += [-lo[low], hi[high]]
+    # the envelope through endpoints (alpha, beta) of (a, b) is the row
+    # sign (p_ab - alpha x_b - beta x_a) <= -sign alpha beta, with sign -1
+    # for the two lower envelopes and +1 for the two upper ones. It is a
+    # Frechet bound when alpha and beta are 0 or 1, equal for a lower
+    # envelope and different for an upper one
+    signs = np.array([-1.0, -1.0, 1.0, 1.0])[:, None, None]
+    lower = signs < 0.0
+    for i, j in itertools.combinations(range(members), 2):
+        x_a, x_b = marks[i][:, None, :], marks[j][None, :, :]
+        pair = x_a * x_b
+        alpha = np.stack([los[i], his[i], his[i], los[i]])[:, :, None]
+        beta = np.stack([los[j], his[j], los[j], his[j]])[:, None, :]
+        keep = ~(_on_edge(alpha) & _on_edge(beta) & ((alpha == beta) == lower))
+        g = signs[..., None] * (pair - alpha[..., None] * x_b - beta[..., None] * x_a)
+        g_blocks.append(g[keep])
+        h_blocks.append((-signs * alpha * beta)[keep])
+    return np.concatenate(g_blocks), np.concatenate(h_blocks)
 
 
 def _tighten_box(los: list[np.ndarray], his: list[np.ndarray]) -> bool:
@@ -587,15 +641,17 @@ def global_optimize(
     1000, 1e-12), or that is MAX_DEPTH splits per team member deep, is not
     split again: its bound stays in the upper bound. Bounds are valid
     whenever it stops; converged means the bracket width reached
-    `accuracy`. Each node LP is build_maxmin_lp with the node's box: the
-    packing LP with one row per joint team action and a column for every
-    joint probability whose low is positive or whose high is below 1,
+    `accuracy`. Each node LP is build_maxmin_lp with the node's rows
+    (_node_rows): the correlated relaxation over joint team strategies z,
+    cut down by marginal rows that keep every member's marginals in its
+    box and by the McCormick envelopes of every pair marginal. It is the
+    packing LP with one row per joint team action and one column per row,
     solved in one simplex run from its slack basis. Its bound is the worth
-    of the LP's joint mixture, certified by check_maxmin with the adversary
-    mixture that holds every joint strategy in the box to it, so a node LP
-    that is not solved to optimality raises LpSolveError. The product of
-    the joint mixture's marginals is a team profile, evaluated as a lower
-    bound.
+    of the LP's joint mixture, certified by check_maxmin with the dual
+    certificate (y, lam) that holds every z satisfying the rows to it, so
+    a node LP that is not solved to optimality raises LpSolveError. The
+    product of the joint mixture's marginals is a team profile, evaluated
+    as a lower bound.
     """
     _require_normalized(game, "global_optimize")
     _check_global(accuracy, restarts)
@@ -659,13 +715,11 @@ def global_optimize(
                     child_los[member][action] = mid
                 if not _tighten_box(child_los, child_his):
                     continue
-                # the correlated relaxation restricted to the box: product
-                # strategies from the member boxes have joint probabilities
-                # between the products of the interval endpoints
-                lows = _box_products(child_los)
-                highs = _box_products(child_his)
+                # the correlated relaxation cut down to the box by its
+                # marginal and McCormick rows
+                rows = _node_rows(game.team_sizes, child_los, child_his)
                 bound, probs = check_maxmin(
-                    matrix, solve_lp(build_maxmin_lp(matrix, lows, highs)), lows, highs
+                    matrix, solve_lp(build_maxmin_lp(matrix, rows)), rows
                 )
                 probe = _box_probe(game, probs)
                 probe_value = team_value(game, probe).value

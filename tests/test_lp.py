@@ -28,7 +28,7 @@ from teammax.lp import (
     solve_maxmin,
 )
 from teammax.rng import SplitMix64
-from teammax.solvers import _box_products, _tighten_box
+from teammax.solvers import _node_rows, _tighten_box
 
 
 def _lp(objective, a_ub=None, b_ub=None):
@@ -85,12 +85,12 @@ def test_beale_cycling_example_terminates():
 
 def test_same_lp_twice_is_bitwise_identical_and_few_pivots():
     # a branch-and-bound node LP of the n3 m20 correlated game: 400 rows,
-    # one with a low column and 399 with a high column
+    # 20 payoff columns and one column per marginal or envelope row
     game, _ = make_instance("random", n=3, m=20, seed=0)
     splits = [(0, 3, True), (1, 5, False), (0, 7, False), (1, 2, True)]
-    lows, highs = box_from_splits(game.team_sizes, splits)
-    lp = build_maxmin_lp(to_joint_game(game), lows, highs)
-    assert lp.a_ub.shape == (400, 420)
+    rows = _node_rows(game.team_sizes, *box_from_splits(game.team_sizes, splits))
+    lp = build_maxmin_lp(to_joint_game(game), rows)
+    assert lp.a_ub.shape == (400, 20 + rows[1].size)
     first, second = solve_lp(lp), solve_lp(lp)
     assert first.iterations == second.iterations
     assert first.variable_values.tobytes() == second.variable_values.tobytes()
@@ -279,9 +279,10 @@ def test_maxmin_lp_structure():
     value, strategy = check_maxmin(matrix, solution)
     assert value == pytest.approx(0.5)
     assert np.allclose(strategy, [0.5, 0.5])
-    # a box adds a column e_r - lows_r for a positive low, then a column
-    # highs_r - e_r for a high below 1; payoffs spanning 2 price at 2
-    lp = build_maxmin_lp(2.0 * matrix, np.array([0.25, 0.0]), np.array([0.5, 1.0]))
+    # a row g @ x <= h adds the column h 1 - g: -x_0 <= -1/4 the column
+    # e_0 - 1/4, then x_0 <= 1/2 the column 1/2 - e_0; payoffs spanning 2
+    # price at 2
+    lp = build_maxmin_lp(2.0 * matrix, box_rows([0.25, 0.0], [0.5, 1.0]))
     assert np.array_equal(
         lp.a_ub, [[2.0, 1.0, 0.75, -0.5], [1.0, 2.0, -0.25, 0.5]]
     )
@@ -289,15 +290,15 @@ def test_maxmin_lp_structure():
 
 
 # ---------------------------------------------------------------------------
-# box-restricted maxmin LPs (branch-and-bound nodes)
+# maxmin LPs with rows: boxes and branch-and-bound nodes
 
 
 def box_from_splits(team_sizes, splits):
-    """Joint-probability box of a branch-and-bound node: halve the interval
-    of (member, action) for each split as global_optimize does, keep the
-    lower half when `upper` is false, and intersect with the simplex.
-    Splits that would empty the box are skipped. Returns the products of
-    the member interval endpoints, (lows, highs)."""
+    """Member boxes of a branch-and-bound node: halve the interval of
+    (member, action) for each split as global_optimize does, keep the lower
+    half when `upper` is false, and intersect with the simplex. Splits that
+    would empty the box are skipped. Returns (los, his), one array per
+    member."""
     los = [np.zeros(m) for m in team_sizes]
     his = [np.ones(m) for m in team_sizes]
     for member, action, upper in splits:
@@ -312,14 +313,45 @@ def box_from_splits(team_sizes, splits):
             child_his[member][action] = mid
         if _tighten_box(child_los, child_his):
             los, his = child_los, child_his
-    return _box_products(los), _box_products(his)
+    return los, his
+
+
+def _products(parts):
+    out = np.ones(1)
+    for vec in parts:
+        out = np.multiply.outer(out, vec).reshape(-1)
+    return out
+
+
+def joint_box(team_sizes, splits):
+    """The products of a node's member interval endpoints, (lows, highs):
+    every joint probability of a profile in the member boxes lies between
+    them."""
+    los, his = box_from_splits(team_sizes, splits)
+    return _products(los), _products(his)
+
+
+def box_rows(lows, highs):
+    """lows <= x <= highs as rows (G, h): -x_r <= -lows_r for every positive
+    low, then x_r <= highs_r for every high below 1."""
+    lows, highs = np.asarray(lows, dtype=float), np.asarray(highs, dtype=float)
+    eye = np.eye(lows.size)
+    low, high = lows > 0.0, highs < 1.0
+    return (
+        np.vstack([-eye[low], eye[high]]),
+        np.concatenate([-lows[low], highs[high]]),
+    )
+
+
+def node_solution(matrix, rows):
+    solution = solve_lp(build_maxmin_lp(matrix, rows))
+    return solution, check_maxmin(matrix, solution, rows)
 
 
 def _reference_box_lp(matrix, lows, highs):
-    # the box LP as build_maxmin_lp documents it, written entry by entry: a
-    # column of shifted payoffs per adversary action, then e_r - lows_r for
-    # every row with a positive low, then highs_r - e_r for every row with a
-    # high below 1
+    # the box LP written entry by entry: a column of shifted payoffs per
+    # adversary action, then e_r - lows_r for every row with a positive
+    # low, then highs_r - e_r for every row with a high below 1
     rows, cols = matrix.shape
     lo, hi = matrix.min(), matrix.max()
     columns = [
@@ -346,15 +378,16 @@ def _reference_box_lp(matrix, lows, highs):
 def test_box_lp_is_the_reference_box_lp_bit_for_bit(n, m, upper, seed):
     # two splits per member on random actions. Lower halves leave at least
     # two of m >= 3 highs at 1, so every low stays 0; upper halves raise a
-    # low of every member, which adds e_r - lows_r columns
+    # low of every member, which adds e_r - lows_r columns. A box's rows
+    # give the columns h 1 - g of build_maxmin_lp
     game, _ = make_instance("random", n=n, m=m, seed=seed)
     matrix = to_joint_game(game)
     draws = SplitMix64(seed).floats(2 * (n - 1))
     splits = [(i, int(d * m), upper) for i, d in enumerate(draws)]
-    lows, highs = box_from_splits(game.team_sizes, splits)
+    lows, highs = joint_box(game.team_sizes, splits)
     assert np.any(lows > 0.0) == upper
     assert np.any(highs < 1.0)
-    got = build_maxmin_lp(matrix, lows, highs)
+    got = build_maxmin_lp(matrix, box_rows(lows, highs))
     want = _reference_box_lp(matrix, lows, highs)
     for field in ("objective", "a_ub", "b_ub"):
         a, b = getattr(got, field), getattr(want, field)
@@ -362,10 +395,11 @@ def test_box_lp_is_the_reference_box_lp_bit_for_bit(n, m, upper, seed):
 
 
 def test_box_of_zeros_and_ones_is_the_unboxed_lp():
+    # such a box has no rows, and no rows add no columns
     game, _ = make_instance("random", n=3, m=4, seed=1)
     matrix = to_joint_game(game)
     rows = matrix.shape[0]
-    boxed = build_maxmin_lp(matrix, np.zeros(rows), np.ones(rows))
+    boxed = build_maxmin_lp(matrix, box_rows(np.zeros(rows), np.ones(rows)))
     plain = build_maxmin_lp(matrix)
     for field in ("objective", "a_ub", "b_ub"):
         a, b = getattr(boxed, field), getattr(plain, field)
@@ -385,9 +419,8 @@ def test_point_box_returns_its_point(mixtures):
     # member mixtures, and the LP's value is that strategy's worth
     game, _ = make_instance("random", n=3, m=3, seed=4)
     matrix = to_joint_game(game)
-    point = _box_products([np.array(p) for p in mixtures])
-    solution = solve_lp(build_maxmin_lp(matrix, point, point))
-    value, strategy = check_maxmin(matrix, solution, point, point)
+    point = _products([np.array(p) for p in mixtures])
+    _, (value, strategy) = node_solution(matrix, box_rows(point, point))
     assert np.abs(strategy - point).max() <= 1e-12
     assert abs(value - (point @ matrix).min()) <= 1e-12
 
@@ -397,9 +430,9 @@ def test_box_above_the_simplex_raises(excess):
     # lows summing past 1 leave no mixture in the box: the packing LP is
     # unbounded, and check_maxmin raises
     matrix = np.array([[2.0, 1.0, 0.0], [0.0, 0.0, 3.0], [1.0, 2.0, 1.0]])
-    lows = np.array([0.5, 0.25, 0.25 + excess])
+    rows = box_rows([0.5, 0.25, 0.25 + excess], np.ones(3))
     with pytest.raises(LpSolveError):
-        check_maxmin(matrix, solve_lp(build_maxmin_lp(matrix, lows)), lows)
+        check_maxmin(matrix, solve_lp(build_maxmin_lp(matrix, rows)), rows)
 
 
 def test_box_certificate_by_hand():
@@ -407,23 +440,54 @@ def test_box_certificate_by_hand():
     # column 1 holds every mixture in the box to 1/2, although row 0 alone
     # would earn 1 against it
     matrix = np.array([[2.0, 1.0], [0.0, 0.0]])
-    highs = np.array([0.5, 1.0])
-    solution = solve_lp(build_maxmin_lp(matrix, highs=highs))
-    value, strategy = check_maxmin(matrix, solution, highs=highs)
+    rows = box_rows([0.0, 0.0], [0.5, 1.0])
+    _, (value, strategy) = node_solution(matrix, rows)
     assert value == pytest.approx(0.5)
     assert np.allclose(strategy, [0.5, 0.5])
     # by hand: P = [[2, 1.5], [1, 1]] and the column 1/2 - e_0; the optimum
-    # w = (0, 0.8) with 0.4 of that column, duals u = (0.4, 0.4)
+    # w = (0, 0.8) with 0.4 of that column, duals u = (0.4, 0.4). The
+    # certificate is y = (0, 1) and lam = 0.4 * 2 / 0.8 = 1:
+    # max(matrix @ y - lam e_0) + lam / 2 = max(0, 0) + 1/2
     w = np.array([0.0, 0.8, 0.4])
     right = LpSolution("optimal", 0.8, w, 1, np.array([0.4, 0.4]))
-    assert check_maxmin(matrix, right, highs=highs)[0] == 0.5
+    assert check_maxmin(matrix, right, rows)[0] == 0.5
     with pytest.raises(LpSolveError, match="a row beats"):
         check_maxmin(matrix, right)
     # the row mixture (0.4, 0.6) is worth only 0.4, and y = (0, 1) shows a
     # mixture in the box that earns 0.5
     low = LpSolution("optimal", 0.8, w, 1, np.array([0.4, 0.6]))
     with pytest.raises(LpSolveError, match="a row beats"):
-        check_maxmin(matrix, low, highs=highs)
+        check_maxmin(matrix, low, rows)
+
+
+def _tampered(solution, values):
+    return LpSolution("optimal", solution.objective_value, values, 1, solution.duals)
+
+
+def test_node_certificate_needs_its_multipliers_and_its_column_mixture():
+    # a node whose rows hold the bound below v_C: without lam the
+    # certificate is max(matrix @ y) >= v_C, and moving half of y onto the
+    # column the row mixture does best against lets that mixture beat it
+    game, _ = make_instance("random", n=3, m=3, seed=0)
+    matrix = to_joint_game(game)
+    v_c, _ = solve_maxmin(matrix)
+    splits = [(0, 0, False), (1, 2, True)]
+    rows = _node_rows(game.team_sizes, *box_from_splits(game.team_sizes, splits))
+    solution, (value, x) = node_solution(matrix, rows)
+    assert value < v_c - 1e-3
+    cols = matrix.shape[1]
+    values = solution.variable_values.copy()
+    values[cols:] = 0.0
+    with pytest.raises(LpSolveError, match="a row beats"):
+        check_maxmin(matrix, _tampered(solution, values), rows)
+    best = int(np.argmax(x @ matrix))
+    assert (x @ matrix)[best] > value + 1e-3
+    values = solution.variable_values.copy()
+    weight = values[:cols].sum()
+    values[:cols] *= 0.5
+    values[best] += 0.5 * weight
+    with pytest.raises(LpSolveError, match="a row beats"):
+        check_maxmin(matrix, _tampered(solution, values), rows)
 
 
 def test_certificate_rejects_a_solution_that_is_not_optimal():

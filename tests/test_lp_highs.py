@@ -16,24 +16,31 @@ from teammax.lp import (  # noqa: E402
     solve_lp,
     solve_maxmin,
 )
+from teammax.solvers import _node_rows  # noqa: E402
 from test_lp import box_from_splits  # noqa: E402
 
 
-def _highs_maxmin(matrix: np.ndarray, lows=None, highs=None) -> float:
-    rows, cols = matrix.shape
-    lows = np.zeros(rows) if lows is None else lows
-    highs = np.full(rows, None) if highs is None else highs
-    objective = np.zeros(rows + 1)
+def _highs_maxmin(matrix: np.ndarray, rows=None) -> float:
+    """max t s.t. x @ matrix >= t 1, x >= 0, sum(x) = 1 and G x <= h for
+    rows = (G, h), by HiGHS."""
+    num_rows, cols = matrix.shape
+    g, h = (np.zeros((0, num_rows)), np.zeros(0)) if rows is None else rows
+    objective = np.zeros(num_rows + 1)
     objective[-1] = -1.0
-    a_ub = np.hstack([-matrix.T, np.ones((cols, 1))])
-    a_eq = np.append(np.ones(rows), 0.0)[None, :]
+    a_ub = np.vstack(
+        [
+            np.hstack([-matrix.T, np.ones((cols, 1))]),
+            np.hstack([g, np.zeros((h.size, 1))]),
+        ]
+    )
+    a_eq = np.append(np.ones(num_rows), 0.0)[None, :]
     result = optimize.linprog(
         objective,
         A_ub=a_ub,
-        b_ub=np.zeros(cols),
+        b_ub=np.concatenate([np.zeros(cols), h]),
         A_eq=a_eq,
         b_eq=[1.0],
-        bounds=list(zip(lows, highs)) + [(None, None)],
+        bounds=[(0.0, None)] * num_rows + [(None, None)],
         method="highs",
         # tighter than HiGHS's defaults (1e-7), so that the reference is
         # exact to well below the 1e-9 asked of solve_maxmin
@@ -111,23 +118,29 @@ def test_badly_scaled_maxmin_value_matches_highs(matrix):
 
 
 @st.composite
-def _boxed_games(draw):
+def _node_games(draw):
     # the joint payoff matrix of a normalized team game (entries 0 or at
-    # least 1e-3, as in _float_matrices) and a branch-and-bound node's box
+    # least 1e-3, as in _float_matrices) and the marginal and envelope rows
+    # of a branch-and-bound node
     shapes = [((3, 3), 3), ((4, 4), 4), ((3, 3, 3), 3)]
     team_sizes, adversary = draw(st.sampled_from(shapes))
     size = int(np.prod(team_sizes)) * adversary
     entries = st.one_of(st.just(0.0), st.floats(1e-3, 1.0))
     values = draw(st.lists(entries, min_size=size, max_size=size))
     split = st.tuples(st.integers(0, 2), st.integers(0, 3), st.booleans())
-    lows, highs = box_from_splits(team_sizes, draw(st.lists(split, max_size=8)))
-    return np.array(values).reshape(-1, adversary), lows, highs
+    los, his = box_from_splits(team_sizes, draw(st.lists(split, max_size=8)))
+    rows = _node_rows(team_sizes, los, his)
+    return np.array(values).reshape(-1, adversary), rows
 
 
-@given(_boxed_games())
-def test_box_maxmin_value_matches_highs(case):
-    matrix, lows, highs = case
-    solution = solve_lp(build_maxmin_lp(matrix, lows, highs))
-    value, strategy = check_maxmin(matrix, solution, lows, highs)
-    assert value == pytest.approx(_highs_maxmin(matrix, lows, highs), abs=1e-9)
-    assert np.all(strategy >= lows - 1e-9) and np.all(strategy <= highs + 1e-9)
+@given(_node_games())
+def test_node_maxmin_value_matches_highs(case):
+    # HiGHS solves max t over {z >= 0, sum(z) = 1, G z <= h} directly; the
+    # packing LP reaches it through the columns h 1 - g, and check_maxmin
+    # raises unless its (y, lam) certificate holds
+    matrix, rows = case
+    solution = solve_lp(build_maxmin_lp(matrix, rows))
+    value, strategy = check_maxmin(matrix, solution, rows)
+    assert value == pytest.approx(_highs_maxmin(matrix, rows), abs=1e-9)
+    g, h = rows
+    assert np.all(g @ strategy <= h + 1e-9)

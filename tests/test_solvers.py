@@ -27,12 +27,14 @@ from teammax.game import (
     normalize_payoffs,
     pure_profile,
     team_value,
+    to_joint_game,
     uniform_profile,
 )
 from teammax.generators import (
     coordination_game,
     diagonal_game,
     irrational_game,
+    make_instance,
     poa_game,
     random_team_game,
 )
@@ -51,9 +53,16 @@ from teammax.solvers import (
     solver_params,
     support_enumeration,
 )
-from teammax.lp import member_payoff_matrix, solve_maxmin
+from teammax.lp import (
+    build_maxmin_lp,
+    check_maxmin,
+    member_payoff_matrix,
+    solve_lp,
+    solve_maxmin,
+)
 from teammax.rng import SplitMix64
-from teammax.solvers import _grid_search, _random_profile
+from teammax.solvers import _grid_search, _node_rows, _random_profile
+from test_lp import box_from_splits
 
 REPO = pathlib.Path(__file__).resolve().parent.parent
 
@@ -706,6 +715,139 @@ def test_global_bracket_valid_on_random_games():
         assert team_value(game, report.witness).value == pytest.approx(
             report.lower_bound, abs=1e-9
         )
+
+
+def _mixtures_in_box(lo, hi, rng, count):
+    """count mixtures x with lo <= x <= hi, up to rounding: alternately a
+    vertex of the box and the simplex (lo, then the mass left poured into
+    the actions in a random order) and a point lo + t d clipped to hi, for
+    a random direction d and the t at which it sums to 1."""
+    out = []
+    for k in range(count):
+        if k % 2 == 0:
+            x, room = lo.copy(), max(1.0 - lo.sum(), 0.0)
+            for a in np.argsort(rng.floats(lo.size)):
+                add = min(hi[a] - lo[a], room)
+                x[a] += add
+                room -= add
+        else:
+            d = rng.floats(lo.size) + 1e-3
+            below, above = 0.0, 1.0
+            while np.minimum(lo + above * d, hi).sum() < 1.0:
+                above *= 2.0
+            for _ in range(80):
+                mid = (below + above) / 2.0
+                if np.minimum(lo + mid * d, hi).sum() < 1.0:
+                    below = mid
+                else:
+                    above = mid
+            x = np.minimum(lo + above * d, hi)
+        out.append(x / x.sum())
+    return out
+
+
+@settings(max_examples=60)
+@given(
+    st.sampled_from([(3, 2), (3, 3), (3, 4), (4, 3)]),
+    st.integers(0, 2**16),
+    st.lists(
+        st.tuples(st.integers(0, 2), st.integers(0, 3), st.booleans()), max_size=10
+    ),
+)
+def test_node_bound_holds_every_profile_in_its_box(shape, seed, splits):
+    # a node's certified bound is at least the team value of every product
+    # profile whose members play inside the node's boxes
+    n, m = shape
+    game, _ = make_instance("random", n=n, m=m, seed=seed)
+    matrix = to_joint_game(game)
+    los, his = box_from_splits(game.team_sizes, splits)
+    rows = _node_rows(game.team_sizes, los, his)
+    bound, _ = check_maxmin(matrix, solve_lp(build_maxmin_lp(matrix, rows)), rows)
+    rng = SplitMix64(seed)
+    samples = [
+        _mixtures_in_box(lo, hi, rng.spawn(i), 24)
+        for i, (lo, hi) in enumerate(zip(los, his))
+    ]
+    for k in range(24):
+        profile = TeamProfile(
+            tuple(MixedStrategy(i, mixes[k]) for i, mixes in enumerate(samples))
+        )
+        assert team_value(game, profile).value <= bound + 1e-9
+
+
+def _reference_node_rows(team_sizes, los, his):
+    # the rows _node_rows documents, one at a time: the marginal rows, then
+    # every McCormick envelope that is not a Frechet bound
+    joint = list(itertools.product(*map(range, team_sizes)))
+
+    def marginal(i, a):
+        return np.array([float(r[i] == a) for r in joint])
+
+    g, h = [], []
+    for i, m in enumerate(team_sizes):
+        lows = [a for a in range(m) if los[i][a] > 0.0]
+        highs = [a for a in range(m) if his[i][a] < 1.0]
+        g += [-marginal(i, a) for a in lows] + [marginal(i, a) for a in highs]
+        h += [-los[i][a] for a in lows] + [his[i][a] for a in highs]
+    # (coefficient of p_ab, of x_a, of x_b, right-hand side) of p >= 0,
+    # p >= x_a + x_b - 1, p <= x_a and p <= x_b
+    frechet = {
+        (-1.0, 0.0, 0.0, 0.0),
+        (-1.0, 1.0, 1.0, 1.0),
+        (1.0, -1.0, 0.0, 0.0),
+        (1.0, 0.0, -1.0, 0.0),
+    }
+    for i, j in itertools.combinations(range(len(team_sizes)), 2):
+        for sign, ends_a, ends_b in (
+            (-1.0, los[i], los[j]),
+            (-1.0, his[i], his[j]),
+            (1.0, his[i], los[j]),
+            (1.0, los[i], his[j]),
+        ):
+            for a in range(team_sizes[i]):
+                for b in range(team_sizes[j]):
+                    alpha, beta = ends_a[a], ends_b[b]
+                    row = (sign, -sign * beta, -sign * alpha, -sign * alpha * beta)
+                    if row in frechet:
+                        continue
+                    x_a, x_b = marginal(i, a), marginal(j, b)
+                    g.append(sign * (x_a * x_b - alpha * x_b - beta * x_a))
+                    h.append(-sign * alpha * beta)
+    return np.array(g).reshape(-1, len(joint)), np.array(h)
+
+
+@given(
+    st.sampled_from([(2, 3), (3, 3), (3, 2), (4, 2)]),
+    st.lists(
+        st.tuples(st.integers(0, 2), st.integers(0, 2), st.booleans()), max_size=12
+    ),
+)
+def test_node_rows_are_the_documented_rows(shape, splits):
+    team_sizes = (shape[1],) * (shape[0] - 1)
+    los, his = box_from_splits(team_sizes, splits)
+    got = _node_rows(team_sizes, los, his)
+    want = _reference_node_rows(team_sizes, los, his)
+    for a, b in zip(got, want):
+        assert a.shape == b.shape and np.array_equal(a, b)
+
+
+@pytest.mark.parametrize(
+    "family, n, m, seed, accuracy, max_nodes",
+    [
+        ("random", 3, 6, 3, 1e-3, 3000),
+        ("random", 4, 4, 0, 1e-2, 100),
+        ("diagonal", 3, 3, None, 1e-3, 1000),
+    ],
+)
+def test_global_converges_under_the_node_cap(family, n, m, seed, accuracy, max_nodes):
+    # the marginal and McCormick rows close these brackets in 73, 22 and
+    # 82 nodes; the joint box alone needed more than 3,000, 1,106 and
+    # more than 1,000
+    game, _ = make_instance(family, n=n, m=m, seed=seed)
+    report = global_optimize(game, accuracy=accuracy, max_nodes=max_nodes)
+    assert report.converged
+    assert report.iterations < max_nodes
+    assert team_value(game, report.witness).value == report.lower_bound
 
 
 def test_global_argument_validation():
