@@ -1,10 +1,21 @@
 """Dense linear programming with a deterministic primal simplex.
 
-The kernel is a textbook tableau simplex (_run_simplex). It prices with
+The kernel is one primal simplex loop (_run_simplex). It prices with
 Dantzig's largest-coefficient rule and falls back to Bland's anti-cycling
 rule during long runs of degenerate pivots. Every choice, ties included,
 is a fixed function of the tableau, so the pivot sequence (and therefore
 the returned optimal basis) is a pure function of the input LP.
+
+The loop runs on one of two representations of the tableau, chosen by the
+LP's shape (_prices_from_inverse). A wide LP, with several times more
+columns than rows, keeps only the basis inverse with the dual row under
+it and the rhs, [Q | rhs] of m + 1 rows and m + 2 columns, beside the
+original columns: each pivot prices every column with one matrix-vector
+product and updates only [Q | rhs], the revised simplex with an explicit
+inverse (Dantzig & Orchard-Hays, "The product form for the inverse in the
+simplex method", MTAC 1954). Any other LP pivots the whole dense tableau,
+which costs fewer numpy calls per pivot. [Q | rhs] is the tableau's slack
+block and rhs column, so both take the same pivots in exact arithmetic.
 
 Every LP here has one form: maximize c @ x subject to A @ x <= b, x >= 0,
 with b >= 0. Its slack basis is feasible, so solve_lp runs the simplex once
@@ -38,6 +49,10 @@ _CHECK_TOL = 1e-8
 _RATIO_TIE_TOL = 1e-12
 # consecutive degenerate pivots after which pricing falls back to Bland's rule
 _DEGENERATE_STREAK = 50
+# the per-pivot cost model of _prices_from_inverse, in entries of a
+# matrix-vector product
+_UPDATE_COST = 5
+_CALL_COST = 9000
 
 
 class LpSolveError(RuntimeError):
@@ -59,7 +74,7 @@ class LinearProgram:
         c, a, b = self.objective, self.a_ub, self.b_ub
         if a.ndim != 2 or c.shape != a.shape[1:] or b.shape != a.shape[:1]:
             raise ValueError("objective, constraint matrix and rhs sizes disagree")
-        # solve_lp checks that the data is finite, on its tableau
+        # solve_lp checks that the data is finite, on the arrays it pivots
         if not b.min(initial=0.0) >= 0.0:
             raise ValueError("the rhs must be nonnegative")
 
@@ -77,17 +92,30 @@ class LpSolution:
     basis: list[int] | None = None
 
 
-def _pivot(tableau: np.ndarray, row: int, col: int) -> None:
-    tableau[row] /= tableau[row, col]
-    factors = tableau[:, col].copy()
+def _pivot(work: np.ndarray, row: int, column: np.ndarray) -> None:
+    """Rank-one update of work that turns the entering column, as work
+    holds it, into the unit vector of row."""
+    work[row] /= column[row]
+    factors = column.copy()
     factors[row] = 0.0
-    tableau -= factors[:, None] * tableau[row]
+    work -= factors[:, None] * work[row]
 
 
 def _run_simplex(
-    tableau: np.ndarray, basis: list[int], max_iter: int
+    work: np.ndarray, cols: np.ndarray | None, basis: list[int], max_iter: int
 ) -> tuple[str, int]:
-    """Minimize the cost in tableau[-1] in place.
+    """Minimize the cost in work[-1] in place.
+
+    work is one of two representations of the same tableau. With cols None
+    it is the whole tableau, and the cost row and the entering column are
+    slices of it. Otherwise it is [Q | rhs], where Q, of order m + 1, is the
+    inverse of the original tableau's basic columns bordered by the cost
+    row's unit column: its first m columns are the tableau's slack block,
+    with the duals in the last row, and its last column stays that unit
+    vector. cols holds the original tableau's columns, one row per column,
+    with a 0 in the rhs position; the cost row is then cols @ work[-1] and
+    column q is work @ cols[q]. Both take the same pivots in exact
+    arithmetic; in floating point the rounding differs.
 
     The entering column is Dantzig's: the most negative reduced cost, ties
     to the lowest index. After _DEGENERATE_STREAK consecutive degenerate
@@ -102,10 +130,11 @@ def _run_simplex(
     _DEGENERATE_STREAK Dantzig pivots and then continues under Bland's rule,
     which cannot cycle (Bland, Math. Oper. Res. 1977), so every run ends.
     """
-    num_rows = tableau.shape[0] - 1
+    num_rows = work.shape[0] - 1
+    num_cols = work.shape[1] - 1 if cols is None else len(cols)
     degenerate = 0
     for pivots in range(max_iter):
-        cost = tableau[-1, :-1]
+        cost = work[-1, :-1] if cols is None else cols @ work[-1]
         if degenerate < _DEGENERATE_STREAK:
             entering = int(cost.argmin())
             if cost[entering] >= -OPTIMALITY_TOL:
@@ -115,10 +144,11 @@ def _run_simplex(
             if improving.size == 0:
                 return "optimal", pivots
             entering = int(improving[0])
+        column = work[:, entering] if cols is None else work @ cols[entering]
         # the scan reads Python floats, which compare and divide as the
         # tableau's float64 entries do
-        col = tableau[:num_rows, entering].tolist()
-        rhs = tableau[:num_rows, -1].tolist()
+        col = column[:num_rows].tolist()
+        rhs = work[:num_rows, -1].tolist()
         best_ratio = np.inf
         leaving = -1
         for i in range(num_rows):
@@ -137,12 +167,32 @@ def _run_simplex(
             degenerate += 1
         else:
             degenerate = 0
-        _pivot(tableau, leaving, entering)
+        _pivot(work, leaving, column)
         basis[leaving] = entering
     raise LpSolveError(
         f"simplex did not terminate within {max_iter} pivots "
-        f"({num_rows} rows, {tableau.shape[1] - 1} columns)"
+        f"({num_rows} rows, {num_cols} columns)"
     )
+
+
+def _prices_from_inverse(m: int, n: int) -> bool:
+    """Whether _run_simplex should run an LP of m rows and n structural
+    columns on the basis inverse, the shape rule of solve_lp.
+
+    A pivot of the tableau form updates all (m + 1)(n + m + 1) entries of
+    the tableau. One of the inverse form updates only (m + 1)(m + 2), but
+    reads (n + m)(m + 2) entries to price and (m + 1)(m + 2) to form the
+    entering column, in two more numpy calls. An entry of a rank-one update
+    costs about _UPDATE_COST entries of a matrix-vector product, and the
+    two calls about _CALL_COST, fitted to per-pivot times of both forms on
+    random tableaux of 4 to 96 rows and 1 to 40 times as many columns (2
+    vCPU Xeon, one BLAS thread). The inverse form is taken where the model
+    says it is faster: on LPs whose structural columns outnumber the rows
+    several times over, unless the LP is too small for the saved entries
+    to pay for the calls, and on large LPs, where the update dominates.
+    """
+    saved = _UPDATE_COST * (m + 1) * (n - 1)
+    return saved > (n + 2 * m + 1) * (m + 2) + _CALL_COST
 
 
 def solve_lp(lp: LinearProgram) -> LpSolution:
@@ -150,32 +200,52 @@ def solve_lp(lp: LinearProgram) -> LpSolution:
 
     The tableau is [a_ub | I | b_ub] under the cost row [-objective | 0 | 0];
     b_ub >= 0 makes the slack basis feasible, so one run of _run_simplex
-    solves the LP. Returns status "optimal" with the first optimal basic
-    solution the pivot rule reaches, the duals of the a_ub rows and the
-    basis, or status "unbounded". Raises ValueError on data that is not
-    finite, and LpSolveError if the arithmetic breaks down
-    (non-termination, residuals out of tolerance).
+    solves the LP. A wide LP (see _prices_from_inverse) runs on the basis
+    inverse and the tableau's original columns, any other on the tableau
+    itself. Returns status "optimal" with the first optimal basic solution
+    the pivot rule reaches, the duals of the a_ub rows and the basis, or
+    status "unbounded". Raises ValueError on data that is not finite, and
+    LpSolveError if the arithmetic breaks down (non-termination, residuals
+    out of tolerance).
     """
+    return _solve_lp(lp, _prices_from_inverse(*lp.a_ub.shape))
+
+
+def _solve_lp(lp: LinearProgram, inverse: bool) -> LpSolution:
+    """solve_lp, with _run_simplex on the basis inverse if inverse, else
+    on the whole tableau."""
     m, n = lp.a_ub.shape
-    tableau = np.zeros((m + 1, n + m + 1))
-    tableau[:m, :n] = lp.a_ub
-    np.fill_diagonal(tableau[:m, n:], 1.0)
-    tableau[:m, -1] = lp.b_ub
-    tableau[-1, :n] = -lp.objective
-    if not np.isfinite(tableau).all():
+    if inverse:
+        # [Q | rhs] of the slack basis, Q the identity of order m + 1, and
+        # row j of cols the tableau's column j with a 0 for the rhs
+        cols = np.zeros((n + m, m + 2))
+        cols[:n, :m] = lp.a_ub.T
+        cols[:n, m] = -lp.objective
+        np.fill_diagonal(cols[n:], 1.0)
+        work = np.eye(m + 1, m + 2)
+        work[:m, -1] = lp.b_ub
+    else:
+        work = np.zeros((m + 1, n + m + 1))
+        work[:m, :n] = lp.a_ub
+        np.fill_diagonal(work[:m, n:], 1.0)
+        work[:m, -1] = lp.b_ub
+        work[-1, :n] = -lp.objective
+        cols = None
+    if not (np.isfinite(work).all() and (cols is None or np.isfinite(cols).all())):
         raise ValueError("linear program data must be finite")
     basis = list(range(n, n + m))
-    status, pivots = _run_simplex(tableau, basis, 1000 * (2 * m + n + 10))
+    status, pivots = _run_simplex(work, cols, basis, 1000 * (2 * m + n + 10))
     if status == "unbounded":
         return LpSolution("unbounded", float("inf"), None, pivots)
     values = np.zeros(n + m)
-    values[basis] = tableau[:m, -1]
+    values[basis] = work[:m, -1]
     x = values[:n]
     if m and (worst := float((lp.a_ub @ x - lp.b_ub).max())) > _CHECK_TOL:
         raise LpSolveError(f"inequality residual {worst:.3e} out of tolerance")
     objective = float(lp.objective @ x)
-    # the reduced cost of a row's slack is that row's dual
-    duals = tableau[-1, n:-1].copy()
+    # the reduced cost of a row's slack is that row's dual; the tableau's
+    # slack block is the basis inverse
+    duals = (work[-1, n:-1] if cols is None else work[-1, :m]).copy()
     return LpSolution("optimal", objective, x, pivots, duals, basis)
 
 

@@ -209,6 +209,7 @@ def support_enumeration(
     game: TeamGame,
     epsilon: float,
     budget: int | None = None,
+    timeout: float | None = DEFAULT_TIMEOUT,
 ) -> SolveReport:
     """Additive epsilon-approximation by enumerating discretized mixtures.
 
@@ -220,19 +221,22 @@ def support_enumeration(
     The upper bound is the correlated value v_C (see
     _correlated_upper_bound).
 
-    budget caps the number of candidate profiles visited; hitting the cap
-    reports converged=False with the best bracket so far. iterations in the
-    report is the exact number of candidates visited.
+    budget caps the number of candidate profiles visited, and timeout the
+    seconds spent scoring them; the search checks the clock between chunks
+    of candidates, so it scores at least one chunk. Hitting either reports
+    converged=False with the best bracket so far. iterations in the report
+    is the exact number of candidates scored.
     """
     _require_normalized(game, "support_enumeration")
     _check_enumeration(epsilon, budget)
     start = time.perf_counter()
+    deadline = math.inf if timeout is None else start + timeout
     steps = max(
         1, math.ceil(math.log(game.max_team_actions) / (2.0 * epsilon * epsilon))
     )
     total = math.prod(_grid_counts(game.team_sizes, steps))
-    visited = total if budget is None else min(budget, total)
-    best_value, witness = _grid_search(game, steps, visited)
+    budget = total if budget is None else min(budget, total)
+    best_value, witness, visited = _grid_search(game, steps, budget, deadline)
     return SolveReport(
         lower_bound=best_value,
         upper_bound=_correlated_upper_bound(game, best_value),
@@ -399,8 +403,8 @@ def _grid_counts(sizes, steps: int) -> list[int]:
 
 
 def _grid_search(
-    game: TeamGame, steps: int, budget: int
-) -> tuple[float, TeamProfile]:
+    game: TeamGame, steps: int, budget: int, deadline: float = math.inf
+) -> tuple[float, TeamProfile, int]:
     """Best worst-case value over profiles of grid mixtures.
 
     Member i's grid holds every mixture with probabilities in units of
@@ -408,7 +412,9 @@ def _grid_search(
     the order itertools.combinations_with_replacement lists the action
     multisets of size steps. Candidates are the cross product of the grids
     in product order, member 0 outermost; the first `budget` of them are
-    scored exactly, and the first one with the best value is returned.
+    scored exactly, and the first one with the best value is returned with
+    the number of candidates scored. A chunk that ends after `deadline`
+    (a time.perf_counter() reading) is the last one scored.
 
     Members last..1 are folded into the tensor once; chunks of member 0's
     grid are then contracted against it, minimized over the adversary and
@@ -444,6 +450,7 @@ def _grid_search(
     chunk_rows = max(1, _CHUNK_ENTRIES // (folded.size // sizes[0]))
     best_value = -math.inf
     best_index = 0
+    scored = 0
     for offset in range(0, -(-budget // per_row), chunk_rows):
         block = grids[0][offset : offset + chunk_rows]
         # axis 1 is the adversary; minimize over it, then score the prefix
@@ -453,11 +460,14 @@ def _grid_search(
         if worst[flat] > best_value:
             best_value = float(worst[flat])
             best_index = offset * per_row + flat
+        scored += worst.size
+        if time.perf_counter() > deadline:
+            break
     choice = np.unravel_index(best_index, counts)
     witness = TeamProfile(
         tuple(MixedStrategy(i, grids[i][c]) for i, c in enumerate(choice))
     )
-    return best_value, witness
+    return best_value, witness, scored
 
 
 def _rounding_constant(m: int) -> float:
@@ -514,7 +524,7 @@ def grid_oracle(
         raise CapacityError(
             f"{total} grid combinations exceed the cap of {max_evaluations}"
         )
-    value, witness = _grid_search(game, k, total)
+    value, witness, _ = _grid_search(game, k, total)
     return OracleEstimate(
         value=value,
         error_bound=error_bound,
@@ -778,7 +788,7 @@ SOLVERS = {
         lambda game, timeout: reconstruct_best_pivot(game), {}, lambda: None
     ),
     "support-enum": (
-        lambda game, timeout, **p: support_enumeration(game, **p),
+        lambda game, timeout, **p: support_enumeration(game, timeout=timeout, **p),
         {"epsilon": (float, 1.0), "budget": (int, None)},
         _check_enumeration,
     ),

@@ -3,7 +3,8 @@
 Two independent routes guard the simplex implementation: small instances
 with hand-derived optima, and the minimax-duality identity
 maxmin(M) = -maxmin(-M^T), which an incorrect optimizer has no reason to
-satisfy on random matrices.
+satisfy on random matrices. The simplex's two representations, the whole
+tableau and the basis inverse, are also run against each other.
 """
 
 import math
@@ -77,10 +78,116 @@ def test_beale_cycling_example_terminates():
         ],
         [0.0, 0.0, 1.0],
     )
-    solution = solve_lp(lp)
-    assert solution.status == "optimal"
-    assert solution.objective_value == pytest.approx(0.05, abs=1e-12)
-    assert np.allclose(solution.variable_values, [0.04, 0.0, 1.0, 0.0], atol=1e-12)
+    for inverse in (False, True):
+        solution = lp_module._solve_lp(lp, inverse)
+        assert solution.status == "optimal"
+        assert solution.iterations == 54
+        assert solution.objective_value == pytest.approx(0.05, abs=1e-12)
+        assert np.allclose(
+            solution.variable_values, [0.04, 0.0, 1.0, 0.0], atol=1e-12
+        )
+    assert solve_lp(lp).iterations == 54
+
+
+# ---------------------------------------------------------------------------
+# the simplex on the whole tableau and on the basis inverse
+
+
+def _recorded_lps(monkeypatch, solve):
+    """The LPs that solve() passes to solve_lp, in order."""
+    lps = []
+    run = lp_module.solve_lp
+
+    def recording(lp):
+        lps.append(lp)
+        return run(lp)
+
+    monkeypatch.setattr(lp_module, "solve_lp", recording)
+    solve()
+    monkeypatch.undo()
+    return lps
+
+
+def _assert_same_pivots(lp):
+    tableau = lp_module._solve_lp(lp, inverse=False)
+    inverse = lp_module._solve_lp(lp, inverse=True)
+    assert tableau.status == inverse.status == "optimal"
+    assert tableau.iterations == inverse.iterations
+    assert tableau.basis == inverse.basis
+    for field in ("variable_values", "duals"):
+        a, b = getattr(tableau, field), getattr(inverse, field)
+        assert np.allclose(a, b, rtol=0.0, atol=1e-12), field
+
+
+# the correlated-lp benchmark's ladder: one correlated LP per rung
+_CORRELATED_LADDER = [
+    *(("random", 3, m, 0) for m in (10, 20)),
+    *(("random", 3, 40, seed) for seed in range(8)),
+    *(("random", 4, m, 0) for m in (3, 4, 8)),
+    ("diagonal", 3, 30, None),
+    ("poa", None, None, None),
+]
+
+
+@pytest.mark.parametrize("family, n, m, seed", _CORRELATED_LADDER)
+def test_correlated_lp_pivots_alike_in_both_forms(monkeypatch, family, n, m, seed):
+    game, _ = make_instance(family, n=n, m=m, seed=seed)
+    (lp,) = _recorded_lps(monkeypatch, lambda: solve_maxmin(to_joint_game(game)))
+    _assert_same_pivots(lp)
+
+
+def test_best_response_lp_pivots_alike_in_both_forms(monkeypatch):
+    game, _ = make_instance("random", n=3, m=20, seed=0)
+    profile = TeamProfile(
+        tuple(MixedStrategy(i, np.full(20, 0.05)) for i in range(2))
+    )
+    matrix = member_payoff_matrix(game, profile, 0)
+    (lp,) = _recorded_lps(monkeypatch, lambda: solve_maxmin(matrix))
+    assert lp.a_ub.shape == (20, 20)
+    _assert_same_pivots(lp)
+
+
+@st.composite
+def _packing_lps(draw):
+    # small-integer payoffs, whose ties make degenerate vertices, and
+    # duplicated columns
+    rows, cols = draw(st.integers(1, 40)), draw(st.integers(1, 400))
+    distinct = draw(st.integers(1, cols))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    base = rng.integers(-3, 4, size=(rows, distinct)).astype(float)
+    matrix = base[:, rng.integers(0, distinct, size=cols)]
+    return matrix, build_maxmin_lp(matrix)
+
+
+@given(_packing_lps())
+def test_both_forms_reach_the_same_optimum(case):
+    # _solve_lp raises if its solution misses the residual check, and
+    # check_maxmin unless the duals certify the value
+    matrix, lp = case
+    tableau = lp_module._solve_lp(lp, inverse=False)
+    inverse = lp_module._solve_lp(lp, inverse=True)
+    assert inverse.objective_value == pytest.approx(
+        tableau.objective_value, abs=1e-9
+    )
+    first, _ = check_maxmin(matrix, tableau)
+    second, _ = check_maxmin(matrix, inverse)
+    assert first == pytest.approx(second, abs=1e-9)
+
+
+@pytest.mark.parametrize(
+    "m, n, inverse",
+    [
+        (20, 20, False),  # best response at n3 m20
+        (16, 70, False),  # branch-and-bound node at n3 m4
+        (10, 100, False),  # correlated LP at n3 m10
+        (20, 400, True),  # correlated LP at n3 m20
+        (40, 1600, True),  # correlated LP at n3 m40
+        (400, 1260, True),  # branch-and-bound node at n3 m20
+        (400, 20, False),  # tall: pricing reads as much as the update saves
+    ],
+)
+def test_shape_rule(m, n, inverse):
+    assert lp_module._prices_from_inverse(m, n) == inverse
 
 
 def test_same_lp_twice_is_bitwise_identical_and_few_pivots():

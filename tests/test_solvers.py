@@ -272,6 +272,24 @@ def test_enumeration_budget_stops_early():
     assert report.lower_bound <= full.lower_bound + 1e-12
 
 
+def test_enumeration_timeout_stops_between_chunks(monkeypatch):
+    # one row of member 0's grid per chunk: a deadline that has passed
+    # stops the search after the first chunk, 70 of the 70^2 candidates
+    monkeypatch.setattr("teammax.solvers._CHUNK_ENTRIES", 1)
+    game = normalize_payoffs(random_team_game(3, 5, seed=0))
+    report = run_solver("support-enum", game, timeout=0.0, epsilon=0.5)
+    assert report.iterations == math.comb(8, 4) < math.comb(8, 4) ** 2
+    assert not report.converged
+    assert team_value(game, report.witness).value == pytest.approx(
+        report.lower_bound, abs=1e-12
+    )
+    _, v_c = correlated_team_maxmin(game)
+    assert report.lower_bound <= report.upper_bound == max(v_c, report.lower_bound)
+    full = support_enumeration(game, epsilon=0.5)
+    assert full.converged and full.iterations == math.comb(8, 4) ** 2
+    assert report.lower_bound <= full.lower_bound
+
+
 def test_enumeration_requires_normalized_payoffs():
     game = TeamGame(3, (2, 2, 2), np.arange(8, dtype=float))
     with pytest.raises(ValueError):
@@ -364,7 +382,8 @@ def test_grid_search_matches_brute_force(game, steps):
     total = len(candidates)
     for budget in (1, total - 1, total):
         best = int(np.argmax(values[:budget]))
-        value, witness = _grid_search(game, steps, budget)
+        value, witness, scored = _grid_search(game, steps, budget)
+        assert scored == budget
         assert value == pytest.approx(values[best], abs=1e-12)
         for strategy, probs in zip(witness, candidates[best]):
             assert np.array_equal(strategy.probs, probs)
@@ -373,7 +392,8 @@ def test_grid_search_matches_brute_force(game, steps):
 def test_grid_search_ties_go_to_the_first_candidate_across_chunks():
     # 1,542 x 1,542 candidates, scored in two chunks of member 0's grid
     game = TeamGame(3, (2, 2, 2), np.zeros(8))
-    value, witness = _grid_search(game, 1541, 1542**2)
+    value, witness, scored = _grid_search(game, 1541, 1542**2)
+    assert scored == 1542**2
     assert value == 0.0
     assert [list(s.probs) for s in witness] == [[1.0, 0.0], [1.0, 0.0]]
 
