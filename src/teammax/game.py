@@ -13,6 +13,7 @@ silent renormalization hides caller bugs.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -67,9 +68,7 @@ class TeamGame:
             )
         if any(m < 1 for m in sizes):
             raise ValueError(f"every player needs at least one action: {sizes}")
-        total = 1
-        for m in sizes:
-            total *= m
+        total = math.prod(sizes)
         if total > MAX_TENSOR_ENTRIES:
             raise CapacityError(
                 f"tensor with {total} entries exceeds the cap of {MAX_TENSOR_ENTRIES}"
@@ -99,10 +98,7 @@ class TeamGame:
 
     @property
     def joint_team_size(self) -> int:
-        total = 1
-        for m in self.team_sizes:
-            total *= m
-        return total
+        return math.prod(self.team_sizes)
 
     @property
     def max_team_actions(self) -> int:
@@ -184,9 +180,7 @@ class JointDistribution:
         sizes = tuple(int(m) for m in self.team_sizes)
         if any(m < 1 for m in sizes):
             raise ValueError(f"invalid team sizes {sizes}")
-        total = 1
-        for m in sizes:
-            total *= m
+        total = math.prod(sizes)
         probs = np.asarray(self.probs, dtype=np.float64).reshape(-1)
         if probs.size != total:
             raise ValueError(f"{probs.size} entries for {total} joint actions")

@@ -290,25 +290,19 @@ def build_maxmin_lp(
     OPTIMALITY_TOL of the optimum in P does so in the original payoffs too.
     At the optimum the reduced costs of the slacks are u, and w / sum(w) is
     the column player's mixture; check_maxmin reads both, and lambda.
+
+    The column player's packing LP is build_maxmin_lp(-M^T): the shift of
+    -M^T is 1 + (hi - M^T) / s, bit for bit, because negation is exact.
     """
     matrix = _game(matrix)
     lo, hi = float(matrix.min()), float(matrix.max())
-    return _packing_lp(1.0 + (matrix - lo) / ((hi - lo) or 1.0), hi - lo, rows)
-
-
-def _packing_lp(
-    packing: np.ndarray,
-    spread: float,
-    rows: tuple[np.ndarray, np.ndarray] | None = None,
-) -> LinearProgram:
-    """build_maxmin_lp on payoffs already scaled into packing, whose
-    original payoffs span spread."""
+    packing = 1.0 + (matrix - lo) / ((hi - lo) or 1.0)
     a_ub = packing
     if rows is not None:
         g, h = rows
         a_ub = np.hstack([packing, h - g.T])
     objective = np.zeros(a_ub.shape[1])
-    objective[: packing.shape[1]] = max(1.0, spread)
+    objective[: packing.shape[1]] = max(1.0, hi - lo)
     return LinearProgram(objective, a_ub, np.ones(packing.shape[0]))
 
 
@@ -399,42 +393,35 @@ def solve_maxmin(matrix: np.ndarray) -> tuple[float, np.ndarray]:
     min_c (x @ matrix)[c].
 
     The game is solved as the packing LP of build_maxmin_lp without rows.
-    The tableau gets one row per row of P, so a tall game is solved as the
-    packing LP of -M^T instead, whose packing matrix is the same shift of
-    M^T. The row mixture is then solved again in the original payoffs on
-    the optimal basis's support, which is exact where the shifted tableau
-    lost bits, and kept when it is still a mixture. The column mixture is
-    checked as a certificate by _certify. If it fails, the game is solved
-    once more with the tableau oriented the other way, and LpSolveError
-    means it failed there too.
+    The tableau gets one row per row of M, so a tall game is solved as the
+    packing LP of -M^T instead, the column player's side. The row mixture
+    is then solved again in the original payoffs on the optimal basis's
+    support, which is exact where the shifted tableau lost bits, and kept
+    when it is still a mixture. The column mixture is checked as a
+    certificate by _certify. If it fails, the game is solved once more with
+    the tableau oriented the other way, and LpSolveError means it failed
+    there too.
     """
     matrix = _game(matrix)
-    lo, hi = float(matrix.min()), float(matrix.max())
     tall = matrix.shape[0] > matrix.shape[1]
     try:
-        return _solve_packing(matrix, lo, hi, tall)
+        return _solve_packing(matrix, tall)
     except LpSolveError:
         # on badly scaled games a tiny degenerate pivot can leave one
         # tableau at a basis that is wrong by more than the certificate's
         # tolerance; the other tableau pivots through other bases
-        return _solve_packing(matrix, lo, hi, not tall)
+        return _solve_packing(matrix, not tall)
 
 
-def _solve_packing(
-    matrix: np.ndarray, lo: float, hi: float, transposed: bool
-) -> tuple[float, np.ndarray]:
+def _solve_packing(matrix: np.ndarray, transposed: bool) -> tuple[float, np.ndarray]:
     """solve_maxmin on the packing LP of matrix, or of -matrix^T when
-    transposed, with payoffs in [lo, hi]."""
-    scale = (hi - lo) or 1.0
+    transposed."""
     # the row player of -M^T is the column player of M
-    if transposed:
-        packing = 1.0 + (hi - matrix.T) / scale
-    else:
-        packing = 1.0 + (matrix - lo) / scale
-    solution = solve_lp(_packing_lp(packing, hi - lo))
+    lp = build_maxmin_lp(-matrix.T if transposed else matrix)
+    solution = solve_lp(lp)
     if solution.status != "optimal":
         raise LpSolveError(f"packing LP came back {solution.status}")
-    m, n = packing.shape
+    m, n = lp.a_ub.shape
     u_mix, w_mix = _mixtures(solution, n)
     # the basic columns of P and the rows of P whose slack left the basis
     # index the square system of the optimal basis

@@ -151,19 +151,6 @@ def reconstruct_mixed(
     return TeamProfile(tuple(strategies))
 
 
-def _best_reconstruction(
-    game: TeamGame, dist: JointDistribution
-) -> tuple[float, TeamProfile]:
-    best_value = -math.inf
-    best_profile = None
-    for pivot in range(game.num_team_members):
-        profile = reconstruct_mixed(dist, game, pivot)
-        value = team_value(game, profile).value
-        if value > best_value:
-            best_value, best_profile = value, profile
-    return best_value, best_profile
-
-
 def reconstruct_best_pivot(game: TeamGame) -> SolveReport:
     """Correlated LP once, then the best reconstruction over all pivots.
 
@@ -171,7 +158,13 @@ def reconstruct_best_pivot(game: TeamGame) -> SolveReport:
     """
     start = time.perf_counter()
     dist, correlated_value = correlated_team_maxmin(game)
-    best_value, best_profile = _best_reconstruction(game, dist)
+    best_value = -math.inf
+    best_profile = None
+    for pivot in range(game.num_team_members):
+        profile = reconstruct_mixed(dist, game, pivot)
+        value = team_value(game, profile).value
+        if value > best_value:
+            best_value, best_profile = value, profile
     return SolveReport(
         lower_bound=best_value,
         upper_bound=max(correlated_value, best_value),
@@ -261,12 +254,19 @@ def _random_profile(game: TeamGame, rng: SplitMix64) -> TeamProfile:
     )
 
 
-def _check_ascent(restarts: int, init: TeamProfile | str = "random", **_) -> None:
+def _check_ascent(
+    restarts: int,
+    init: TeamProfile | str = "random",
+    max_rounds: int = 1000,
+    **_,
+) -> None:
     """iterated_lp's range and choice rules."""
     if restarts < 1:
         raise ValueError(f"restarts must be at least 1, got {restarts}")
     if isinstance(init, str) and init not in ("random", "uniform"):
         raise ValueError(f"init must be 'random' or 'uniform', got {init!r}")
+    if max_rounds < 1:
+        raise ValueError(f"max_rounds must be at least 1, got {max_rounds}")
 
 
 def iterated_lp(
@@ -303,7 +303,7 @@ def iterated_lp(
     timeout cut work short or some restart hit max_rounds while still
     improving.
     """
-    _check_ascent(restarts, init)
+    _check_ascent(restarts, init, max_rounds)
     start = time.perf_counter()
     deadline = math.inf if timeout is None else start + timeout
     master = SplitMix64(seed)
@@ -313,7 +313,7 @@ def iterated_lp(
     traces: list[tuple[float, ...]] = []
     total_rounds = 0
     restarts_done = 0
-    all_converged = True
+    converged = True
     timed_out = False
     for r in range(restarts):
         rng = master.spawn(r)
@@ -361,10 +361,10 @@ def iterated_lp(
         if value > best_value:
             best_value, best_profile = value, profile
         if not settled:
-            all_converged = False
+            # a restart cut short by the timeout is not settled either
+            converged = False
         if timed_out:
             break
-    converged = all_converged and not timed_out and restarts_done == restarts
     return SolveReport(
         lower_bound=best_value,
         upper_bound=_correlated_upper_bound(game, best_value),
@@ -480,10 +480,12 @@ def _rounding_constant(m: int) -> float:
     return best
 
 
-def _check_oracle(target_error: float, **_) -> None:
-    """grid_oracle's range rule."""
+def _check_oracle(target_error: float, max_evaluations: int, **_) -> None:
+    """grid_oracle's range rules."""
     if not target_error > 0:
         raise ValueError(f"target_error must be positive, got {target_error}")
+    if max_evaluations < 1:
+        raise ValueError(f"max_evaluations must be at least 1, got {max_evaluations}")
 
 
 def grid_oracle(
@@ -505,7 +507,7 @@ def grid_oracle(
     grid too large to materialize, raises CapacityError.
     """
     _require_normalized(game, "grid_oracle")
-    _check_oracle(target_error)
+    _check_oracle(target_error, max_evaluations)
     team_sizes = game.team_sizes
     members = len(team_sizes)
     constants = [_rounding_constant(m) for m in team_sizes]
@@ -613,22 +615,13 @@ def _tighten_box(los: list[np.ndarray], his: list[np.ndarray]) -> bool:
     return True
 
 
-def _box_probe(game: TeamGame, probs: np.ndarray) -> TeamProfile:
-    """Round a joint distribution to its product-of-marginals profile."""
-    shaped = probs.reshape(game.team_sizes)
-    strategies = []
-    for i in range(game.num_team_members):
-        axes = tuple(j for j in range(game.num_team_members) if j != i)
-        marginal = shaped.sum(axis=axes)
-        strategies.append(MixedStrategy(i, marginal / marginal.sum()))
-    return TeamProfile(tuple(strategies))
-
-
-def _check_global(accuracy: float, restarts: int, **_) -> None:
+def _check_global(accuracy: float, restarts: int, max_nodes: int, **_) -> None:
     """global_optimize's range rules, its ascent's included."""
     if not accuracy > 0:
         raise ValueError(f"accuracy must be positive, got {accuracy}")
     _check_ascent(restarts)
+    if max_nodes < 0:
+        raise ValueError(f"max_nodes must be nonnegative, got {max_nodes}")
 
 
 def global_optimize(
@@ -641,8 +634,9 @@ def global_optimize(
 ) -> SolveReport:
     """Anytime bracket of the team-maxmin value for normalized games.
 
-    Always computes the correlated upper bound and its best-pivot
-    reconstruction (budget 0 returns exactly those). With remaining budget
+    Starts from reconstruct_best_pivot's bracket: the correlated upper
+    bound and its best-pivot reconstruction (budget 0 returns exactly
+    those). With remaining budget
     it sharpens the lower bound by iterated LP ascent, then refines the
     upper bound by best-first branch and bound: the team strategy box is
     split on the widest coordinate interval and each box is bounded by the
@@ -660,18 +654,17 @@ def global_optimize(
     of the LP's joint mixture, certified by check_maxmin with the dual
     certificate (y, lam) that holds every z satisfying the rows to it, so
     a node LP that is not solved to optimality raises LpSolveError. The
-    product of the joint mixture's marginals is a team profile, evaluated
-    as a lower bound.
+    product of the joint mixture's marginals (JointDistribution.marginal)
+    is a team profile, evaluated as a lower bound.
     """
     _require_normalized(game, "global_optimize")
-    _check_global(accuracy, restarts)
+    _check_global(accuracy, restarts, max_nodes)
     if budget < 0:
         raise ValueError("budget must be nonnegative")
     start = time.perf_counter()
     deadline = start + budget
-    dist, correlated_value = correlated_team_maxmin(game)
-    lower, witness = _best_reconstruction(game, dist)
-    upper = max(correlated_value, lower)
+    root = reconstruct_best_pivot(game)
+    lower, upper, witness = root.lower_bound, root.upper_bound, root.witness
     nodes = 0
     restarts_used = 0
 
@@ -698,13 +691,18 @@ def global_optimize(
         counter = itertools.count()
         heap = [(-upper, next(counter), 0, root_los, root_his)]
         resolved = lower
-        while heap and nodes < max_nodes:
-            top_bound = -heap[0][0]
-            upper = min(upper, max(lower, max(top_bound, resolved)))
-            if upper - lower <= accuracy or time.perf_counter() > deadline:
+        while True:
+            top = -heap[0][0] if heap else -math.inf
+            upper = min(upper, max(lower, top, resolved))
+            if (
+                not heap
+                or nodes >= max_nodes
+                or upper - lower <= accuracy
+                or time.perf_counter() > deadline
+            ):
                 break
             _, _, depth, los, his = heapq.heappop(heap)
-            if top_bound <= lower:
+            if top <= lower:
                 continue
             nodes += 1
             # split the widest interval, ties to the lowest member and action
@@ -713,7 +711,7 @@ def global_optimize(
             action = int(np.argmax(widths[member]))
             width = float(widths[member][action])
             if width <= max(accuracy * 1e-3, 1e-12) or depth >= MAX_DEPTH * members:
-                resolved = max(resolved, top_bound)
+                resolved = max(resolved, top)
                 continue
             mid = los[member][action] + width / 2.0
             for half in (0, 1):
@@ -731,7 +729,11 @@ def global_optimize(
                 bound, probs = check_maxmin(
                     matrix, solve_lp(build_maxmin_lp(matrix, rows)), rows
                 )
-                probe = _box_probe(game, probs)
+                joint = JointDistribution(game.team_sizes, probs)
+                marginals = [joint.marginal(i) for i in range(members)]
+                probe = TeamProfile(
+                    tuple(MixedStrategy(i, p / p.sum()) for i, p in enumerate(marginals))
+                )
                 probe_value = team_value(game, probe).value
                 if probe_value > lower:
                     lower, witness = probe_value, probe
@@ -740,10 +742,6 @@ def global_optimize(
                         heap,
                         (-bound, next(counter), depth + 1, child_los, child_his),
                     )
-        if heap:
-            upper = min(upper, max(lower, max(-heap[0][0], resolved)))
-        else:
-            upper = min(upper, max(lower, resolved))
 
     upper = max(upper, lower)
     return SolveReport(

@@ -418,6 +418,17 @@ def test_experiment_malformed_config_exits_3_before_any_output(tmp_path, capsys)
             {"name": "support-enum", "params": {"upper_bound": 0.5}},
             "upper_bound",
         ),
+        (
+            {"family": "poa"},
+            {"name": "iterated-lp", "params": {"max_rounds": -3}},
+            "max_rounds",
+        ),
+        ({"family": "poa"}, {"name": "global", "params": {"max_nodes": -1}}, "max_nodes"),
+        (
+            {"family": "poa"},
+            {"name": "oracle", "params": {"max_evaluations": 0}},
+            "max_evaluations",
+        ),
     ],
 )
 def test_experiment_rejects_before_any_output(tmp_path, capsys, game, solver, key):

@@ -394,6 +394,19 @@ def test_maxmin_lp_structure():
         lp.a_ub, [[2.0, 1.0, 0.75, -0.5], [1.0, 2.0, -0.25, 0.5]]
     )
     assert np.array_equal(lp.objective, [2.0, 2.0, 0.0, 0.0])
+    # the column player's LP, that of -M^T, is the shift 1 + (hi - M^T) / s
+    # of M^T with objective max(1, hi - lo), bit for bit: negation is exact
+    rng = SplitMix64(5)
+    for rows, cols in ((5, 2), (2, 5), (4, 4)):  # tall, wide, square
+        for matrix in (
+            rng.floats(rows * cols).reshape(rows, cols) * 3.0 - 1.0,
+            np.full((rows, cols), 0.7),  # constant: s = 1
+        ):
+            lo, hi = float(matrix.min()), float(matrix.max())
+            lp = build_maxmin_lp(-matrix.T)
+            assert np.array_equal(lp.a_ub, 1.0 + (hi - matrix.T) / ((hi - lo) or 1.0))
+            assert np.array_equal(lp.objective, np.full(rows, max(1.0, hi - lo)))
+            assert np.array_equal(lp.b_ub, np.ones(cols))
 
 
 # ---------------------------------------------------------------------------
