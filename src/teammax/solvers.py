@@ -86,7 +86,9 @@ class SolveReport:
 @dataclass(frozen=True, eq=False)
 class OracleEstimate:
     """Brute-force estimate with one-sided certification: the true
-    team-maxmin value lies in [value, value + error_bound]."""
+    team-maxmin value lies in [value, value + error_bound]. A sweep cut
+    short by its timeout certifies no upper end: error_bound is inf and
+    evaluations counts the candidates scored."""
 
     value: float
     error_bound: float
@@ -382,8 +384,10 @@ def iterated_lp(
 
 # entries of the largest member grid or folded tensor the grid search builds
 _MAX_MATERIALIZED = 12_000_000
-# entries of one chunk of candidate payoffs
-_CHUNK_ENTRIES = 4_000_000
+# entries of one chunk's candidate payoffs against a single adversary action:
+# 2 MB of float64, so that the running minimum over the adversary stays in
+# a 4 MiB L2 cache
+_CHUNK_ENTRIES = 262_144
 
 
 def _compositions(total: int, parts: int):
@@ -416,10 +420,14 @@ def _grid_search(
     the number of candidates scored. A chunk that ends after `deadline`
     (a time.perf_counter() reading) is the last one scored.
 
-    Members last..1 are folded into the tensor once; chunks of member 0's
-    grid are then contracted against it, minimized over the adversary and
-    maximized. Raises CapacityError before building a member grid or a
-    folded tensor of more than _MAX_MATERIALIZED entries.
+    Members last..1 are folded into the tensor once, leaving one
+    (m_0, P) matrix per adversary action, P the candidates per row of
+    member 0's grid. Each chunk of member 0's rows is multiplied by those
+    matrices one action at a time into a (rows, P) slice of about
+    _CHUNK_ENTRIES entries, and a running elementwise minimum over the
+    actions gives the chunk's worst-case values; two such slices are reused
+    for every chunk. Raises CapacityError before building a member grid or
+    a folded tensor of more than _MAX_MATERIALIZED entries.
     """
     sizes = game.team_sizes
     members = len(sizes)
@@ -438,23 +446,31 @@ def _grid_search(
         for m in sizes
     ]
     # fold members last..1, leaving axes (m_0, m_adv, P_last, ..., P_1), and
-    # put the grid axes in member order so that candidates flatten in
-    # product order
+    # put the grid axes in member order so that candidates flatten into
+    # (m_0, m_adv, P) in product order
     folded = game.team_utility
     for i in range(members - 1, 0, -1):
         folded = np.tensordot(folded, grids[i].T, axes=([i], [0]))
+    per_row = math.prod(counts[1:])
     folded = np.ascontiguousarray(
         folded.transpose(0, 1, *range(members, 1, -1))
-    )
-    per_row = math.prod(counts[1:])
-    chunk_rows = max(1, _CHUNK_ENTRIES // (folded.size // sizes[0]))
+    ).reshape(sizes[0], game.adversary_size, per_row)
+    rows = -(-budget // per_row)
+    chunk_rows = min(rows, max(1, _CHUNK_ENTRIES // per_row))
+    worst_buffer = np.empty((chunk_rows, per_row))
+    spare_buffer = np.empty_like(worst_buffer)
     best_value = -math.inf
     best_index = 0
     scored = 0
-    for offset in range(0, -(-budget // per_row), chunk_rows):
+    for offset in range(0, rows, chunk_rows):
         block = grids[0][offset : offset + chunk_rows]
-        # axis 1 is the adversary; minimize over it, then score the prefix
-        worst = np.tensordot(block, folded, axes=([1], [0])).min(axis=1)
+        worst = worst_buffer[: len(block)]
+        spare = spare_buffer[: len(block)]
+        # axis 1 is the adversary: a running minimum over its actions
+        np.matmul(block, folded[:, 0], out=worst)
+        for c in range(1, folded.shape[1]):
+            np.matmul(block, folded[:, c], out=spare)
+            np.minimum(worst, spare, out=worst)
         worst = worst.reshape(-1)[: budget - offset * per_row]
         flat = int(np.argmax(worst))
         if worst[flat] > best_value:
@@ -492,6 +508,7 @@ def grid_oracle(
     game: TeamGame,
     target_error: float,
     max_evaluations: int = 20_000_000,
+    timeout: float | None = None,
 ) -> OracleEstimate:
     """Exhaustive search over per-member probability grids.
 
@@ -505,9 +522,14 @@ def grid_oracle(
     small, which puts the uniform profile on the grid. Intended for tiny
     games; anything needing more than max_evaluations combinations, or a
     grid too large to materialize, raises CapacityError.
+
+    timeout caps the seconds spent scoring; the sweep checks the clock
+    between chunks of candidates, as support_enumeration does, and one it
+    cuts short reports error_bound inf.
     """
     _require_normalized(game, "grid_oracle")
     _check_oracle(target_error, max_evaluations)
+    deadline = math.inf if timeout is None else time.perf_counter() + timeout
     team_sizes = game.team_sizes
     members = len(team_sizes)
     constants = [_rounding_constant(m) for m in team_sizes]
@@ -526,13 +548,13 @@ def grid_oracle(
         raise CapacityError(
             f"{total} grid combinations exceed the cap of {max_evaluations}"
         )
-    value, witness, _ = _grid_search(game, k, total)
+    value, witness, scored = _grid_search(game, k, total, deadline)
     return OracleEstimate(
         value=value,
-        error_bound=error_bound,
+        error_bound=error_bound if scored == total else math.inf,
         witness=witness,
         resolution=k,
-        evaluations=total,
+        evaluations=scored,
     )
 
 
@@ -763,15 +785,21 @@ def _oracle(
     game: TeamGame, timeout: float, target_error: float, max_evaluations: int
 ) -> SolveReport:
     start = time.perf_counter()
-    estimate = grid_oracle(game, target_error, max_evaluations)
+    estimate = grid_oracle(game, target_error, max_evaluations, timeout)
+    converged = estimate.error_bound < math.inf
+    if converged:
+        upper = estimate.value + estimate.error_bound
+    else:
+        # a sweep cut short falls back on v_C, as support_enumeration does
+        upper = _correlated_upper_bound(game, estimate.value)
     return SolveReport(
         lower_bound=estimate.value,
-        upper_bound=estimate.value + estimate.error_bound,
+        upper_bound=upper,
         witness=estimate.witness,
         iterations=estimate.evaluations,
         restarts_used=0,
         wall_time=time.perf_counter() - start,
-        converged=True,
+        converged=converged,
     )
 
 

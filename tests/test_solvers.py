@@ -12,6 +12,7 @@ import math
 import pathlib
 import re
 import runpy
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -61,7 +62,7 @@ from teammax.lp import (
     solve_maxmin,
 )
 from teammax.rng import SplitMix64
-from teammax.solvers import _grid_search, _node_rows, _random_profile
+from teammax.solvers import _CHUNK_ENTRIES, _grid_search, _node_rows, _random_profile
 from test_lp import box_from_splits
 
 REPO = pathlib.Path(__file__).resolve().parent.parent
@@ -390,12 +391,66 @@ def test_grid_search_matches_brute_force(game, steps):
 
 
 def test_grid_search_ties_go_to_the_first_candidate_across_chunks():
-    # 1,542 x 1,542 candidates, scored in two chunks of member 0's grid
+    # 1,542 x 1,542 candidates, scored in chunks of _CHUNK_ENTRIES // 1,542
+    # rows of member 0's grid; the tie must cross a chunk boundary
     game = TeamGame(3, (2, 2, 2), np.zeros(8))
+    assert -(-1542 // (_CHUNK_ENTRIES // 1542)) > 1
     value, witness, scored = _grid_search(game, 1541, 1542**2)
     assert scored == 1542**2
     assert value == 0.0
     assert [list(s.probs) for s in witness] == [[1.0, 0.0], [1.0, 0.0]]
+
+
+@pytest.mark.parametrize(
+    "game, steps, chunks",
+    [
+        # one team member: each row of member 0's grid is one candidate
+        (_random_game((4, 3), seed=6), 30, 1),
+        # an adversary with a single action: no running minimum
+        (_random_game((3, 4, 1), seed=7), 20, 2),
+        (normalize_payoffs(random_team_game(3, 4, seed=8)), 14, 2),
+        (normalize_payoffs(random_team_game(4, 3, seed=9)), 10, 2),
+    ],
+)
+def test_grid_search_result_does_not_depend_on_the_slice_size(
+    monkeypatch, game, steps, chunks
+):
+    counts = [math.comb(steps + m - 1, m - 1) for m in game.team_sizes]
+    per_row = math.prod(counts[1:])
+    total = counts[0] * per_row
+    chunk_rows = _CHUNK_ENTRIES // per_row
+    assert -(-counts[0] // chunk_rows) == chunks
+    # budgets that end mid-row in the first chunk, mid-row in the second
+    # chunk and one candidate short of the end
+    budgets = [1, per_row + per_row // 2 + 1, chunk_rows * per_row + per_row // 2 + 1]
+    budgets = [b for b in budgets if b < total] + [total - 1, total]
+
+    def scores():
+        results = []
+        for budget in budgets:
+            value, witness, scored = _grid_search(game, steps, budget)
+            probs = tuple(strategy.probs.tobytes() for strategy in witness)
+            results.append((value.hex(), probs, scored))
+        return results
+
+    expected = scores()
+    for entries in (1, 2**40):
+        monkeypatch.setattr("teammax.solvers._CHUNK_ENTRIES", entries)
+        assert scores() == expected
+
+
+def test_grid_oracle_peak_memory():
+    # the grid workload's largest oracle rung, 4,186^2 candidates: scored
+    # one adversary action at a time in cache-sized slices, it peaks near
+    # 5 MiB; contracting whole chunks against every action took 51 MiB
+    game, _ = make_instance("random", n=3, m=3, seed=0)
+    tracemalloc.start()
+    try:
+        grid_oracle(game, target_error=0.03)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
 
 
 def test_enumeration_additive_guarantee_against_oracle():
@@ -663,6 +718,29 @@ def test_grid_oracle_trivial_single_action_members():
     assert est.value == pytest.approx(1.0)
     assert est.error_bound == 0.0
     assert est.evaluations == 1
+
+
+def test_oracle_timeout_stops_between_chunks(monkeypatch):
+    # one row of member 0's grid per chunk: a deadline that has passed
+    # stops the sweep after the first row
+    monkeypatch.setattr("teammax.solvers._CHUNK_ENTRIES", 1)
+    game = normalize_payoffs(random_team_game(3, 3, seed=1))
+    cut = grid_oracle(game, target_error=0.05, timeout=0.0)
+    rows = math.comb(cut.resolution + 2, 2)
+    assert cut.evaluations == rows and cut.error_bound == math.inf
+    report = run_solver("oracle", game, timeout=0.0, target_error=0.05)
+    assert report.iterations == rows
+    assert not report.converged
+    assert team_value(game, report.witness).value == pytest.approx(
+        report.lower_bound, abs=1e-12
+    )
+    _, v_c = correlated_team_maxmin(game)
+    assert report.lower_bound <= report.upper_bound == max(v_c, report.lower_bound)
+    full = run_solver("oracle", game, target_error=0.05)
+    est = grid_oracle(game, target_error=0.05)
+    assert full.converged and full.iterations == est.evaluations == rows**2
+    assert full.upper_bound == est.value + est.error_bound
+    assert report.lower_bound <= full.lower_bound
 
 
 def test_grid_oracle_requires_normalized_payoffs():
