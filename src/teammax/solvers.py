@@ -13,8 +13,8 @@ here reports certified brackets instead of pretending to be exact:
   a monotone anytime lower bound.
 * global_optimize: anytime lower/upper bracket combining the above with a
   branch-and-bound refinement of the correlated relaxation.
-* grid_oracle: brute-force grid search with a certified additive error,
-  for tiny games only.
+* grid_oracle: exact grid search with a certified additive error, for
+  tiny games only.
 """
 
 from __future__ import annotations
@@ -85,10 +85,12 @@ class SolveReport:
 
 @dataclass(frozen=True, eq=False)
 class OracleEstimate:
-    """Brute-force estimate with one-sided certification: the true
-    team-maxmin value lies in [value, value + error_bound]. A sweep cut
-    short by its timeout certifies no upper end: error_bound is inf and
-    evaluations counts the candidates scored."""
+    """Grid-search estimate with one-sided certification: the true
+    team-maxmin value lies in [value, value + error_bound]. evaluations
+    counts the grid candidates covered, scored exactly or ruled out by the
+    search's Lipschitz bound. A sweep cut short by its timeout certifies no
+    upper end: error_bound is inf and evaluations counts the candidates
+    scored."""
 
     value: float
     error_bound: float
@@ -153,28 +155,39 @@ def reconstruct_mixed(
     return TeamProfile(tuple(strategies))
 
 
-def reconstruct_best_pivot(game: TeamGame) -> SolveReport:
+def reconstruct_best_pivot(
+    game: TeamGame, timeout: float | None = None
+) -> SolveReport:
     """Correlated LP once, then the best reconstruction over all pivots.
 
-    Ties between pivots keep the lowest pivot index.
+    Ties between pivots keep the lowest pivot index. timeout caps the
+    seconds spent; the clock is read after each pivot's reconstruction, so
+    a run cut short has evaluated at least one pivot. It reports the best
+    pivot so far, iterations = the pivots evaluated and converged=False;
+    the upper bound is max(v_C, lower) either way.
     """
     start = time.perf_counter()
+    deadline = math.inf if timeout is None else start + timeout
     dist, correlated_value = correlated_team_maxmin(game)
+    members = game.num_team_members
     best_value = -math.inf
     best_profile = None
-    for pivot in range(game.num_team_members):
+    for pivot in range(members):
         profile = reconstruct_mixed(dist, game, pivot)
         value = team_value(game, profile).value
         if value > best_value:
             best_value, best_profile = value, profile
+        if time.perf_counter() > deadline:
+            break
+    evaluated = pivot + 1
     return SolveReport(
         lower_bound=best_value,
         upper_bound=max(correlated_value, best_value),
         witness=best_profile,
-        iterations=game.num_team_members,
+        iterations=evaluated,
         restarts_used=0,
         wall_time=time.perf_counter() - start,
-        converged=True,
+        converged=evaluated == members,
     )
 
 
@@ -216,11 +229,13 @@ def support_enumeration(
     The upper bound is the correlated value v_C (see
     _correlated_upper_bound).
 
-    budget caps the number of candidate profiles visited, and timeout the
+    budget caps the number of candidate profiles searched, and timeout the
     seconds spent scoring them; the search checks the clock between chunks
     of candidates, so it scores at least one chunk. Hitting either reports
-    converged=False with the best bracket so far. iterations in the report
-    is the exact number of candidates scored.
+    converged=False with the best bracket so far. iterations counts the
+    candidates covered: scored exactly, or ruled out by _grid_search's
+    Lipschitz bound on member 0's rows, so it is the number searched when
+    the search finishes and the number scored when the timeout cuts it.
     """
     _require_normalized(game, "support_enumeration")
     _check_enumeration(epsilon, budget)
@@ -231,15 +246,15 @@ def support_enumeration(
     )
     total = math.prod(_grid_counts(game.team_sizes, steps))
     budget = total if budget is None else min(budget, total)
-    best_value, witness, visited = _grid_search(game, steps, budget, deadline)
+    best_value, witness, covered = _grid_search(game, steps, budget, deadline)
     return SolveReport(
         lower_bound=best_value,
         upper_bound=_correlated_upper_bound(game, best_value),
         witness=witness,
-        iterations=visited,
+        iterations=covered,
         restarts_used=0,
         wall_time=time.perf_counter() - start,
-        converged=visited == total,
+        converged=covered == total,
     )
 
 
@@ -390,20 +405,40 @@ _MAX_MATERIALIZED = 12_000_000
 _CHUNK_ENTRIES = 262_144
 
 
-def _compositions(total: int, parts: int):
-    """All nonnegative integer vectors of the given length summing to total,
-    in reverse lexicographic order."""
-    if parts == 1:
-        yield (total,)
-        return
-    for head in range(total, -1, -1):
-        for rest in _compositions(total - head, parts - 1):
-            yield (head,) + rest
+def _composition_grid(steps: int, parts: int) -> np.ndarray:
+    """Every nonnegative integer vector of length `parts` summing to `steps`,
+    one per row, in reverse lexicographic order: the action counts of the
+    multisets of size steps, in the order itertools.combinations_with_replacement
+    lists them."""
+    grid = np.zeros((1, 0), dtype=np.int64)
+    left = np.array([steps])
+    for _ in range(parts - 1):
+        # each row branches into one child per next count left, left - 1, ..., 0
+        width = left + 1
+        starts = np.repeat(np.cumsum(width) - width, width)
+        left = np.repeat(left, width)
+        head = left - (np.arange(left.size) - starts)
+        grid = np.column_stack([np.repeat(grid, width, axis=0), head])
+        left -= head
+    return np.column_stack([grid, left])
 
 
 def _grid_counts(sizes, steps: int) -> list[int]:
     """The number of mixtures in each member's grid with `steps` steps."""
     return [math.comb(steps + m - 1, m - 1) for m in sizes]
+
+
+def _score_rows(
+    block: np.ndarray, folded: np.ndarray, worst: np.ndarray, spare: np.ndarray
+) -> None:
+    """Writes into `worst` the worst-case value of every candidate in
+    `block`'s rows of member 0's grid: block times the folded tensor's
+    matrix of one adversary action at a time, under a running minimum kept
+    through `spare`."""
+    np.matmul(block, folded[:, 0], out=worst)
+    for c in range(1, folded.shape[1]):
+        np.matmul(block, folded[:, c], out=spare)
+        np.minimum(worst, spare, out=worst)
 
 
 def _grid_search(
@@ -415,19 +450,47 @@ def _grid_search(
     1/steps, in reverse lexicographic order of the action counts, which is
     the order itertools.combinations_with_replacement lists the action
     multisets of size steps. Candidates are the cross product of the grids
-    in product order, member 0 outermost; the first `budget` of them are
-    scored exactly, and the first one with the best value is returned with
-    the number of candidates scored. A chunk that ends after `deadline`
-    (a time.perf_counter() reading) is the last one scored.
+    in product order, member 0 outermost, and the first `budget` of them
+    are searched. Returns the largest worst-case value among them, the
+    first candidate (lowest product index) with that value, and the number
+    of candidates covered: scored exactly, or ruled out by the bound below.
+    The result is that of scoring every candidate and keeping the first
+    best one, bit for bit.
 
     Members last..1 are folded into the tensor once, leaving one
     (m_0, P) matrix per adversary action, P the candidates per row of
-    member 0's grid. Each chunk of member 0's rows is multiplied by those
-    matrices one action at a time into a (rows, P) slice of about
-    _CHUNK_ENTRIES entries, and a running elementwise minimum over the
-    actions gives the chunk's worst-case values; two such slices are reused
-    for every chunk. Raises CapacityError before building a member grid or
-    a folded tensor of more than _MAX_MATERIALIZED entries.
+    member 0's grid. A chunk of member 0's rows is scored by _score_rows,
+    into (rows, P) slices of about _CHUNK_ENTRIES entries; two such slices
+    are reused for every chunk and for the bound's temporaries.
+
+    The search is a branch and bound over the rows of member 0's grid.
+    Call row x's best value g(x): the max over the other members' grid
+    points of the min over the adversary of x times the folded payoffs.
+    Every folded payoff vector h has entries in the tensor's range
+    [lo, hi], and for mixtures x, x' (x - x').h = (x - x').(h - (lo + hi) / 2),
+    so x.h is (hi - lo) / 2-Lipschitz in the L1 norm; mins and maxes keep
+    the constant, so g has it too. A scored row p thus bounds every row r
+    by g(p) + (hi - lo) / 2 * |x_r - x_p|_1, the pruning rule of Lipschitz
+    global optimisation (Shubert, SIAM J. Numer. Anal. 1972):
+
+    * probe: every isqrt(rows)-th row, row 0 first, is scored in chunks;
+    * bound: every other row gets the least of the probes' bounds;
+    * best-first: those rows are scored in decreasing order of their
+      bound, a chunk at a time, and the search stops once the next bound
+      is below the best value less a margin of 1e-9 * max(1, |lo|, |hi|),
+      far above the rounding of these sums. The rows left over cannot
+      reach the best value, and count as covered.
+
+    A partial last row (a budget that ends mid-row) is scored on its prefix
+    only and is no probe's anchor. The bound is skipped, and every row
+    scored in order, when bounding a row would cost more than scoring it
+    (probes * m_0 >= P * m_adv).
+
+    The clock is read before every chunk but the first: a chunk that ends
+    after `deadline` (a time.perf_counter() reading) is the last one scored,
+    and a search cut short reports the candidates scored as covered. Raises
+    CapacityError before building a member grid or a folded tensor of more
+    than _MAX_MATERIALIZED entries.
     """
     sizes = game.team_sizes
     members = len(sizes)
@@ -441,10 +504,7 @@ def _grid_search(
         raise CapacityError(
             f"a grid of {largest} entries exceeds the cap of {_MAX_MATERIALIZED}"
         )
-    grids = [
-        np.asarray(list(_compositions(steps, m)), dtype=np.float64) / steps
-        for m in sizes
-    ]
+    grids = [_composition_grid(steps, m) / steps for m in sizes]
     # fold members last..1, leaving axes (m_0, m_adv, P_last, ..., P_1), and
     # put the grid axes in member order so that candidates flatten into
     # (m_0, m_adv, P) in product order
@@ -456,34 +516,101 @@ def _grid_search(
         folded.transpose(0, 1, *range(members, 1, -1))
     ).reshape(sizes[0], game.adversary_size, per_row)
     rows = -(-budget // per_row)
+    # candidates of the last row inside the budget
+    tail = budget - (rows - 1) * per_row
     chunk_rows = min(rows, max(1, _CHUNK_ENTRIES // per_row))
-    worst_buffer = np.empty((chunk_rows, per_row))
-    spare_buffer = np.empty_like(worst_buffer)
+    stride = math.isqrt(rows)
+    probes = -(-rows // stride)
+    if probes * sizes[0] >= per_row * game.adversary_size:
+        # bounding a row costs more than scoring it: score every row
+        stride, probes = 1, rows
+    slice_entries = max(chunk_rows * per_row, probes)
+    worst_buffer = np.empty(slice_entries)
+    spare_buffer = np.empty(slice_entries)
     best_value = -math.inf
     best_index = 0
     scored = 0
-    for offset in range(0, rows, chunk_rows):
-        block = grids[0][offset : offset + chunk_rows]
-        worst = worst_buffer[: len(block)]
-        spare = spare_buffer[: len(block)]
-        # axis 1 is the adversary: a running minimum over its actions
-        np.matmul(block, folded[:, 0], out=worst)
-        for c in range(1, folded.shape[1]):
-            np.matmul(block, folded[:, c], out=spare)
-            np.minimum(worst, spare, out=worst)
-        worst = worst.reshape(-1)[: budget - offset * per_row]
-        flat = int(np.argmax(worst))
-        if worst[flat] > best_value:
-            best_value = float(worst[flat])
-            best_index = offset * per_row + flat
-        scored += worst.size
+
+    def visit(chosen: np.ndarray) -> np.ndarray:
+        """Scores rows `chosen` of member 0's grid, keeps the best candidate
+        and returns each row's best value."""
+        nonlocal best_value, best_index, scored
+        worst = worst_buffer[: len(chosen) * per_row].reshape(len(chosen), per_row)
+        spare = spare_buffer[: worst.size].reshape(worst.shape)
+        _score_rows(grids[0][chosen], folded, worst, spare)
+        # a partial last row keeps its prefix inside the budget
+        partial = chosen == rows - 1
+        worst[partial, tail:] = -math.inf
+        scored += worst.size - (per_row - tail) * int(partial.any())
+        row_best = worst.max(axis=1)
+        top = row_best.max()
+        # chunks come out of order: among equal values, the lowest index
+        ties = np.flatnonzero(row_best == top)
+        k = ties[np.argmin(chosen[ties])]
+        index = int(chosen[k]) * per_row + int(np.argmax(worst[k]))
+        if top > best_value or (top == best_value and index < best_index):
+            best_value, best_index = float(top), index
+        return row_best
+
+    def result(covered: int) -> tuple[float, TeamProfile, int]:
+        choice = np.unravel_index(best_index, counts)
+        witness = TeamProfile(
+            tuple(MixedStrategy(i, grids[i][c]) for i, c in enumerate(choice))
+        )
+        return best_value, witness, covered
+
+    probed = np.arange(0, rows, stride)
+    anchors = np.empty(probes)
+    for start in range(0, probes, chunk_rows):
+        if start and time.perf_counter() > deadline:
+            return result(scored)
+        chosen = probed[start : start + chunk_rows]
+        anchors[start : start + len(chosen)] = visit(chosen)
+    if stride == 1:
+        return result(budget)
+
+    lo = float(game.team_utility.min())
+    hi = float(game.team_utility.max())
+    lipschitz = (hi - lo) / 2.0
+    margin = 1e-9 * max(1.0, abs(lo), abs(hi))
+    if tail < per_row and probed[-1] == rows - 1:
+        # a partial row's best value bounds no full row
+        anchors[-1] = math.inf
+    rest = np.flatnonzero(np.arange(rows) % stride)
+    # |x - p|_1 = 2 - 2 sum_a min(x_a, p_a) on the simplex, so the bound
+    # is min_p (anchor_p + 2 L - 2 L sum_a min(x_a, p_a))
+    points = grids[0][probed]
+    offsets = anchors + 2.0 * lipschitz
+    bound = np.empty(rest.size)
+    slice_rows = slice_entries // probes
+    for start in range(0, rest.size, slice_rows):
+        block = grids[0][rest[start : start + slice_rows]]
+        overlap = worst_buffer[: len(block) * probes].reshape(len(block), probes)
+        term = spare_buffer[: overlap.size].reshape(overlap.shape)
+        np.minimum(block[:, :1], points[:, 0], out=overlap)
+        for a in range(1, sizes[0]):
+            np.minimum(block[:, a : a + 1], points[:, a], out=term)
+            overlap += term
+        overlap *= -2.0 * lipschitz
+        overlap += offsets
+        overlap.min(axis=1, out=bound[start : start + len(block)])
+
+    order = np.argsort(-bound, kind="stable")
+    rest, bound = rest[order], bound[order]
+    start = 0
+    while start < rest.size and bound[start] >= best_value - margin:
         if time.perf_counter() > deadline:
-            break
-    choice = np.unravel_index(best_index, counts)
-    witness = TeamProfile(
-        tuple(MixedStrategy(i, grids[i][c]) for i, c in enumerate(choice))
-    )
-    return best_value, witness, scored
+            return result(scored)
+        # the chunk's rows whose bound still reaches the best value less the
+        # margin: a prefix, since the bounds decrease
+        end = start + int(
+            np.searchsorted(
+                -bound[start : start + chunk_rows], margin - best_value, side="right"
+            )
+        )
+        visit(rest[start:end])
+        start = end
+    return result(budget)
 
 
 def _rounding_constant(m: int) -> float:
@@ -510,12 +637,14 @@ def grid_oracle(
     max_evaluations: int = 20_000_000,
     timeout: float | None = None,
 ) -> OracleEstimate:
-    """Exhaustive search over per-member probability grids.
+    """Exact search over per-member probability grids.
 
-    Requires payoffs in [0, 1]. Evaluates every combination of grid mixtures
-    (k equal steps per member) exactly, so the best value found is a valid
-    lower bound; rounding any optimal profile onto the grid loses at most
-    the certified error, so the true value lies within
+    Requires payoffs in [0, 1]. Finds the best combination of grid mixtures
+    (k equal steps per member) through _grid_search, which scores only the
+    rows of member 0's grid that its Lipschitz bound cannot rule out and
+    returns what scoring every combination would; the best value found is
+    a valid lower bound. Rounding any optimal profile onto the grid loses
+    at most the certified error, so the true value lies within
     [value, value + error_bound] with error_bound <= target_error.
 
     The step count k is rounded up to a multiple of lcm(team sizes) when
@@ -548,13 +677,13 @@ def grid_oracle(
         raise CapacityError(
             f"{total} grid combinations exceed the cap of {max_evaluations}"
         )
-    value, witness, scored = _grid_search(game, k, total, deadline)
+    value, witness, covered = _grid_search(game, k, total, deadline)
     return OracleEstimate(
         value=value,
-        error_bound=error_bound if scored == total else math.inf,
+        error_bound=error_bound if covered == total else math.inf,
         witness=witness,
         resolution=k,
-        evaluations=scored,
+        evaluations=covered,
     )
 
 
@@ -811,7 +940,7 @@ def _oracle(
 # the solver runs the same check.
 SOLVERS = {
     "reconstruct": (
-        lambda game, timeout: reconstruct_best_pivot(game), {}, lambda: None
+        lambda game, timeout: reconstruct_best_pivot(game, timeout), {}, lambda: None
     ),
     "support-enum": (
         lambda game, timeout, **p: support_enumeration(game, timeout=timeout, **p),

@@ -13,10 +13,11 @@ import pathlib
 import re
 import runpy
 import tracemalloc
+import types
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from teammax.game import (
@@ -62,7 +63,14 @@ from teammax.lp import (
     solve_maxmin,
 )
 from teammax.rng import SplitMix64
-from teammax.solvers import _CHUNK_ENTRIES, _grid_search, _node_rows, _random_profile
+from teammax.solvers import (
+    _CHUNK_ENTRIES,
+    _composition_grid,
+    _grid_search,
+    _node_rows,
+    _random_profile,
+    _score_rows,
+)
 from test_lp import box_from_splits
 
 REPO = pathlib.Path(__file__).resolve().parent.parent
@@ -221,6 +229,26 @@ def test_reconstruct_guarantee_on_random_games(seed):
     assert team_value(game, report.witness).value == pytest.approx(
         report.lower_bound, abs=1e-12
     )
+
+
+def test_reconstruct_timeout_stops_after_the_first_pivot():
+    # the clock is read after each pivot: a deadline that has passed leaves
+    # pivot 0's reconstruction of the three
+    game = normalize_payoffs(random_team_game(4, 3, seed=0))
+    report = run_solver("reconstruct", game, timeout=0.0)
+    assert report.iterations == 1
+    assert not report.converged
+    dist, v_c = correlated_team_maxmin(game)
+    first = reconstruct_mixed(dist, game, 0)
+    assert report.lower_bound == team_value(game, first).value
+    assert [s.probs.tobytes() for s in report.witness] == [
+        s.probs.tobytes() for s in first
+    ]
+    assert report.lower_bound <= report.upper_bound == max(v_c, report.lower_bound)
+    full = run_solver("reconstruct", game)
+    assert full.iterations == 3 and full.converged
+    assert report.lower_bound <= full.lower_bound
+    assert full.upper_bound == report.upper_bound
 
 
 # ---------------------------------------------------------------------------
@@ -439,18 +467,202 @@ def test_grid_search_result_does_not_depend_on_the_slice_size(
         assert scores() == expected
 
 
-def test_grid_oracle_peak_memory():
-    # the grid workload's largest oracle rung, 4,186^2 candidates: scored
-    # one adversary action at a time in cache-sized slices, it peaks near
-    # 5 MiB; contracting whole chunks against every action took 51 MiB
+@pytest.mark.parametrize(
+    "steps, parts",
+    [(0, 1), (0, 3), (5, 1), (6, 5), (5, 6), (21, 3), (90, 3), (1000, 2)],
+)
+def test_composition_grid_lists_the_multisets_in_order(steps, parts):
+    expected = np.array(
+        [
+            np.bincount(np.array(combo, dtype=np.int64), minlength=parts)
+            for combo in itertools.combinations_with_replacement(range(parts), steps)
+        ]
+    )
+    grid = _composition_grid(steps, parts)
+    assert grid.dtype == expected.dtype
+    assert np.array_equal(grid, expected)
+
+
+def _exhaustive_grid_search(game, steps, budget):
+    """Every candidate scored with _grid_search's kernel, first best kept."""
+    sizes = game.team_sizes
+    grids = [
+        np.array(
+            [
+                np.bincount(np.array(combo, dtype=np.int64), minlength=m)
+                for combo in itertools.combinations_with_replacement(range(m), steps)
+            ]
+        )
+        / steps
+        for m in sizes
+    ]
+    folded = game.team_utility
+    for i in range(len(sizes) - 1, 0, -1):
+        folded = np.tensordot(folded, grids[i].T, axes=([i], [0]))
+    per_row = math.prod(len(grid) for grid in grids[1:])
+    folded = np.ascontiguousarray(
+        folded.transpose(0, 1, *range(len(sizes), 1, -1))
+    ).reshape(sizes[0], game.adversary_size, per_row)
+    worst = grids[0] @ folded[:, 0]
+    for c in range(1, game.adversary_size):
+        np.minimum(worst, grids[0] @ folded[:, c], out=worst)
+    worst = worst.reshape(-1)[:budget]
+    best = int(np.argmax(worst))
+    choice = np.unravel_index(best, [len(grid) for grid in grids])
+    witness = tuple(grid[c].tobytes() for grid, c in zip(grids, choice))
+    return worst[best].hex(), witness, budget
+
+
+@st.composite
+def _grid_cases(draw):
+    members = draw(st.integers(1, 3))
+    team = tuple(draw(st.integers(2, 4)) for _ in range(members))
+    adversary = draw(st.integers(1, 3))
+    steps = draw(st.integers(1, {1: 30, 2: 16, 3: 6}[members]))
+    kind = draw(st.sampled_from(["ties", "normal"]))
+    seed = draw(st.integers(0, 2**32 - 1))
+    return team + (adversary,), kind, seed, steps
+
+
+@given(_grid_cases())
+# cases where the bound rules out most rows, one-action adversaries among them
+@example(((3, 4, 1), "ties", 0, 12))
+@example(((3, 4, 1), "normal", 1, 12))
+@example(((3, 3, 3), "ties", 0, 30))
+@example(((3, 3, 3), "normal", 1, 30))
+@example(((4, 3, 2), "normal", 5, 16))
+@example(((3, 2, 2, 2), "normal", 7, 6))
+@example(((4, 3), "ties", 2, 20))
+@settings(max_examples=60)
+def test_grid_search_prunes_to_the_exhaustive_result(case):
+    # payoffs in {0, 1/2, 1} make ties common; normal payoffs of any scale
+    # are not normalized. Budgets: one candidate, mid-row early and in the
+    # middle, one short of the end, and every candidate
+    sizes, kind, seed, steps = case
+    rng = np.random.default_rng(seed)
+    if kind == "ties":
+        payoffs = rng.integers(0, 3, sizes) / 2.0
+    else:
+        payoffs = rng.normal(size=sizes) * 10.0 ** rng.integers(-3, 4)
+    game = TeamGame(len(sizes), sizes, payoffs)
+    counts = [math.comb(steps + m - 1, m - 1) for m in game.team_sizes]
+    per_row = math.prod(counts[1:])
+    total = counts[0] * per_row
+    budgets = {1, total - 1, total, per_row + per_row // 2 + 1}
+    budgets.add(counts[0] // 2 * per_row + per_row // 2 + 1)
+    for budget in sorted(b for b in budgets if 1 <= b <= total):
+        value, witness, covered = _grid_search(game, steps, budget)
+        assert (
+            value.hex(),
+            tuple(strategy.probs.tobytes() for strategy in witness),
+            covered,
+        ) == _exhaustive_grid_search(game, steps, budget)
+
+
+@pytest.mark.parametrize(
+    "game, budget, value, witness",
+    [
+        # against the adversary's three actions member 0's mixture t = x_1
+        # scores min(4 (1 - t), 4 t, 1/2) with any of member 1's four equal
+        # actions. The rows t = 2/16 .. 14/16 tie at exactly 1/2; row 2 is
+        # scored after the probe row 4 and must win the tie
+        (
+            TeamGame(
+                3,
+                (2, 4, 3),
+                np.repeat(np.array([[4.0, 0.0, 0.5], [0.0, 4.0, 0.5]])[:, None], 4, 1),
+            ),
+            17 * 969,
+            0.5,
+            ([14 / 16, 2 / 16], [1.0, 0.0, 0.0, 0.0]),
+        ),
+        # the team scores x_1 y_1: row t = x_1 is worth t at member 1's last
+        # grid point. A budget ending one candidate into the last row makes
+        # that probe row worth 0 on its prefix, which must bound no row
+        (
+            TeamGame(3, (2, 2, 1), np.array([0.0, 0.0, 0.0, 1.0]).reshape(2, 2, 1)),
+            16 * 17 + 1,
+            15 / 16,
+            ([1 / 16, 15 / 16], [0.0, 1.0]),
+        ),
+    ],
+)
+def test_grid_search_prunes_to_the_exhaustive_result_on_constructed_games(
+    game, budget, value, witness
+):
+    # 17 rows of member 0's grid at 16 steps, probes 0, 4, 8, 12 and 16
+    found, profile, covered = _grid_search(game, 16, budget)
+    assert (found, [list(s.probs) for s in profile], covered) == (
+        value,
+        [list(p) for p in witness],
+        budget,
+    )
+    assert (
+        found.hex(),
+        tuple(strategy.probs.tobytes() for strategy in profile),
+        covered,
+    ) == _exhaustive_grid_search(game, 16, budget)
+
+
+def test_grid_search_cut_by_its_deadline_counts_the_candidates_scored(monkeypatch):
+    # one row per chunk, and a clock that reads 1, 2, 3, ...: a deadline of
+    # probes + 1.5 passes after the second row scored best bound first
+    monkeypatch.setattr("teammax.solvers._CHUNK_ENTRIES", 1)
+    ticks = itertools.count(1)
+    monkeypatch.setattr(
+        "teammax.solvers.time", types.SimpleNamespace(perf_counter=lambda: next(ticks))
+    )
+    game = normalize_payoffs(random_team_game(3, 3, seed=1))
+    rows = math.comb(32, 2)
+    probes = -(-rows // math.isqrt(rows))
+    value, witness, covered = _grid_search(game, 30, rows**2, probes + 1.5)
+    assert covered == (probes + 2) * rows
+    assert team_value(game, witness).value == pytest.approx(value, abs=1e-12)
+    best, _, everything = _grid_search(game, 30, rows**2)
+    assert everything == rows**2
+    assert value <= best
+    # all 23 probe rows in one chunk, the last of them row 484, which a
+    # budget 7 candidates into it leaves partial: a cut counts those 7
+    monkeypatch.setattr("teammax.solvers._CHUNK_ENTRIES", 2**40)
+    assert 484 % math.isqrt(485) == 0
+    _, _, covered = _grid_search(game, 30, 484 * rows + 7, -math.inf)
+    assert covered == 22 * rows + 7
+
+
+def test_grid_search_scores_few_rows(monkeypatch):
+    # the grid workload's n3 m3 oracle rung: the Lipschitz bound of a few
+    # probe rows rules out almost every row of member 0's grid
+    rows = []
+
+    def counting(block, *args):
+        rows.append(len(block))
+        return _score_rows(block, *args)
+
+    monkeypatch.setattr("teammax.solvers._score_rows", counting)
     game, _ = make_instance("random", n=3, m=3, seed=0)
-    tracemalloc.start()
-    try:
-        grid_oracle(game, target_error=0.03)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak < 16 * 2**20
+    total = math.comb(92, 2) ** 2
+    _, _, covered = _grid_search(game, 90, total)
+    assert covered == total
+    assert sum(rows) * math.comb(92, 2) < 0.1 * total
+
+
+def test_grid_oracle_peak_memory():
+    # the grid workload's oracle rungs: scored one adversary action at a
+    # time in cache-sized slices that the bound reuses, they peak near 5, 9
+    # and 4 MiB; contracting whole chunks against every action took 51 MiB
+    rungs = [
+        (make_instance("random", n=3, m=3, seed=0)[0], 0.03, 8),
+        (make_instance("random", n=4, m=3, seed=0)[0], 0.2, 12),
+        (make_instance("poa")[0], 0.002, 8),
+    ]
+    for game, target, mib in rungs:
+        tracemalloc.start()
+        try:
+            grid_oracle(game, target_error=target)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < mib * 2**20
 
 
 def test_enumeration_additive_guarantee_against_oracle():
