@@ -605,8 +605,10 @@ def test_grid_search_prunes_to_the_exhaustive_result_on_constructed_games(
 
 
 def test_grid_search_cut_by_its_deadline_counts_the_candidates_scored(monkeypatch):
-    # one row per chunk, and a clock that reads 1, 2, 3, ...: a deadline of
-    # probes + 1.5 passes after the second row scored best bound first
+    # one row per chunk, and a clock that reads 1, 2, 3, ...: the probe
+    # chunks after the first read it probes - 1 times and the bound's slices
+    # of rows // probes rows once each, so a deadline of probes + slices + 1.5
+    # passes after the second row scored best bound first
     monkeypatch.setattr("teammax.solvers._CHUNK_ENTRIES", 1)
     ticks = itertools.count(1)
     monkeypatch.setattr(
@@ -615,12 +617,18 @@ def test_grid_search_cut_by_its_deadline_counts_the_candidates_scored(monkeypatc
     game = normalize_payoffs(random_team_game(3, 3, seed=1))
     rows = math.comb(32, 2)
     probes = -(-rows // math.isqrt(rows))
-    value, witness, covered = _grid_search(game, 30, rows**2, probes + 1.5)
+    slices = -(-(rows - probes) // (rows // probes))
+    value, witness, covered = _grid_search(game, 30, rows**2, probes + slices + 1.5)
     assert covered == (probes + 2) * rows
     assert team_value(game, witness).value == pytest.approx(value, abs=1e-12)
     best, _, everything = _grid_search(game, 30, rows**2)
     assert everything == rows**2
     assert value <= best
+    # a deadline that passes during the bound phase stops it there, before
+    # any row is scored best bound first
+    ticks = itertools.count(1)
+    _, _, covered = _grid_search(game, 30, rows**2, probes + 2.5)
+    assert covered == probes * rows
     # all 23 probe rows in one chunk, the last of them row 484, which a
     # budget 7 candidates into it leaves partial: a cut counts those 7
     monkeypatch.setattr("teammax.solvers._CHUNK_ENTRIES", 2**40)
@@ -644,6 +652,29 @@ def test_grid_search_scores_few_rows(monkeypatch):
     _, _, covered = _grid_search(game, 90, total)
     assert covered == total
     assert sum(rows) * math.comb(92, 2) < 0.1 * total
+
+
+def test_grid_search_holds_two_slices_on_a_one_member_game(monkeypatch):
+    # 1,000,001 rows of one candidate each, which the bound skips: scored in
+    # order, they need the two cache-sized slices and one chunk's rows of
+    # member 0's grid (12 MiB in all), not arrays of one value per row (34 MiB)
+    held = []
+
+    def counting(block, *args):
+        held.append(tracemalloc.get_traced_memory()[0])
+        return _score_rows(block, *args)
+
+    monkeypatch.setattr("teammax.solvers._score_rows", counting)
+    game = _random_game((2, 3), seed=10)
+    rows = 1_000_001
+    tracemalloc.start()
+    try:
+        _, _, covered = _grid_search(game, rows - 1, rows)
+    finally:
+        tracemalloc.stop()
+    assert covered == rows
+    # beyond member 0's grid, rows x 2 floats
+    assert max(held) - rows * 2 * 8 < 16 * 2**20
 
 
 def test_grid_oracle_peak_memory():
