@@ -31,9 +31,8 @@ class CapacityError(RuntimeError):
 
 
 def _frozen_array(values, dtype=np.float64) -> np.ndarray:
-    arr = np.asarray(values, dtype=dtype)
-    arr = np.array(arr, dtype=dtype)  # own the memory before locking it
-    arr.flags.writeable = False
+    arr = np.array(values, dtype=dtype)  # a copy that owns its memory
+    arr.setflags(write=False)
     return arr
 
 
@@ -120,17 +119,21 @@ class MixedStrategy:
     def __post_init__(self):
         if self.owner < 0:
             raise ValueError(f"owner must be nonnegative, got {self.owner}")
-        probs = np.asarray(self.probs, dtype=np.float64)
+        probs = _frozen_array(self.probs)
         if probs.ndim != 1 or probs.size < 1:
             raise ValueError("probs must be a nonempty vector")
-        if not np.all(np.isfinite(probs)):
-            raise ValueError("probs contain non-finite entries")
-        if np.any(probs < 0.0):
+        # the minimum is NaN if an entry is, and the sum of entries that
+        # are not negative is infinite if an entry is (or if it overflows)
+        if not probs.min() >= 0.0:
+            if not np.isfinite(probs).all():
+                raise ValueError("probs contain non-finite entries")
             raise ValueError(f"negative probability in {probs}")
         total = float(probs.sum())
+        if not math.isfinite(total) and not np.isfinite(probs).all():
+            raise ValueError("probs contain non-finite entries")
         if abs(total - 1.0) > PROB_TOL:
             raise ValueError(f"probabilities sum to {total!r}, not 1")
-        object.__setattr__(self, "probs", _frozen_array(probs))
+        object.__setattr__(self, "probs", probs)
 
     @property
     def num_actions(self) -> int:
@@ -184,9 +187,13 @@ class JointDistribution:
         probs = np.asarray(self.probs, dtype=np.float64).reshape(-1)
         if probs.size != total:
             raise ValueError(f"{probs.size} entries for {total} joint actions")
-        if np.any(probs < 0.0) or not np.all(np.isfinite(probs)):
-            raise ValueError("joint probabilities must be finite and nonnegative")
+        # checked as in MixedStrategy
+        invalid = "joint probabilities must be finite and nonnegative"
+        if not probs.min() >= 0.0:
+            raise ValueError(invalid)
         s = float(probs.sum())
+        if not math.isfinite(s) and not np.isfinite(probs).all():
+            raise ValueError(invalid)
         if abs(s - 1.0) > PROB_TOL:
             raise ValueError(f"joint probabilities sum to {s!r}, not 1")
         object.__setattr__(self, "team_sizes", sizes)
@@ -245,11 +252,11 @@ def _check_profile(game: TeamGame, profile: TeamProfile) -> None:
             f"profile has {len(profile)} strategies for "
             f"{game.num_team_members} team members"
         )
-    for i, s in enumerate(profile):
-        if s.num_actions != game.team_sizes[i]:
+    for i, (s, m) in enumerate(zip(profile, game.actions_per_player)):
+        if s.num_actions != m:
             raise ValueError(
                 f"member {i} strategy has {s.num_actions} actions, "
-                f"game expects {game.team_sizes[i]}"
+                f"game expects {m}"
             )
 
 
@@ -259,12 +266,28 @@ def contract_except(tensor: np.ndarray, vectors, keep: int | None = None) -> np.
     Axis j is contracted with vectors[j] for every j < len(vectors) other
     than `keep`, in ascending j; vectors[keep] is ignored. The result has the
     kept axis first, then the axes from len(vectors) on, in order.
+
+    The kept axis is moved first as np.moveaxis moves it, and each step is
+    np.tensordot(out, vec, axes=([axis], [0])) written out: the contracted
+    axis is transposed last, the other axes are flattened into rows, and
+    np.dot multiplies that 2-D operand by vec reshaped to an (n, 1) column.
+    Those are the operands tensordot hands np.dot, with the same strides, and
+    the same copy or view from the reshape, so BLAS gets the same call and
+    the result has the same bits; only the two wrappers' Python overhead is
+    gone.
     """
-    out = tensor if keep is None else np.moveaxis(tensor, keep, 0)
-    axis = 0 if keep is None else 1
+    out = tensor
+    axis = 0
+    if keep is not None:
+        out = tensor.transpose(keep, *(j for j in range(tensor.ndim) if j != keep))
+        axis = 1
     for j, vec in enumerate(vectors):
         if j != keep:
-            out = np.tensordot(out, vec, axes=([axis], [0]))
+            shape = out.shape
+            rest = shape[:axis] + shape[axis + 1 :]
+            order = (*range(axis), *range(axis + 1, len(shape)), axis)
+            rows = out.transpose(order).reshape(math.prod(rest), shape[axis])
+            out = np.dot(rows, vec.reshape(shape[axis], 1)).reshape(rest)
     return out
 
 
@@ -284,7 +307,7 @@ def team_value(game: TeamGame, profile: TeamProfile) -> ValueReport:
 
 
 def _worst_case(per_action: np.ndarray) -> ValueReport:
-    worst = int(np.argmin(per_action))
+    worst = int(per_action.argmin())
     return ValueReport(
         value=float(per_action[worst]),
         minimizing_adversary_action=worst,

@@ -221,13 +221,15 @@ def _solve_lp(lp: LinearProgram, inverse: bool) -> LpSolution:
         cols = np.zeros((n + m, m + 2))
         cols[:n, :m] = lp.a_ub.T
         cols[:n, m] = -lp.objective
-        np.fill_diagonal(cols[n:], 1.0)
+        # the slacks' unit columns, entries (n + i, i), every (m + 3)th
+        cols.reshape(-1)[n * (m + 2) :: m + 3] = 1.0
         work = np.eye(m + 1, m + 2)
         work[:m, -1] = lp.b_ub
     else:
         work = np.zeros((m + 1, n + m + 1))
         work[:m, :n] = lp.a_ub
-        np.fill_diagonal(work[:m, n:], 1.0)
+        # the slack identity, entries (i, n + i), every (n + m + 2)th
+        work.reshape(-1)[n : m * (n + m + 2) : n + m + 2] = 1.0
         work[:m, -1] = lp.b_ub
         work[-1, :n] = -lp.objective
         cols = None
@@ -296,23 +298,29 @@ def build_maxmin_lp(
     """
     matrix = _game(matrix)
     lo, hi = float(matrix.min()), float(matrix.max())
-    packing = 1.0 + (matrix - lo) / ((hi - lo) or 1.0)
+    # 1 + (M - lo) / s, in place
+    packing = matrix - lo
+    packing /= (hi - lo) or 1.0
+    packing += 1.0
     a_ub = packing
     if rows is not None:
         g, h = rows
-        a_ub = np.hstack([packing, h - g.T])
+        a_ub = np.concatenate((packing, h - g.T), axis=1)
     objective = np.zeros(a_ub.shape[1])
     objective[: packing.shape[1]] = max(1.0, hi - lo)
     return LinearProgram(objective, a_ub, np.ones(packing.shape[0]))
 
 
-def _mixtures(solution: LpSolution, cols: int) -> tuple[np.ndarray, np.ndarray]:
-    """The row mixture u / sum(u) and the column mixture w / sum(w) of an
-    optimal packing LP solution with cols columns of P, negative rounding
-    clipped to 0."""
+def _mixtures(
+    solution: LpSolution, cols: int
+) -> tuple[np.ndarray, np.ndarray, np.floating]:
+    """The row mixture u / sum(u), the column mixture w / sum(w) and sum(w)
+    of an optimal packing LP solution with cols columns of P, negative
+    rounding clipped to 0."""
     u = np.maximum(solution.duals, 0.0)
     w = np.maximum(solution.variable_values[:cols], 0.0)
-    return u / u.sum(), w / w.sum()
+    weight = w.sum()
+    return u / u.sum(), w / weight, weight
 
 
 def check_maxmin(
@@ -343,13 +351,12 @@ def check_maxmin(
         raise LpSolveError(f"maxmin LP came back {solution.status}")
     matrix = np.asarray(matrix, dtype=np.float64)
     cols = matrix.shape[1]
-    x, y = _mixtures(solution, cols)
+    x, y, weight = _mixtures(solution, cols)
     value = float((x @ matrix).min())
     if rows is None:
         _certify(matrix, value, y)
     else:
         spread = float(matrix.max() - matrix.min()) or 1.0
-        weight = np.maximum(solution.variable_values[:cols], 0.0).sum()
         lam = np.maximum(solution.variable_values[cols:], 0.0) * (spread / weight)
         _certify(matrix, value, y, rows, lam)
     return value, x
@@ -422,12 +429,12 @@ def _solve_packing(matrix: np.ndarray, transposed: bool) -> tuple[float, np.ndar
     if solution.status != "optimal":
         raise LpSolveError(f"packing LP came back {solution.status}")
     m, n = lp.a_ub.shape
-    u_mix, w_mix = _mixtures(solution, n)
+    u_mix, w_mix, _ = _mixtures(solution, n)
     # the basic columns of P and the rows of P whose slack left the basis
     # index the square system of the optimal basis
     in_basis = np.zeros(n + m, dtype=bool)
     in_basis[solution.basis] = True
-    columns, tight = np.flatnonzero(in_basis[:n]), np.flatnonzero(~in_basis[n:])
+    columns, tight = in_basis[:n].nonzero()[0], (~in_basis[n:]).nonzero()[0]
     if transposed:
         x, y, support, active = w_mix, u_mix, columns, tight
     else:
@@ -449,7 +456,7 @@ def _solve_on_support(
     """
     k = support.size
     system = np.zeros((k + 1, k + 1))
-    system[:k, :k] = matrix[support][:, active].T
+    system[:k, :k] = matrix[support[:, None], active].T
     system[:k, k] = -1.0
     system[k, :k] = 1.0
     rhs = np.zeros(k + 1)

@@ -293,6 +293,8 @@ def iterated_lp(
     seed: int = 0,
     timeout: float | None = DEFAULT_TIMEOUT,
     max_rounds: int = 1000,
+    *,
+    upper_bound: float | None = None,
 ) -> SolveReport:
     """Alternating best-response LP ascent over team members.
 
@@ -315,7 +317,10 @@ def iterated_lp(
 
     The report's lower bound is the best value across restarts; its upper
     bound is the correlated value v_C, solved once the ascent is done (see
-    _correlated_upper_bound).
+    _correlated_upper_bound), or max(upper_bound, lower bound) when the
+    caller already holds an upper bound such as v_C. SOLVERS does not
+    declare upper_bound: global_optimize passes its root's bound down, so
+    that one run solves the correlated LP once.
     iterations counts rounds summed over restarts. converged is False if the
     timeout cut work short or some restart hit max_rounds while still
     improving.
@@ -382,9 +387,13 @@ def iterated_lp(
             converged = False
         if timed_out:
             break
+    if upper_bound is None:
+        upper = _correlated_upper_bound(game, best_value)
+    else:
+        upper = max(upper_bound, best_value)
     return SolveReport(
         lower_bound=best_value,
-        upper_bound=_correlated_upper_bound(game, best_value),
+        upper_bound=upper,
         witness=best_profile,
         iterations=total_rounds,
         restarts_used=restarts_done,
@@ -707,17 +716,103 @@ def grid_oracle(
 # global anytime bounds
 
 
-def _on_edge(v: np.ndarray) -> np.ndarray:
-    return (v == 0.0) | (v == 1.0)
+# (p_ab, x_a, x_b) of the five kinds of entry of a row of _node_rows, one
+# kind per row of these columns. An envelope's entry at a joint action that
+# has member i play a (x_a = 1) or not and member j play b (x_b = 1) or not
+# is of kind 2 x_a + x_b, with p_ab = x_a x_b; a marginal row's entry is of
+# kind 4, (1, 0, 0), where its member plays its action and of kind 0
+# elsewhere
+_PAIR = np.array([[0.0], [0.0], [0.0], [1.0], [1.0]])
+_X_A = np.array([[0.0], [0.0], [1.0], [1.0], [0.0]])
+_X_B = np.array([[0.0], [1.0], [0.0], [1.0], [0.0]])
+_ONE = np.ones(1)
+
+
+@dataclass(frozen=True, eq=False)
+class _Incidence:
+    """What a branch-and-bound node takes from the team's action counts,
+    whatever its box. A box is two vectors, lo and hi, of every member's
+    action intervals, member 0's first; members holds each member's slice
+    of them. For _node_rows, every candidate row, in _node_rows's order,
+    has
+
+    * ends: the indices of its endpoints alpha and beta, shape (2, rows),
+      into the vector of lo, hi and a 1;
+    * signs: the sign of G's row;
+    * heights: the sign of alpha beta in h;
+    * equal_drops: the row is left out when alpha and beta are 0 or 1 and
+      (alpha == beta) equals this;
+    * entries: for every joint action, the index of the entry's value in
+      the flattened (5, rows) table of _node_rows, kind * rows + row.
+    """
+
+    members: tuple[slice, ...]
+    ends: np.ndarray
+    signs: np.ndarray
+    heights: np.ndarray
+    equal_drops: np.ndarray
+    entries: np.ndarray
+
+
+def _node_incidence(team_sizes: tuple[int, ...]) -> _Incidence:
+    """The _Incidence of a team with these action counts."""
+    members = len(team_sizes)
+    actions = np.indices(team_sizes).reshape(members, -1)
+    total = sum(team_sizes)
+    starts = [sum(team_sizes[:i]) for i in range(members)]
+    alphas, betas, signs, heights, drops, codes = [], [], [], [], [], []
+    # member i's marginal rows -x_a <= -l_a, then x_a <= u_a, each with
+    # beta = 1: left out when l_a is 0 or u_a is 1
+    for i, m in enumerate(team_sizes):
+        plays = np.arange(m)[:, None] == actions[i]
+        for sign, offset in ((-1.0, 0), (1.0, total)):
+            alphas += range(offset + starts[i], offset + starts[i] + m)
+            betas += [2 * total] * m
+            signs += [sign] * m
+            heights += [sign] * m
+            drops += [sign > 0.0] * m
+            codes.append(4 * plays)
+    # the four envelopes of every pair, through (alpha, beta) =
+    # (l_a, l_b), (u_a, u_b), (u_a, l_b), (l_a, u_b), each over (a, b) in
+    # C order
+    for i, j in itertools.combinations(range(members), 2):
+        pairs = list(itertools.product(range(team_sizes[i]), range(team_sizes[j])))
+        plays_a = np.arange(team_sizes[i])[:, None, None] == actions[i]
+        plays_b = np.arange(team_sizes[j])[:, None] == actions[j]
+        code = (2 * plays_a + plays_b).reshape(len(pairs), -1)
+        for sign, high_a, high_b in (
+            (-1.0, False, False),
+            (-1.0, True, True),
+            (1.0, True, False),
+            (1.0, False, True),
+        ):
+            alphas += [total * high_a + starts[i] + a for a, _ in pairs]
+            betas += [total * high_b + starts[j] + b for _, b in pairs]
+            signs += [sign] * len(pairs)
+            heights += [-sign] * len(pairs)
+            drops += [sign < 0.0] * len(pairs)
+            codes.append(code)
+    codes = np.concatenate(codes)
+    return _Incidence(
+        members=tuple(slice(a, a + m) for a, m in zip(starts, team_sizes)),
+        ends=np.array([alphas, betas]),
+        signs=np.array(signs),
+        heights=np.array(heights),
+        equal_drops=np.array(drops),
+        entries=codes * len(codes) + np.arange(len(codes))[:, None],
+    )
 
 
 def _node_rows(
-    team_sizes: tuple[int, ...], los: list[np.ndarray], his: list[np.ndarray]
+    incidence: _Incidence, lo: np.ndarray, hi: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """Rows (G, h) of a branch-and-bound node's relaxation: G z <= h holds
     for the joint distribution z of every team profile whose member i plays
-    each action a with probability in [los[i][a], his[i][a]]. z is indexed
-    by joint team action in C order, as the rows of to_joint_game.
+    each action a with probability in [lo[k], hi[k]], k = a + the start of
+    incidence.members[i]. z is indexed by joint team action in C order, as
+    the rows of to_joint_game. incidence is _node_incidence(team_sizes),
+    built once per run: what the rows take from the team's action counts
+    alone.
 
     With x_a the marginal of member i's action a, x_b that of member j's
     action b, p_ab = x_a x_b their pair marginal and [l_a, u_a], [l_b, u_b]
@@ -736,49 +831,59 @@ def _node_rows(
     row on a low of 0 or a high of 1, and an envelope whose endpoints, 0 or
     1, make it a Frechet bound (p_ab >= 0, p_ab >= x_a + x_b - 1,
     p_ab <= x_a or p_ab <= x_b).
+
+    How they are computed: the envelope through endpoints (alpha, beta) of
+    (a, b) is the row sign (p_ab - alpha x_b - beta x_a) <= -sign alpha beta,
+    with sign -1 for the two lower envelopes and +1 for the two upper ones,
+    and it is a Frechet bound when alpha and beta are 0 or 1, equal for a
+    lower envelope and different for an upper one. A marginal row,
+    sign x_a <= sign alpha with sign -1 for a low and +1 for a high, is the
+    same row with x_a in the place of p_ab, 0 in those of x_a and x_b,
+    beta = 1 and sign alpha beta on the right; it is implied when alpha is
+    0 for a low or 1 for a high. An entry of a row thus takes one of five
+    values, by its kind (_PAIR, _X_A, _X_B): the five are computed for
+    every candidate row at once, and the kept rows' entries gathered by
+    incidence.entries. Each entry is the floating-point expression it would
+    be if written entry by entry, so it has the same bits.
     """
-    members = len(team_sizes)
-    actions = np.indices(team_sizes).reshape(members, -1)
-    # marks[i][a, r] is 1 where joint action r has member i play a
-    marks = [
-        (np.arange(m)[:, None] == act).astype(np.float64)
-        for m, act in zip(team_sizes, actions)
-    ]
-    g_blocks, h_blocks = [], []
-    for mark, lo, hi in zip(marks, los, his):
-        low, high = lo > 0.0, hi < 1.0
-        g_blocks += [-mark[low], mark[high]]
-        h_blocks += [-lo[low], hi[high]]
-    # the envelope through endpoints (alpha, beta) of (a, b) is the row
-    # sign (p_ab - alpha x_b - beta x_a) <= -sign alpha beta, with sign -1
-    # for the two lower envelopes and +1 for the two upper ones. It is a
-    # Frechet bound when alpha and beta are 0 or 1, equal for a lower
-    # envelope and different for an upper one
-    signs = np.array([-1.0, -1.0, 1.0, 1.0])[:, None, None]
-    lower = signs < 0.0
-    for i, j in itertools.combinations(range(members), 2):
-        x_a, x_b = marks[i][:, None, :], marks[j][None, :, :]
-        pair = x_a * x_b
-        alpha = np.stack([los[i], his[i], his[i], los[i]])[:, :, None]
-        beta = np.stack([los[j], his[j], los[j], his[j]])[:, None, :]
-        keep = ~(_on_edge(alpha) & _on_edge(beta) & ((alpha == beta) == lower))
-        g = signs[..., None] * (pair - alpha[..., None] * x_b - beta[..., None] * x_a)
-        g_blocks.append(g[keep])
-        h_blocks.append((-signs * alpha * beta)[keep])
-    return np.concatenate(g_blocks), np.concatenate(h_blocks)
+    ends = np.concatenate((lo, hi, _ONE))
+    alpha, beta = ends[incidence.ends]
+    values = incidence.signs * ((_PAIR - alpha * _X_B) - beta * _X_A)
+    h = (incidence.heights * alpha) * beta
+    on_edge = ((ends == 0.0) | (ends == 1.0))[incidence.ends]
+    drop = (alpha == beta) == incidence.equal_drops
+    drop &= on_edge[0]
+    drop &= on_edge[1]
+    keep = ~drop
+    return values.take(incidence.entries[keep]), h[keep]
 
 
-def _tighten_box(los: list[np.ndarray], his: list[np.ndarray]) -> bool:
-    """Intersect interval boxes with the probability simplex; returns False
-    when the intersection is empty."""
+def _tighten_box(
+    lo: np.ndarray, hi: np.ndarray, members: tuple[slice, ...]
+) -> bool:
+    """Intersect a box with the probability simplex of every member, in
+    place: two rounds, each lowering every high to 1 less the member's other
+    lows, then raising every low to 1 less the member's other highs.
+    members holds each member's slice of lo and hi. Returns False when the
+    intersection is empty, and leaves the box undefined then."""
+    # each entry's member's sum of lows, then of highs
+    sums = np.empty(lo.size)
+    lo_sums = [lo[k].sum() for k in members]
     for _ in range(2):
-        for lo, hi in zip(los, his):
-            np.minimum(hi, 1.0 - (lo.sum() - lo), out=hi)
-            np.maximum(lo, 1.0 - (hi.sum() - hi), out=lo)
-            if np.any(lo > hi + 1e-12):
-                return False
-            if lo.sum() > 1.0 + 1e-9 or hi.sum() < 1.0 - 1e-9:
-                return False
+        for k, total in zip(members, lo_sums):
+            sums[k] = total
+        np.minimum(hi, 1.0 - (sums - lo), out=hi)
+        hi_sums = [hi[k].sum() for k in members]
+        for k, total in zip(members, hi_sums):
+            sums[k] = total
+        np.maximum(lo, 1.0 - (sums - hi), out=lo)
+        lo_sums = [lo[k].sum() for k in members]
+        if (
+            max(lo_sums) > 1.0 + 1e-9
+            or min(hi_sums) < 1.0 - 1e-9
+            or (lo > hi + 1e-12).any()
+        ):
+            return False
     return True
 
 
@@ -803,26 +908,27 @@ def global_optimize(
 
     Starts from reconstruct_best_pivot's bracket: the correlated upper
     bound and its best-pivot reconstruction (budget 0 returns exactly
-    those). With remaining budget
-    it sharpens the lower bound by iterated LP ascent, then refines the
-    upper bound by best-first branch and bound: the team strategy box is
-    split on the widest coordinate interval and each box is bounded by the
-    correlated relaxation restricted to it, pruning boxes that cannot beat
-    the incumbent. A box whose widest interval is at most max(accuracy /
-    1000, 1e-12), or that is MAX_DEPTH splits per team member deep, is not
-    split again: its bound stays in the upper bound. Bounds are valid
-    whenever it stops; converged means the bracket width reached
-    `accuracy`. Each node LP is build_maxmin_lp with the node's rows
-    (_node_rows): the correlated relaxation over joint team strategies z,
-    cut down by marginal rows that keep every member's marginals in its
-    box and by the McCormick envelopes of every pair marginal. It is the
-    packing LP with one row per joint team action and one column per row,
-    solved in one simplex run from its slack basis. Its bound is the worth
-    of the LP's joint mixture, certified by check_maxmin with the dual
-    certificate (y, lam) that holds every z satisfying the rows to it, so
-    a node LP that is not solved to optimality raises LpSolveError. The
-    product of the joint mixture's marginals (JointDistribution.marginal)
-    is a team profile, evaluated as a lower bound.
+    those). With remaining budget it sharpens the lower bound by iterated
+    LP ascent, which is handed that upper bound instead of solving the
+    correlated LP again, then refines the upper bound by best-first branch
+    and bound: the team strategy box is split on the widest coordinate
+    interval and each box is bounded by the correlated relaxation
+    restricted to it, pruning boxes that cannot beat the incumbent. A box
+    whose widest interval is at most max(accuracy / 1000, 1e-12), or that
+    is MAX_DEPTH splits per team member deep, is not split again: its
+    bound stays in the upper bound. Bounds are valid whenever it stops;
+    converged means the bracket width reached `accuracy`. Each node LP is
+    build_maxmin_lp with the node's rows (_node_rows): the correlated
+    relaxation over joint team strategies z, cut down by marginal rows that
+    keep every member's marginals in its box and by the McCormick envelopes
+    of every pair marginal. It is the packing LP with one row per joint
+    team action and one column per row, solved in one simplex run from its
+    slack basis. Its bound is the worth of the LP's joint mixture,
+    certified by check_maxmin with the dual certificate (y, lam) that holds
+    every z satisfying the rows to it, so a node LP that is not solved to
+    optimality raises LpSolveError. The product of the joint mixture's
+    marginals (JointDistribution.marginal) is a team profile, evaluated as
+    a lower bound.
     """
     _require_normalized(game, "global_optimize")
     _check_global(accuracy, restarts, max_nodes)
@@ -845,6 +951,7 @@ def global_optimize(
             restarts=restarts,
             seed=seed,
             timeout=max(remaining * 0.5, 0.0),
+            upper_bound=upper,
         )
         restarts_used = ascent.restarts_used
         if ascent.lower_bound > lower:
@@ -853,10 +960,10 @@ def global_optimize(
     if not done():
         matrix = to_joint_game(game)
         members = game.num_team_members
-        root_los = [np.zeros(m) for m in game.team_sizes]
-        root_his = [np.ones(m) for m in game.team_sizes]
+        incidence = _node_incidence(game.team_sizes)
+        entries = sum(game.team_sizes)
         counter = itertools.count()
-        heap = [(-upper, next(counter), 0, root_los, root_his)]
+        heap = [(-upper, next(counter), 0, np.zeros(entries), np.ones(entries))]
         resolved = lower
         while True:
             top = -heap[0][0] if heap else -math.inf
@@ -868,31 +975,29 @@ def global_optimize(
                 or time.perf_counter() > deadline
             ):
                 break
-            _, _, depth, los, his = heapq.heappop(heap)
+            _, _, depth, lo, hi = heapq.heappop(heap)
             if top <= lower:
                 continue
             nodes += 1
             # split the widest interval, ties to the lowest member and action
-            widths = [hi - lo for lo, hi in zip(los, his)]
-            member = max(range(members), key=lambda i: widths[i].max())
-            action = int(np.argmax(widths[member]))
-            width = float(widths[member][action])
+            widths = hi - lo
+            widest = int(widths.argmax())
+            width = float(widths[widest])
             if width <= max(accuracy * 1e-3, 1e-12) or depth >= MAX_DEPTH * members:
                 resolved = max(resolved, top)
                 continue
-            mid = los[member][action] + width / 2.0
+            mid = lo[widest] + width / 2.0
             for half in (0, 1):
-                child_los = [arr.copy() for arr in los]
-                child_his = [arr.copy() for arr in his]
+                child_lo, child_hi = lo.copy(), hi.copy()
                 if half == 0:
-                    child_his[member][action] = mid
+                    child_hi[widest] = mid
                 else:
-                    child_los[member][action] = mid
-                if not _tighten_box(child_los, child_his):
+                    child_lo[widest] = mid
+                if not _tighten_box(child_lo, child_hi, incidence.members):
                     continue
                 # the correlated relaxation cut down to the box by its
                 # marginal and McCormick rows
-                rows = _node_rows(game.team_sizes, child_los, child_his)
+                rows = _node_rows(incidence, child_lo, child_hi)
                 bound, probs = check_maxmin(
                     matrix, solve_lp(build_maxmin_lp(matrix, rows)), rows
                 )
@@ -907,7 +1012,7 @@ def global_optimize(
                 if bound > lower:
                     heapq.heappush(
                         heap,
-                        (-bound, next(counter), depth + 1, child_los, child_his),
+                        (-bound, next(counter), depth + 1, child_lo, child_hi),
                     )
 
     upper = max(upper, lower)

@@ -10,7 +10,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from teammax.game import (
@@ -20,6 +20,7 @@ from teammax.game import (
     MixedStrategy,
     TeamGame,
     TeamProfile,
+    contract_except,
     expected_team_utility,
     game_from_dict,
     game_to_dict,
@@ -360,3 +361,36 @@ def test_value_report_dominated_by_expected_utility(seed):
     adversary = MixedStrategy(2, rng.simplex_point(2))
     worst = team_value(game, profile).value
     assert worst <= expected_team_utility(game, profile, adversary) + 1e-12
+
+
+def _tensordot_contraction(tensor, vectors, keep=None):
+    # contract_except as np.moveaxis and np.tensordot compute it
+    out = tensor if keep is None else np.moveaxis(tensor, keep, 0)
+    axis = 0 if keep is None else 1
+    for j, vec in enumerate(vectors):
+        if j != keep:
+            out = np.tensordot(out, vec, axes=([axis], [0]))
+    return out
+
+
+@settings(max_examples=300)
+@given(
+    st.lists(st.integers(1, 6), min_size=2, max_size=5),
+    st.booleans(),
+    st.integers(0, 2**32 - 1),
+    st.data(),
+)
+def test_contraction_is_tensordot_bit_for_bit(shape, adversary_too, seed, data):
+    # contract_except hands np.dot the operands np.tensordot would, so the
+    # bits must match tensordot's on whatever numpy runs the tests; vectors
+    # for every team member, or for every player as verify_nash passes them
+    rng = np.random.default_rng(seed)
+    tensor = rng.standard_normal(shape)
+    count = len(shape) if adversary_too else len(shape) - 1
+    vectors = [rng.dirichlet(np.ones(m)) for m in shape[:count]]
+    keep = data.draw(st.none() | st.integers(0, count - 1))
+    got = contract_except(tensor, vectors, keep)
+    want = _tensordot_contraction(tensor, vectors, keep)
+    assert got.shape == want.shape
+    assert np.array_equal(got, want)
+    assert got.tobytes() == want.tobytes()

@@ -29,7 +29,7 @@ from teammax.lp import (
     solve_maxmin,
 )
 from teammax.rng import SplitMix64
-from teammax.solvers import _node_rows, _tighten_box
+from teammax.solvers import _node_incidence, _node_rows, _tighten_box
 
 
 def _lp(objective, a_ub=None, b_ub=None):
@@ -195,7 +195,8 @@ def test_same_lp_twice_is_bitwise_identical_and_few_pivots():
     # 20 payoff columns and one column per marginal or envelope row
     game, _ = make_instance("random", n=3, m=20, seed=0)
     splits = [(0, 3, True), (1, 5, False), (0, 7, False), (1, 2, True)]
-    rows = _node_rows(game.team_sizes, *box_from_splits(game.team_sizes, splits))
+    box = box_from_splits(game.team_sizes, splits)
+    rows = _node_rows(_node_incidence(game.team_sizes), *box)
     lp = build_maxmin_lp(to_joint_game(game), rows)
     assert lp.a_ub.shape == (400, 20 + rows[1].size)
     first, second = solve_lp(lp), solve_lp(lp)
@@ -298,19 +299,22 @@ def test_maxmin_badly_scaled_row(big):
     assert value == pytest.approx(big, abs=1e-9)
 
 
+# the square tableau of this game pivots on entries of 4e-5 and 1e-9 and
+# stops at a basis that the certificate refutes by 1.6e-5; the tableau of
+# -M^T reaches the value, 0 (scipy-HiGHS agrees)
+BADLY_SCALED_GAME = np.array(
+    [
+        [0.0, 0.0, -8.600181810762484, -7.401453129164783, 6.103515625e-05],
+        [-9.208076716732654, 1e-09, 9.999999999999998, 0.0, -6.103515625e-05],
+        [2.00001, -7.665510397996925, -2.2838159790931676, 1e-09, -5.503727840529848],
+        [0.0, -1e-09, 0.0, 6.103515625e-05, 0.0],
+        [0.0, 0.001, -1e-08, 0.0, 0.0],
+    ]
+)
+
+
 def test_maxmin_solves_a_badly_scaled_game_on_the_other_tableau():
-    # the square tableau of this game pivots on entries of 4e-5 and 1e-9
-    # and stops at a basis that the certificate refutes by 1.6e-5; the
-    # tableau of -M^T reaches the value, 0 (scipy-HiGHS agrees)
-    matrix = np.array(
-        [
-            [0.0, 0.0, -8.600181810762484, -7.401453129164783, 6.103515625e-05],
-            [-9.208076716732654, 1e-09, 9.999999999999998, 0.0, -6.103515625e-05],
-            [2.00001, -7.665510397996925, -2.2838159790931676, 1e-09, -5.503727840529848],
-            [0.0, -1e-09, 0.0, 6.103515625e-05, 0.0],
-            [0.0, 0.001, -1e-08, 0.0, 0.0],
-        ]
-    )
+    matrix = BADLY_SCALED_GAME
     value, strategy = solve_maxmin(matrix)
     assert value == pytest.approx(0.0, abs=1e-9)
     assert (strategy @ matrix).min() == value
@@ -414,26 +418,31 @@ def test_maxmin_lp_structure():
 
 
 def box_from_splits(team_sizes, splits):
-    """Member boxes of a branch-and-bound node: halve the interval of
-    (member, action) for each split as global_optimize does, keep the lower
-    half when `upper` is false, and intersect with the simplex. Splits that
-    would empty the box are skipped. Returns (los, his), one array per
-    member."""
-    los = [np.zeros(m) for m in team_sizes]
-    his = [np.ones(m) for m in team_sizes]
+    """The box of a branch-and-bound node, (lo, hi), as global_optimize
+    keeps it: every member's action intervals in one vector of lows and one
+    of highs, member 0's first. Halves the interval of (member, action) for
+    each split as global_optimize does, keeps the lower half when `upper`
+    is false, and intersects with the simplex; splits that would empty the
+    box are skipped."""
+    members = _node_incidence(team_sizes).members
+    lo, hi = np.zeros(sum(team_sizes)), np.ones(sum(team_sizes))
     for member, action, upper in splits:
         member %= len(team_sizes)
-        action %= team_sizes[member]
-        child_los = [arr.copy() for arr in los]
-        child_his = [arr.copy() for arr in his]
-        mid = (los[member][action] + his[member][action]) / 2.0
+        k = members[member].start + action % team_sizes[member]
+        child_lo, child_hi = lo.copy(), hi.copy()
+        mid = (lo[k] + hi[k]) / 2.0
         if upper:
-            child_los[member][action] = mid
+            child_lo[k] = mid
         else:
-            child_his[member][action] = mid
-        if _tighten_box(child_los, child_his):
-            los, his = child_los, child_his
-    return los, his
+            child_hi[k] = mid
+        if _tighten_box(child_lo, child_hi, members):
+            lo, hi = child_lo, child_hi
+    return lo, hi
+
+
+def per_member(team_sizes, vector):
+    """One member's part of a box vector per member, as views."""
+    return np.split(vector, np.cumsum(team_sizes)[:-1])
 
 
 def _products(parts):
@@ -447,8 +456,8 @@ def joint_box(team_sizes, splits):
     """The products of a node's member interval endpoints, (lows, highs):
     every joint probability of a profile in the member boxes lies between
     them."""
-    los, his = box_from_splits(team_sizes, splits)
-    return _products(los), _products(his)
+    lo, hi = (per_member(team_sizes, v) for v in box_from_splits(team_sizes, splits))
+    return _products(lo), _products(hi)
 
 
 def box_rows(lows, highs):
@@ -592,7 +601,8 @@ def test_node_certificate_needs_its_multipliers_and_its_column_mixture():
     matrix = to_joint_game(game)
     v_c, _ = solve_maxmin(matrix)
     splits = [(0, 0, False), (1, 2, True)]
-    rows = _node_rows(game.team_sizes, *box_from_splits(game.team_sizes, splits))
+    box = box_from_splits(game.team_sizes, splits)
+    rows = _node_rows(_node_incidence(game.team_sizes), *box)
     solution, (value, x) = node_solution(matrix, rows)
     assert value < v_c - 1e-3
     cols = matrix.shape[1]

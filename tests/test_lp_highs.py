@@ -16,7 +16,7 @@ from teammax.lp import (  # noqa: E402
     solve_lp,
     solve_maxmin,
 )
-from teammax.solvers import _node_rows  # noqa: E402
+from teammax.solvers import _node_incidence, _node_rows  # noqa: E402
 from test_lp import box_from_splits  # noqa: E402
 
 
@@ -128,8 +128,8 @@ def _node_games(draw):
     entries = st.one_of(st.just(0.0), st.floats(1e-3, 1.0))
     values = draw(st.lists(entries, min_size=size, max_size=size))
     split = st.tuples(st.integers(0, 2), st.integers(0, 3), st.booleans())
-    los, his = box_from_splits(team_sizes, draw(st.lists(split, max_size=8)))
-    rows = _node_rows(team_sizes, los, his)
+    lo, hi = box_from_splits(team_sizes, draw(st.lists(split, max_size=8)))
+    rows = _node_rows(_node_incidence(team_sizes), lo, hi)
     return np.array(values).reshape(-1, adversary), rows
 
 

@@ -67,11 +67,12 @@ from teammax.solvers import (
     _CHUNK_ENTRIES,
     _composition_grid,
     _grid_search,
+    _node_incidence,
     _node_rows,
     _random_profile,
     _score_rows,
 )
-from test_lp import box_from_splits
+from test_lp import box_from_splits, per_member
 
 REPO = pathlib.Path(__file__).resolve().parent.parent
 
@@ -1046,6 +1047,34 @@ def test_global_on_poa_game():
     assert report.lower_bound == pytest.approx(0.25, abs=1e-3)
 
 
+def test_global_solves_the_correlated_lp_once(monkeypatch):
+    # the root's reconstruction solves v_C; the ascent is handed the root's
+    # upper bound instead of solving it again
+    import teammax.solvers as solvers_module
+
+    calls = []
+
+    def counted(game):
+        calls.append(game)
+        return correlated_team_maxmin(game)
+
+    monkeypatch.setattr(solvers_module, "correlated_team_maxmin", counted)
+    game, _ = make_instance("random", n=3, m=4, seed=1)
+    report = run_solver("global", game, accuracy=1e-3, max_nodes=3000)
+    assert report.restarts_used > 0
+    assert len(calls) == 1
+
+
+def test_iterated_lp_takes_a_known_upper_bound():
+    game, _ = make_instance("random", n=3, m=4, seed=1)
+    solved = iterated_lp(game, restarts=2, seed=0)
+    given_bound = iterated_lp(game, restarts=2, seed=0, upper_bound=2.0)
+    below = iterated_lp(game, restarts=2, seed=0, upper_bound=-1.0)
+    assert given_bound.lower_bound == solved.lower_bound
+    assert given_bound.upper_bound == 2.0
+    assert below.upper_bound == below.lower_bound
+
+
 def test_global_bracket_valid_on_random_games():
     for seed in (0, 4):
         game = normalize_payoffs(random_team_game(3, 3, seed=seed))
@@ -1101,13 +1130,15 @@ def test_node_bound_holds_every_profile_in_its_box(shape, seed, splits):
     n, m = shape
     game, _ = make_instance("random", n=n, m=m, seed=seed)
     matrix = to_joint_game(game)
-    los, his = box_from_splits(game.team_sizes, splits)
-    rows = _node_rows(game.team_sizes, los, his)
+    lo, hi = box_from_splits(game.team_sizes, splits)
+    rows = _node_rows(_node_incidence(game.team_sizes), lo, hi)
     bound, _ = check_maxmin(matrix, solve_lp(build_maxmin_lp(matrix, rows)), rows)
     rng = SplitMix64(seed)
     samples = [
-        _mixtures_in_box(lo, hi, rng.spawn(i), 24)
-        for i, (lo, hi) in enumerate(zip(los, his))
+        _mixtures_in_box(low, high, rng.spawn(i), 24)
+        for i, (low, high) in enumerate(
+            zip(per_member(game.team_sizes, lo), per_member(game.team_sizes, hi))
+        )
     ]
     for k in range(24):
         profile = TeamProfile(
@@ -1165,9 +1196,11 @@ def _reference_node_rows(team_sizes, los, his):
 )
 def test_node_rows_are_the_documented_rows(shape, splits):
     team_sizes = (shape[1],) * (shape[0] - 1)
-    los, his = box_from_splits(team_sizes, splits)
-    got = _node_rows(team_sizes, los, his)
-    want = _reference_node_rows(team_sizes, los, his)
+    lo, hi = box_from_splits(team_sizes, splits)
+    got = _node_rows(_node_incidence(team_sizes), lo, hi)
+    want = _reference_node_rows(
+        team_sizes, per_member(team_sizes, lo), per_member(team_sizes, hi)
+    )
     for a, b in zip(got, want):
         assert a.shape == b.shape and np.array_equal(a, b)
 
