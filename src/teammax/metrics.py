@@ -52,7 +52,8 @@ class PouReport:
     pou_upper_estimate = v_correlated / v_team_lower over-estimates the true
     premium whenever v_team_lower undershoots the independent optimum, so it
     is always a valid upper estimate; `exact` marks the case where the lower
-    bound came from the certified brute-force oracle.
+    bound came from a grid oracle sweep that ran to completion, so that its
+    error is certified.
     """
 
     v_correlated: float
@@ -87,7 +88,7 @@ def compute_pou(
         v_correlated=v_correlated,
         v_team_lower=lower,
         pou_upper_estimate=estimate,
-        exact=team_solver == "oracle",
+        exact=team_solver == "oracle" and report.converged,
     )
 
 

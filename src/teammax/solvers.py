@@ -8,7 +8,7 @@ here reports certified brackets instead of pretending to be exact:
   from the correlated optimum, a lower bound with a multiplicative
   guarantee.
 * support_enumeration: additive epsilon guarantee by searching every
-  profile of discretized mixtures (exponential work, budget-capped).
+  profile of discretized mixtures (exponential work, timeout-capped).
 * iterated_lp: alternating best-response LP ascent with random restarts,
   a monotone anytime lower bound.
 * global_optimize: anytime lower/upper bracket combining the above with a
@@ -205,48 +205,41 @@ def _require_normalized(game: TeamGame, who: str) -> None:
         )
 
 
-def _check_enumeration(epsilon: float, budget: int | None = None) -> None:
+def _check_enumeration(epsilon: float) -> None:
     """support_enumeration's range rules."""
     if not 0.0 < epsilon <= 1.0:
         raise ValueError(f"epsilon must be in (0, 1], got {epsilon}")
-    if budget is not None and budget < 1:
-        raise ValueError(f"budget must be at least 1, got {budget}")
 
 
 def support_enumeration(
-    game: TeamGame,
-    epsilon: float,
-    budget: int | None = None,
-    timeout: float | None = DEFAULT_TIMEOUT,
+    game: TeamGame, epsilon: float, timeout: float | None = DEFAULT_TIMEOUT
 ) -> SolveReport:
     """Additive epsilon-approximation by enumerating discretized mixtures.
 
     Requires payoffs in [0, 1]. Every member mixes over the action
     multisets of cardinality max(1, ceil(ln m / (2 epsilon^2))), m the
-    largest team-member action count; _grid_search scores every profile of
-    such mixtures exactly and keeps the first best one. When it runs to
-    completion the lower bound is within epsilon of the team-maxmin value.
-    The upper bound is the correlated value v_C (see
-    _correlated_upper_bound).
+    largest team-member action count (Lipton, Markakis & Mehta, EC 2003).
+    _grid_search searches every profile of such mixtures and returns what
+    scoring each one and keeping the first best would. When it finishes,
+    the lower bound is within epsilon of the team-maxmin value. The upper
+    bound is the correlated value v_C (see _correlated_upper_bound).
 
-    budget caps the number of candidate profiles searched, and timeout the
-    seconds spent scoring them; the search checks the clock between chunks
-    of candidates, so it scores at least one chunk. Hitting either reports
-    converged=False with the best bracket so far. iterations counts the
-    candidates covered: scored exactly, or ruled out by _grid_search's
-    Lipschitz bound on member 0's rows, so it is the number searched when
-    the search finishes and the number scored when the timeout cuts it.
+    timeout is the one stop rule: the search reads the clock between
+    chunks of candidates, so it scores at least one chunk, and a search it
+    cuts short reports converged=False with the best bracket so far.
+    iterations counts the candidates covered, scored or ruled out by
+    _grid_search's bound: the whole grid when the search finishes, the
+    candidates scored when the timeout cuts it.
     """
     _require_normalized(game, "support_enumeration")
-    _check_enumeration(epsilon, budget)
+    _check_enumeration(epsilon)
     start = time.perf_counter()
     deadline = math.inf if timeout is None else start + timeout
     steps = max(
         1, math.ceil(math.log(game.max_team_actions) / (2.0 * epsilon * epsilon))
     )
     total = math.prod(_grid_counts(game.team_sizes, steps))
-    budget = total if budget is None else min(budget, total)
-    best_value, witness, covered = _grid_search(game, steps, budget, deadline)
+    best_value, witness, covered = _grid_search(game, steps, deadline)
     return SolveReport(
         lower_bound=best_value,
         upper_bound=_correlated_upper_bound(game, best_value),
@@ -408,6 +401,8 @@ def iterated_lp(
 
 # entries of the largest member grid or folded tensor the grid search builds
 _MAX_MATERIALIZED = 12_000_000
+# candidate profiles of the largest grid grid_oracle searches
+_MAX_CANDIDATES = 20_000_000
 # entries of one chunk's candidate payoffs against a single adversary action:
 # 2 MB of float64, so that the running minimum over the adversary stays in
 # a 4 MiB L2 cache
@@ -451,20 +446,20 @@ def _score_rows(
 
 
 def _grid_search(
-    game: TeamGame, steps: int, budget: int, deadline: float = math.inf
+    game: TeamGame, steps: int, deadline: float = math.inf
 ) -> tuple[float, TeamProfile, int]:
-    """Best worst-case value over profiles of grid mixtures.
+    """Best worst-case value over every profile of grid mixtures.
 
     Member i's grid holds every mixture with probabilities in units of
     1/steps, in reverse lexicographic order of the action counts, which is
     the order itertools.combinations_with_replacement lists the action
     multisets of size steps. Candidates are the cross product of the grids
-    in product order, member 0 outermost, and the first `budget` of them
-    are searched. Returns the largest worst-case value among them, the
-    first candidate (lowest product index) with that value, and the number
-    of candidates covered: scored exactly, or ruled out by the bound below.
-    The result is that of scoring every candidate and keeping the first
-    best one, bit for bit.
+    in product order, member 0 outermost. Returns the largest worst-case
+    value among them, the first candidate (lowest product index) with that
+    value, and the number of candidates covered: scored exactly, or ruled
+    out by the bound below, so all of them when the search finishes. The
+    result is that of scoring every candidate and keeping the first best
+    one, bit for bit.
 
     Members last..1 are folded into the tensor once, leaving one
     (m_0, P) matrix per adversary action, P the candidates per row of
@@ -489,9 +484,6 @@ def _grid_search(
       is below the best value less a margin of 1e-9 * max(1, |lo|, |hi|),
       far above the rounding of these sums. The rows left over cannot
       reach the best value, and count as covered.
-
-    A partial last row (a budget that ends mid-row) is scored on its prefix
-    only and is no probe's anchor.
 
     The bound is skipped, and every row scored in order, when
     probes * m_0 >= P * m_adv, as on one-member games (P = 1). That cutoff
@@ -533,9 +525,7 @@ def _grid_search(
     folded = np.ascontiguousarray(
         folded.transpose(0, 1, *range(members, 1, -1))
     ).reshape(sizes[0], game.adversary_size, per_row)
-    rows = -(-budget // per_row)
-    # candidates of the last row inside the budget
-    tail = budget - (rows - 1) * per_row
+    rows = counts[0]
     chunk_rows = min(rows, max(1, _CHUNK_ENTRIES // per_row))
     stride = math.isqrt(rows)
     probes = -(-rows // stride)
@@ -559,10 +549,7 @@ def _grid_search(
         worst = worst_buffer[: len(chosen) * per_row].reshape(len(chosen), per_row)
         spare = spare_buffer[: worst.size].reshape(worst.shape)
         _score_rows(grids[0][chosen], folded, worst, spare)
-        # a partial last row keeps its prefix inside the budget
-        partial = chosen == rows - 1
-        worst[partial, tail:] = -math.inf
-        scored += worst.size - (per_row - tail) * int(partial.any())
+        scored += worst.size
         row_best = worst.max(axis=1)
         top = row_best.max()
         # chunks come out of order: among equal values, the lowest index
@@ -590,15 +577,12 @@ def _grid_search(
         if stride > 1:
             anchors[start : start + len(chosen)] = row_best
     if stride == 1:
-        return result(budget)
+        return result(rows * per_row)
 
     lo = float(game.team_utility.min())
     hi = float(game.team_utility.max())
     lipschitz = (hi - lo) / 2.0
     margin = 1e-9 * max(1.0, abs(lo), abs(hi))
-    if tail < per_row and (probes - 1) * stride == rows - 1:
-        # a partial row's best value bounds no full row
-        anchors[-1] = math.inf
     rest = np.flatnonzero(np.arange(rows) % stride)
     # |x - p|_1 = 2 - 2 sum_a min(x_a, p_a) on the simplex, so the bound
     # is min_p (anchor_p + 2 L - 2 L sum_a min(x_a, p_a))
@@ -635,7 +619,7 @@ def _grid_search(
         )
         visit(rest[start:end])
         start = end
-    return result(budget)
+    return result(rows * per_row)
 
 
 def _rounding_constant(m: int) -> float:
@@ -648,19 +632,14 @@ def _rounding_constant(m: int) -> float:
     return best
 
 
-def _check_oracle(target_error: float, max_evaluations: int, **_) -> None:
+def _check_oracle(target_error: float) -> None:
     """grid_oracle's range rules."""
     if not target_error > 0:
         raise ValueError(f"target_error must be positive, got {target_error}")
-    if max_evaluations < 1:
-        raise ValueError(f"max_evaluations must be at least 1, got {max_evaluations}")
 
 
 def grid_oracle(
-    game: TeamGame,
-    target_error: float,
-    max_evaluations: int = 20_000_000,
-    timeout: float | None = None,
+    game: TeamGame, target_error: float, timeout: float | None = None
 ) -> OracleEstimate:
     """Exact search over per-member probability grids.
 
@@ -674,15 +653,16 @@ def grid_oracle(
 
     The step count k is rounded up to a multiple of lcm(team sizes) when
     small, which puts the uniform profile on the grid. Intended for tiny
-    games; anything needing more than max_evaluations combinations, or a
-    grid too large to materialize, raises CapacityError.
+    games: a grid of more than _MAX_CANDIDATES combinations, or one too
+    large to materialize, raises CapacityError before any search.
 
-    timeout caps the seconds spent scoring; the sweep checks the clock
-    between chunks of candidates, as support_enumeration does, and one it
-    cuts short reports error_bound inf.
+    timeout is the one stop rule: the sweep reads the clock between chunks
+    of candidates, as support_enumeration does, and one it cuts short
+    certifies nothing (error_bound inf). evaluations counts the candidates
+    covered, as support_enumeration's iterations does.
     """
     _require_normalized(game, "grid_oracle")
-    _check_oracle(target_error, max_evaluations)
+    _check_oracle(target_error)
     deadline = math.inf if timeout is None else time.perf_counter() + timeout
     team_sizes = game.team_sizes
     members = len(team_sizes)
@@ -698,11 +678,11 @@ def grid_oracle(
             k = ((k + scale - 1) // scale) * scale
         error_bound = members * worst / k
     total = math.prod(_grid_counts(team_sizes, k))
-    if total > max_evaluations:
+    if total > _MAX_CANDIDATES:
         raise CapacityError(
-            f"{total} grid combinations exceed the cap of {max_evaluations}"
+            f"{total} grid combinations exceed the cap of {_MAX_CANDIDATES}"
         )
-    value, witness, covered = _grid_search(game, k, total, deadline)
+    value, witness, covered = _grid_search(game, k, deadline)
     return OracleEstimate(
         value=value,
         error_bound=error_bound if covered == total else math.inf,
@@ -899,7 +879,7 @@ def _check_global(accuracy: float, restarts: int, max_nodes: int, **_) -> None:
 def global_optimize(
     game: TeamGame,
     accuracy: float = 1e-6,
-    budget: float = DEFAULT_TIMEOUT,
+    timeout: float = DEFAULT_TIMEOUT,
     seed: int = 0,
     restarts: int = 8,
     max_nodes: int = 20_000,
@@ -907,8 +887,8 @@ def global_optimize(
     """Anytime bracket of the team-maxmin value for normalized games.
 
     Starts from reconstruct_best_pivot's bracket: the correlated upper
-    bound and its best-pivot reconstruction (budget 0 returns exactly
-    those). With remaining budget it sharpens the lower bound by iterated
+    bound and its best-pivot reconstruction (timeout 0 returns exactly
+    those). With time left it sharpens the lower bound by iterated
     LP ascent, which is handed that upper bound instead of solving the
     correlated LP again, then refines the upper bound by best-first branch
     and bound: the team strategy box is split on the widest coordinate
@@ -932,10 +912,10 @@ def global_optimize(
     """
     _require_normalized(game, "global_optimize")
     _check_global(accuracy, restarts, max_nodes)
-    if budget < 0:
-        raise ValueError("budget must be nonnegative")
+    if not timeout >= 0:
+        raise ValueError(f"timeout must be nonnegative, got {timeout}")
     start = time.perf_counter()
-    deadline = start + budget
+    deadline = start + timeout
     root = reconstruct_best_pivot(game)
     lower, upper, witness = root.lower_bound, root.upper_bound, root.witness
     nodes = 0
@@ -1031,11 +1011,9 @@ def global_optimize(
 # registry
 
 
-def _oracle(
-    game: TeamGame, timeout: float, target_error: float, max_evaluations: int
-) -> SolveReport:
+def _oracle(game: TeamGame, timeout: float, target_error: float) -> SolveReport:
     start = time.perf_counter()
-    estimate = grid_oracle(game, target_error, max_evaluations, timeout)
+    estimate = grid_oracle(game, target_error, timeout)
     converged = estimate.error_bound < math.inf
     if converged:
         upper = estimate.value + estimate.error_bound
@@ -1065,7 +1043,7 @@ SOLVERS = {
     ),
     "support-enum": (
         lambda game, timeout, **p: support_enumeration(game, timeout=timeout, **p),
-        {"epsilon": (float, 1.0), "budget": (int, None)},
+        {"epsilon": (float, 1.0)},
         _check_enumeration,
     ),
     "iterated-lp": (
@@ -1079,7 +1057,7 @@ SOLVERS = {
         _check_ascent,
     ),
     "global": (
-        lambda game, timeout, **p: global_optimize(game, budget=timeout, **p),
+        lambda game, timeout, **p: global_optimize(game, timeout=timeout, **p),
         {
             "accuracy": (float, 1e-6),
             "seed": (int, 0),
@@ -1090,7 +1068,7 @@ SOLVERS = {
     ),
     "oracle": (
         _oracle,
-        {"target_error": (float, 0.01), "max_evaluations": (int, 20_000_000)},
+        {"target_error": (float, 0.01)},
         _check_oracle,
     ),
 }
@@ -1121,7 +1099,7 @@ def check_params(
     accepted maps each parameter name to its (type, default). Raises `error`,
     prefixed with `what` and `name` (say, solver 'global'), if params is not
     a dict, names a parameter that is not accepted, or gives one a value
-    that check_type rejects; None passes only where the default is None.
+    that check_type rejects.
     """
     try:
         check_type("params", params, dict, error)
@@ -1133,9 +1111,7 @@ def check_params(
             )
         resolved = {key: default for key, (_, default) in accepted.items()}
         for key, value in params.items():
-            kind, default = accepted[key]
-            if value is not None or default is not None:
-                resolved[key] = check_type(key, value, kind, error)
+            resolved[key] = check_type(key, value, accepted[key][0], error)
     except error as exc:
         raise error(f"{what} {name!r}: {exc}") from None
     return resolved
@@ -1164,9 +1140,13 @@ def run_solver(
 
     Used by the command line and the experiment harness; every solver comes
     back as a SolveReport so downstream code never cares which one ran.
-    Unknown names and parameters, and values of the wrong type, out of
-    range or not among the choices, raise ValueError.
+    Unknown names and parameters, values of the wrong type, out of range
+    or not among the choices, and a timeout that is negative or NaN raise
+    ValueError; a timeout of None is DEFAULT_TIMEOUT.
     """
     resolved = solver_params(name, params)
-    runner = SOLVERS[name][0]
-    return runner(game, DEFAULT_TIMEOUT if timeout is None else timeout, **resolved)
+    if timeout is None:
+        timeout = DEFAULT_TIMEOUT
+    if not timeout >= 0:
+        raise ValueError(f"timeout must be nonnegative, got {timeout}")
+    return SOLVERS[name][0](game, timeout, **resolved)

@@ -109,7 +109,12 @@ def test_solve_flag_the_solver_does_not_take_is_usage_error(tmp_path, capsys):
     path = _generate(tmp_path, "diagonal", "--n", "3", "--m", "2")
     assert main(["solve", str(path), "--solver", "reconstruct", "--epsilon", "0.5"]) == 2
     assert "does not take epsilon" in capsys.readouterr().err
-    assert main(["solve", str(path), "--solver", "oracle", "--budget", "3"]) == 2
+    # the grid solvers take no count cap, so argparse knows no such flag
+    for flag in ("--budget", "--max-evaluations"):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["solve", str(path), "--solver", "oracle", flag, "3"])
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
 
 def test_solve_flags_are_the_solver_table_parameters(tmp_path, capsys):
@@ -424,10 +429,16 @@ def test_experiment_malformed_config_exits_3_before_any_output(tmp_path, capsys)
             "max_rounds",
         ),
         ({"family": "poa"}, {"name": "global", "params": {"max_nodes": -1}}, "max_nodes"),
+        # count caps that neither grid solver takes: timeout stops them
         (
             {"family": "poa"},
-            {"name": "oracle", "params": {"max_evaluations": 0}},
+            {"name": "oracle", "params": {"max_evaluations": 20_000_000}},
             "max_evaluations",
+        ),
+        (
+            {"family": "poa"},
+            {"name": "support-enum", "params": {"budget": 10}},
+            "budget",
         ),
     ],
 )

@@ -30,7 +30,8 @@ from teammax.metrics import (
     write_aggregate_csv,
     write_rows_csv,
 )
-from teammax.generators import diagonal_game, pou_one_game
+from teammax.generators import diagonal_game, poa_game, pou_one_game
+from teammax.solvers import run_solver
 
 
 # ---------------------------------------------------------------------------
@@ -44,6 +45,20 @@ def test_pou_on_diagonal_with_oracle_is_exact():
     assert report.pou_upper_estimate == pytest.approx(2.0, abs=1e-9)
     assert report.v_correlated == pytest.approx(0.5, abs=1e-9)
     assert report.v_team_lower == pytest.approx(0.25, abs=1e-9)
+
+
+@pytest.mark.parametrize("timeout, exact", [(None, True), (0.0, False)])
+def test_pou_is_exact_only_when_the_oracle_sweep_finishes(timeout, exact):
+    # a timeout of 0 stops the sweep after its first chunk of probe rows,
+    # and a sweep cut short certifies no error
+    game, _ = poa_game()
+    report = compute_pou(
+        game, team_solver="oracle", timeout=timeout, target_error=0.002
+    )
+    assert report.exact is exact
+    oracle = run_solver("oracle", game, timeout=timeout, target_error=0.002)
+    assert oracle.converged is exact
+    assert report.v_team_lower == oracle.lower_bound
 
 
 def test_pou_on_diagonal_with_reconstruction():
@@ -99,7 +114,7 @@ def test_solver_spec_validation():
 
 
 def test_solver_spec_rejects_parameters_the_solver_does_not_take():
-    SolverSpec(name="support-enum", params={"epsilon": 0.5, "budget": 10})
+    SolverSpec(name="support-enum", params={"epsilon": 0.5})
     data = {
         "games": [{"family": "poa"}],
         "solvers": [{"name": "support-enum", "params": {"espilon": 0.5}}],

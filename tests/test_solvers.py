@@ -274,8 +274,6 @@ def test_enumeration_params_validation():
     for epsilon in (0.0, 1.2, math.nan):
         with pytest.raises(ValueError, match="epsilon must be in"):
             support_enumeration(game, epsilon=epsilon)
-    with pytest.raises(ValueError, match="budget must be at least 1"):
-        support_enumeration(game, epsilon=0.5, budget=0)
 
 
 def test_enumeration_visits_every_candidate():
@@ -291,15 +289,6 @@ def test_enumeration_visits_every_candidate():
         for j in range(3)
     )
     assert report.lower_bound == pytest.approx(best, abs=1e-12)
-
-
-def test_enumeration_budget_stops_early():
-    game = normalize_payoffs(random_team_game(3, 3, seed=3))
-    report = support_enumeration(game, epsilon=1.0, budget=4)
-    assert report.iterations == 4
-    assert not report.converged
-    full = support_enumeration(game, epsilon=1.0)
-    assert report.lower_bound <= full.lower_bound + 1e-12
 
 
 def test_enumeration_timeout_stops_between_chunks(monkeypatch):
@@ -368,12 +357,12 @@ def test_enumeration_refuses_grids_too_large_to_build():
     # each member grid would hold C(125, 9) mixtures of 10 actions
     wide = normalize_payoffs(random_team_game(3, 10, seed=0))
     with pytest.raises(CapacityError):
-        support_enumeration(wide, epsilon=0.1, budget=10)
+        support_enumeration(wide, epsilon=0.1)
     # member grids of 3,003 mixtures each, but folding two members into the
     # tensor would build 6 * 6 * 3003 * 3003 entries
     deep = normalize_payoffs(random_team_game(4, 6, seed=0))
     with pytest.raises(CapacityError):
-        support_enumeration(deep, epsilon=0.3, budget=10)
+        support_enumeration(deep, epsilon=0.3)
 
 
 def _random_game(sizes, seed):
@@ -409,14 +398,12 @@ def test_grid_search_matches_brute_force(game, steps):
         ).value
         for c in candidates
     ]
-    total = len(candidates)
-    for budget in (1, total - 1, total):
-        best = int(np.argmax(values[:budget]))
-        value, witness, scored = _grid_search(game, steps, budget)
-        assert scored == budget
-        assert value == pytest.approx(values[best], abs=1e-12)
-        for strategy, probs in zip(witness, candidates[best]):
-            assert np.array_equal(strategy.probs, probs)
+    best = int(np.argmax(values))
+    value, witness, scored = _grid_search(game, steps)
+    assert scored == len(candidates)
+    assert value == pytest.approx(values[best], abs=1e-12)
+    for strategy, probs in zip(witness, candidates[best]):
+        assert np.array_equal(strategy.probs, probs)
 
 
 def test_grid_search_ties_go_to_the_first_candidate_across_chunks():
@@ -424,7 +411,7 @@ def test_grid_search_ties_go_to_the_first_candidate_across_chunks():
     # rows of member 0's grid; the tie must cross a chunk boundary
     game = TeamGame(3, (2, 2, 2), np.zeros(8))
     assert -(-1542 // (_CHUNK_ENTRIES // 1542)) > 1
-    value, witness, scored = _grid_search(game, 1541, 1542**2)
+    value, witness, scored = _grid_search(game, 1541)
     assert scored == 1542**2
     assert value == 0.0
     assert [list(s.probs) for s in witness] == [[1.0, 0.0], [1.0, 0.0]]
@@ -446,23 +433,16 @@ def test_grid_search_result_does_not_depend_on_the_slice_size(
 ):
     counts = [math.comb(steps + m - 1, m - 1) for m in game.team_sizes]
     per_row = math.prod(counts[1:])
-    total = counts[0] * per_row
     chunk_rows = _CHUNK_ENTRIES // per_row
     assert -(-counts[0] // chunk_rows) == chunks
-    # budgets that end mid-row in the first chunk, mid-row in the second
-    # chunk and one candidate short of the end
-    budgets = [1, per_row + per_row // 2 + 1, chunk_rows * per_row + per_row // 2 + 1]
-    budgets = [b for b in budgets if b < total] + [total - 1, total]
 
     def scores():
-        results = []
-        for budget in budgets:
-            value, witness, scored = _grid_search(game, steps, budget)
-            probs = tuple(strategy.probs.tobytes() for strategy in witness)
-            results.append((value.hex(), probs, scored))
-        return results
+        value, witness, scored = _grid_search(game, steps)
+        probs = tuple(strategy.probs.tobytes() for strategy in witness)
+        return value.hex(), probs, scored
 
     expected = scores()
+    assert expected[2] == counts[0] * per_row
     for entries in (1, 2**40):
         monkeypatch.setattr("teammax.solvers._CHUNK_ENTRIES", entries)
         assert scores() == expected
@@ -484,7 +464,7 @@ def test_composition_grid_lists_the_multisets_in_order(steps, parts):
     assert np.array_equal(grid, expected)
 
 
-def _exhaustive_grid_search(game, steps, budget):
+def _exhaustive_grid_search(game, steps):
     """Every candidate scored with _grid_search's kernel, first best kept."""
     sizes = game.team_sizes
     grids = [
@@ -507,11 +487,11 @@ def _exhaustive_grid_search(game, steps, budget):
     worst = grids[0] @ folded[:, 0]
     for c in range(1, game.adversary_size):
         np.minimum(worst, grids[0] @ folded[:, c], out=worst)
-    worst = worst.reshape(-1)[:budget]
+    worst = worst.reshape(-1)
     best = int(np.argmax(worst))
     choice = np.unravel_index(best, [len(grid) for grid in grids])
     witness = tuple(grid[c].tobytes() for grid, c in zip(grids, choice))
-    return worst[best].hex(), witness, budget
+    return worst[best].hex(), witness, worst.size
 
 
 @st.composite
@@ -537,8 +517,7 @@ def _grid_cases(draw):
 @settings(max_examples=60)
 def test_grid_search_prunes_to_the_exhaustive_result(case):
     # payoffs in {0, 1/2, 1} make ties common; normal payoffs of any scale
-    # are not normalized. Budgets: one candidate, mid-row early and in the
-    # middle, one short of the end, and every candidate
+    # are not normalized
     sizes, kind, seed, steps = case
     rng = np.random.default_rng(seed)
     if kind == "ties":
@@ -546,22 +525,16 @@ def test_grid_search_prunes_to_the_exhaustive_result(case):
     else:
         payoffs = rng.normal(size=sizes) * 10.0 ** rng.integers(-3, 4)
     game = TeamGame(len(sizes), sizes, payoffs)
-    counts = [math.comb(steps + m - 1, m - 1) for m in game.team_sizes]
-    per_row = math.prod(counts[1:])
-    total = counts[0] * per_row
-    budgets = {1, total - 1, total, per_row + per_row // 2 + 1}
-    budgets.add(counts[0] // 2 * per_row + per_row // 2 + 1)
-    for budget in sorted(b for b in budgets if 1 <= b <= total):
-        value, witness, covered = _grid_search(game, steps, budget)
-        assert (
-            value.hex(),
-            tuple(strategy.probs.tobytes() for strategy in witness),
-            covered,
-        ) == _exhaustive_grid_search(game, steps, budget)
+    value, witness, covered = _grid_search(game, steps)
+    assert (
+        value.hex(),
+        tuple(strategy.probs.tobytes() for strategy in witness),
+        covered,
+    ) == _exhaustive_grid_search(game, steps)
 
 
 @pytest.mark.parametrize(
-    "game, budget, value, witness",
+    "game, total, value, witness",
     [
         # against the adversary's three actions member 0's mixture t = x_1
         # scores min(4 (1 - t), 4 t, 1/2) with any of member 1's four equal
@@ -577,32 +550,23 @@ def test_grid_search_prunes_to_the_exhaustive_result(case):
             0.5,
             ([14 / 16, 2 / 16], [1.0, 0.0, 0.0, 0.0]),
         ),
-        # the team scores x_1 y_1: row t = x_1 is worth t at member 1's last
-        # grid point. A budget ending one candidate into the last row makes
-        # that probe row worth 0 on its prefix, which must bound no row
-        (
-            TeamGame(3, (2, 2, 1), np.array([0.0, 0.0, 0.0, 1.0]).reshape(2, 2, 1)),
-            16 * 17 + 1,
-            15 / 16,
-            ([1 / 16, 15 / 16], [0.0, 1.0]),
-        ),
     ],
 )
 def test_grid_search_prunes_to_the_exhaustive_result_on_constructed_games(
-    game, budget, value, witness
+    game, total, value, witness
 ):
     # 17 rows of member 0's grid at 16 steps, probes 0, 4, 8, 12 and 16
-    found, profile, covered = _grid_search(game, 16, budget)
+    found, profile, covered = _grid_search(game, 16)
     assert (found, [list(s.probs) for s in profile], covered) == (
         value,
         [list(p) for p in witness],
-        budget,
+        total,
     )
     assert (
         found.hex(),
         tuple(strategy.probs.tobytes() for strategy in profile),
         covered,
-    ) == _exhaustive_grid_search(game, 16, budget)
+    ) == _exhaustive_grid_search(game, 16)
 
 
 def test_grid_search_cut_by_its_deadline_counts_the_candidates_scored(monkeypatch):
@@ -619,23 +583,22 @@ def test_grid_search_cut_by_its_deadline_counts_the_candidates_scored(monkeypatc
     rows = math.comb(32, 2)
     probes = -(-rows // math.isqrt(rows))
     slices = -(-(rows - probes) // (rows // probes))
-    value, witness, covered = _grid_search(game, 30, rows**2, probes + slices + 1.5)
+    value, witness, covered = _grid_search(game, 30, probes + slices + 1.5)
     assert covered == (probes + 2) * rows
     assert team_value(game, witness).value == pytest.approx(value, abs=1e-12)
-    best, _, everything = _grid_search(game, 30, rows**2)
+    best, _, everything = _grid_search(game, 30)
     assert everything == rows**2
     assert value <= best
     # a deadline that passes during the bound phase stops it there, before
     # any row is scored best bound first
     ticks = itertools.count(1)
-    _, _, covered = _grid_search(game, 30, rows**2, probes + 2.5)
+    _, _, covered = _grid_search(game, 30, probes + 2.5)
     assert covered == probes * rows
-    # all 23 probe rows in one chunk, the last of them row 484, which a
-    # budget 7 candidates into it leaves partial: a cut counts those 7
+    # all 23 probe rows in one chunk, which is scored whatever the deadline
     monkeypatch.setattr("teammax.solvers._CHUNK_ENTRIES", 2**40)
-    assert 484 % math.isqrt(485) == 0
-    _, _, covered = _grid_search(game, 30, 484 * rows + 7, -math.inf)
-    assert covered == 22 * rows + 7
+    assert probes == 23
+    _, _, covered = _grid_search(game, 30, -math.inf)
+    assert covered == probes * rows
 
 
 def test_grid_search_scores_few_rows(monkeypatch):
@@ -650,7 +613,7 @@ def test_grid_search_scores_few_rows(monkeypatch):
     monkeypatch.setattr("teammax.solvers._score_rows", counting)
     game, _ = make_instance("random", n=3, m=3, seed=0)
     total = math.comb(92, 2) ** 2
-    _, _, covered = _grid_search(game, 90, total)
+    _, _, covered = _grid_search(game, 90)
     assert covered == total
     assert sum(rows) * math.comb(92, 2) < 0.1 * total
 
@@ -670,7 +633,7 @@ def test_grid_search_holds_two_slices_on_a_one_member_game(monkeypatch):
     rows = 1_000_001
     tracemalloc.start()
     try:
-        _, _, covered = _grid_search(game, rows - 1, rows)
+        _, _, covered = _grid_search(game, rows - 1)
     finally:
         tracemalloc.stop()
     assert covered == rows
@@ -993,9 +956,14 @@ def test_grid_oracle_requires_normalized_payoffs():
         grid_oracle(game, target_error=0.1)
 
 
-def test_grid_oracle_capacity_error():
+def test_grid_oracle_capacity_error(monkeypatch):
+    # C(1004, 3)^2 candidates at k = 1,002: refused before any search
+    def no_search(*args):
+        raise AssertionError("searched an oversized grid")
+
+    monkeypatch.setattr("teammax.solvers._grid_search", no_search)
     game = normalize_payoffs(random_team_game(3, 4, seed=0))
-    with pytest.raises(CapacityError):
+    with pytest.raises(CapacityError, match="exceed the cap of 20000000$"):
         grid_oracle(game, target_error=1e-3)
 
 
@@ -1024,7 +992,7 @@ def test_grid_oracle_agrees_with_iterated_lp_on_random_games():
 
 def test_global_budget_zero_is_reconstruction_bracket():
     game, facts = diagonal_game(3, 2)
-    report = global_optimize(game, accuracy=1e-6, budget=0.0)
+    report = global_optimize(game, accuracy=1e-6, timeout=0.0)
     assert report.lower_bound == pytest.approx(0.25, abs=1e-9)
     assert report.upper_bound == pytest.approx(0.5, abs=1e-9)
     assert not report.converged
@@ -1033,7 +1001,7 @@ def test_global_budget_zero_is_reconstruction_bracket():
 
 def test_global_closes_the_diagonal_gap():
     game, facts = diagonal_game(3, 2)
-    report = global_optimize(game, accuracy=1e-4, budget=60.0, seed=0)
+    report = global_optimize(game, accuracy=1e-4, timeout=60.0, seed=0)
     assert report.converged
     assert report.upper_bound - report.lower_bound <= 1e-4 + 1e-12
     assert report.lower_bound == pytest.approx(0.25, abs=1e-4)
@@ -1042,7 +1010,7 @@ def test_global_closes_the_diagonal_gap():
 
 def test_global_on_poa_game():
     game, facts = poa_game()
-    report = global_optimize(game, accuracy=1e-3, budget=60.0, seed=0)
+    report = global_optimize(game, accuracy=1e-3, timeout=60.0, seed=0)
     assert report.converged
     assert report.lower_bound == pytest.approx(0.25, abs=1e-3)
 
@@ -1078,7 +1046,7 @@ def test_iterated_lp_takes_a_known_upper_bound():
 def test_global_bracket_valid_on_random_games():
     for seed in (0, 4):
         game = normalize_payoffs(random_team_game(3, 3, seed=seed))
-        report = global_optimize(game, accuracy=0.02, budget=60.0, seed=seed)
+        report = global_optimize(game, accuracy=0.02, timeout=60.0, seed=seed)
         est = grid_oracle(game, target_error=0.05)
         assert report.lower_bound <= est.value + est.error_bound + 1e-9
         assert report.upper_bound >= est.value - 1e-9
@@ -1228,8 +1196,9 @@ def test_global_argument_validation():
     game, _ = diagonal_game(3, 2)
     with pytest.raises(ValueError):
         global_optimize(game, accuracy=0.0)
-    with pytest.raises(ValueError):
-        global_optimize(game, budget=-1.0)
+    for timeout in (-1.0, math.nan):
+        with pytest.raises(ValueError, match="timeout must be nonnegative"):
+            global_optimize(game, timeout=timeout)
     unnormalized = TeamGame(3, (2, 2, 2), np.arange(8, dtype=float))
     with pytest.raises(ValueError):
         global_optimize(unnormalized)
@@ -1256,6 +1225,21 @@ def test_run_solver_every_name():
         assert report.lower_bound <= report.upper_bound + 1e-7
 
 
+@pytest.mark.parametrize("name", SOLVER_NAMES)
+@pytest.mark.parametrize("timeout", [-5.0, math.nan])
+def test_run_solver_rejects_a_negative_or_nan_timeout(monkeypatch, name, timeout):
+    # checked before the solver runs: none of them treats -5 as 0 or NaN as
+    # no limit
+    def no_run(*args, **params):
+        raise AssertionError("ran the solver")
+
+    _, accepted, check = SOLVERS[name]
+    monkeypatch.setitem(SOLVERS, name, (no_run, accepted, check))
+    game, _ = diagonal_game(3, 2)
+    with pytest.raises(ValueError, match="timeout must be nonnegative"):
+        run_solver(name, game, timeout=timeout)
+
+
 def test_run_solver_unknown_name():
     game, _ = diagonal_game(3, 2)
     with pytest.raises(ValueError):
@@ -1264,7 +1248,7 @@ def test_run_solver_unknown_name():
 
 def test_run_solver_rejects_unknown_parameter():
     game, _ = diagonal_game(3, 2)
-    with pytest.raises(ValueError, match="accepts epsilon, budget$"):
+    with pytest.raises(ValueError, match="accepts epsilon$"):
         run_solver("support-enum", game, espilon=0.5)
     with pytest.raises(ValueError, match="does not take seed"):
         run_solver("reconstruct", game, seed=0)
@@ -1277,8 +1261,8 @@ def test_run_solver_rejects_unknown_parameter():
         ("iterated-lp", {"restarts": True}, "restarts"),
         ("global", {"accuracy": "1e-3"}, "accuracy"),
         ("support-enum", {"epsilon": False}, "epsilon"),
-        ("support-enum", {"budget": 10.0}, "budget"),
-        ("oracle", {"max_evaluations": None}, "max_evaluations"),
+        ("global", {"max_nodes": 10.0}, "max_nodes"),
+        ("oracle", {"target_error": None}, "target_error"),
     ],
 )
 def test_solver_params_rejects_values_of_the_wrong_type(name, params, key):
@@ -1290,7 +1274,7 @@ def test_solver_params_rejects_values_of_the_wrong_type(name, params, key):
     "name, params, message",
     [
         ("support-enum", {"epsilon": 2.0}, "epsilon must be in (0, 1], got 2.0"),
-        ("support-enum", {"budget": 0}, "budget must be at least 1, got 0"),
+        ("support-enum", {"epsilon": 0.0}, "epsilon must be in (0, 1], got 0.0"),
         ("iterated-lp", {"init": "uniformly"}, "init must be 'random' or 'uniform'"),
         ("iterated-lp", {"restarts": 0}, "restarts must be at least 1, got 0"),
         ("global", {"restarts": 0}, "restarts must be at least 1, got 0"),
@@ -1299,7 +1283,7 @@ def test_solver_params_rejects_values_of_the_wrong_type(name, params, key):
         ("iterated-lp", {"max_rounds": -3}, "max_rounds must be at least 1, got -3"),
         ("iterated-lp", {"max_rounds": 0}, "max_rounds must be at least 1, got 0"),
         ("global", {"max_nodes": -1}, "max_nodes must be nonnegative, got -1"),
-        ("oracle", {"max_evaluations": 0}, "max_evaluations must be at least 1, got 0"),
+        ("oracle", {"target_error": math.nan}, "target_error must be positive, got nan"),
     ],
 )
 def test_solver_params_checks_ranges_and_choices(name, params, message):
@@ -1317,7 +1301,9 @@ def test_solver_params_takes_an_int_for_a_float():
     resolved = solver_params("global", {"accuracy": 1, "restarts": 3})
     assert type(resolved["accuracy"]) is float and resolved["accuracy"] == 1.0
     assert type(resolved["restarts"]) is int
-    assert solver_params("support-enum", {"budget": None})["budget"] is None
+    # None is not a value: every parameter has a default to fall back on
+    with pytest.raises(ValueError, match="epsilon must be float, got None"):
+        solver_params("support-enum", {"epsilon": None})
 
 
 def test_registry_accepts_every_shipped_parameter():
