@@ -8,18 +8,25 @@ outermost and the adversary innermost.
 All types validate on construction and are immutable afterwards. Probability
 vectors must sum to 1 within PROB_TOL and are rejected, never renormalized:
 silent renormalization hides caller bugs.
+
+Each JSON document's schema is a dataclass (TeamGame, TeamProfile, the
+experiment config's): json_object checks its keys against the fields, and
+__post_init__ checks each value by the rule of check_type.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+import numbers
+from dataclasses import MISSING, dataclass, fields, replace
 
 import numpy as np
 
 PROB_TOL = 1e-9
 MAX_TENSOR_ENTRIES = 50_000_000
+# to_joint_game's cap on joint team actions
+MAX_JOINT_ROWS = 5_000_000
 
 
 class GameFormatError(ValueError):
@@ -36,16 +43,81 @@ def _frozen_array(values, dtype=np.float64) -> np.ndarray:
     return arr
 
 
+def _check_probabilities(what: str, probs: np.ndarray) -> None:
+    """Raise ValueError unless `probs` is nonnegative and sums to 1 within
+    PROB_TOL. A NaN entry makes the minimum NaN and an infinite one makes
+    the minimum or the sum infinite, so no np.isfinite pass is needed."""
+    low, total = float(probs.min()), float(probs.sum())
+    if not (low >= 0.0 and abs(total - 1.0) <= PROB_TOL):
+        raise ValueError(
+            f"{what} must be nonnegative and sum to 1: min {low}, sum {total!r}"
+        )
+
+
+def check_type(key: str, value, kind: type, error=ValueError):
+    """`value` as a `kind`, or `error` naming `key` if it is not one.
+
+    The one type rule for values read from JSON or passed as solver
+    parameters: a bool is not a number, an int within the float range may
+    stand for a float and comes back as one, and nothing is parsed from a
+    string.
+    """
+    if type(value) is kind:
+        return value
+    if kind in (int, float):
+        number = numbers.Integral if kind is int else numbers.Real
+        if isinstance(value, number) and not isinstance(value, bool):
+            try:
+                return kind(value)
+            except OverflowError:
+                raise error(f"{key} must be float, got an int too large for one") from None
+    elif isinstance(value, kind):
+        return value
+    raise error(f"{key} must be {kind.__name__}, got {value!r}")
+
+
+def check_items(key: str, values, kind: type, error=ValueError) -> tuple:
+    """`values`, a list or tuple, as a tuple of `kind`s by check_type's rule."""
+    if not isinstance(values, (list, tuple)):
+        raise error(f"{key} must be list, got {values!r}")
+    return tuple(check_type(key, value, kind, error) for value in values)
+
+
+def json_object(cls, data, what: str, error=ValueError) -> dict:
+    """`data` once it is known to be a JSON object that has only keys that
+    are fields of the dataclass `cls`, and every field without a default."""
+    check_type(what, data, dict, error)
+    names = [f.name for f in fields(cls)]
+    for key in data:
+        if key not in names:
+            raise error(f"{what} has unknown key {key!r}; it accepts {', '.join(names)}")
+    for f in fields(cls):
+        if f.default is MISSING and f.default_factory is MISSING and f.name not in data:
+            raise error(f"{what} is missing {f.name!r}")
+    return data
+
+
+def read_json(path, error=ValueError):
+    """The JSON document in the file at `path`, or `error` if it is not
+    valid JSON text in UTF-8."""
+    try:
+        with open(path, encoding="utf-8") as handle:
+            return json.load(handle)
+    except ValueError as exc:  # JSONDecodeError and UnicodeDecodeError
+        raise error(f"{path} is not valid JSON: {exc}") from None
+
+
 @dataclass(frozen=True, eq=False)
 class TeamGame:
-    """Dense adversarial team game.
+    """Dense adversarial team game; its fields are a game document's keys.
 
     Attributes:
         num_players: total player count n, team members are 0..n-2 and the
             adversary is player n-1 (0-based indices throughout).
         actions_per_player: action counts, one per player.
-        team_utility: tensor of shape actions_per_player; the team's shared
-            payoff, the adversary receives its negation.
+        team_utility: tensor of shape actions_per_player, or a flat
+            row-major list of numbers; the team's shared payoff, the
+            adversary receives its negation.
         name: optional label, generators put family and parameters here.
         seed: optional seed recorded by generators.
     """
@@ -57,29 +129,34 @@ class TeamGame:
     seed: int | None = None
 
     def __post_init__(self):
-        n = self.num_players
+        n = check_type("num_players", self.num_players, int)
         if n < 2:
-            raise ValueError(f"need at least 2 players, got {n}")
-        sizes = tuple(int(m) for m in self.actions_per_player)
+            raise ValueError(f"num_players must be at least 2, got {n}")
+        sizes = check_items("actions_per_player", self.actions_per_player, int)
         if len(sizes) != n:
             raise ValueError(
                 f"actions_per_player has {len(sizes)} entries for {n} players"
             )
         if any(m < 1 for m in sizes):
-            raise ValueError(f"every player needs at least one action: {sizes}")
+            raise ValueError(f"actions_per_player must be positive, got {sizes}")
         total = math.prod(sizes)
         if total > MAX_TENSOR_ENTRIES:
             raise CapacityError(
                 f"tensor with {total} entries exceeds the cap of {MAX_TENSOR_ENTRIES}"
             )
-        tensor = np.asarray(self.team_utility, dtype=np.float64)
+        tensor = self.team_utility
+        if not isinstance(tensor, np.ndarray):
+            tensor = check_items("team_utility", tensor, float)
+        tensor = np.asarray(tensor, dtype=np.float64)
         if tensor.size != total:
-            raise ValueError(
-                f"utility tensor has {tensor.size} entries, expected {total}"
-            )
+            raise ValueError(f"team_utility has {tensor.size} entries, expected {total}")
         tensor = tensor.reshape(sizes)
         if not np.all(np.isfinite(tensor)):
-            raise ValueError("utility tensor contains non-finite entries")
+            raise ValueError("team_utility contains non-finite entries")
+        for key, kind in (("name", str), ("seed", int)):
+            if getattr(self, key) is not None:
+                object.__setattr__(self, key, check_type(key, getattr(self, key), kind))
+        object.__setattr__(self, "num_players", n)
         object.__setattr__(self, "actions_per_player", sizes)
         object.__setattr__(self, "team_utility", _frozen_array(tensor))
 
@@ -122,17 +199,7 @@ class MixedStrategy:
         probs = _frozen_array(self.probs)
         if probs.ndim != 1 or probs.size < 1:
             raise ValueError("probs must be a nonempty vector")
-        # the minimum is NaN if an entry is, and the sum of entries that
-        # are not negative is infinite if an entry is (or if it overflows)
-        if not probs.min() >= 0.0:
-            if not np.isfinite(probs).all():
-                raise ValueError("probs contain non-finite entries")
-            raise ValueError(f"negative probability in {probs}")
-        total = float(probs.sum())
-        if not math.isfinite(total) and not np.isfinite(probs).all():
-            raise ValueError("probs contain non-finite entries")
-        if abs(total - 1.0) > PROB_TOL:
-            raise ValueError(f"probabilities sum to {total!r}, not 1")
+        _check_probabilities("probs", probs)
         object.__setattr__(self, "probs", probs)
 
     @property
@@ -187,15 +254,7 @@ class JointDistribution:
         probs = np.asarray(self.probs, dtype=np.float64).reshape(-1)
         if probs.size != total:
             raise ValueError(f"{probs.size} entries for {total} joint actions")
-        # checked as in MixedStrategy
-        invalid = "joint probabilities must be finite and nonnegative"
-        if not probs.min() >= 0.0:
-            raise ValueError(invalid)
-        s = float(probs.sum())
-        if not math.isfinite(s) and not np.isfinite(probs).all():
-            raise ValueError(invalid)
-        if abs(s - 1.0) > PROB_TOL:
-            raise ValueError(f"joint probabilities sum to {s!r}, not 1")
+        _check_probabilities("joint probabilities", probs)
         object.__setattr__(self, "team_sizes", sizes)
         object.__setattr__(self, "probs", _frozen_array(probs))
 
@@ -391,23 +450,18 @@ def normalize_payoffs(game: TeamGame) -> TeamGame:
         scaled = np.zeros_like(tensor)
     else:
         scaled = (tensor - lo) / (hi - lo)
-    return TeamGame(
-        num_players=game.num_players,
-        actions_per_player=game.actions_per_player,
-        team_utility=scaled,
-        name=game.name,
-        seed=game.seed,
-    )
+    return replace(game, team_utility=scaled)
 
 
-def to_joint_game(game: TeamGame, max_rows: int = 5_000_000) -> np.ndarray:
+def to_joint_game(game: TeamGame) -> np.ndarray:
     """Two-player view: one row per joint team action, one column per
     adversary action. Row r corresponds to the team action tuple
-    np.unravel_index(r, team_sizes)."""
+    np.unravel_index(r, team_sizes). More than MAX_JOINT_ROWS rows raise
+    CapacityError."""
     rows = game.joint_team_size
-    if rows > max_rows:
+    if rows > MAX_JOINT_ROWS:
         raise CapacityError(
-            f"joint team action space of size {rows} exceeds the cap {max_rows}"
+            f"joint team action space of size {rows} exceeds the cap {MAX_JOINT_ROWS}"
         )
     return np.asarray(game.team_utility).reshape(rows, game.adversary_size)
 
@@ -459,16 +513,19 @@ def pure_adversary(game: TeamGame, action: int) -> MixedStrategy:
 # ---------------------------------------------------------------------------
 # file formats
 #
-# Games are JSON objects:
+# Games are JSON objects whose keys are TeamGame's fields:
 #   {"num_players": n, "actions_per_player": [m1, ..., mn],
-#    "team_utility": [flat row-major floats, player 1 outermost,
+#    "team_utility": [flat row-major numbers, player 1 outermost,
 #                     adversary innermost],
 #    "name": optional string, "seed": optional integer}
 #
-# Strategy profiles are JSON objects:
+# Strategy profiles are JSON objects whose key is TeamProfile's field:
 #   {"strategies": [[p, ...], ...]}  one probability vector per player in
 # player order; n-1 vectors for a team profile, n when the adversary is
 # included (verify-nash needs all n).
+#
+# An unknown or missing key, or a value of the wrong JSON type, raises
+# GameFormatError naming the key.
 
 
 def game_to_dict(game: TeamGame) -> dict:
@@ -480,28 +537,16 @@ def game_to_dict(game: TeamGame) -> dict:
     if game.name is not None:
         data["name"] = game.name
     if game.seed is not None:
-        data["seed"] = int(game.seed)
+        data["seed"] = game.seed
     return data
 
 
 def game_from_dict(data: dict) -> TeamGame:
-    if not isinstance(data, dict):
-        raise GameFormatError("game document must be a JSON object")
-    missing = {"num_players", "actions_per_player", "team_utility"} - set(data)
-    if missing:
-        raise GameFormatError(f"game document missing fields {sorted(missing)}")
+    data = json_object(TeamGame, data, "game document", GameFormatError)
     try:
-        return TeamGame(
-            num_players=int(data["num_players"]),
-            actions_per_player=tuple(int(m) for m in data["actions_per_player"]),
-            team_utility=np.asarray(data["team_utility"], dtype=np.float64),
-            name=data.get("name"),
-            seed=None if data.get("seed") is None else int(data["seed"]),
-        )
-    except CapacityError:
-        raise
-    except (TypeError, ValueError) as exc:
-        raise GameFormatError(f"invalid game document: {exc}") from exc
+        return TeamGame(**data)
+    except ValueError as exc:
+        raise GameFormatError(f"invalid game document: {exc}") from None
 
 
 def save_game(game: TeamGame, path) -> None:
@@ -511,12 +556,7 @@ def save_game(game: TeamGame, path) -> None:
 
 
 def load_game(path) -> TeamGame:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise GameFormatError(f"{path} is not valid JSON: {exc}") from exc
-    return game_from_dict(data)
+    return game_from_dict(read_json(path, GameFormatError))
 
 
 def profile_to_dict(strategies) -> dict:
@@ -524,15 +564,15 @@ def profile_to_dict(strategies) -> dict:
 
 
 def strategies_from_dict(data: dict) -> list[MixedStrategy]:
-    if not isinstance(data, dict) or "strategies" not in data:
-        raise GameFormatError("profile document must contain a 'strategies' list")
+    data = json_object(TeamProfile, data, "profile document", GameFormatError)
     try:
+        vectors = check_type("strategies", data["strategies"], list)
         return [
-            MixedStrategy(owner=i, probs=np.asarray(vec, dtype=np.float64))
-            for i, vec in enumerate(data["strategies"])
+            MixedStrategy(i, check_items(f"strategies[{i}]", probs, float))
+            for i, probs in enumerate(vectors)
         ]
-    except (TypeError, ValueError) as exc:
-        raise GameFormatError(f"invalid profile document: {exc}") from exc
+    except ValueError as exc:
+        raise GameFormatError(f"invalid profile document: {exc}") from None
 
 
 def save_profile(strategies, path) -> None:
@@ -542,9 +582,4 @@ def save_profile(strategies, path) -> None:
 
 
 def load_strategies(path) -> list[MixedStrategy]:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise GameFormatError(f"{path} is not valid JSON: {exc}") from exc
-    return strategies_from_dict(data)
+    return strategies_from_dict(read_json(path, GameFormatError))

@@ -12,10 +12,9 @@ CSV row per cell with certified bounds, and aggregates mean and quartiles
 per (n, m, solver). Given identical configuration it produces byte-identical
 output, which the test suite relies on.
 
-Each experiment object's schema is its dataclass: a config's JSON objects
-are read by field name, every __post_init__ checks its values by the rule of
-solvers.check_type, and results.csv and aggregate.csv take their columns,
-in order, from the fields of ResultRow and AggregateRow.
+A config is read by game.json_object's rule, and results.csv and
+aggregate.csv take their columns, in order, from the fields of ResultRow and
+AggregateRow.
 """
 
 from __future__ import annotations
@@ -24,17 +23,23 @@ import concurrent.futures
 import csv
 import json
 import math
-from dataclasses import MISSING, dataclass, field, fields
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .game import TeamGame, normalize_payoffs
+from .game import (
+    TeamGame,
+    check_items,
+    check_type,
+    json_object,
+    normalize_payoffs,
+    read_json,
+)
 from .generators import check_family, make_instance
 from .solvers import (
     DEFAULT_TIMEOUT,
     SolveReport,
     check_params,
-    check_type,
     correlated_team_maxmin,
     run_solver,
     solver_params,
@@ -118,9 +123,9 @@ class GameSpec:
             if getattr(self, key) is not None:
                 check_type(key, getattr(self, key), int, ConfigError)
         _, _, accepted = check_family(self.family, self.n, self.m, ConfigError)
-        if not isinstance(self.seeds, (list, tuple)) or not self.seeds:
-            raise ConfigError(f"seeds must be a nonempty list, got {self.seeds!r}")
-        seeds = tuple(check_type("seeds", s, int, ConfigError) for s in self.seeds)
+        seeds = check_items("seeds", self.seeds, int, ConfigError)
+        if not seeds:
+            raise ConfigError("seeds must be a nonempty list, got []")
         object.__setattr__(self, "seeds", seeds)
         check_params("family", self.family, accepted, self.params, ConfigError)
         check_type("normalize", self.normalize, bool, ConfigError)
@@ -161,8 +166,8 @@ class ExperimentConfig:
 
     def __post_init__(self):
         timeout = check_type("timeout", self.timeout, float, ConfigError)
-        if timeout <= 0:
-            raise ConfigError("timeout must be positive")
+        if not timeout > 0:  # NaN included
+            raise ConfigError(f"timeout must be positive, got {timeout}")
         object.__setattr__(self, "timeout", timeout)
         check_type("record_wall_time", self.record_wall_time, bool, ConfigError)
         if check_type("workers", self.workers, int, ConfigError) < 1:
@@ -385,22 +390,6 @@ def write_aggregate_csv(rows, path) -> None:
 # configuration files
 
 
-def _json_object(cls, data, what: str) -> dict:
-    """`data` once it is known to be a JSON object that has only keys that
-    are fields of the dataclass `cls`, and every field without a default."""
-    check_type(what, data, dict, ConfigError)
-    names = [f.name for f in fields(cls)]
-    for key in data:
-        if key not in names:
-            raise ConfigError(
-                f"{what} has unknown key {key!r}; it accepts {', '.join(names)}"
-            )
-    for f in fields(cls):
-        if f.default is MISSING and f.default_factory is MISSING and f.name not in data:
-            raise ConfigError(f"{what} is missing {f.name!r}")
-    return data
-
-
 def experiment_config_from_dict(data: dict) -> ExperimentConfig:
     """Build an ExperimentConfig from the JSON experiment schema.
 
@@ -411,24 +400,19 @@ def experiment_config_from_dict(data: dict) -> ExperimentConfig:
     wrong JSON type raises ConfigError naming the key; the type rule is
     check_type's.
     """
-    data = _json_object(ExperimentConfig, data, "experiment config")
+    data = json_object(ExperimentConfig, data, "experiment config", ConfigError)
     entries = {}
     for key, cls in (("games", GameSpec), ("solvers", SolverSpec)):
         check_type(key, data[key], list, ConfigError)
         entries[key] = tuple(
-            cls(**_json_object(cls, entry, f"{key}[{i}]"))
+            cls(**json_object(cls, entry, f"{key}[{i}]", ConfigError))
             for i, entry in enumerate(data[key])
         )
     return ExperimentConfig(**{**data, **entries})
 
 
 def load_experiment_config(path) -> ExperimentConfig:
-    try:
-        with open(path) as handle:
-            data = json.load(handle)
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"invalid JSON in {path}: {exc}")
-    return experiment_config_from_dict(data)
+    return experiment_config_from_dict(read_json(path, ConfigError))
 
 
 __all__ = [

@@ -22,7 +22,6 @@ from __future__ import annotations
 import heapq
 import itertools
 import math
-import numbers
 import time
 from dataclasses import dataclass
 
@@ -34,6 +33,7 @@ from .game import (
     MixedStrategy,
     TeamGame,
     TeamProfile,
+    check_type,
     team_value,
     to_joint_game,
     uniform_profile,
@@ -97,10 +97,6 @@ class OracleEstimate:
     witness: TeamProfile
     resolution: int
     evaluations: int
-
-    @property
-    def certified_interval(self) -> tuple[float, float]:
-        return (self.value, self.value + self.error_bound)
 
 
 # ---------------------------------------------------------------------------
@@ -879,7 +875,7 @@ def _check_global(accuracy: float, restarts: int, max_nodes: int, **_) -> None:
 def global_optimize(
     game: TeamGame,
     accuracy: float = 1e-6,
-    timeout: float = DEFAULT_TIMEOUT,
+    timeout: float | None = DEFAULT_TIMEOUT,
     seed: int = 0,
     restarts: int = 8,
     max_nodes: int = 20_000,
@@ -908,14 +904,14 @@ def global_optimize(
     every z satisfying the rows to it, so a node LP that is not solved to
     optimality raises LpSolveError. The product of the joint mixture's
     marginals (JointDistribution.marginal) is a team profile, evaluated as
-    a lower bound.
+    a lower bound. A timeout of None sets no deadline.
     """
     _require_normalized(game, "global_optimize")
     _check_global(accuracy, restarts, max_nodes)
-    if not timeout >= 0:
+    if timeout is not None and not timeout >= 0:
         raise ValueError(f"timeout must be nonnegative, got {timeout}")
     start = time.perf_counter()
-    deadline = start + timeout
+    deadline = math.inf if timeout is None else start + timeout
     root = reconstruct_best_pivot(game)
     lower, upper, witness = root.lower_bound, root.upper_bound, root.witness
     nodes = 0
@@ -1073,22 +1069,6 @@ SOLVERS = {
     ),
 }
 SOLVER_NAMES = tuple(SOLVERS)
-
-
-def check_type(key: str, value, kind: type, error=ValueError):
-    """`value` as a `kind`, or `error` naming `key` if it is not one.
-
-    The one type rule for values read from JSON or passed as solver
-    parameters: a bool is not a number, an int may stand for a float and
-    comes back as one, and nothing is parsed from a string.
-    """
-    if kind in (int, float):
-        number = numbers.Integral if kind is int else numbers.Real
-        if isinstance(value, number) and not isinstance(value, bool):
-            return kind(value)
-    elif isinstance(value, kind):
-        return value
-    raise error(f"{key} must be {kind.__name__}, got {value!r}")
 
 
 def check_params(

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from teammax.cli import build_parser, main
-from teammax.game import load_game, save_game, save_profile, MixedStrategy
+from teammax.game import game_to_dict, load_game, save_game, save_profile, MixedStrategy
 from teammax.generators import diagonal_game, poa_game
 from teammax.solvers import SOLVERS
 
@@ -195,6 +195,61 @@ def test_solve_corrupt_file_is_input_error(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("{broken")
     assert main(["solve", str(bad), "--solver", "reconstruct"]) == 3
+
+
+def test_solve_file_that_is_not_utf8_is_input_error(tmp_path):
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(b"\xff\xfe{}")
+    assert main(["solve", str(bad), "--solver", "reconstruct"]) == 3
+
+
+@pytest.mark.parametrize(
+    "change, message",
+    [
+        (dict(num_players=3.9), "invalid game document: num_players must be int"),
+        (
+            dict(actions_per_player=[2.7, 2, 2]),
+            "invalid game document: actions_per_player must be int",
+        ),
+        (
+            dict(team_utility=["1", 0, 0, 0, 0, 0, 0, 0]),
+            "invalid game document: team_utility must be float",
+        ),
+        (
+            dict(team_utility=[True, 0, 0, 0, 0, 0, 0, 0]),
+            "invalid game document: team_utility must be float",
+        ),
+        (
+            dict(team_utility=[None, 0, 0, 0, 0, 0, 0, 0]),
+            "invalid game document: team_utility must be float",
+        ),
+        (dict(seed="5"), "invalid game document: seed must be int"),
+        (dict(comment="hand-made"), "game document has unknown key 'comment'"),
+    ],
+)
+def test_solve_malformed_game_is_input_error_naming_the_key(
+    tmp_path, capsys, change, message
+):
+    game, _ = poa_game()
+    path = tmp_path / "game.json"
+    path.write_text(json.dumps({**game_to_dict(game), **change}))
+    capsys.readouterr()
+    assert main(["solve", str(path), "--solver", "reconstruct"]) == 3
+    [line] = capsys.readouterr().err.splitlines()
+    assert line.startswith("error: " + message)
+
+
+def test_evaluate_profile_entry_string_is_input_error_naming_the_key(
+    tmp_path, capsys
+):
+    game_path = _generate(tmp_path, "diagonal", "--n", "3", "--m", "2")
+    profile_path = tmp_path / "team.json"
+    profile_path.write_text(json.dumps({"strategies": [["0.5", "0.5"], [0.5, 0.5]]}))
+    capsys.readouterr()
+    assert main(["evaluate", str(game_path), "--profile", str(profile_path)]) == 3
+    assert capsys.readouterr().err.splitlines() == [
+        "error: invalid profile document: strategies[0] must be float, got '0.5'"
+    ]
 
 
 def test_solve_unnormalized_oracle_is_usage_error(tmp_path):
@@ -452,6 +507,25 @@ def test_experiment_rejects_before_any_output(tmp_path, capsys, game, solver, ke
     assert captured.out == ""
     [line] = captured.err.splitlines()
     assert line.startswith("error: ") and key in line
+
+
+def test_experiment_nan_timeout_exits_3_before_any_output(tmp_path, capsys):
+    config_path = tmp_path / "config.json"
+    config_path.write_text(
+        json.dumps(
+            {
+                "games": [{"family": "poa"}],
+                "solvers": [{"name": "reconstruct"}],
+                "timeout": math.nan,
+            }
+        )
+    )
+    out_dir = tmp_path / "out"
+    assert main(["experiment", str(config_path), "--out-dir", str(out_dir)]) == 3
+    assert not out_dir.exists()
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == ["error: timeout must be positive, got nan"]
 
 
 def test_experiment_int_timeout_prints_as_float(tmp_path, capsys):

@@ -7,6 +7,7 @@ implementation shows up immediately.
 
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -34,6 +35,7 @@ from teammax.game import (
     pure_strategy,
     save_game,
     save_profile,
+    strategies_from_dict,
     team_value,
     to_joint_game,
     uniform_adversary,
@@ -108,6 +110,14 @@ def test_mixed_strategy_validation():
         MixedStrategy(0, np.array([]))
 
 
+def test_probability_vectors_reject_every_invalid_entry():
+    for bad in ([np.nan, 1.0], [np.inf, 1.0], [-np.inf, 1.0], [-0.5, 1.5], [0.6, 0.6]):
+        with pytest.raises(ValueError, match="nonnegative and sum to 1"):
+            MixedStrategy(0, np.array(bad))
+        with pytest.raises(ValueError, match="nonnegative and sum to 1"):
+            JointDistribution((2,), np.array(bad))
+
+
 def test_mixed_strategy_support():
     s = MixedStrategy(0, np.array([0.5, 0.0, 0.5]))
     assert list(s.support()) == [0, 2]
@@ -175,10 +185,11 @@ def test_to_joint_game_rows_are_row_major_pairs():
     assert np.array_equal(matrix, np.array([[0, 1], [2, 3], [4, 5], [6, 7]]))
 
 
-def test_to_joint_game_row_cap():
+def test_to_joint_game_row_cap(monkeypatch):
     game = counting_game()
+    monkeypatch.setattr("teammax.game.MAX_JOINT_ROWS", 3)
     with pytest.raises(CapacityError):
-        to_joint_game(game, max_rows=3)
+        to_joint_game(game)
 
 
 def test_joint_distribution_indexing_and_marginals():
@@ -302,8 +313,10 @@ def test_game_file_is_flat_row_major(tmp_path):
 
 
 def test_game_from_dict_missing_field():
-    with pytest.raises(GameFormatError):
+    with pytest.raises(GameFormatError, match="missing 'actions_per_player'"):
         game_from_dict({"num_players": 3})
+    with pytest.raises(GameFormatError, match="game document must be dict"):
+        game_from_dict([{"num_players": 3}])
 
 
 def test_game_from_dict_wrong_length():
@@ -311,6 +324,49 @@ def test_game_from_dict_wrong_length():
     data["team_utility"] = data["team_utility"][:-1]
     with pytest.raises(GameFormatError):
         game_from_dict(data)
+
+
+@pytest.mark.parametrize(
+    "change, message",
+    [
+        (dict(num_players=3.9), "num_players must be int, got 3.9"),
+        (dict(actions_per_player=[2.7, 2, 2]), "actions_per_player must be int, got 2.7"),
+        (dict(team_utility=["1", 1, 2, 3, 4, 5, 6, 7]), "team_utility must be float, got '1'"),
+        (dict(team_utility=[0, 1, 2, True, 4, 5, 6, 7]), "team_utility must be float, got True"),
+        (dict(team_utility=[0, 1, 2, 3, 4, 5, 6, None]), "team_utility must be float, got None"),
+        (dict(team_utility="01234567"), "team_utility must be list"),
+        (
+            dict(team_utility=[10**400, 1, 2, 3, 4, 5, 6, 7]),
+            "team_utility must be float, got an int too large for one",
+        ),
+        (dict(seed="5"), "seed must be int, got '5'"),
+        (dict(name=5), "name must be str, got 5"),
+        (dict(comment="hand-made"), "game document has unknown key 'comment'"),
+    ],
+)
+def test_game_from_dict_names_the_malformed_key(change, message):
+    data = game_to_dict(counting_game())
+    game_from_dict(data)  # the base document is valid
+    data.update(change)
+    with pytest.raises(GameFormatError, match=re.escape(message)):
+        game_from_dict(data)
+
+
+@pytest.mark.parametrize(
+    "data, message",
+    [
+        ({"strategies": [["0.5", "0.5"], [1.0, 0.0]]}, "strategies[0] must be float"),
+        ({"strategies": [[0.5, 0.5], [True, False]]}, "strategies[1] must be float"),
+        ({"strategies": [[0.5, 0.5], [1.0, None]]}, "strategies[1] must be float"),
+        ({"strategies": [[0.5, 0.5], 1.0]}, "strategies[1] must be list"),
+        ({"strategies": {"0": [1.0]}}, "strategies must be list"),
+        ({"strategies": [[1.0]], "comment": 1}, "has unknown key 'comment'"),
+        ({}, "profile document is missing 'strategies'"),
+    ],
+)
+def test_strategies_from_dict_names_the_malformed_key(data, message):
+    with pytest.raises(GameFormatError, match=re.escape(message)):
+        strategies_from_dict(data)
 
 
 def test_load_game_rejects_bad_json(tmp_path):

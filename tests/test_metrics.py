@@ -131,8 +131,9 @@ def test_solver_spec_params_json_is_canonical():
 def test_experiment_config_validation():
     games = (GameSpec(family="diagonal", n=3, m=2),)
     solvers = (SolverSpec(name="reconstruct"),)
-    with pytest.raises(ConfigError):
-        ExperimentConfig(games=games, solvers=solvers, timeout=0.0)
+    for timeout in (0.0, math.nan):
+        with pytest.raises(ConfigError, match="timeout must be positive"):
+            ExperimentConfig(games=games, solvers=solvers, timeout=timeout)
     with pytest.raises(ConfigError):
         ExperimentConfig(games=games, solvers=solvers, workers=0)
 

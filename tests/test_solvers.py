@@ -43,7 +43,6 @@ from teammax.generators import (
 from teammax.solvers import (
     SOLVER_NAMES,
     SOLVERS,
-    OracleEstimate,
     SolveReport,
     correlated_team_maxmin,
     global_optimize,
@@ -97,12 +96,6 @@ def test_solve_report_rejects_inverted_bounds():
 def test_solve_report_rejects_negative_counters():
     with pytest.raises(ValueError):
         SolveReport(0.0, 1.0, None, -1, 0, 0.0, True)
-
-
-def test_oracle_estimate_interval():
-    witness = TeamProfile((MixedStrategy(0, np.ones(1)),))
-    est = OracleEstimate(0.3, 0.05, witness, 10, 11)
-    assert est.certified_interval == (0.3, pytest.approx(0.35))
 
 
 # ---------------------------------------------------------------------------
@@ -1202,6 +1195,28 @@ def test_global_argument_validation():
     unnormalized = TeamGame(3, (2, 2, 2), np.arange(8, dtype=float))
     with pytest.raises(ValueError):
         global_optimize(unnormalized)
+
+
+@pytest.mark.parametrize(
+    "solve",
+    [
+        reconstruct_best_pivot,
+        lambda game, timeout: support_enumeration(game, 1.0, timeout=timeout),
+        lambda game, timeout: iterated_lp(game, restarts=2, timeout=timeout),
+        lambda game, timeout: global_optimize(
+            game, accuracy=0.3, max_nodes=50, timeout=timeout
+        ),
+        lambda game, timeout: grid_oracle(game, 0.1, timeout=timeout),
+    ],
+    ids=["reconstruct", "support-enum", "iterated-lp", "global", "oracle"],
+)
+def test_a_timeout_of_none_sets_no_limit(solve):
+    game, _ = diagonal_game(3, 2)
+    result = solve(game, timeout=None)
+    if isinstance(result, SolveReport):
+        assert result.converged
+    else:
+        assert result.error_bound < math.inf
 
 
 # ---------------------------------------------------------------------------
