@@ -32,7 +32,7 @@ from .game import (
     verify_nash,
     normalize_payoffs,
 )
-from .generators import FAMILIES, GENERATOR_FAMILIES, make_instance
+from .generators import GENERATOR_FAMILIES, make_instance
 from .lp import LpSolveError
 from .metrics import (
     ConfigError,
@@ -99,10 +99,6 @@ def _report_dict(report: SolveReport) -> dict:
 
 
 def cmd_generate(args) -> int:
-    params = {}
-    _, _, family_params = FAMILIES[args.family]
-    if "fixed_sign" in family_params:
-        params["fixed_sign"] = not args.flawed
     _print_config(
         "generate",
         {
@@ -112,12 +108,9 @@ def cmd_generate(args) -> int:
             "seed": args.seed,
             "normalize": args.normalize,
             "out": str(args.out),
-            **params,
         },
     )
-    game, facts = make_instance(
-        args.family, n=args.n, m=args.m, seed=args.seed, **params
-    )
+    game, facts = make_instance(args.family, n=args.n, m=args.m, seed=args.seed)
     if args.normalize:
         game = normalize_payoffs(game)
     save_game(game, args.out)
@@ -312,11 +305,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, help="number of players (team + 1)")
     p.add_argument("--m", type=int, help="actions per player")
     p.add_argument("--seed", type=int, default=0, help="seed (random family)")
-    p.add_argument(
-        "--flawed",
-        action="store_true",
-        help="irrational family: emit the sign-flawed variant",
-    )
     p.add_argument(
         "--normalize", action="store_true", help="rescale payoffs to [0, 1]"
     )

@@ -565,14 +565,19 @@ def profile_to_dict(strategies) -> dict:
 
 def strategies_from_dict(data: dict) -> list[MixedStrategy]:
     data = json_object(TeamProfile, data, "profile document", GameFormatError)
+    strategies = []
     try:
         vectors = check_type("strategies", data["strategies"], list)
-        return [
-            MixedStrategy(i, check_items(f"strategies[{i}]", probs, float))
-            for i, probs in enumerate(vectors)
-        ]
+        for i, probs in enumerate(vectors):
+            key = f"strategies[{i}]"
+            probs = check_items(key, probs, float)
+            try:
+                strategies.append(MixedStrategy(i, probs))
+            except ValueError as exc:
+                raise ValueError(f"{key}: {exc}") from None
     except ValueError as exc:
         raise GameFormatError(f"invalid profile document: {exc}") from None
+    return strategies
 
 
 def save_profile(strategies, path) -> None:

@@ -234,10 +234,10 @@ def irrational_game(fixed_sign: bool = True) -> tuple[TeamGame, InstanceFacts]:
     each member puts on the first action, so s = 2 - sqrt(2) and the value
     is s^2 = 6 - 4*sqrt(2), both irrational.
 
-    Without fixed_sign the same magnitudes are team losses (payoffs -1 and
-    -2). A mismatched pure pair then concedes nothing, making the instance
-    trivially worth 0 and uninteresting, which is why the signed variant
-    exists.
+    Without fixed_sign (the `irrational-flawed` family) the same magnitudes
+    are team losses (payoffs -1 and -2). A mismatched pure pair then
+    concedes nothing, making the instance trivially worth 0 and
+    uninteresting, which is why the signed variant exists.
     """
     tensor = np.zeros((2, 2, 2))
     if fixed_sign:
@@ -323,28 +323,19 @@ def _check_size(m: int, exponent: int) -> None:
         )
 
 
-# name -> (builder, shape, parameters). The builder takes n, m and the seed,
-# then the family's parameters by name, and returns (game, facts or None).
-# shape names which of n and m the family requires; the parameters map each
-# of the family's own parameters to its (type, default). Only `random` uses
-# the seed, which defaults to 0.
+# name -> (builder, shape). The builder takes n, m and the seed and returns
+# (game, facts or None); shape names which of n and m the family requires.
+# Only `random` uses the seed, which defaults to 0.
 FAMILIES = {
-    "poa": (lambda n, m, seed: poa_game(), (), {}),
-    "diagonal": (lambda n, m, seed: diagonal_game(n, m), ("n", "m"), {}),
-    "pou-one": (lambda n, m, seed: pou_one_game(), (), {}),
-    "coordination": (lambda n, m, seed: coordination_game(n, m), ("n", "m"), {}),
-    "irrational": (
-        lambda n, m, seed, fixed_sign: irrational_game(fixed_sign),
-        (),
-        {"fixed_sign": (bool, True)},
-    ),
+    "poa": (lambda n, m, seed: poa_game(), ()),
+    "diagonal": (lambda n, m, seed: diagonal_game(n, m), ("n", "m")),
+    "pou-one": (lambda n, m, seed: pou_one_game(), ()),
+    "coordination": (lambda n, m, seed: coordination_game(n, m), ("n", "m")),
+    "irrational": (lambda n, m, seed: irrational_game(), ()),
+    "irrational-flawed": (lambda n, m, seed: irrational_game(fixed_sign=False), ()),
     "random": (
-        lambda n, m, seed: (
-            random_team_game(n, m, 0 if seed is None else seed),
-            None,
-        ),
+        lambda n, m, seed: (random_team_game(n, m, 0 if seed is None else seed), None),
         ("n", "m"),
-        {},
     ),
 }
 GENERATOR_FAMILIES = tuple(FAMILIES)
@@ -352,17 +343,15 @@ GENERATOR_FAMILIES = tuple(FAMILIES)
 
 def check_family(
     name: str, n: int | None = None, m: int | None = None, error=ValueError
-):
-    """The FAMILIES entry of `name`; raises `error` for an unknown family or
-    when a shape key the family requires is None."""
+) -> None:
+    """Raise `error` for an unknown family or when a shape key the family
+    requires is None."""
     if name not in FAMILIES:
         raise error(f"unknown family {name!r}, expected one of {GENERATOR_FAMILIES}")
-    entry = FAMILIES[name]
     shape = {"n": n, "m": m}
-    missing = [key for key in entry[1] if shape[key] is None]
+    missing = [key for key in FAMILIES[name][1] if shape[key] is None]
     if missing:
         raise error(f"family {name!r} requires {', '.join(missing)}")
-    return entry
 
 
 def make_instance(
@@ -370,13 +359,10 @@ def make_instance(
     n: int | None = None,
     m: int | None = None,
     seed: int | None = None,
-    **params,
 ) -> tuple[TeamGame, InstanceFacts | None]:
     """Build an instance by family name (the CLI and experiment entry point).
 
-    A family ignores n and m unless it requires them, and each of its
-    parameters that params does not give keeps its FAMILIES default.
+    A family ignores n and m unless it requires them.
     """
-    build, _, accepted = check_family(family, n, m)
-    defaults = {key: default for key, (_, default) in accepted.items()}
-    return build(n, m, seed, **{**defaults, **params})
+    check_family(family, n, m)
+    return FAMILIES[family][0](n, m, seed)

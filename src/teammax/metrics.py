@@ -39,7 +39,6 @@ from .generators import check_family, make_instance
 from .solvers import (
     DEFAULT_TIMEOUT,
     SolveReport,
-    check_params,
     correlated_team_maxmin,
     run_solver,
     solver_params,
@@ -106,15 +105,14 @@ class GameSpec:
     """One family cell of an experiment: a generator plus its seed sweep.
 
     n and m are required by the families whose FAMILIES entry in generators
-    names them, and params are the family's own parameters from that entry;
-    seeds may be any nonempty list or tuple of ints and is kept as a tuple.
+    names them; seeds may be any nonempty list or tuple of ints and is kept
+    as a tuple.
     """
 
     family: str
     n: int | None = None
     m: int | None = None
     seeds: tuple[int, ...] = (0,)
-    params: dict = field(default_factory=dict)
     normalize: bool = False
 
     def __post_init__(self):
@@ -122,12 +120,11 @@ class GameSpec:
         for key in ("n", "m"):
             if getattr(self, key) is not None:
                 check_type(key, getattr(self, key), int, ConfigError)
-        _, _, accepted = check_family(self.family, self.n, self.m, ConfigError)
+        check_family(self.family, self.n, self.m, ConfigError)
         seeds = check_items("seeds", self.seeds, int, ConfigError)
         if not seeds:
             raise ConfigError("seeds must be a nonempty list, got []")
         object.__setattr__(self, "seeds", seeds)
-        check_params("family", self.family, accepted, self.params, ConfigError)
         check_type("normalize", self.normalize, bool, ConfigError)
 
 
@@ -223,9 +220,7 @@ def build_instances(config: ExperimentConfig) -> list[tuple[str, int, TeamGame]]
     for i, spec in enumerate(config.games):
         for seed in spec.seeds:
             try:
-                game, _ = make_instance(
-                    spec.family, n=spec.n, m=spec.m, seed=seed, **spec.params
-                )
+                game, _ = make_instance(spec.family, n=spec.n, m=spec.m, seed=seed)
             except ValueError as exc:
                 raise ConfigError(f"games[{i}]: {exc}") from None
             if spec.normalize:

@@ -99,6 +99,17 @@ class OracleEstimate:
     evaluations: int
 
 
+def _deadline(start: float, timeout: float | None) -> float:
+    """The perf_counter reading at which a solver started at `start` stops,
+    inf for a timeout of None. Raises ValueError for a timeout that is
+    negative or NaN, which no deadline comparison would ever reach."""
+    if timeout is None:
+        return math.inf
+    if not timeout >= 0:
+        raise ValueError(f"timeout must be nonnegative, got {timeout}")
+    return start + timeout
+
+
 # ---------------------------------------------------------------------------
 # correlated relaxation and reconstruction
 
@@ -163,7 +174,7 @@ def reconstruct_best_pivot(
     the upper bound is max(v_C, lower) either way.
     """
     start = time.perf_counter()
-    deadline = math.inf if timeout is None else start + timeout
+    deadline = _deadline(start, timeout)
     dist, correlated_value = correlated_team_maxmin(game)
     members = game.num_team_members
     best_value = -math.inf
@@ -208,7 +219,7 @@ def _check_enumeration(epsilon: float) -> None:
 
 
 def support_enumeration(
-    game: TeamGame, epsilon: float, timeout: float | None = DEFAULT_TIMEOUT
+    game: TeamGame, epsilon: float = 1.0, timeout: float | None = DEFAULT_TIMEOUT
 ) -> SolveReport:
     """Additive epsilon-approximation by enumerating discretized mixtures.
 
@@ -230,7 +241,7 @@ def support_enumeration(
     _require_normalized(game, "support_enumeration")
     _check_enumeration(epsilon)
     start = time.perf_counter()
-    deadline = math.inf if timeout is None else start + timeout
+    deadline = _deadline(start, timeout)
     steps = max(
         1, math.ceil(math.log(game.max_team_actions) / (2.0 * epsilon * epsilon))
     )
@@ -278,7 +289,7 @@ def _check_ascent(
 def iterated_lp(
     game: TeamGame,
     init: TeamProfile | str = "random",
-    restarts: int = 1,
+    restarts: int = 10,
     seed: int = 0,
     timeout: float | None = DEFAULT_TIMEOUT,
     max_rounds: int = 1000,
@@ -316,7 +327,7 @@ def iterated_lp(
     """
     _check_ascent(restarts, init, max_rounds)
     start = time.perf_counter()
-    deadline = math.inf if timeout is None else start + timeout
+    deadline = _deadline(start, timeout)
     master = SplitMix64(seed)
     num_members = game.num_team_members
     best_value = -math.inf
@@ -635,7 +646,7 @@ def _check_oracle(target_error: float) -> None:
 
 
 def grid_oracle(
-    game: TeamGame, target_error: float, timeout: float | None = None
+    game: TeamGame, target_error: float = 0.01, timeout: float | None = None
 ) -> OracleEstimate:
     """Exact search over per-member probability grids.
 
@@ -659,7 +670,7 @@ def grid_oracle(
     """
     _require_normalized(game, "grid_oracle")
     _check_oracle(target_error)
-    deadline = math.inf if timeout is None else time.perf_counter() + timeout
+    deadline = _deadline(time.perf_counter(), timeout)
     team_sizes = game.team_sizes
     members = len(team_sizes)
     constants = [_rounding_constant(m) for m in team_sizes]
@@ -908,10 +919,8 @@ def global_optimize(
     """
     _require_normalized(game, "global_optimize")
     _check_global(accuracy, restarts, max_nodes)
-    if timeout is not None and not timeout >= 0:
-        raise ValueError(f"timeout must be nonnegative, got {timeout}")
     start = time.perf_counter()
-    deadline = math.inf if timeout is None else start + timeout
+    deadline = _deadline(start, timeout)
     root = reconstruct_best_pivot(game)
     lower, upper, witness = root.lower_bound, root.upper_bound, root.witness
     nodes = 0
@@ -1028,7 +1037,8 @@ def _oracle(game: TeamGame, timeout: float, target_error: float) -> SolveReport:
 
 
 # name -> (runner, parameters, check). The parameters map each keyword
-# parameter to its (type, default). The runner takes the game, the timeout
+# parameter to its (type, default), which is also the default in the
+# solver function's signature. The runner takes the game, the timeout
 # and those parameters, and calls its solver by module-level name, so that a
 # wrapper installed on that name sees the call. check takes the parameters
 # and raises ValueError for a value out of range or not among the choices;
@@ -1071,42 +1081,26 @@ SOLVERS = {
 SOLVER_NAMES = tuple(SOLVERS)
 
 
-def check_params(
-    what: str, name: str, accepted: dict, params, error=ValueError
-) -> dict:
-    """The `accepted` parameters' defaults updated by `params`.
-
-    accepted maps each parameter name to its (type, default). Raises `error`,
-    prefixed with `what` and `name` (say, solver 'global'), if params is not
-    a dict, names a parameter that is not accepted, or gives one a value
-    that check_type rejects.
-    """
+def solver_params(name: str, params: dict) -> dict:
+    """The named solver's keyword parameters: its defaults updated by
+    `params`. Raises ValueError for an unknown solver, and ValueError
+    prefixed with the solver's name (solver 'global': ...) if params is not
+    a dict, names a parameter the solver does not take, or gives one a
+    value that check_type or the solver's check rejects."""
+    if name not in SOLVERS:
+        raise ValueError(f"unknown solver {name!r}, expected one of {SOLVER_NAMES}")
+    _, accepted, check = SOLVERS[name]
     try:
-        check_type("params", params, dict, error)
+        check_type("params", params, dict)
         unknown = sorted(set(params) - set(accepted))
         if unknown:
-            raise error(
+            raise ValueError(
                 f"does not take {', '.join(unknown)}; "
                 f"it accepts {', '.join(accepted) or 'no parameters'}"
             )
         resolved = {key: default for key, (_, default) in accepted.items()}
         for key, value in params.items():
-            resolved[key] = check_type(key, value, accepted[key][0], error)
-    except error as exc:
-        raise error(f"{what} {name!r}: {exc}") from None
-    return resolved
-
-
-def solver_params(name: str, params: dict) -> dict:
-    """The named solver's keyword parameters: its defaults updated by
-    `params` (see check_params). Raises ValueError for an unknown solver, a
-    parameter the solver does not take, a value of the wrong type, or one
-    that the solver's check rejects."""
-    if name not in SOLVERS:
-        raise ValueError(f"unknown solver {name!r}, expected one of {SOLVER_NAMES}")
-    _, accepted, check = SOLVERS[name]
-    resolved = check_params("solver", name, accepted, params)
-    try:
+            resolved[key] = check_type(key, value, accepted[key][0])
         check(**resolved)
     except ValueError as exc:
         raise ValueError(f"solver {name!r}: {exc}") from None

@@ -13,7 +13,7 @@ import pytest
 
 from teammax.cli import build_parser, main
 from teammax.game import game_to_dict, load_game, save_game, save_profile, MixedStrategy
-from teammax.generators import diagonal_game, poa_game
+from teammax.generators import diagonal_game, irrational_game, poa_game
 from teammax.solvers import SOLVERS
 
 
@@ -51,6 +51,20 @@ def test_generate_irrational_contains_two(tmp_path):
     norm = tmp_path / "norm.json"
     assert main(["generate", "irrational", "--normalize", "--out", str(norm)]) == 0
     assert max(json.loads(norm.read_text())["team_utility"]) == 1.0
+
+
+def test_generate_irrational_flawed_writes_the_sign_flawed_game(tmp_path, capsys):
+    path = _generate(tmp_path, "irrational-flawed")
+    game, _ = irrational_game(fixed_sign=False)
+    assert json.loads(path.read_text()) == game_to_dict(game)
+    config = json.loads(capsys.readouterr().out.splitlines()[0][len("config ") :])
+    assert config["family"] == "irrational-flawed" and "fixed_sign" not in config
+
+
+def test_generate_flawed_flag_is_gone(tmp_path):
+    with pytest.raises(SystemExit) as exc:
+        main(["generate", "irrational", "--flawed", "--out", str(tmp_path / "x.json")])
+    assert exc.value.code == 2
 
 
 def test_generate_missing_params_is_usage_error(tmp_path):
@@ -494,6 +508,12 @@ def test_experiment_malformed_config_exits_3_before_any_output(tmp_path, capsys)
             {"family": "poa"},
             {"name": "support-enum", "params": {"budget": 10}},
             "budget",
+        ),
+        # a family takes no parameters: the sign-flawed game is its own family
+        (
+            {"family": "irrational", "params": {"fixed_sign": False}},
+            {"name": "reconstruct"},
+            "games[0] has unknown key 'params'",
         ),
     ],
 )

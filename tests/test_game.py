@@ -362,6 +362,11 @@ def test_game_from_dict_names_the_malformed_key(change, message):
         ({"strategies": {"0": [1.0]}}, "strategies must be list"),
         ({"strategies": [[1.0]], "comment": 1}, "has unknown key 'comment'"),
         ({}, "profile document is missing 'strategies'"),
+        (
+            {"strategies": [[0.5, 0.5], [0.7, 0.7]]},
+            "strategies[1]: probs must be nonnegative and sum to 1: min 0.7, sum 1.4",
+        ),
+        ({"strategies": [[1.0], []]}, "strategies[1]: probs must be a nonempty vector"),
     ],
 )
 def test_strategies_from_dict_names_the_malformed_key(data, message):

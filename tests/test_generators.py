@@ -156,6 +156,7 @@ def test_make_instance_dispatch():
         "pou-one",
         "coordination",
         "irrational",
+        "irrational-flawed",
         "random",
     }
     game, facts = make_instance("diagonal", n=3, m=2)
@@ -164,8 +165,27 @@ def test_make_instance_dispatch():
     game, facts = make_instance("random", n=3, m=2, seed=5)
     assert facts is None
     assert game.seed == 5
-    game, _ = make_instance("irrational", fixed_sign=False)
+    game, _ = make_instance("irrational-flawed")
     assert game.team_utility.min() == -2.0
+    with pytest.raises(TypeError):  # families take no parameters
+        make_instance("irrational", fixed_sign=False)
+
+
+def test_make_instance_irrational_flawed_is_the_sign_flawed_game():
+    game, facts = make_instance("irrational-flawed")
+    expected, expected_facts = irrational_game(fixed_sign=False)
+    assert game.team_utility.tobytes() == expected.team_utility.tobytes()
+    assert game.name == expected.name == "irrational-flawed"
+    for name in ("known_team_maxmin", "known_correlated_value", "known_pou"):
+        assert getattr(facts, name) == getattr(expected_facts, name)
+    assert facts.provenance == expected_facts.provenance
+    assert [
+        (p.name, p.expected_value, [s.probs.tobytes() for s in p.team])
+        for p in facts.notable_profiles
+    ] == [
+        (p.name, p.expected_value, [s.probs.tobytes() for s in p.team])
+        for p in expected_facts.notable_profiles
+    ]
 
 
 def test_make_instance_errors():

@@ -161,7 +161,7 @@ def test_config_from_dict_errors():
 
 
 def _malformed(part, **fragment):
-    game = {"family": "irrational", "seeds": [0], "params": {}}
+    game = {"family": "irrational", "seeds": [0]}
     solver = {"name": "iterated-lp", "params": {"restarts": 2}}
     config = {"games": [game], "solvers": [solver]}
     target = {
@@ -169,7 +169,6 @@ def _malformed(part, **fragment):
         "game": game,
         "solver": solver,
         "solver params": solver["params"],
-        "family params": game["params"],
     }[part]
     target.update(fragment)
     return config
@@ -189,8 +188,9 @@ def _malformed(part, **fragment):
         ("param", _malformed("solver", param={})),
         ("family", {"games": [{"n": 3, "m": 2}], "solvers": []}),
         ("games", {"games": {"family": "poa"}, "solvers": []}),
-        ("fixed_sing", _malformed("family params", fixed_sing=False)),
-        ("fixed_sign", _malformed("family params", fixed_sign="false")),
+        # families take no parameters: a game entry has no params key
+        ("params", _malformed("game", params={"fixed_sign": False})),
+        ("params", _malformed("game", params={})),
         ("workers", _malformed("top", workers=True)),
         ("n", _malformed("game", n=3.0)),
         ("name", _malformed("solver", name=["reconstruct"])),
@@ -309,6 +309,24 @@ def test_run_experiment_isolates_cell_failures(tmp_path):
     with open(first, newline="") as handle:
         errors = [row["error"] for row in csv.DictReader(handle)]
     assert sorted(errors) == ["", "", "", failed[0].error]
+
+
+def test_run_experiment_tells_the_sign_flawed_game_apart(tmp_path):
+    config = experiment_config_from_dict(
+        {
+            "games": [{"family": "irrational"}, {"family": "irrational-flawed"}],
+            "solvers": [{"name": "reconstruct"}],
+            "record_wall_time": False,
+        }
+    )
+    path = tmp_path / "results.csv"
+    write_rows_csv(run_experiment(config), path)
+    with open(path, newline="") as handle:
+        rows = list(csv.DictReader(handle))
+    assert [(r["instance_id"], r["generator"], float(r["upper"])) for r in rows] == [
+        ("irrational-flawed-n3-m2-s0", "irrational-flawed", 0.0),
+        ("irrational-n3-m2-s0", "irrational", pytest.approx(2.0 / 3.0)),
+    ]
 
 
 def test_run_experiment_normalize_flag():

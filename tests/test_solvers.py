@@ -6,6 +6,7 @@ heuristics must all agree within their certified tolerances on the same
 instances. No solver is ever validated only against itself.
 """
 
+import inspect
 import itertools
 import json
 import math
@@ -1217,6 +1218,44 @@ def test_a_timeout_of_none_sets_no_limit(solve):
         assert result.converged
     else:
         assert result.error_bound < math.inf
+
+
+# the solver function that each registry runner calls
+_SOLVER_FUNCTIONS = {
+    "reconstruct": reconstruct_best_pivot,
+    "support-enum": support_enumeration,
+    "iterated-lp": iterated_lp,
+    "global": global_optimize,
+    "oracle": grid_oracle,
+}
+
+
+@pytest.mark.parametrize("name", SOLVER_NAMES)
+@pytest.mark.parametrize("timeout", [-5.0, math.nan])
+def test_solver_functions_reject_a_negative_or_nan_timeout(name, timeout):
+    # no clock reading is ever past a NaN deadline, so NaN would mean no limit
+    _, accepted, _ = SOLVERS[name]
+    defaults = {key: default for key, (_, default) in accepted.items()}
+    game, _ = diagonal_game(3, 2)
+    with pytest.raises(ValueError, match="timeout must be nonnegative"):
+        _SOLVER_FUNCTIONS[name](game, timeout=timeout, **defaults)
+
+
+@pytest.mark.parametrize("name", SOLVER_NAMES)
+def test_solver_table_defaults_are_the_function_defaults(monkeypatch, name):
+    function = _SOLVER_FUNCTIONS[name]
+    runner, accepted, _ = SOLVERS[name]
+    defaults = {key: default for key, (_, default) in accepted.items()}
+
+    def called(*args, **params):
+        raise LookupError(function.__name__)
+
+    monkeypatch.setattr(f"teammax.solvers.{function.__name__}", called)
+    with pytest.raises(LookupError, match=function.__name__):
+        runner(diagonal_game(3, 2)[0], 1.0, **defaults)
+    signature = inspect.signature(function).parameters
+    for key, default in defaults.items():
+        assert signature[key].default == default, key
 
 
 # ---------------------------------------------------------------------------
