@@ -69,7 +69,7 @@ class PouReport:
 def compute_pou(
     game: TeamGame,
     team_solver: str = "reconstruct",
-    timeout: float | None = None,
+    timeout: float | None = DEFAULT_TIMEOUT,
     **solver_params,
 ) -> PouReport:
     """Upper estimate of the correlation premium of a game.

@@ -20,6 +20,7 @@ here reports certified brackets instead of pretending to be exact:
 from __future__ import annotations
 
 import heapq
+import inspect
 import itertools
 import math
 import time
@@ -101,10 +102,12 @@ class OracleEstimate:
 
 def _deadline(start: float, timeout: float | None) -> float:
     """The perf_counter reading at which a solver started at `start` stops,
-    inf for a timeout of None. Raises ValueError for a timeout that is
+    inf for a timeout of None: the one timeout check of every solver. Raises
+    ValueError for a timeout that check_type rejects as a float, or that is
     negative or NaN, which no deadline comparison would ever reach."""
     if timeout is None:
         return math.inf
+    timeout = check_type("timeout", timeout, float)
     if not timeout >= 0:
         raise ValueError(f"timeout must be nonnegative, got {timeout}")
     return start + timeout
@@ -212,6 +215,19 @@ def _require_normalized(game: TeamGame, who: str) -> None:
         )
 
 
+def _grid_steps(spread: float, error: float, key: str, value: float) -> int:
+    """max(1, ceil(spread / error)) for spread >= 0 and error >= 0: the
+    steps of a grid fine enough for parameter `key`'s `value`. Raises
+    CapacityError when that count is not finite, as when error underflows
+    to 0."""
+    if spread == 0.0:
+        return 1
+    steps = spread / error if error else math.inf
+    if steps == math.inf:
+        raise CapacityError(f"{key} {value} needs more grid steps than a float holds")
+    return max(1, math.ceil(steps))
+
+
 def _check_enumeration(epsilon: float) -> None:
     """support_enumeration's range rules."""
     if not 0.0 < epsilon <= 1.0:
@@ -242,8 +258,8 @@ def support_enumeration(
     _check_enumeration(epsilon)
     start = time.perf_counter()
     deadline = _deadline(start, timeout)
-    steps = max(
-        1, math.ceil(math.log(game.max_team_actions) / (2.0 * epsilon * epsilon))
+    steps = _grid_steps(
+        math.log(game.max_team_actions), 2.0 * epsilon * epsilon, "epsilon", epsilon
     )
     total = math.prod(_grid_counts(game.team_sizes, steps))
     best_value, witness, covered = _grid_search(game, steps, deadline)
@@ -271,15 +287,16 @@ def _random_profile(game: TeamGame, rng: SplitMix64) -> TeamProfile:
     )
 
 
-def _check_ascent(
-    restarts: int,
-    init: TeamProfile | str = "random",
-    max_rounds: int = 1000,
-    **_,
-) -> None:
-    """iterated_lp's range and choice rules."""
+def _check_restarts(restarts: int) -> None:
     if restarts < 1:
         raise ValueError(f"restarts must be at least 1, got {restarts}")
+
+
+def _check_ascent(
+    restarts: int, init: TeamProfile | str, max_rounds: int, **_
+) -> None:
+    """iterated_lp's range and choice rules."""
+    _check_restarts(restarts)
     if isinstance(init, str) and init not in ("random", "uniform"):
         raise ValueError(f"init must be 'random' or 'uniform', got {init!r}")
     if max_rounds < 1:
@@ -318,9 +335,9 @@ def iterated_lp(
     The report's lower bound is the best value across restarts; its upper
     bound is the correlated value v_C, solved once the ascent is done (see
     _correlated_upper_bound), or max(upper_bound, lower bound) when the
-    caller already holds an upper bound such as v_C. SOLVERS does not
-    declare upper_bound: global_optimize passes its root's bound down, so
-    that one run solves the correlated LP once.
+    caller already holds an upper bound such as v_C. upper_bound is
+    keyword-only, so SOLVERS leaves it out: global_optimize passes its
+    root's bound down, so that one run solves the correlated LP once.
     iterations counts rounds summed over restarts. converged is False if the
     timeout cut work short or some restart hit max_rounds while still
     improving.
@@ -673,17 +690,11 @@ def grid_oracle(
     deadline = _deadline(time.perf_counter(), timeout)
     team_sizes = game.team_sizes
     members = len(team_sizes)
-    constants = [_rounding_constant(m) for m in team_sizes]
-    worst = max(constants)
-    if worst == 0.0:
-        k = 1
-        error_bound = 0.0
-    else:
-        k = math.ceil(members * worst / target_error)
-        scale = math.lcm(*team_sizes)
-        if scale <= 512:
-            k = ((k + scale - 1) // scale) * scale
-        error_bound = members * worst / k
+    worst = max(_rounding_constant(m) for m in team_sizes)
+    k = _grid_steps(members * worst, target_error, "target_error", target_error)
+    scale = math.lcm(*team_sizes)
+    if scale <= 512:
+        k = ((k + scale - 1) // scale) * scale
     total = math.prod(_grid_counts(team_sizes, k))
     if total > _MAX_CANDIDATES:
         raise CapacityError(
@@ -692,7 +703,7 @@ def grid_oracle(
     value, witness, covered = _grid_search(game, k, deadline)
     return OracleEstimate(
         value=value,
-        error_bound=error_bound if covered == total else math.inf,
+        error_bound=members * worst / k if covered == total else math.inf,
         witness=witness,
         resolution=k,
         evaluations=covered,
@@ -878,7 +889,7 @@ def _check_global(accuracy: float, restarts: int, max_nodes: int, **_) -> None:
     """global_optimize's range rules, its ascent's included."""
     if not accuracy > 0:
         raise ValueError(f"accuracy must be positive, got {accuracy}")
-    _check_ascent(restarts)
+    _check_restarts(restarts)
     if max_nodes < 0:
         raise ValueError(f"max_nodes must be nonnegative, got {max_nodes}")
 
@@ -1016,67 +1027,33 @@ def global_optimize(
 # registry
 
 
-def _oracle(game: TeamGame, timeout: float, target_error: float) -> SolveReport:
-    start = time.perf_counter()
-    estimate = grid_oracle(game, target_error, timeout)
-    converged = estimate.error_bound < math.inf
-    if converged:
-        upper = estimate.value + estimate.error_bound
-    else:
-        # a sweep cut short falls back on v_C, as support_enumeration does
-        upper = _correlated_upper_bound(game, estimate.value)
-    return SolveReport(
-        lower_bound=estimate.value,
-        upper_bound=upper,
-        witness=estimate.witness,
-        iterations=estimate.evaluations,
-        restarts_used=0,
-        wall_time=time.perf_counter() - start,
-        converged=converged,
+def _entry(function, check) -> tuple:
+    """A SOLVERS entry: the function's name, its parameters and check."""
+    parameters = list(inspect.signature(function).parameters.values())[1:]
+    return (
+        function.__name__,
+        {
+            p.name: (type(p.default), p.default)
+            for p in parameters
+            if p.kind is p.POSITIONAL_OR_KEYWORD and p.name != "timeout"
+        },
+        check,
     )
 
 
-# name -> (runner, parameters, check). The parameters map each keyword
-# parameter to its (type, default), which is also the default in the
-# solver function's signature. The runner takes the game, the timeout
-# and those parameters, and calls its solver by module-level name, so that a
-# wrapper installed on that name sees the call. check takes the parameters
-# and raises ValueError for a value out of range or not among the choices;
-# the solver runs the same check.
+# name -> (function name, parameters, check). The parameters are read off
+# the solver function's signature, the one place they are declared: those
+# after `game` that may be passed by position or keyword, timeout aside,
+# each mapped to (type(default), default). run_solver calls the function by
+# its module-level name, so that a wrapper installed on that name sees the
+# call. check takes the parameters and raises ValueError for a value out of
+# range or not among the choices; the solver runs the same check.
 SOLVERS = {
-    "reconstruct": (
-        lambda game, timeout: reconstruct_best_pivot(game, timeout), {}, lambda: None
-    ),
-    "support-enum": (
-        lambda game, timeout, **p: support_enumeration(game, timeout=timeout, **p),
-        {"epsilon": (float, 1.0)},
-        _check_enumeration,
-    ),
-    "iterated-lp": (
-        lambda game, timeout, **p: iterated_lp(game, timeout=timeout, **p),
-        {
-            "init": (str, "random"),
-            "restarts": (int, 10),
-            "seed": (int, 0),
-            "max_rounds": (int, 1000),
-        },
-        _check_ascent,
-    ),
-    "global": (
-        lambda game, timeout, **p: global_optimize(game, timeout=timeout, **p),
-        {
-            "accuracy": (float, 1e-6),
-            "seed": (int, 0),
-            "restarts": (int, 8),
-            "max_nodes": (int, 20_000),
-        },
-        _check_global,
-    ),
-    "oracle": (
-        _oracle,
-        {"target_error": (float, 0.01)},
-        _check_oracle,
-    ),
+    "reconstruct": _entry(reconstruct_best_pivot, lambda: None),
+    "support-enum": _entry(support_enumeration, _check_enumeration),
+    "iterated-lp": _entry(iterated_lp, _check_ascent),
+    "global": _entry(global_optimize, _check_global),
+    "oracle": _entry(grid_oracle, _check_oracle),
 }
 SOLVER_NAMES = tuple(SOLVERS)
 
@@ -1108,19 +1085,35 @@ def solver_params(name: str, params: dict) -> dict:
 
 
 def run_solver(
-    name: str, game: TeamGame, timeout: float | None = None, **params
+    name: str, game: TeamGame, timeout: float | None = DEFAULT_TIMEOUT, **params
 ) -> SolveReport:
     """Run a solver by registry name with keyword parameters.
 
     Used by the command line and the experiment harness; every solver comes
     back as a SolveReport so downstream code never cares which one ran.
-    Unknown names and parameters, values of the wrong type, out of range
-    or not among the choices, and a timeout that is negative or NaN raise
-    ValueError; a timeout of None is DEFAULT_TIMEOUT.
+    grid_oracle's estimate becomes one whose upper bound is value +
+    error_bound, or v_C for a sweep cut short (as support_enumeration's),
+    and whose wall_time runs from this call. Unknown names and parameters,
+    values of the wrong type, out of range or not among the choices, and a
+    timeout that is negative or NaN raise ValueError; a timeout of None sets
+    no limit.
     """
     resolved = solver_params(name, params)
-    if timeout is None:
-        timeout = DEFAULT_TIMEOUT
-    if not timeout >= 0:
-        raise ValueError(f"timeout must be nonnegative, got {timeout}")
-    return SOLVERS[name][0](game, timeout, **resolved)
+    start = time.perf_counter()
+    result = globals()[SOLVERS[name][0]](game, timeout=timeout, **resolved)
+    if isinstance(result, SolveReport):
+        return result
+    converged = result.error_bound < math.inf
+    return SolveReport(
+        lower_bound=result.value,
+        upper_bound=(
+            result.value + result.error_bound
+            if converged
+            else _correlated_upper_bound(game, result.value)
+        ),
+        witness=result.witness,
+        iterations=result.evaluations,
+        restarts_used=0,
+        wall_time=time.perf_counter() - start,
+        converged=converged,
+    )

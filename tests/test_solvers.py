@@ -6,7 +6,6 @@ heuristics must all agree within their certified tolerances on the same
 instances. No solver is ever validated only against itself.
 """
 
-import inspect
 import itertools
 import json
 import math
@@ -41,7 +40,9 @@ from teammax.generators import (
     poa_game,
     random_team_game,
 )
+from teammax import solvers
 from teammax.solvers import (
+    DEFAULT_TIMEOUT,
     SOLVER_NAMES,
     SOLVERS,
     SolveReport,
@@ -967,6 +968,28 @@ def test_grid_oracle_rejects_bad_target():
         grid_oracle(game, target_error=0.0)
 
 
+@pytest.mark.parametrize(
+    "name, params, solves",
+    [
+        ("oracle", {"target_error": math.inf}, True),
+        ("oracle", {"target_error": 1e-308}, False),
+        ("support-enum", {"epsilon": 1e-10}, False),
+        ("support-enum", {"epsilon": 1e-160}, False),
+        ("support-enum", {"epsilon": 1e-170}, False),
+    ],
+)
+def test_extreme_grid_parameters_solve_or_raise_capacity_error(name, params, solves):
+    # a step count of at least 1, and a grid too fine for its step count to
+    # be a float is a CapacityError, as one too large to build is
+    game, _ = diagonal_game(3, 2)
+    if solves:
+        report = run_solver(name, game, **params)
+        assert report.converged and report.iterations == 9
+    else:
+        with pytest.raises(CapacityError):
+            run_solver(name, game, **params)
+
+
 def test_grid_oracle_agrees_with_iterated_lp_on_random_games():
     # two completely different search strategies must land in each other's
     # certified intervals
@@ -1220,7 +1243,7 @@ def test_a_timeout_of_none_sets_no_limit(solve):
         assert result.error_bound < math.inf
 
 
-# the solver function that each registry runner calls
+# the solver function behind each registry name
 _SOLVER_FUNCTIONS = {
     "reconstruct": reconstruct_best_pivot,
     "support-enum": support_enumeration,
@@ -1234,47 +1257,94 @@ _SOLVER_FUNCTIONS = {
 @pytest.mark.parametrize("timeout", [-5.0, math.nan])
 def test_solver_functions_reject_a_negative_or_nan_timeout(name, timeout):
     # no clock reading is ever past a NaN deadline, so NaN would mean no limit
-    _, accepted, _ = SOLVERS[name]
-    defaults = {key: default for key, (_, default) in accepted.items()}
     game, _ = diagonal_game(3, 2)
     with pytest.raises(ValueError, match="timeout must be nonnegative"):
-        _SOLVER_FUNCTIONS[name](game, timeout=timeout, **defaults)
+        _SOLVER_FUNCTIONS[name](game, timeout=timeout)
 
 
 @pytest.mark.parametrize("name", SOLVER_NAMES)
-def test_solver_table_defaults_are_the_function_defaults(monkeypatch, name):
-    function = _SOLVER_FUNCTIONS[name]
-    runner, accepted, _ = SOLVERS[name]
-    defaults = {key: default for key, (_, default) in accepted.items()}
-
-    def called(*args, **params):
-        raise LookupError(function.__name__)
-
-    monkeypatch.setattr(f"teammax.solvers.{function.__name__}", called)
-    with pytest.raises(LookupError, match=function.__name__):
-        runner(diagonal_game(3, 2)[0], 1.0, **defaults)
-    signature = inspect.signature(function).parameters
-    for key, default in defaults.items():
-        assert signature[key].default == default, key
+@pytest.mark.parametrize("timeout", [True, "5"])
+def test_solver_functions_reject_a_timeout_of_the_wrong_type(name, timeout):
+    # True is not 1 second, and "5" is not parsed
+    game, _ = diagonal_game(3, 2)
+    with pytest.raises(ValueError, match="timeout must be float, got"):
+        _SOLVER_FUNCTIONS[name](game, timeout=timeout)
 
 
 # ---------------------------------------------------------------------------
 # registry
 
 
+# parameters that make each solver quick on diagonal_game(3, 2)
+_QUICK = {
+    "reconstruct": {},
+    "support-enum": {"epsilon": 1.0},
+    "iterated-lp": {"restarts": 2, "seed": 0},
+    "global": {"accuracy": 0.3, "max_nodes": 50},
+    "oracle": {"target_error": 0.1},
+}
+
+
+@pytest.mark.parametrize("name", SOLVER_NAMES)
+def test_run_solver_calls_the_solver_by_its_module_level_name(monkeypatch, name):
+    # a wrapper installed on the name, as the benchmark's tracer does, sees
+    # the call
+    function = _SOLVER_FUNCTIONS[name]
+
+    def called(*args, **params):
+        raise LookupError(function.__name__)
+
+    monkeypatch.setattr(f"teammax.solvers.{function.__name__}", called)
+    with pytest.raises(LookupError, match=function.__name__):
+        run_solver(name, diagonal_game(3, 2)[0])
+
+
+def test_solver_parameters_are_the_signature_defaults():
+    # the command line's flags, the configs and the benchmark use these
+    # names, types and defaults
+    pinned = {
+        "reconstruct": {},
+        "support-enum": {"epsilon": 1.0},
+        "iterated-lp": {
+            "init": "random",
+            "restarts": 10,
+            "seed": 0,
+            "max_rounds": 1000,
+        },
+        "global": {"accuracy": 1e-6, "seed": 0, "restarts": 8, "max_nodes": 20_000},
+        "oracle": {"target_error": 0.01},
+    }
+    for name, defaults in pinned.items():
+        resolved = solver_params(name, {})
+        assert list(resolved.items()) == list(defaults.items())
+        assert SOLVERS[name][1] == {
+            key: (type(value), value) for key, value in defaults.items()
+        }
+
+
+@pytest.mark.parametrize("name", SOLVER_NAMES)
+def test_run_solver_timeout_none_sets_no_limit(monkeypatch, name):
+    deadline = solvers._deadline
+    deadlines = []
+
+    def recorded(start, timeout):
+        deadlines.append(deadline(start, timeout) - start)
+        return deadline(start, timeout)
+
+    monkeypatch.setattr(solvers, "_deadline", recorded)
+    game, _ = diagonal_game(3, 2)
+    run_solver(name, game, timeout=None, **_QUICK[name])
+    assert deadlines[0] == math.inf
+    # left out, the timeout is DEFAULT_TIMEOUT
+    deadlines.clear()
+    run_solver(name, game, **_QUICK[name])
+    assert deadlines[0] == pytest.approx(DEFAULT_TIMEOUT)
+
+
 def test_run_solver_every_name():
     game, _ = diagonal_game(3, 2)
     for name in SOLVER_NAMES:
-        params = {}
-        if name == "global":
-            params = {"accuracy": 0.3, "max_nodes": 50}
-        if name == "iterated-lp":
-            params = {"restarts": 2, "seed": 0}
-        if name == "support-enum":
-            params = {"epsilon": 1.0}
-        if name == "oracle":
-            params = {"target_error": 0.1}
-        report = run_solver(name, game, **params)
+        report = run_solver(name, game, **_QUICK[name])
         assert isinstance(report, SolveReport)
         assert report.lower_bound <= report.upper_bound + 1e-7
 
@@ -1282,13 +1352,12 @@ def test_run_solver_every_name():
 @pytest.mark.parametrize("name", SOLVER_NAMES)
 @pytest.mark.parametrize("timeout", [-5.0, math.nan])
 def test_run_solver_rejects_a_negative_or_nan_timeout(monkeypatch, name, timeout):
-    # checked before the solver runs: none of them treats -5 as 0 or NaN as
-    # no limit
-    def no_run(*args, **params):
-        raise AssertionError("ran the solver")
+    # checked before any work: none of them treats -5 as 0 or NaN as no limit
+    def no_work(*args, **params):
+        raise AssertionError("worked before checking the timeout")
 
-    _, accepted, check = SOLVERS[name]
-    monkeypatch.setitem(SOLVERS, name, (no_run, accepted, check))
+    for work in ("solve_maxmin", "team_value", "_grid_search"):
+        monkeypatch.setattr(solvers, work, no_work)
     game, _ = diagonal_game(3, 2)
     with pytest.raises(ValueError, match="timeout must be nonnegative"):
         run_solver(name, game, timeout=timeout)
@@ -1344,11 +1413,9 @@ def test_solver_params_checks_ranges_and_choices(name, params, message):
     with pytest.raises(ValueError, match=re.escape(f"solver '{name}': {message}")):
         solver_params(name, params)
     # the solver function runs the same check before any work
-    runner, accepted, _ = SOLVERS[name]
-    defaults = {key: default for key, (_, default) in accepted.items()}
     game, _ = diagonal_game(3, 2)
     with pytest.raises(ValueError, match=re.escape(message)):
-        runner(game, 60.0, **{**defaults, **params})
+        _SOLVER_FUNCTIONS[name](game, **params)
 
 
 def test_solver_params_takes_an_int_for_a_float():
