@@ -25,16 +25,10 @@ from teammax.generators import (
     pou_one_game,
 )
 from teammax.metrics import compute_pou
-from teammax.solvers import (
-    correlated_team_maxmin,
-    grid_oracle,
-    reconstruct_best_pivot,
-)
+from teammax.solvers import grid_oracle
 
 
 def describe(name, game, facts, oracle_target):
-    _, v_correlated = correlated_team_maxmin(game)
-    rebuilt = reconstruct_best_pivot(game)
     normalized = normalize_payoffs(game)
     spread = game.team_utility.max() - game.team_utility.min()
     offset = game.team_utility.min()
@@ -59,8 +53,8 @@ def describe(name, game, facts, oracle_target):
             f"{key} {value:.6f}" for key, value in known.items() if value is not None
         )
         print(f"   closed form        {text}")
-    print(f"   correlated LP      {v_correlated:.6f}")
-    print(f"   reconstruction     {rebuilt.lower_bound:.6f}")
+    print(f"   correlated LP      {premium.v_correlated:.6f}")
+    print(f"   reconstruction     {premium.v_team_lower:.6f}")
     print(f"   oracle bracket     {oracle_text}")
     print(f"   premium estimate   {premium.pou_upper_estimate:.6f}")
     print()

@@ -151,8 +151,8 @@ def cmd_solve(args) -> int:
     print(f"restarts used   {report.restarts_used}")
     print(f"converged       {str(report.converged).lower()}")
     if report.witness is not None:
-        for strategy in report.witness:
-            print(f"member {strategy.owner} mixture {_fmt_probs(strategy.probs)}")
+        for i, strategy in enumerate(report.witness):
+            print(f"member {i} mixture {_fmt_probs(strategy.probs)}")
     print(f"wall time {elapsed:.3f}s", file=sys.stderr)
     if args.out is not None:
         with open(args.out, "w") as handle:
@@ -215,7 +215,7 @@ def cmd_verify_nash(args) -> int:
     verdict = verify_nash(game, team, adversary, tolerance=args.tol)
     worst = int(np.argmax(verdict.gaps))
     print(f"equilibrium {str(verdict.is_equilibrium).lower()}")
-    print(f"max gap {verdict.gaps[worst]!r} at player {worst}")
+    print(f"max gap {float(verdict.gaps[worst])!r} at player {worst}")
     print(
         "best deviations "
         + "[" + ", ".join(str(int(d)) for d in verdict.best_deviations) + "]"

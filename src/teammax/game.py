@@ -186,16 +186,13 @@ class TeamGame:
 class MixedStrategy:
     """Probability distribution over one player's actions.
 
-    owner is the 0-based player index. Entries must be nonnegative and sum
-    to 1 within PROB_TOL.
+    Entries must be nonnegative and sum to 1 within PROB_TOL. The player
+    is the strategy's position in its profile.
     """
 
-    owner: int
     probs: np.ndarray
 
     def __post_init__(self):
-        if self.owner < 0:
-            raise ValueError(f"owner must be nonnegative, got {self.owner}")
         probs = _frozen_array(self.probs)
         if probs.ndim != 1 or probs.size < 1:
             raise ValueError("probs must be a nonempty vector")
@@ -212,7 +209,7 @@ class MixedStrategy:
 
 @dataclass(frozen=True, eq=False)
 class TeamProfile:
-    """One mixed strategy per team member, owners 0..n-2 in order."""
+    """One mixed strategy per team member, members 0..n-2 in order."""
 
     strategies: tuple[MixedStrategy, ...]
 
@@ -220,9 +217,6 @@ class TeamProfile:
         strategies = tuple(self.strategies)
         if not strategies:
             raise ValueError("a team profile needs at least one strategy")
-        for i, s in enumerate(strategies):
-            if s.owner != i:
-                raise ValueError(f"strategy {i} has owner {s.owner}, expected {i}")
         object.__setattr__(self, "strategies", strategies)
 
     def __len__(self) -> int:
@@ -412,8 +406,8 @@ def verify_nash(
     _check_profile(game, profile)
     if adversary.num_actions != game.adversary_size:
         raise ValueError("adversary strategy does not match the game")
-    if tolerance < 0:
-        raise ValueError("tolerance must be nonnegative")
+    if not tolerance >= 0:  # NaN included
+        raise ValueError(f"tolerance must be nonnegative, got {tolerance}")
     vectors = [s.probs for s in profile] + [adversary.probs]
     gaps = np.zeros(game.num_players)
     best = np.zeros(game.num_players, dtype=np.int64)
@@ -470,22 +464,20 @@ def to_joint_game(game: TeamGame) -> np.ndarray:
 # convenience constructors
 
 
-def uniform_strategy(owner: int, num_actions: int) -> MixedStrategy:
-    return MixedStrategy(owner=owner, probs=np.full(num_actions, 1.0 / num_actions))
+def uniform_strategy(num_actions: int) -> MixedStrategy:
+    return MixedStrategy(np.full(num_actions, 1.0 / num_actions))
 
 
-def pure_strategy(owner: int, num_actions: int, action: int) -> MixedStrategy:
+def pure_strategy(num_actions: int, action: int) -> MixedStrategy:
     if not 0 <= action < num_actions:
         raise ValueError(f"action {action} out of range [0, {num_actions})")
     probs = np.zeros(num_actions)
     probs[action] = 1.0
-    return MixedStrategy(owner=owner, probs=probs)
+    return MixedStrategy(probs)
 
 
 def uniform_profile(game: TeamGame) -> TeamProfile:
-    return TeamProfile(
-        tuple(uniform_strategy(i, m) for i, m in enumerate(game.team_sizes))
-    )
+    return TeamProfile(tuple(uniform_strategy(m) for m in game.team_sizes))
 
 
 def pure_profile(game: TeamGame, actions) -> TeamProfile:
@@ -495,19 +487,16 @@ def pure_profile(game: TeamGame, actions) -> TeamProfile:
             f"{len(actions)} actions given for {game.num_team_members} members"
         )
     return TeamProfile(
-        tuple(
-            pure_strategy(i, m, a)
-            for i, (m, a) in enumerate(zip(game.team_sizes, actions))
-        )
+        tuple(pure_strategy(m, a) for m, a in zip(game.team_sizes, actions))
     )
 
 
 def uniform_adversary(game: TeamGame) -> MixedStrategy:
-    return uniform_strategy(game.num_players - 1, game.adversary_size)
+    return uniform_strategy(game.adversary_size)
 
 
 def pure_adversary(game: TeamGame, action: int) -> MixedStrategy:
-    return pure_strategy(game.num_players - 1, game.adversary_size, action)
+    return pure_strategy(game.adversary_size, action)
 
 
 # ---------------------------------------------------------------------------
@@ -572,7 +561,7 @@ def strategies_from_dict(data: dict) -> list[MixedStrategy]:
             key = f"strategies[{i}]"
             probs = check_items(key, probs, float)
             try:
-                strategies.append(MixedStrategy(i, probs))
+                strategies.append(MixedStrategy(probs))
             except ValueError as exc:
                 raise ValueError(f"{key}: {exc}") from None
     except ValueError as exc:

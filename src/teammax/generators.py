@@ -271,8 +271,8 @@ def irrational_game(fixed_sign: bool = True) -> tuple[TeamGame, InstanceFacts]:
     value = 6.0 - 4.0 * _SQRT2
     mix = TeamProfile(
         (
-            MixedStrategy(0, np.array([s, 1.0 - s])),
-            MixedStrategy(1, np.array([s, 1.0 - s])),
+            MixedStrategy(np.array([s, 1.0 - s])),
+            MixedStrategy(np.array([s, 1.0 - s])),
         )
     )
     facts = InstanceFacts(

@@ -230,7 +230,7 @@ def build_instances(config: ExperimentConfig) -> list[tuple[str, int, TeamGame]]
 
 
 # the report of a failed cell: NaN bounds, no work, not converged
-_FAILED = SolveReport(math.nan, math.nan, None, 0, 0, 0.0, False)
+_FAILED = SolveReport(math.nan, math.nan, None, 0, 0.0, False)
 
 
 def _run_cell(task) -> ResultRow:

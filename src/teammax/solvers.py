@@ -62,14 +62,14 @@ class SolveReport:
     value, with the profile realizing the lower bound.
 
     traces holds, per restart of an iterative solver, the sequence of
-    accepted objective values (non-decreasing within each restart).
+    accepted objective values (non-decreasing within each restart);
+    restarts_used is their count.
     """
 
     lower_bound: float
     upper_bound: float
     witness: TeamProfile | None
     iterations: int
-    restarts_used: int
     wall_time: float
     converged: bool
     traces: tuple[tuple[float, ...], ...] = ()
@@ -80,8 +80,12 @@ class SolveReport:
                 f"lower bound {self.lower_bound} exceeds upper bound "
                 f"{self.upper_bound}"
             )
-        if self.iterations < 0 or self.restarts_used < 0 or self.wall_time < 0:
+        if self.iterations < 0 or self.wall_time < 0:
             raise ValueError("counters must be nonnegative")
+
+    @property
+    def restarts_used(self) -> int:
+        return len(self.traces)
 
 
 @dataclass(frozen=True, eq=False)
@@ -156,17 +160,17 @@ def reconstruct_mixed(
     strategies = []
     for i in range(game.num_team_members):
         if i == pivot:
-            strategies.append(MixedStrategy(i, dist.marginal(i)))
+            strategies.append(MixedStrategy(dist.marginal(i)))
         else:
             support = dist.support(i)
             probs = np.zeros(game.team_sizes[i])
             probs[support] = 1.0 / support.size
-            strategies.append(MixedStrategy(i, probs))
+            strategies.append(MixedStrategy(probs))
     return TeamProfile(tuple(strategies))
 
 
 def reconstruct_best_pivot(
-    game: TeamGame, timeout: float | None = None
+    game: TeamGame, timeout: float | None = DEFAULT_TIMEOUT
 ) -> SolveReport:
     """Correlated LP once, then the best reconstruction over all pivots.
 
@@ -195,7 +199,6 @@ def reconstruct_best_pivot(
         upper_bound=max(correlated_value, best_value),
         witness=best_profile,
         iterations=evaluated,
-        restarts_used=0,
         wall_time=time.perf_counter() - start,
         converged=evaluated == members,
     )
@@ -268,7 +271,6 @@ def support_enumeration(
         upper_bound=_correlated_upper_bound(game, best_value),
         witness=witness,
         iterations=covered,
-        restarts_used=0,
         wall_time=time.perf_counter() - start,
         converged=covered == total,
     )
@@ -280,10 +282,7 @@ def support_enumeration(
 
 def _random_profile(game: TeamGame, rng: SplitMix64) -> TeamProfile:
     return TeamProfile(
-        tuple(
-            MixedStrategy(i, rng.simplex_point(m))
-            for i, m in enumerate(game.team_sizes)
-        )
+        tuple(MixedStrategy(rng.simplex_point(m)) for m in game.team_sizes)
     )
 
 
@@ -351,7 +350,6 @@ def iterated_lp(
     best_profile = None
     traces: list[tuple[float, ...]] = []
     total_rounds = 0
-    restarts_done = 0
     converged = True
     timed_out = False
     for r in range(restarts):
@@ -384,9 +382,7 @@ def iterated_lp(
                 settled = True
                 break
             strategies = list(profile)
-            strategies[round_member] = MixedStrategy(
-                round_member, responses[round_member][1]
-            )
+            strategies[round_member] = MixedStrategy(responses[round_member][1])
             profile = TeamProfile(tuple(strategies))
             value = round_best
             trace.append(value)
@@ -396,7 +392,6 @@ def iterated_lp(
                 r if i == round_member else None for i, r in enumerate(responses)
             ]
         traces.append(tuple(trace))
-        restarts_done += 1
         if value > best_value:
             best_value, best_profile = value, profile
         if not settled:
@@ -413,7 +408,6 @@ def iterated_lp(
         upper_bound=upper,
         witness=best_profile,
         iterations=total_rounds,
-        restarts_used=restarts_done,
         wall_time=time.perf_counter() - start,
         converged=converged,
         traces=tuple(traces),
@@ -587,7 +581,7 @@ def _grid_search(
     def result(covered: int) -> tuple[float, TeamProfile, int]:
         choice = np.unravel_index(best_index, counts)
         witness = TeamProfile(
-            tuple(MixedStrategy(i, grids[i][c]) for i, c in enumerate(choice))
+            tuple(MixedStrategy(grids[i][c]) for i, c in enumerate(choice))
         )
         return best_value, witness, covered
 
@@ -663,7 +657,7 @@ def _check_oracle(target_error: float) -> None:
 
 
 def grid_oracle(
-    game: TeamGame, target_error: float = 0.01, timeout: float | None = None
+    game: TeamGame, target_error: float = 0.01, timeout: float | None = DEFAULT_TIMEOUT
 ) -> OracleEstimate:
     """Exact search over per-member probability grids.
 
@@ -926,16 +920,17 @@ def global_optimize(
     every z satisfying the rows to it, so a node LP that is not solved to
     optimality raises LpSolveError. The product of the joint mixture's
     marginals (JointDistribution.marginal) is a team profile, evaluated as
-    a lower bound. A timeout of None sets no deadline.
+    a lower bound. A timeout of None sets no deadline. The report's traces
+    are the ascent's, none when it did not run.
     """
     _require_normalized(game, "global_optimize")
     _check_global(accuracy, restarts, max_nodes)
     start = time.perf_counter()
     deadline = _deadline(start, timeout)
-    root = reconstruct_best_pivot(game)
+    root = reconstruct_best_pivot(game, timeout=None)
     lower, upper, witness = root.lower_bound, root.upper_bound, root.witness
     nodes = 0
-    restarts_used = 0
+    traces = ()
 
     def done() -> bool:
         return upper - lower <= accuracy or time.perf_counter() > deadline
@@ -949,7 +944,7 @@ def global_optimize(
             timeout=max(remaining * 0.5, 0.0),
             upper_bound=upper,
         )
-        restarts_used = ascent.restarts_used
+        traces = ascent.traces
         if ascent.lower_bound > lower:
             lower, witness = ascent.lower_bound, ascent.witness
 
@@ -1000,7 +995,7 @@ def global_optimize(
                 joint = JointDistribution(game.team_sizes, probs)
                 marginals = [joint.marginal(i) for i in range(members)]
                 probe = TeamProfile(
-                    tuple(MixedStrategy(i, p / p.sum()) for i, p in enumerate(marginals))
+                    tuple(MixedStrategy(p / p.sum()) for p in marginals)
                 )
                 probe_value = team_value(game, probe).value
                 if probe_value > lower:
@@ -1017,9 +1012,9 @@ def global_optimize(
         upper_bound=upper,
         witness=witness,
         iterations=nodes,
-        restarts_used=restarts_used,
         wall_time=time.perf_counter() - start,
         converged=upper - lower <= accuracy,
+        traces=traces,
     )
 
 
@@ -1113,7 +1108,6 @@ def run_solver(
         ),
         witness=result.witness,
         iterations=result.evaluations,
-        restarts_used=0,
         wall_time=time.perf_counter() - start,
         converged=converged,
     )

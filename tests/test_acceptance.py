@@ -109,8 +109,8 @@ def test_criterion_2_two_route_instance_with_worthless_equilibria():
 
         # both pure equilibria worth 0 to the team, and the uniform one
         candidates = [
-            (pure_profile(game, (0, 0)), MixedStrategy(2, np.array([0.0, 1.0]))),
-            (pure_profile(game, (1, 1)), MixedStrategy(2, np.array([1.0, 0.0]))),
+            (pure_profile(game, (0, 0)), MixedStrategy(np.array([0.0, 1.0]))),
+            (pure_profile(game, (1, 1)), MixedStrategy(np.array([1.0, 0.0]))),
             (uniform_profile(game), uniform_adversary(game)),
         ]
         for team, adversary in candidates:

@@ -277,8 +277,8 @@ def test_evaluate_team_profile(tmp_path, capsys):
     profile_path = tmp_path / "team.json"
     save_profile(
         [
-            MixedStrategy(0, np.array([0.5, 0.5])),
-            MixedStrategy(1, np.array([0.5, 0.5])),
+            MixedStrategy(np.array([0.5, 0.5])),
+            MixedStrategy(np.array([0.5, 0.5])),
         ],
         profile_path,
     )
@@ -294,9 +294,9 @@ def test_evaluate_full_profile_reports_expected_value(tmp_path, capsys):
     profile_path = tmp_path / "full.json"
     save_profile(
         [
-            MixedStrategy(0, np.array([1.0, 0.0])),
-            MixedStrategy(1, np.array([1.0, 0.0])),
-            MixedStrategy(2, np.array([0.0, 1.0])),
+            MixedStrategy(np.array([1.0, 0.0])),
+            MixedStrategy(np.array([1.0, 0.0])),
+            MixedStrategy(np.array([0.0, 1.0])),
         ],
         profile_path,
     )
@@ -310,7 +310,7 @@ def test_evaluate_full_profile_reports_expected_value(tmp_path, capsys):
 def test_evaluate_wrong_size_profile(tmp_path):
     game_path = _generate(tmp_path, "diagonal", "--n", "3", "--m", "2")
     profile_path = tmp_path / "short.json"
-    save_profile([MixedStrategy(0, np.array([0.5, 0.5]))], profile_path)
+    save_profile([MixedStrategy(np.array([0.5, 0.5]))], profile_path)
     assert main(["evaluate", str(game_path), "--profile", str(profile_path)]) == 3
 
 
@@ -321,9 +321,9 @@ def test_verify_nash_accepts_equilibrium(tmp_path, capsys):
     profile_path = tmp_path / "eq.json"
     save_profile(
         [
-            MixedStrategy(0, np.array([0.0, 1.0])),
-            MixedStrategy(1, np.array([0.0, 1.0])),
-            MixedStrategy(2, np.array([1.0, 0.0])),
+            MixedStrategy(np.array([0.0, 1.0])),
+            MixedStrategy(np.array([0.0, 1.0])),
+            MixedStrategy(np.array([1.0, 0.0])),
         ],
         profile_path,
     )
@@ -341,9 +341,9 @@ def test_verify_nash_rejects_deviation_with_gap(tmp_path, capsys):
     profile_path = tmp_path / "bad.json"
     save_profile(
         [
-            MixedStrategy(0, np.array([0.9, 0.1])),
-            MixedStrategy(1, np.array([0.0, 1.0])),
-            MixedStrategy(2, np.array([1.0, 0.0])),
+            MixedStrategy(np.array([0.9, 0.1])),
+            MixedStrategy(np.array([0.0, 1.0])),
+            MixedStrategy(np.array([1.0, 0.0])),
         ],
         profile_path,
     )
@@ -362,15 +362,40 @@ def test_verify_nash_huge_tolerance_accepts_anything(tmp_path):
     profile_path = tmp_path / "any.json"
     save_profile(
         [
-            MixedStrategy(0, np.array([0.9, 0.1])),
-            MixedStrategy(1, np.array([0.0, 1.0])),
-            MixedStrategy(2, np.array([1.0, 0.0])),
+            MixedStrategy(np.array([0.9, 0.1])),
+            MixedStrategy(np.array([0.0, 1.0])),
+            MixedStrategy(np.array([1.0, 0.0])),
         ],
         profile_path,
     )
     assert main(
         ["verify-nash", str(game_path), "--profile", str(profile_path), "--tol", "1.0"]
     ) == 0
+
+
+def _uniform_poa(tmp_path):
+    # every player of poa mixing uniformly: an equilibrium with no gap
+    game_path = tmp_path / "poa.json"
+    save_game(poa_game()[0], game_path)
+    profile_path = tmp_path / "uniform.json"
+    profile_path.write_text('{"strategies": [[0.5, 0.5], [0.5, 0.5], [0.5, 0.5]]}')
+    return str(game_path), str(profile_path)
+
+
+def test_verify_nash_prints_the_gap_as_a_plain_float(tmp_path, capsys):
+    # the same line under every numpy, not np.float64(0.0)
+    game_path, profile_path = _uniform_poa(tmp_path)
+    capsys.readouterr()
+    assert main(["verify-nash", game_path, "--profile", profile_path]) == 0
+    assert "max gap 0.0 at player 0" in capsys.readouterr().out.splitlines()
+
+
+def test_verify_nash_nan_tolerance_is_a_usage_error(tmp_path, capsys):
+    game_path, profile_path = _uniform_poa(tmp_path)
+    capsys.readouterr()
+    code = main(["verify-nash", game_path, "--profile", profile_path, "--tol", "nan"])
+    assert code == 2
+    assert "tolerance must be nonnegative" in capsys.readouterr().err
 
 
 def test_verify_nash_needs_every_player(tmp_path):
@@ -380,8 +405,8 @@ def test_verify_nash_needs_every_player(tmp_path):
     profile_path = tmp_path / "team-only.json"
     save_profile(
         [
-            MixedStrategy(0, np.array([0.5, 0.5])),
-            MixedStrategy(1, np.array([0.5, 0.5])),
+            MixedStrategy(np.array([0.5, 0.5])),
+            MixedStrategy(np.array([0.5, 0.5])),
         ],
         profile_path,
     )
@@ -396,9 +421,9 @@ def test_verify_nash_wrong_action_counts_is_input_error(tmp_path, capsys):
     profile_path = tmp_path / "wide.json"
     save_profile(
         [
-            MixedStrategy(0, np.array([0.5, 0.5])),
-            MixedStrategy(1, np.array([0.2, 0.3, 0.5])),
-            MixedStrategy(2, np.array([1.0, 0.0])),
+            MixedStrategy(np.array([0.5, 0.5])),
+            MixedStrategy(np.array([0.2, 0.3, 0.5])),
+            MixedStrategy(np.array([1.0, 0.0])),
         ],
         profile_path,
     )

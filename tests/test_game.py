@@ -99,36 +99,31 @@ def test_tensor_size_cap():
 
 
 def test_mixed_strategy_validation():
-    MixedStrategy(0, np.array([0.5, 0.5]))
+    MixedStrategy(np.array([0.5, 0.5]))
     with pytest.raises(ValueError):
-        MixedStrategy(0, np.array([0.6, 0.6]))
+        MixedStrategy(np.array([0.6, 0.6]))
     with pytest.raises(ValueError):
-        MixedStrategy(0, np.array([-0.1, 1.1]))
+        MixedStrategy(np.array([-0.1, 1.1]))
     with pytest.raises(ValueError):
-        MixedStrategy(0, np.array([np.nan, 1.0]))
+        MixedStrategy(np.array([np.nan, 1.0]))
     with pytest.raises(ValueError):
-        MixedStrategy(0, np.array([]))
+        MixedStrategy(np.array([]))
 
 
 def test_probability_vectors_reject_every_invalid_entry():
     for bad in ([np.nan, 1.0], [np.inf, 1.0], [-np.inf, 1.0], [-0.5, 1.5], [0.6, 0.6]):
         with pytest.raises(ValueError, match="nonnegative and sum to 1"):
-            MixedStrategy(0, np.array(bad))
+            MixedStrategy(np.array(bad))
         with pytest.raises(ValueError, match="nonnegative and sum to 1"):
             JointDistribution((2,), np.array(bad))
 
 
 def test_mixed_strategy_support():
-    s = MixedStrategy(0, np.array([0.5, 0.0, 0.5]))
+    s = MixedStrategy(np.array([0.5, 0.0, 0.5]))
     assert list(s.support()) == [0, 2]
 
 
-def test_team_profile_requires_ordered_owners():
-    a = MixedStrategy(0, np.array([1.0]))
-    b = MixedStrategy(1, np.array([1.0]))
-    TeamProfile((a, b))
-    with pytest.raises(ValueError):
-        TeamProfile((b, a))
+def test_team_profile_requires_a_strategy():
     with pytest.raises(ValueError):
         TeamProfile(())
 
@@ -137,8 +132,8 @@ def test_per_adversary_utilities_by_hand():
     game = counting_game()
     profile = TeamProfile(
         (
-            MixedStrategy(0, np.array([0.5, 0.5])),
-            MixedStrategy(1, np.array([1.0, 0.0])),
+            MixedStrategy(np.array([0.5, 0.5])),
+            MixedStrategy(np.array([1.0, 0.0])),
         )
     )
     # 0.5*U[0,0,k] + 0.5*U[1,0,k] = k + 2
@@ -158,11 +153,11 @@ def test_expected_team_utility_by_hand():
     game = counting_game()
     profile = TeamProfile(
         (
-            MixedStrategy(0, np.array([0.5, 0.5])),
-            MixedStrategy(1, np.array([1.0, 0.0])),
+            MixedStrategy(np.array([0.5, 0.5])),
+            MixedStrategy(np.array([1.0, 0.0])),
         )
     )
-    adversary = MixedStrategy(2, np.array([0.25, 0.75]))
+    adversary = MixedStrategy(np.array([0.25, 0.75]))
     assert expected_team_utility(game, profile, adversary) == pytest.approx(2.75)
 
 
@@ -170,8 +165,8 @@ def test_profile_game_mismatch_rejected():
     game = counting_game()
     bad = TeamProfile(
         (
-            MixedStrategy(0, np.array([0.5, 0.5])),
-            MixedStrategy(1, np.array([1.0, 0.0, 0.0])),
+            MixedStrategy(np.array([0.5, 0.5])),
+            MixedStrategy(np.array([1.0, 0.0, 0.0])),
         )
     )
     with pytest.raises(ValueError):
@@ -214,7 +209,7 @@ def test_joint_team_value_consistent_with_product_profile():
     game = counting_game()
     x = np.array([0.3, 0.7])
     y = np.array([0.6, 0.4])
-    profile = TeamProfile((MixedStrategy(0, x), MixedStrategy(1, y)))
+    profile = TeamProfile((MixedStrategy(x), MixedStrategy(y)))
     dist = JointDistribution((2, 2), np.outer(x, y).reshape(-1))
     assert joint_team_value(game, dist).value == pytest.approx(
         team_value(game, profile).value
@@ -258,6 +253,16 @@ def test_verify_nash_tolerance_widens_acceptance():
     ).is_equilibrium
 
 
+def test_verify_nash_rejects_a_negative_or_nan_tolerance():
+    # no gap is ever <= NaN, so NaN would reject every profile
+    game = counting_game()
+    for tolerance in (-1e-9, math.nan):
+        with pytest.raises(ValueError, match="tolerance must be nonnegative"):
+            verify_nash(
+                game, uniform_profile(game), uniform_adversary(game), tolerance
+            )
+
+
 def test_normalize_payoffs_range_and_order():
     game = counting_game()
     normalized = normalize_payoffs(game)
@@ -273,10 +278,18 @@ def test_normalize_constant_game_is_zero():
 
 def test_constructor_helpers():
     game = counting_game()
-    assert np.allclose(uniform_strategy(0, 4).probs, 0.25)
-    assert np.allclose(pure_strategy(1, 3, 2).probs, [0, 0, 1])
+    assert np.allclose(uniform_strategy(4).probs, 0.25)
+    assert np.allclose(pure_strategy(3, 2).probs, [0, 0, 1])
     with pytest.raises(ValueError):
-        pure_strategy(0, 3, 5)
+        pure_strategy(3, 5)
+    # a strategy's player is its position: a call passing an owner fails
+    for old_call in (
+        lambda: MixedStrategy(0, np.ones(1)),
+        lambda: uniform_strategy(0, 4),
+        lambda: pure_strategy(1, 3, 2),
+    ):
+        with pytest.raises(TypeError):
+            old_call()
     profile = uniform_profile(game)
     assert len(profile) == 2
     assert np.allclose(profile[0].probs, 0.5)
@@ -383,15 +396,14 @@ def test_load_game_rejects_bad_json(tmp_path):
 
 def test_profile_roundtrip(tmp_path):
     strategies = [
-        MixedStrategy(0, np.array([0.25, 0.75])),
-        MixedStrategy(1, np.array([1.0, 0.0])),
+        MixedStrategy(np.array([0.25, 0.75])),
+        MixedStrategy(np.array([1.0, 0.0])),
     ]
     path = tmp_path / "profile.json"
     save_profile(strategies, path)
     loaded = load_strategies(path)
     assert len(loaded) == 2
     assert np.allclose(loaded[0].probs, [0.25, 0.75])
-    assert loaded[1].owner == 1
 
 
 def test_load_strategies_rejects_bad_payload(tmp_path):
@@ -415,11 +427,11 @@ def test_value_report_dominated_by_expected_utility(seed):
     game = TeamGame(3, (2, 2, 2), tensor)
     profile = TeamProfile(
         (
-            MixedStrategy(0, rng.simplex_point(2)),
-            MixedStrategy(1, rng.simplex_point(2)),
+            MixedStrategy(rng.simplex_point(2)),
+            MixedStrategy(rng.simplex_point(2)),
         )
     )
-    adversary = MixedStrategy(2, rng.simplex_point(2))
+    adversary = MixedStrategy(rng.simplex_point(2))
     worst = team_value(game, profile).value
     assert worst <= expected_team_utility(game, profile, adversary) + 1e-12
 

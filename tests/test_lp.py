@@ -139,7 +139,7 @@ def test_correlated_lp_pivots_alike_in_both_forms(monkeypatch, family, n, m, see
 def test_best_response_lp_pivots_alike_in_both_forms(monkeypatch):
     game, _ = make_instance("random", n=3, m=20, seed=0)
     profile = TeamProfile(
-        tuple(MixedStrategy(i, np.full(20, 0.05)) for i in range(2))
+        tuple(MixedStrategy(np.full(20, 0.05)) for _ in range(2))
     )
     matrix = member_payoff_matrix(game, profile, 0)
     (lp,) = _recorded_lps(monkeypatch, lambda: solve_maxmin(matrix))
@@ -664,8 +664,8 @@ def test_member_payoff_matrix_by_hand():
     game = _counting_game()
     profile = TeamProfile(
         (
-            MixedStrategy(0, np.array([0.5, 0.5])),
-            MixedStrategy(1, np.array([1.0, 0.0])),
+            MixedStrategy(np.array([0.5, 0.5])),
+            MixedStrategy(np.array([1.0, 0.0])),
         )
     )
     # member 0 vs fixed member 1: M[i, k] = U[i, 0, k]
@@ -680,14 +680,14 @@ def test_member_payoff_matrix_ignores_own_mixture():
     game = _counting_game()
     a = TeamProfile(
         (
-            MixedStrategy(0, np.array([1.0, 0.0])),
-            MixedStrategy(1, np.array([0.25, 0.75])),
+            MixedStrategy(np.array([1.0, 0.0])),
+            MixedStrategy(np.array([0.25, 0.75])),
         )
     )
     b = TeamProfile(
         (
-            MixedStrategy(0, np.array([0.0, 1.0])),
-            MixedStrategy(1, np.array([0.25, 0.75])),
+            MixedStrategy(np.array([0.0, 1.0])),
+            MixedStrategy(np.array([0.25, 0.75])),
         )
     )
     assert np.allclose(
@@ -697,7 +697,7 @@ def test_member_payoff_matrix_ignores_own_mixture():
 
 def test_member_payoff_matrix_needs_one_strategy_per_member():
     game = _counting_game()
-    short = TeamProfile((MixedStrategy(0, np.array([1.0, 0.0])),))
+    short = TeamProfile((MixedStrategy(np.array([1.0, 0.0])),))
     with pytest.raises(ValueError):
         member_payoff_matrix(game, short, 0)
 
@@ -706,8 +706,8 @@ def test_best_response_lp_recovers_best_value():
     game = _counting_game()
     profile = TeamProfile(
         (
-            MixedStrategy(0, np.array([0.5, 0.5])),
-            MixedStrategy(1, np.array([1.0, 0.0])),
+            MixedStrategy(np.array([0.5, 0.5])),
+            MixedStrategy(np.array([1.0, 0.0])),
         )
     )
     value, _ = solve_maxmin(member_payoff_matrix(game, profile, 0))
@@ -721,9 +721,9 @@ def test_three_team_members_contraction():
     game = TeamGame(4, (2, 2, 2, 2), tensor)
     profile = TeamProfile(
         (
-            MixedStrategy(0, np.array([1.0, 0.0])),
-            MixedStrategy(1, np.array([0.0, 1.0])),
-            MixedStrategy(2, np.array([0.5, 0.5])),
+            MixedStrategy(np.array([1.0, 0.0])),
+            MixedStrategy(np.array([0.0, 1.0])),
+            MixedStrategy(np.array([0.5, 0.5])),
         )
     )
     # member 2 vs fixed (0 -> 0, 1 -> 1): M[l, k] = U[0, 1, l, k]

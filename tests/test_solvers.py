@@ -84,7 +84,6 @@ def _report(lower, upper):
         upper_bound=upper,
         witness=None,
         iterations=0,
-        restarts_used=0,
         wall_time=0.0,
         converged=True,
     )
@@ -97,7 +96,7 @@ def test_solve_report_rejects_inverted_bounds():
 
 def test_solve_report_rejects_negative_counters():
     with pytest.raises(ValueError):
-        SolveReport(0.0, 1.0, None, -1, 0, 0.0, True)
+        SolveReport(0.0, 1.0, None, -1, 0.0, True)
 
 
 # ---------------------------------------------------------------------------
@@ -389,7 +388,7 @@ def test_grid_search_matches_brute_force(game, steps):
     candidates = list(itertools.product(*grids))
     values = [
         team_value(
-            game, TeamProfile(tuple(MixedStrategy(i, p) for i, p in enumerate(c)))
+            game, TeamProfile(tuple(MixedStrategy(p) for p in c))
         ).value
         for c in candidates
     ]
@@ -796,7 +795,7 @@ def _reference_ascent(game, init, restarts, seed):
                 break
             strategies = list(profile)
             strategies[best_member] = MixedStrategy(
-                best_member, np.maximum(responses[best_member][1], 0.0)
+                np.maximum(responses[best_member][1], 0.0)
             )
             profile = TeamProfile(tuple(strategies))
             value = round_best
@@ -811,10 +810,7 @@ def _reference_ascent(game, init, restarts, seed):
 def _explicit_profile(game, seed):
     rng = np.random.default_rng(seed)
     return TeamProfile(
-        tuple(
-            MixedStrategy(i, rng.dirichlet(np.ones(m)))
-            for i, m in enumerate(game.team_sizes)
-        )
+        tuple(MixedStrategy(rng.dirichlet(np.ones(m))) for m in game.team_sizes)
     )
 
 
@@ -1050,6 +1046,14 @@ def test_global_solves_the_correlated_lp_once(monkeypatch):
     assert len(calls) == 1
 
 
+def test_a_global_report_carries_its_ascents_traces():
+    # the restart count is the traces' count, for global as for iterated_lp
+    game, _ = make_instance("random", n=3, m=4, seed=1)
+    report = run_solver("global", game, accuracy=1e-3, max_nodes=3000)
+    assert report.traces == iterated_lp(game, restarts=8, seed=0).traces
+    assert len(report.traces) == report.restarts_used == 8
+
+
 def test_iterated_lp_takes_a_known_upper_bound():
     game, _ = make_instance("random", n=3, m=4, seed=1)
     solved = iterated_lp(game, restarts=2, seed=0)
@@ -1127,7 +1131,7 @@ def test_node_bound_holds_every_profile_in_its_box(shape, seed, splits):
     ]
     for k in range(24):
         profile = TeamProfile(
-            tuple(MixedStrategy(i, mixes[k]) for i, mixes in enumerate(samples))
+            tuple(MixedStrategy(mixes[k]) for mixes in samples)
         )
         assert team_value(game, profile).value <= bound + 1e-9
 
@@ -1339,6 +1343,10 @@ def test_run_solver_timeout_none_sets_no_limit(monkeypatch, name):
     deadlines.clear()
     run_solver(name, game, **_QUICK[name])
     assert deadlines[0] == pytest.approx(DEFAULT_TIMEOUT)
+    # and so is the solver function's, called directly
+    deadlines.clear()
+    _SOLVER_FUNCTIONS[name](game, **_QUICK[name])
+    assert deadlines[0] == pytest.approx(DEFAULT_TIMEOUT)
 
 
 def test_run_solver_every_name():
@@ -1347,6 +1355,72 @@ def test_run_solver_every_name():
         report = run_solver(name, game, **_QUICK[name])
         assert isinstance(report, SolveReport)
         assert report.lower_bound <= report.upper_bound + 1e-7
+
+
+@pytest.mark.parametrize(
+    "name,instance,params,pinned",
+    [
+        (
+            "support-enum",
+            ("random", 3, 3, 1),
+            {"epsilon": 0.5},
+            {"lower_bound": 0.6757893357143951, "iterations": 100, "converged": True},
+        ),
+        (
+            "oracle",
+            ("random", 3, 3, 1),
+            {"target_error": 0.05},
+            {"iterations": 2_371_600, "converged": True},
+        ),
+        (
+            "global",
+            ("random", 3, 4, 1),
+            {"accuracy": 1e-3, "max_nodes": 3000},
+            {
+                "lower_bound": 0.5893829008703708,
+                "upper_bound": 0.5896677118601118,
+                "iterations": 12,
+            },
+        ),
+        (
+            "iterated-lp",
+            ("random", 4, 3, 0),
+            {"restarts": 20, "seed": 0},
+            {
+                "lower_bound": 0.7708190080679963,
+                "upper_bound": 0.8347443994613483,
+                "iterations": 109,
+            },
+        ),
+        (
+            "iterated-lp",
+            ("random", 4, 3, 0),
+            {},
+            {"lower_bound": 0.7708190080679963, "iterations": 65, "restarts_used": 10},
+        ),
+        (
+            "reconstruct",
+            ("irrational-flawed",),
+            {},
+            {"lower_bound": 0.0, "upper_bound": 0.0, "iterations": 2},
+        ),
+    ],
+    ids=[
+        "support-enum",
+        "oracle",
+        "global",
+        "iterated-lp",
+        "iterated-lp-defaults",
+        "reconstruct-flawed",
+    ],
+)
+def test_run_solver_keeps_the_pinned_solves(name, instance, params, pinned):
+    # the solves the CI example step pins from the command line, to the
+    # digits printed: a bit that flips in the grid search, the node loop,
+    # the best-response step or the reconstruction fails here
+    game, _ = make_instance(*instance)
+    report = run_solver(name, game, **params)
+    assert {key: getattr(report, key) for key in pinned} == pinned
 
 
 @pytest.mark.parametrize("name", SOLVER_NAMES)
