@@ -53,15 +53,6 @@ EXIT_INPUT = 3
 EXIT_CAPACITY = 4
 
 
-def _print_config(subcommand: str, resolved: dict) -> None:
-    line = json.dumps(
-        {"subcommand": subcommand, **resolved},
-        sort_keys=True,
-        separators=(", ", ": "),
-    )
-    print(f"config {line}")
-
-
 def _fmt_probs(probs) -> str:
     return "[" + ", ".join(f"{p:.6f}" for p in probs) + "]"
 
@@ -79,6 +70,17 @@ def _solver_params(args) -> dict:
         for name in _SOLVER_FLAGS
         if getattr(args, name) is not None
     }
+
+
+def _print_config(args, **extra) -> None:
+    """Print the parsed arguments and extra as one line of sorted JSON,
+    leaving out func and every solver flag that was not given."""
+    resolved = {
+        key: str(value) if isinstance(value, pathlib.Path) else value
+        for key, value in {**vars(args), **extra}.items()
+        if key != "func" and not (key in _SOLVER_FLAGS and value is None)
+    }
+    print(f"config {json.dumps(resolved, sort_keys=True, separators=(', ', ': '))}")
 
 
 def _report_dict(report: SolveReport) -> dict:
@@ -99,17 +101,7 @@ def _report_dict(report: SolveReport) -> dict:
 
 
 def cmd_generate(args) -> int:
-    _print_config(
-        "generate",
-        {
-            "family": args.family,
-            "n": args.n,
-            "m": args.m,
-            "seed": args.seed,
-            "normalize": args.normalize,
-            "out": str(args.out),
-        },
-    )
+    _print_config(args)
     game, facts = make_instance(args.family, n=args.n, m=args.m, seed=args.seed)
     if args.normalize:
         game = normalize_payoffs(game)
@@ -128,17 +120,8 @@ def cmd_generate(args) -> int:
 
 
 def cmd_solve(args) -> int:
+    _print_config(args)
     params = _solver_params(args)
-    _print_config(
-        "solve",
-        {
-            "game": str(args.game),
-            "solver": args.solver,
-            "timeout": args.timeout,
-            "normalize": args.normalize,
-            **params,
-        },
-    )
     game = load_game(args.game)
     if args.normalize:
         game = normalize_payoffs(game)
@@ -181,9 +164,7 @@ def _load_profile(game: TeamGame, path) -> tuple[TeamProfile, MixedStrategy | No
 
 
 def cmd_evaluate(args) -> int:
-    _print_config(
-        "evaluate", {"game": str(args.game), "profile": str(args.profile)}
-    )
+    _print_config(args)
     game = load_game(args.game)
     team, adversary = _load_profile(game, args.profile)
     result = team_value(game, team)
@@ -197,14 +178,7 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_verify_nash(args) -> int:
-    _print_config(
-        "verify-nash",
-        {
-            "game": str(args.game),
-            "profile": str(args.profile),
-            "tol": args.tol,
-        },
-    )
+    _print_config(args)
     game = load_game(args.game)
     team, adversary = _load_profile(game, args.profile)
     if adversary is None:
@@ -224,16 +198,8 @@ def cmd_verify_nash(args) -> int:
 
 
 def cmd_pou(args) -> int:
+    _print_config(args)
     params = _solver_params(args)
-    _print_config(
-        "pou",
-        {
-            "game": str(args.game),
-            "team_solver": args.team_solver,
-            "normalize": args.normalize,
-            **params,
-        },
-    )
     game = load_game(args.game)
     if args.normalize:
         game = normalize_payoffs(game)
@@ -248,23 +214,20 @@ def cmd_pou(args) -> int:
 def cmd_experiment(args) -> int:
     config = load_experiment_config(args.config)
     instances = build_instances(config)
-    out_dir = pathlib.Path(args.out_dir)
     _print_config(
-        "experiment",
-        {
+        args,
+        **{
             **vars(config),
-            "config": str(args.config),
-            "out_dir": str(out_dir),
             "games": len(config.games),
             "solvers": len(config.solvers),
         },
     )
-    out_dir.mkdir(parents=True, exist_ok=True)
+    args.out_dir.mkdir(parents=True, exist_ok=True)
     start = time.perf_counter()
     rows = run_experiment(config, instances)
     elapsed = time.perf_counter() - start
-    results_path = out_dir / "results.csv"
-    aggregate_path = out_dir / "aggregate.csv"
+    results_path = args.out_dir / "results.csv"
+    aggregate_path = args.out_dir / "aggregate.csv"
     write_rows_csv(rows, results_path)
     write_aggregate_csv(aggregate_rows(rows), aggregate_path)
     failures = sum(1 for r in rows if not r.converged)

@@ -4,7 +4,9 @@ The kernel is one primal simplex loop (_run_simplex). It prices with
 Dantzig's largest-coefficient rule and falls back to Bland's anti-cycling
 rule during long runs of degenerate pivots. Every choice, ties included,
 is a fixed function of the tableau, so the pivot sequence (and therefore
-the returned optimal basis) is a pure function of the input LP.
+the returned optimal basis) is a pure function of the input LP. A solve
+returns an optimal basic solution or raises LpSolveError: an unbounded LP
+raises in solve_lp, like a simplex that does not terminate.
 
 The loop runs on one of two representations of the tableau, chosen by the
 LP's shape (_prices_from_inverse). A wide LP, with several times more
@@ -56,7 +58,8 @@ _CALL_COST = 9000
 
 
 class LpSolveError(RuntimeError):
-    """Numerical failure inside the simplex (no termination, bad basis)."""
+    """An unbounded LP, or a numerical failure in the simplex (no
+    termination, bad basis)."""
 
 
 @dataclass(frozen=True, eq=False)
@@ -81,15 +84,15 @@ class LinearProgram:
 
 @dataclass(frozen=True, eq=False)
 class LpSolution:
-    status: str  # "optimal" | "unbounded"
-    objective_value: float
-    variable_values: np.ndarray | None
+    """An optimal basic solution x, found in iterations pivots."""
+
+    variable_values: np.ndarray
     iterations: int
     # optimal duals of the a_ub rows, the reduced costs of their slacks,
     # and the optimal basis: column j < n is x[j] and column n + i the
-    # slack of row i, for n variables (None unless status is "optimal")
-    duals: np.ndarray | None = None
-    basis: list[int] | None = None
+    # slack of row i, for n variables
+    duals: np.ndarray
+    basis: list[int]
 
 
 def _pivot(work: np.ndarray, row: int, column: np.ndarray) -> None:
@@ -103,8 +106,10 @@ def _pivot(work: np.ndarray, row: int, column: np.ndarray) -> None:
 
 def _run_simplex(
     work: np.ndarray, cols: np.ndarray | None, basis: list[int], max_iter: int
-) -> tuple[str, int]:
-    """Minimize the cost in work[-1] in place.
+) -> int:
+    """Minimize the cost in work[-1] in place and return the number of
+    pivots made. Raises LpSolveError if the LP is unbounded, or if the
+    simplex has not stopped after max_iter pivots.
 
     work is one of two representations of the same tableau. With cols None
     it is the whole tableau, and the cost row and the entering column are
@@ -138,11 +143,11 @@ def _run_simplex(
         if degenerate < _DEGENERATE_STREAK:
             entering = int(cost.argmin())
             if cost[entering] >= -OPTIMALITY_TOL:
-                return "optimal", pivots
+                return pivots
         else:
             improving = (cost < -OPTIMALITY_TOL).nonzero()[0]
             if improving.size == 0:
-                return "optimal", pivots
+                return pivots
             entering = int(improving[0])
         column = work[:, entering] if cols is None else work @ cols[entering]
         # the scan reads Python floats, which compare and divide as the
@@ -162,7 +167,9 @@ def _run_simplex(
                         best_ratio = ratio
                     leaving = i
         if leaving < 0:
-            return "unbounded", pivots
+            raise LpSolveError(
+                f"linear program unbounded: column {entering} enters, no row leaves"
+            )
         if rhs[leaving] / col[leaving] <= _RATIO_TIE_TOL:
             degenerate += 1
         else:
@@ -202,11 +209,11 @@ def solve_lp(lp: LinearProgram) -> LpSolution:
     b_ub >= 0 makes the slack basis feasible, so one run of _run_simplex
     solves the LP. A wide LP (see _prices_from_inverse) runs on the basis
     inverse and the tableau's original columns, any other on the tableau
-    itself. Returns status "optimal" with the first optimal basic solution
-    the pivot rule reaches, the duals of the a_ub rows and the basis, or
-    status "unbounded". Raises ValueError on data that is not finite, and
-    LpSolveError if the arithmetic breaks down (non-termination, residuals
-    out of tolerance).
+    itself. Returns the first optimal basic solution the pivot rule
+    reaches, with the duals of the a_ub rows and the basis. Raises
+    ValueError on data that is not finite, and LpSolveError if the LP is
+    unbounded or the arithmetic breaks down (non-termination, residuals out
+    of tolerance).
     """
     return _solve_lp(lp, _prices_from_inverse(*lp.a_ub.shape))
 
@@ -236,19 +243,16 @@ def _solve_lp(lp: LinearProgram, inverse: bool) -> LpSolution:
     if not (np.isfinite(work).all() and (cols is None or np.isfinite(cols).all())):
         raise ValueError("linear program data must be finite")
     basis = list(range(n, n + m))
-    status, pivots = _run_simplex(work, cols, basis, 1000 * (2 * m + n + 10))
-    if status == "unbounded":
-        return LpSolution("unbounded", float("inf"), None, pivots)
+    pivots = _run_simplex(work, cols, basis, 1000 * (2 * m + n + 10))
     values = np.zeros(n + m)
     values[basis] = work[:m, -1]
     x = values[:n]
     if m and (worst := float((lp.a_ub @ x - lp.b_ub).max())) > _CHECK_TOL:
         raise LpSolveError(f"inequality residual {worst:.3e} out of tolerance")
-    objective = float(lp.objective @ x)
     # the reduced cost of a row's slack is that row's dual; the tableau's
     # slack block is the basis inverse
     duals = (work[-1, n:-1] if cols is None else work[-1, :m]).copy()
-    return LpSolution("optimal", objective, x, pivots, duals, basis)
+    return LpSolution(x, pivots, duals, basis)
 
 
 # ---------------------------------------------------------------------------
@@ -343,12 +347,11 @@ def check_maxmin(
     dividing row r of the LP by sum(w) and undoing the shift shows that
     bound is the value at the optimum. _certify checks it in the original
     payoffs. Without rows lam is empty and the bound is max(matrix @ y).
-    The LP is bounded whenever the polytope meets the simplex; any other
-    status, or a certificate that does not check, is a solver defect or an
-    empty polytope and raises LpSolveError.
+    The LP is bounded whenever the polytope meets the simplex; over an
+    empty polytope it is unbounded, and solve_lp raises LpSolveError before
+    there is a solution to check. A certificate that does not check is a
+    solver defect and raises LpSolveError.
     """
-    if solution.status != "optimal":
-        raise LpSolveError(f"maxmin LP came back {solution.status}")
     matrix = np.asarray(matrix, dtype=np.float64)
     cols = matrix.shape[1]
     x, y, weight = _mixtures(solution, cols)
@@ -422,12 +425,10 @@ def solve_maxmin(matrix: np.ndarray) -> tuple[float, np.ndarray]:
 
 def _solve_packing(matrix: np.ndarray, transposed: bool) -> tuple[float, np.ndarray]:
     """solve_maxmin on the packing LP of matrix, or of -matrix^T when
-    transposed."""
+    transposed; an unbounded LP raises LpSolveError in solve_lp."""
     # the row player of -M^T is the column player of M
     lp = build_maxmin_lp(-matrix.T if transposed else matrix)
     solution = solve_lp(lp)
-    if solution.status != "optimal":
-        raise LpSolveError(f"packing LP came back {solution.status}")
     m, n = lp.a_ub.shape
     u_mix, w_mix, _ = _mixtures(solution, n)
     # the basic columns of P and the rows of P whose slack left the basis

@@ -190,6 +190,19 @@ def test_solve_writes_report_json(tmp_path, capsys):
     assert "wall" not in json.dumps(report)  # report stays deterministic
 
 
+def test_solve_config_line_names_the_report_path(tmp_path, capsys):
+    path = _generate(tmp_path, "diagonal", "--n", "3", "--m", "2")
+    report_path = tmp_path / "report.json"
+    args = ["solve", str(path), "--solver", "reconstruct"]
+    capsys.readouterr()
+    for extra, out in (([], None), (["--out", str(report_path)], str(report_path))):
+        assert main([*args, *extra]) == 0
+        line = capsys.readouterr().out.splitlines()[0]
+        config = json.loads(line[len("config ") :])
+        assert config["out"] == out
+        assert config["game"] == str(path) and "func" not in config
+
+
 def test_solve_stdout_deterministic(tmp_path, capsys):
     path = _generate(tmp_path, "random", "--n", "3", "--m", "3", "--seed", "1")
     capsys.readouterr()

@@ -43,9 +43,9 @@ def _lp(objective, a_ub=None, b_ub=None):
 
 def test_two_variable_optimum_by_hand():
     # max x+y st x+2y<=4, 3x+y<=6 -> corner (8/5, 6/5), objective 14/5
-    solution = solve_lp(_lp([1, 1], [[1, 2], [3, 1]], [4, 6]))
-    assert solution.status == "optimal"
-    assert solution.objective_value == pytest.approx(2.8, abs=1e-9)
+    lp = _lp([1, 1], [[1, 2], [3, 1]], [4, 6])
+    solution = solve_lp(lp)
+    assert lp.objective @ solution.variable_values == pytest.approx(2.8, abs=1e-9)
     assert np.allclose(solution.variable_values, [1.6, 1.2], atol=1e-9)
     assert solution.iterations > 0
     # dual prices of the two rows: y1 + 3 y2 = 1, 2 y1 + y2 = 1
@@ -55,38 +55,62 @@ def test_two_variable_optimum_by_hand():
 
 
 def test_unbounded_detected():
-    assert solve_lp(_lp([1])).status == "unbounded"
+    with pytest.raises(LpSolveError, match="unbounded"):
+        solve_lp(_lp([1]))
 
 
 def test_degenerate_vertex_terminates():
     # three constraints meet at (1, 0); the pivot rule must not cycle
     lp = _lp([1, 0], [[1, 0], [1, 1], [1, 2]], [1, 1, 1])
     solution = solve_lp(lp)
-    assert solution.status == "optimal"
-    assert solution.objective_value == pytest.approx(1.0)
+    assert lp.objective @ solution.variable_values == pytest.approx(1.0)
+
+
+# Beale's LP, which cycles under the largest-coefficient rule alone
+BEALE_LP = _lp(
+    [0.75, -150.0, 1.0 / 50.0, -6.0],
+    [
+        [0.25, -60.0, -1.0 / 25.0, 9.0],
+        [0.5, -90.0, -1.0 / 50.0, 3.0],
+        [0.0, 0.0, 1.0, 0.0],
+    ],
+    [0.0, 0.0, 1.0],
+)
 
 
 def test_beale_cycling_example_terminates():
-    # Beale's LP cycles under the largest-coefficient rule alone; the
-    # fallback to Bland's rule after a run of degenerate pivots ends it
-    lp = _lp(
-        [0.75, -150.0, 1.0 / 50.0, -6.0],
-        [
-            [0.25, -60.0, -1.0 / 25.0, 9.0],
-            [0.5, -90.0, -1.0 / 50.0, 3.0],
-            [0.0, 0.0, 1.0, 0.0],
-        ],
-        [0.0, 0.0, 1.0],
-    )
+    # the fallback to Bland's rule after a run of degenerate pivots ends
+    # the cycle
+    lp = BEALE_LP
     for inverse in (False, True):
         solution = lp_module._solve_lp(lp, inverse)
-        assert solution.status == "optimal"
         assert solution.iterations == 54
-        assert solution.objective_value == pytest.approx(0.05, abs=1e-12)
+        assert lp.objective @ solution.variable_values == pytest.approx(
+            0.05, abs=1e-12
+        )
         assert np.allclose(
             solution.variable_values, [0.04, 0.0, 1.0, 0.0], atol=1e-12
         )
     assert solve_lp(lp).iterations == 54
+
+
+def test_simplex_that_hits_the_pivot_cap_raises(monkeypatch):
+    # Beale's LP needs 54 pivots; a cap of 10 stops it
+    run = lp_module._run_simplex
+    monkeypatch.setattr(
+        lp_module,
+        "_run_simplex",
+        lambda work, cols, basis, max_iter: run(work, cols, basis, 10),
+    )
+    with pytest.raises(LpSolveError, match="did not terminate within 10 pivots"):
+        solve_lp(BEALE_LP)
+
+
+def test_solution_that_misses_the_residual_check_raises(monkeypatch):
+    # a negative tolerance fails every solution, tight rows included
+    monkeypatch.setattr(lp_module, "_CHECK_TOL", -0.5)
+    with pytest.raises(LpSolveError, match="inequality residual"):
+        solve_lp(_lp([1, 1], [[1, 2], [3, 1]], [4, 6]))
 
 
 # ---------------------------------------------------------------------------
@@ -111,7 +135,6 @@ def _recorded_lps(monkeypatch, solve):
 def _assert_same_pivots(lp):
     tableau = lp_module._solve_lp(lp, inverse=False)
     inverse = lp_module._solve_lp(lp, inverse=True)
-    assert tableau.status == inverse.status == "optimal"
     assert tableau.iterations == inverse.iterations
     assert tableau.basis == inverse.basis
     for field in ("variable_values", "duals"):
@@ -166,8 +189,8 @@ def test_both_forms_reach_the_same_optimum(case):
     matrix, lp = case
     tableau = lp_module._solve_lp(lp, inverse=False)
     inverse = lp_module._solve_lp(lp, inverse=True)
-    assert inverse.objective_value == pytest.approx(
-        tableau.objective_value, abs=1e-9
+    assert lp.objective @ inverse.variable_values == pytest.approx(
+        lp.objective @ tableau.variable_values, abs=1e-9
     )
     first, _ = check_maxmin(matrix, tableau)
     second, _ = check_maxmin(matrix, inverse)
@@ -212,7 +235,6 @@ def test_solution_satisfies_constraints():
     b_ub = rng.floats(4) + 1.0
     lp = _lp(rng.floats(3), a_ub, b_ub)
     solution = solve_lp(lp)
-    assert solution.status == "optimal"
     assert np.all(a_ub @ solution.variable_values <= b_ub + 1e-8)
     assert np.all(solution.variable_values >= -1e-9)
 
@@ -334,9 +356,9 @@ def test_same_matrix_twice_is_bitwise_identical_and_few_pivots(monkeypatch):
     run = lp_module._run_simplex
 
     def counted(*args):
-        status, count = run(*args)
+        count = run(*args)
         pivots.append(count)
-        return status, count
+        return count
 
     monkeypatch.setattr(lp_module, "_run_simplex", counted)
     (first, x_first), (second, x_second) = solve_maxmin(matrix), solve_maxmin(matrix)
@@ -386,7 +408,7 @@ def test_maxmin_lp_structure():
     assert np.array_equal(lp.objective, [1.0, 1.0])
     solution = solve_lp(lp)
     # the optimum is 1 / (value in P) = 1 / 1.5
-    assert solution.objective_value == pytest.approx(2.0 / 3.0)
+    assert lp.objective @ solution.variable_values == pytest.approx(2.0 / 3.0)
     value, strategy = check_maxmin(matrix, solution)
     assert value == pytest.approx(0.5)
     assert np.allclose(strategy, [0.5, 0.5])
@@ -557,11 +579,11 @@ def test_point_box_returns_its_point(mixtures):
 @pytest.mark.parametrize("excess", [1e-7, 1e-4, 0.5])
 def test_box_above_the_simplex_raises(excess):
     # lows summing past 1 leave no mixture in the box: the packing LP is
-    # unbounded, and check_maxmin raises
+    # unbounded, and solve_lp raises
     matrix = np.array([[2.0, 1.0, 0.0], [0.0, 0.0, 3.0], [1.0, 2.0, 1.0]])
     rows = box_rows([0.5, 0.25, 0.25 + excess], np.ones(3))
-    with pytest.raises(LpSolveError):
-        check_maxmin(matrix, solve_lp(build_maxmin_lp(matrix, rows)), rows)
+    with pytest.raises(LpSolveError, match="unbounded"):
+        solve_lp(build_maxmin_lp(matrix, rows))
 
 
 def test_box_certificate_by_hand():
@@ -574,23 +596,23 @@ def test_box_certificate_by_hand():
     assert value == pytest.approx(0.5)
     assert np.allclose(strategy, [0.5, 0.5])
     # by hand: P = [[2, 1.5], [1, 1]] and the column 1/2 - e_0; the optimum
-    # w = (0, 0.8) with 0.4 of that column, duals u = (0.4, 0.4). The
-    # certificate is y = (0, 1) and lam = 0.4 * 2 / 0.8 = 1:
+    # w = (0, 0.8) with 0.4 of that column, the basis [1, 2], and duals
+    # u = (0.4, 0.4). The certificate is y = (0, 1) and lam = 0.4 * 2 / 0.8 = 1:
     # max(matrix @ y - lam e_0) + lam / 2 = max(0, 0) + 1/2
     w = np.array([0.0, 0.8, 0.4])
-    right = LpSolution("optimal", 0.8, w, 1, np.array([0.4, 0.4]))
+    right = LpSolution(w, 1, np.array([0.4, 0.4]), [1, 2])
     assert check_maxmin(matrix, right, rows)[0] == 0.5
     with pytest.raises(LpSolveError, match="a row beats"):
         check_maxmin(matrix, right)
     # the row mixture (0.4, 0.6) is worth only 0.4, and y = (0, 1) shows a
     # mixture in the box that earns 0.5
-    low = LpSolution("optimal", 0.8, w, 1, np.array([0.4, 0.6]))
+    low = LpSolution(w, 1, np.array([0.4, 0.6]), [1, 2])
     with pytest.raises(LpSolveError, match="a row beats"):
         check_maxmin(matrix, low, rows)
 
 
 def _tampered(solution, values):
-    return LpSolution("optimal", solution.objective_value, values, 1, solution.duals)
+    return LpSolution(values, 1, solution.duals, solution.basis)
 
 
 def test_node_certificate_needs_its_multipliers_and_its_column_mixture():
@@ -618,12 +640,6 @@ def test_node_certificate_needs_its_multipliers_and_its_column_mixture():
     values[best] += 0.5 * weight
     with pytest.raises(LpSolveError, match="a row beats"):
         check_maxmin(matrix, _tampered(solution, values), rows)
-
-
-def test_certificate_rejects_a_solution_that_is_not_optimal():
-    matrix = np.eye(2)
-    with pytest.raises(LpSolveError, match="came back unbounded"):
-        check_maxmin(matrix, LpSolution("unbounded", float("inf"), None, 3))
 
 
 def test_global_optimize_runs_the_simplex_once_per_lp(monkeypatch):

@@ -93,14 +93,12 @@ def _reference_solve_lp(lp, inverse=None):
         work[-1, :n] = -lp.objective
         cols = None
     basis = list(range(n, n + m))
-    status, pivots = lp_module._run_simplex(work, cols, basis, 1000 * (2 * m + n + 10))
-    if status == "unbounded":
-        return LpSolution("unbounded", float("inf"), None, pivots)
+    pivots = lp_module._run_simplex(work, cols, basis, 1000 * (2 * m + n + 10))
     values = np.zeros(n + m)
     values[basis] = work[:m, -1]
     x = values[:n]
     duals = (work[-1, n:-1] if cols is None else work[-1, :m]).copy()
-    return LpSolution("optimal", float(lp.objective @ x), x, pivots, duals, basis)
+    return LpSolution(x, pivots, duals, basis)
 
 
 def _reference_build_maxmin_lp(matrix, rows=None):
@@ -185,12 +183,7 @@ def _assert_same_bits(got, want):
 
 
 def _assert_same_solution(got, want):
-    assert (got.status, got.iterations, got.basis) == (
-        want.status,
-        want.iterations,
-        want.basis,
-    )
-    assert got.objective_value.hex() == want.objective_value.hex()
+    assert (got.iterations, got.basis) == (want.iterations, want.basis)
     _assert_same_bits(got.variable_values, want.variable_values)
     _assert_same_bits(got.duals, want.duals)
 
