@@ -125,9 +125,7 @@ def cmd_solve(args) -> int:
     game = load_game(args.game)
     if args.normalize:
         game = normalize_payoffs(game)
-    start = time.perf_counter()
     report = run_solver(args.solver, game, timeout=args.timeout, **params)
-    elapsed = time.perf_counter() - start
     print(f"lower bound     {report.lower_bound!r}")
     print(f"upper bound     {report.upper_bound!r}")
     print(f"iterations      {report.iterations}")
@@ -136,7 +134,7 @@ def cmd_solve(args) -> int:
     if report.witness is not None:
         for i, strategy in enumerate(report.witness):
             print(f"member {i} mixture {_fmt_probs(strategy.probs)}")
-    print(f"wall time {elapsed:.3f}s", file=sys.stderr)
+    print(f"wall time {report.wall_time:.3f}s", file=sys.stderr)
     if args.out is not None:
         with open(args.out, "w") as handle:
             json.dump(_report_dict(report), handle, indent=2, sort_keys=True)

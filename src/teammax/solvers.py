@@ -14,7 +14,7 @@ here reports certified brackets instead of pretending to be exact:
 * global_optimize: anytime lower/upper bracket combining the above with a
   branch-and-bound refinement of the correlated relaxation.
 * grid_oracle: exact grid search with a certified additive error, for
-  tiny games only.
+  grids that fit in memory (timeout-capped).
 """
 
 from __future__ import annotations
@@ -419,8 +419,6 @@ def iterated_lp(
 
 # entries of the largest member grid or folded tensor the grid search builds
 _MAX_MATERIALIZED = 12_000_000
-# candidate profiles of the largest grid grid_oracle searches
-_MAX_CANDIDATES = 20_000_000
 # entries of one chunk's candidate payoffs against a single adversary action:
 # 2 MB of float64, so that the running minimum over the adversary stays in
 # a 4 MiB L2 cache
@@ -640,16 +638,6 @@ def _grid_search(
     return result(rows * per_row)
 
 
-def _rounding_constant(m: int) -> float:
-    """max over integer r in [0, m-1] of 2 r (m - r) / m; the grid with k
-    steps is within this / k in L1 distance of any point of the simplex."""
-    best = 0.0
-    for r in (m // 2, (m + 1) // 2):
-        r = min(r, m - 1)
-        best = max(best, 2.0 * r * (m - r) / m)
-    return best
-
-
 def _check_oracle(target_error: float) -> None:
     """grid_oracle's range rules."""
     if not target_error > 0:
@@ -670,9 +658,9 @@ def grid_oracle(
     [value, value + error_bound] with error_bound <= target_error.
 
     The step count k is rounded up to a multiple of lcm(team sizes) when
-    small, which puts the uniform profile on the grid. Intended for tiny
-    games: a grid of more than _MAX_CANDIDATES combinations, or one too
-    large to materialize, raises CapacityError before any search.
+    small, which puts the uniform profile on the grid. A grid too large to
+    materialize raises CapacityError before any search, as does a step
+    count too large for a float.
 
     timeout is the one stop rule: the sweep reads the clock between chunks
     of candidates, as support_enumeration does, and one it cuts short
@@ -684,16 +672,13 @@ def grid_oracle(
     deadline = _deadline(time.perf_counter(), timeout)
     team_sizes = game.team_sizes
     members = len(team_sizes)
-    worst = max(_rounding_constant(m) for m in team_sizes)
+    # a k-step grid lies within this radius / k, in L1, of every mixture
+    worst = max(2.0 * (m // 2) * (m - m // 2) / m for m in team_sizes)
     k = _grid_steps(members * worst, target_error, "target_error", target_error)
     scale = math.lcm(*team_sizes)
     if scale <= 512:
         k = ((k + scale - 1) // scale) * scale
     total = math.prod(_grid_counts(team_sizes, k))
-    if total > _MAX_CANDIDATES:
-        raise CapacityError(
-            f"{total} grid combinations exceed the cap of {_MAX_CANDIDATES}"
-        )
     value, witness, covered = _grid_search(game, k, deadline)
     return OracleEstimate(
         value=value,

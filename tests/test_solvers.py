@@ -6,6 +6,7 @@ heuristics must all agree within their certified tolerances on the same
 instances. No solver is ever validated only against itself.
 """
 
+import dataclasses
 import itertools
 import json
 import math
@@ -42,6 +43,7 @@ from teammax.generators import (
 )
 from teammax import solvers
 from teammax.solvers import (
+    BOUND_SLACK,
     DEFAULT_TIMEOUT,
     SOLVER_NAMES,
     SOLVERS,
@@ -948,14 +950,24 @@ def test_grid_oracle_requires_normalized_payoffs():
 
 
 def test_grid_oracle_capacity_error(monkeypatch):
-    # C(1004, 3)^2 candidates at k = 1,002: refused before any search
-    def no_search(*args):
-        raise AssertionError("searched an oversized grid")
+    # member grids of C(4003, 3) mixtures at k = 4,000: refused by the
+    # memory guard before any grid is built
+    def no_grid(*args):
+        raise AssertionError("built an oversized grid")
 
-    monkeypatch.setattr("teammax.solvers._grid_search", no_search)
+    monkeypatch.setattr("teammax.solvers._composition_grid", no_grid)
     game = normalize_payoffs(random_team_game(3, 4, seed=0))
-    with pytest.raises(CapacityError, match="exceed the cap of 20000000$"):
+    with pytest.raises(CapacityError, match="exceeds the cap of 12000000$"):
         grid_oracle(game, target_error=1e-3)
+
+
+def test_grid_oracle_defaults_solve_a_three_player_game():
+    # the default target_error searches C(268, 2)^2 candidates at k = 267,
+    # most of them ruled out by the Lipschitz bound, well within the timeout
+    report = run_solver("oracle", normalize_payoffs(random_team_game(3, 3, seed=2)))
+    assert report.converged
+    assert report.iterations == 1_299_314_116
+    assert report.upper_bound - report.lower_bound <= 0.01
 
 
 def test_grid_oracle_rejects_bad_target():
@@ -997,6 +1009,94 @@ def test_grid_oracle_agrees_with_iterated_lp_on_random_games():
         assert ascent.lower_bound <= est.value + est.error_bound + 1e-9
         # oracle never reports below a feasible profile's value minus error
         assert est.value >= ascent.lower_bound - est.error_bound - 1e-9
+
+
+# settings that keep every solver's bracket certified and the metamorphic
+# test below within a few seconds
+_METAMORPHIC_SOLVERS = {
+    "reconstruct": {},
+    "iterated-lp": {"restarts": 4},
+    "support-enum": {"epsilon": 0.6},
+    "global": {"accuracy": 1e-3, "max_nodes": 300},
+    "oracle": {"target_error": 0.1},
+}
+
+
+def _normalized_family(game, facts):
+    """A family game normalized to [0, 1], with its closed-form value
+    mapped the same way."""
+    lo, hi = float(game.team_utility.min()), float(game.team_utility.max())
+    return normalize_payoffs(game), (facts.known_team_maxmin - lo) / (hi - lo)
+
+
+def _same_value(value):
+    return value
+
+
+def _permute_actions(game, seed):
+    """Every player's actions reordered: the same game under new labels."""
+    rng = np.random.default_rng(seed)
+    tensor = game.team_utility
+    for axis, m in enumerate(game.actions_per_player):
+        tensor = np.take(tensor, rng.permutation(m), axis=axis)
+    return dataclasses.replace(game, team_utility=tensor), _same_value
+
+
+def _reverse_team(game, seed):
+    """The team members in reverse order, the adversary last as before."""
+    n = game.num_players
+    order = (*range(n - 2, -1, -1), n - 1)
+    sizes = tuple(game.actions_per_player[i] for i in order)
+    variant = dataclasses.replace(
+        game, actions_per_player=sizes, team_utility=game.team_utility.transpose(order)
+    )
+    return variant, _same_value
+
+
+def _rescale(game, seed):
+    """Payoffs u mapped to 0.5 u + 0.25, which maps every value the same
+    way and keeps them in [0, 1]."""
+    variant = dataclasses.replace(game, team_utility=0.5 * game.team_utility + 0.25)
+    return variant, lambda value: (value - 0.25) / 0.5
+
+
+@settings(max_examples=24)
+@given(
+    st.one_of(
+        st.tuples(st.sampled_from([(3, 2), (3, 3), (4, 2)]), st.integers(0, 999)).map(
+            lambda c: (normalize_payoffs(random_team_game(*c[0], seed=c[1])), None)
+        ),
+        st.sampled_from([2, 3]).map(lambda m: _normalized_family(*diagonal_game(3, m))),
+        st.just(_normalized_family(*irrational_game())),
+    ),
+    st.sampled_from([_permute_actions, _reverse_team, _rescale]),
+    st.integers(0, 999),
+)
+def test_solvers_agree_on_a_game_and_its_relabelled_or_rescaled_copy(
+    case, transform, seed
+):
+    # relabelling actions or members changes no value, and a positive
+    # affine map of the payoffs maps every value by the same map: mapped
+    # back, the variant's correlated value is the game's, and the brackets
+    # of all five solvers on both games hold one common point (and the
+    # closed-form value, where the family has one)
+    game, known = case
+    variant, back = transform(game, seed)
+    v_c = correlated_team_maxmin(game)[1]
+    assert back(correlated_team_maxmin(variant)[1]) == pytest.approx(v_c, abs=1e-9)
+    brackets = []
+    for name, params in _METAMORPHIC_SOLVERS.items():
+        for solved, to_game in ((game, _same_value), (variant, back)):
+            report = run_solver(name, solved, **params)
+            brackets.append(
+                (name, to_game(report.lower_bound), to_game(report.upper_bound))
+            )
+    lower = max(low for _, low, _ in brackets)
+    upper = min(high for _, _, high in brackets)
+    assert lower <= upper + BOUND_SLACK, brackets
+    if known is not None:
+        for name, low, high in brackets:
+            assert low - BOUND_SLACK <= known <= high + BOUND_SLACK, name
 
 
 # ---------------------------------------------------------------------------
