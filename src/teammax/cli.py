@@ -2,7 +2,8 @@
 
 Exit codes: 0 success (or verification passed), 1 verification failed,
 2 usage error, 3 input error (unreadable or malformed files), 4 capacity
-exceeded. Every subcommand prints its resolved configuration as a single
+exceeded, 5 solver failure (LpSolveError: an LP of the solver's did not
+reach a certified optimum). Every subcommand prints its resolved configuration as a single
 JSON line before any output, and everything written to standard output is
 deterministic given identical flags and input files; timing goes to
 standard error.
@@ -51,6 +52,7 @@ EXIT_VERIFICATION_FAILED = 1
 EXIT_USAGE = 2
 EXIT_INPUT = 3
 EXIT_CAPACITY = 4
+EXIT_SOLVER = 5
 
 
 def _fmt_probs(probs) -> str:
@@ -338,8 +340,11 @@ def main(argv=None) -> int:
     except CapacityError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CAPACITY
+    except LpSolveError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_SOLVER
     # ahead of ValueError, which GameFormatError and ConfigError subclass
-    except (GameFormatError, ConfigError, OSError, LpSolveError) as exc:
+    except (GameFormatError, ConfigError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except ValueError as exc:

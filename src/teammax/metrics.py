@@ -19,7 +19,6 @@ AggregateRow.
 
 from __future__ import annotations
 
-import concurrent.futures
 import csv
 import json
 import math
@@ -159,7 +158,6 @@ class ExperimentConfig:
     solvers: tuple[SolverSpec, ...]
     timeout: float = DEFAULT_TIMEOUT
     record_wall_time: bool = True
-    workers: int = 1
 
     def __post_init__(self):
         timeout = check_type("timeout", self.timeout, float, ConfigError)
@@ -167,8 +165,6 @@ class ExperimentConfig:
             raise ConfigError(f"timeout must be positive, got {timeout}")
         object.__setattr__(self, "timeout", timeout)
         check_type("record_wall_time", self.record_wall_time, bool, ConfigError)
-        if check_type("workers", self.workers, int, ConfigError) < 1:
-            raise ConfigError("workers must be at least 1")
 
 
 @dataclass(frozen=True, eq=False)
@@ -233,8 +229,7 @@ def build_instances(config: ExperimentConfig) -> list[tuple[str, int, TeamGame]]
 _FAILED = SolveReport(math.nan, math.nan, None, 0, 0.0, False)
 
 
-def _run_cell(task) -> ResultRow:
-    family, seed, game, solver, config = task
+def _run_cell(family, seed, game, solver, config) -> ResultRow:
     n, m = game.num_players, game.max_team_actions
     error = ""
     try:
@@ -261,29 +256,22 @@ def _run_cell(task) -> ResultRow:
 
 
 def run_experiment(config: ExperimentConfig, instances=None) -> list[ResultRow]:
-    """Run every (instance, solver) cell and return the sorted result table.
+    """Run every (instance, solver) cell in order and return the sorted
+    result table.
 
     instances, when the caller has built them already, is
     build_instances(config). Failures of individual cells are recorded as
     rows with NaN bounds, converged=False and the exception in `error`;
     they never abort the batch. Rows are sorted by (instance_id, solver,
-    params) so assembly order is irrelevant, which keeps multi-worker runs
-    deterministic.
+    params), the order of results.csv.
     """
     if instances is None:
         instances = build_instances(config)
-    tasks = [
-        (family, seed, game, solver, config)
+    rows = [
+        _run_cell(family, seed, game, solver, config)
         for family, seed, game in instances
         for solver in config.solvers
     ]
-    if config.workers > 1 and len(tasks) > 1:
-        with concurrent.futures.ProcessPoolExecutor(
-            max_workers=config.workers
-        ) as pool:
-            rows = list(pool.map(_run_cell, tasks))
-    else:
-        rows = [_run_cell(task) for task in tasks]
     rows.sort(key=lambda r: (r.instance_id, r.solver, r.params))
     return rows
 

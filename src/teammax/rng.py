@@ -60,8 +60,8 @@ class SplitMix64:
     def spawn(self, index: int) -> "SplitMix64":
         """Independent child stream, derived deterministically from the seed.
 
-        Used for per-restart streams so that parallel and sequential
-        execution see identical randomness.
+        Used for per-restart streams, so that a restart's randomness
+        depends only on the seed and its index.
         """
         child_seed = _finalize(self._seed ^ _finalize((index + 1) * _GOLDEN))
         return SplitMix64(child_seed)

@@ -286,16 +286,12 @@ def _random_profile(game: TeamGame, rng: SplitMix64) -> TeamProfile:
     )
 
 
-def _check_restarts(restarts: int) -> None:
-    if restarts < 1:
-        raise ValueError(f"restarts must be at least 1, got {restarts}")
-
-
 def _check_ascent(
     restarts: int, init: TeamProfile | str, max_rounds: int, **_
 ) -> None:
     """iterated_lp's range and choice rules."""
-    _check_restarts(restarts)
+    if restarts < 1:
+        raise ValueError(f"restarts must be at least 1, got {restarts}")
     if isinstance(init, str) and init not in ("random", "uniform"):
         raise ValueError(f"init must be 'random' or 'uniform', got {init!r}")
     if max_rounds < 1:
@@ -655,7 +651,11 @@ def grid_oracle(
     returns what scoring every combination would; the best value found is
     a valid lower bound. Rounding any optimal profile onto the grid loses
     at most the certified error, so the true value lies within
-    [value, value + error_bound] with error_bound <= target_error.
+    [value, value + error_bound] with error_bound <= target_error. The
+    rounding radius: every mixture of m actions lies within
+    2 floor(m/2) ceil(m/2) / (m k) in L1 of a point of the k-step grid
+    (Bomze, Gollowitzer & Yildirim, "Rounding on the standard simplex:
+    regular grids for global optimization", J. Global Optim. 2014).
 
     The step count k is rounded up to a multiple of lcm(team sizes) when
     small, which puts the uniform profile on the grid. A grid too large to
@@ -864,11 +864,10 @@ def _tighten_box(
     return True
 
 
-def _check_global(accuracy: float, restarts: int, max_nodes: int, **_) -> None:
-    """global_optimize's range rules, its ascent's included."""
+def _check_global(accuracy: float, max_nodes: int) -> None:
+    """global_optimize's range rules."""
     if not accuracy > 0:
         raise ValueError(f"accuracy must be positive, got {accuracy}")
-    _check_restarts(restarts)
     if max_nodes < 0:
         raise ValueError(f"max_nodes must be nonnegative, got {max_nodes}")
 
@@ -877,8 +876,6 @@ def global_optimize(
     game: TeamGame,
     accuracy: float = 1e-6,
     timeout: float | None = DEFAULT_TIMEOUT,
-    seed: int = 0,
-    restarts: int = 8,
     max_nodes: int = 20_000,
 ) -> SolveReport:
     """Anytime bracket of the team-maxmin value for normalized games.
@@ -905,11 +902,12 @@ def global_optimize(
     every z satisfying the rows to it, so a node LP that is not solved to
     optimality raises LpSolveError. The product of the joint mixture's
     marginals (JointDistribution.marginal) is a team profile, evaluated as
-    a lower bound. A timeout of None sets no deadline. The report's traces
-    are the ascent's, none when it did not run.
+    a lower bound. A timeout of None sets no deadline. The ascent is
+    iterated_lp with 8 restarts from seed 0, given half the time left; the
+    report's traces are its traces, none when it did not run.
     """
     _require_normalized(game, "global_optimize")
-    _check_global(accuracy, restarts, max_nodes)
+    _check_global(accuracy, max_nodes)
     start = time.perf_counter()
     deadline = _deadline(start, timeout)
     root = reconstruct_best_pivot(game, timeout=None)
@@ -924,8 +922,8 @@ def global_optimize(
         remaining = deadline - time.perf_counter()
         ascent = iterated_lp(
             game,
-            restarts=restarts,
-            seed=seed,
+            restarts=8,
+            seed=0,
             timeout=max(remaining * 0.5, 0.0),
             upper_bound=upper,
         )

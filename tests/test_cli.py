@@ -14,6 +14,7 @@ import pytest
 from teammax.cli import build_parser, main
 from teammax.game import game_to_dict, load_game, save_game, save_profile, MixedStrategy
 from teammax.generators import diagonal_game, irrational_game, poa_game
+from teammax.lp import LpSolveError
 from teammax.solvers import SOLVERS
 
 
@@ -129,6 +130,19 @@ def test_solve_flag_the_solver_does_not_take_is_usage_error(tmp_path, capsys):
             main(["solve", str(path), "--solver", "oracle", flag, "3"])
         assert exit_info.value.code == 2
         assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def test_solve_solver_failure_exits_5(tmp_path, capsys, monkeypatch):
+    # an LP a solver solves that is not certified optimal is the solver's
+    # failure, not the input's
+    def failing(*args, **kwargs):
+        raise LpSolveError("maxmin value not optimal")
+
+    path = _generate(tmp_path, "diagonal", "--n", "3", "--m", "2")
+    capsys.readouterr()
+    monkeypatch.setattr("teammax.cli.run_solver", failing)
+    assert main(["solve", str(path), "--solver", "reconstruct"]) == 5
+    assert capsys.readouterr().err == "error: maxmin value not optimal\n"
 
 
 def test_solve_flags_are_the_solver_table_parameters(tmp_path, capsys):
@@ -518,7 +532,8 @@ def test_experiment_malformed_config_exits_3_before_any_output(tmp_path, capsys)
             {"name": "iterated-lp", "params": {"init": "uniformly"}},
             "init",
         ),
-        ({"family": "poa"}, {"name": "global", "params": {"restarts": 0}}, "restarts"),
+        # global's ascent takes no parameters of its own
+        ({"family": "poa"}, {"name": "global", "params": {"restarts": 3}}, "restarts"),
         (
             {"family": "poa"},
             {"name": "support-enum", "params": {"epsilon": 2}},

@@ -660,9 +660,7 @@ def test_global_optimize_runs_the_simplex_once_per_lp(monkeypatch):
     monkeypatch.setattr(lp_module, "solve_lp", counted_solve)
     monkeypatch.setattr(solvers_module, "solve_lp", counted_solve)
     game, _ = make_instance("random", n=3, m=4, seed=1)
-    report = solvers_module.global_optimize(
-        game, accuracy=1e-3, restarts=2, max_nodes=10
-    )
+    report = solvers_module.global_optimize(game, accuracy=1e-3, max_nodes=10)
     assert report.iterations > 0
     assert counts["lp"] > 2 * report.iterations
     assert counts["runs"] == counts["lp"]

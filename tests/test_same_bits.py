@@ -221,6 +221,14 @@ def _tighten_both(team_sizes, members, lo, hi):
     return tightened
 
 
+def test_tighten_box_finds_an_empty_box():
+    # member 0's lows sum to 1.2, so no mixture lies in the box
+    team_sizes = (3, 3)
+    members = _node_incidence(team_sizes).members
+    lo = np.array([0.5, 0.4, 0.3, 0.0, 0.0, 0.0])
+    assert not _tighten_both(team_sizes, members, lo, np.ones(6))
+
+
 def _assert_same_rows(team_sizes, incidence, lo, hi):
     g, h = _node_rows(incidence, lo, hi)
     want_g, want_h = _reference_node_rows(

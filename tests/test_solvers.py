@@ -1029,6 +1029,13 @@ def _normalized_family(game, facts):
     return normalize_payoffs(game), (facts.known_team_maxmin - lo) / (hi - lo)
 
 
+def _random_shaped(shape, seed):
+    """A normalized game with these action counts, its payoffs drawn from
+    one SplitMix64 stream in row-major order, as random_team_game's."""
+    tensor = SplitMix64(seed).floats(math.prod(shape)).reshape(shape)
+    return normalize_payoffs(TeamGame(len(shape), shape, tensor))
+
+
 def _same_value(value):
     return value
 
@@ -1060,18 +1067,25 @@ def _rescale(game, seed):
     return variant, lambda value: (value - 0.25) / 0.5
 
 
-@settings(max_examples=24)
+@settings(max_examples=32)
 @given(
     st.one_of(
         st.tuples(st.sampled_from([(3, 2), (3, 3), (4, 2)]), st.integers(0, 999)).map(
             lambda c: (normalize_payoffs(random_team_game(*c[0], seed=c[1])), None)
         ),
+        # players with different action counts
+        st.tuples(
+            st.sampled_from([(2, 3, 2), (3, 2, 4), (2, 2, 3, 2)]), st.integers(0, 999)
+        ).map(lambda c: (_random_shaped(*c), None)),
         st.sampled_from([2, 3]).map(lambda m: _normalized_family(*diagonal_game(3, m))),
         st.just(_normalized_family(*irrational_game())),
     ),
     st.sampled_from([_permute_actions, _reverse_team, _rescale]),
     st.integers(0, 999),
 )
+# members of 3 and 2 actions: node boxes that slice every member by the
+# first member's action count break this bracket
+@example((_random_shaped((3, 2, 4), 2), None), _reverse_team, 0)
 def test_solvers_agree_on_a_game_and_its_relabelled_or_rescaled_copy(
     case, transform, seed
 ):
@@ -1079,7 +1093,8 @@ def test_solvers_agree_on_a_game_and_its_relabelled_or_rescaled_copy(
     # affine map of the payoffs maps every value by the same map: mapped
     # back, the variant's correlated value is the game's, and the brackets
     # of all five solvers on both games hold one common point (and the
-    # closed-form value, where the family has one)
+    # closed-form value, where the family has one); every witness is worth
+    # its lower bound
     game, known = case
     variant, back = transform(game, seed)
     v_c = correlated_team_maxmin(game)[1]
@@ -1088,6 +1103,9 @@ def test_solvers_agree_on_a_game_and_its_relabelled_or_rescaled_copy(
     for name, params in _METAMORPHIC_SOLVERS.items():
         for solved, to_game in ((game, _same_value), (variant, back)):
             report = run_solver(name, solved, **params)
+            assert team_value(solved, report.witness).value >= (
+                report.lower_bound - BOUND_SLACK
+            ), name
             brackets.append(
                 (name, to_game(report.lower_bound), to_game(report.upper_bound))
             )
@@ -1114,7 +1132,7 @@ def test_global_budget_zero_is_reconstruction_bracket():
 
 def test_global_closes_the_diagonal_gap():
     game, facts = diagonal_game(3, 2)
-    report = global_optimize(game, accuracy=1e-4, timeout=60.0, seed=0)
+    report = global_optimize(game, accuracy=1e-4, timeout=60.0)
     assert report.converged
     assert report.upper_bound - report.lower_bound <= 1e-4 + 1e-12
     assert report.lower_bound == pytest.approx(0.25, abs=1e-4)
@@ -1123,7 +1141,7 @@ def test_global_closes_the_diagonal_gap():
 
 def test_global_on_poa_game():
     game, facts = poa_game()
-    report = global_optimize(game, accuracy=1e-3, timeout=60.0, seed=0)
+    report = global_optimize(game, accuracy=1e-3, timeout=60.0)
     assert report.converged
     assert report.lower_bound == pytest.approx(0.25, abs=1e-3)
 
@@ -1167,7 +1185,7 @@ def test_iterated_lp_takes_a_known_upper_bound():
 def test_global_bracket_valid_on_random_games():
     for seed in (0, 4):
         game = normalize_payoffs(random_team_game(3, 3, seed=seed))
-        report = global_optimize(game, accuracy=0.02, timeout=60.0, seed=seed)
+        report = global_optimize(game, accuracy=0.02, timeout=60.0)
         est = grid_oracle(game, target_error=0.05)
         assert report.lower_bound <= est.value + est.error_bound + 1e-9
         assert report.upper_bound >= est.value - 1e-9
@@ -1313,6 +1331,19 @@ def test_global_converges_under_the_node_cap(family, n, m, seed, accuracy, max_n
     assert team_value(game, report.witness).value == report.lower_bound
 
 
+def test_global_keeps_the_bound_of_a_box_too_deep_to_split(monkeypatch):
+    # a box MAX_DEPTH splits per member deep is not split again and its
+    # bound stays in the upper bound: the bracket ends at [1/9, 0.2], not
+    # converged, where dropping that bound closes it at [1/9, 1/9]
+    monkeypatch.setattr(solvers, "MAX_DEPTH", 1)
+    game, facts = make_instance("diagonal", n=3, m=3)
+    report = global_optimize(game, accuracy=1e-6)
+    assert not report.converged
+    assert report.upper_bound - report.lower_bound > 1e-6
+    assert report.lower_bound == pytest.approx(facts.known_team_maxmin, abs=1e-12)
+    assert report.upper_bound == pytest.approx(0.2, abs=1e-12)
+
+
 def test_global_argument_validation():
     game, _ = diagonal_game(3, 2)
     with pytest.raises(ValueError):
@@ -1415,7 +1446,7 @@ def test_solver_parameters_are_the_signature_defaults():
             "seed": 0,
             "max_rounds": 1000,
         },
-        "global": {"accuracy": 1e-6, "seed": 0, "restarts": 8, "max_nodes": 20_000},
+        "global": {"accuracy": 1e-6, "max_nodes": 20_000},
         "oracle": {"target_error": 0.01},
     }
     for name, defaults in pinned.items():
@@ -1549,6 +1580,9 @@ def test_run_solver_rejects_unknown_parameter():
         run_solver("support-enum", game, espilon=0.5)
     with pytest.raises(ValueError, match="does not take seed"):
         run_solver("reconstruct", game, seed=0)
+    # global's ascent runs 8 restarts from seed 0, set by global alone
+    with pytest.raises(ValueError, match="does not take restarts, seed; "):
+        run_solver("global", game, seed=1, restarts=3)
 
 
 @pytest.mark.parametrize(
@@ -1574,7 +1608,7 @@ def test_solver_params_rejects_values_of_the_wrong_type(name, params, key):
         ("support-enum", {"epsilon": 0.0}, "epsilon must be in (0, 1], got 0.0"),
         ("iterated-lp", {"init": "uniformly"}, "init must be 'random' or 'uniform'"),
         ("iterated-lp", {"restarts": 0}, "restarts must be at least 1, got 0"),
-        ("global", {"restarts": 0}, "restarts must be at least 1, got 0"),
+        ("global", {"accuracy": math.nan}, "accuracy must be positive, got nan"),
         ("global", {"accuracy": 0.0}, "accuracy must be positive, got 0.0"),
         ("oracle", {"target_error": -1.0}, "target_error must be positive, got -1.0"),
         ("iterated-lp", {"max_rounds": -3}, "max_rounds must be at least 1, got -3"),
@@ -1593,9 +1627,9 @@ def test_solver_params_checks_ranges_and_choices(name, params, message):
 
 
 def test_solver_params_takes_an_int_for_a_float():
-    resolved = solver_params("global", {"accuracy": 1, "restarts": 3})
+    resolved = solver_params("global", {"accuracy": 1, "max_nodes": 3})
     assert type(resolved["accuracy"]) is float and resolved["accuracy"] == 1.0
-    assert type(resolved["restarts"]) is int
+    assert type(resolved["max_nodes"]) is int
     # None is not a value: every parameter has a default to fall back on
     with pytest.raises(ValueError, match="epsilon must be float, got None"):
         solver_params("support-enum", {"epsilon": None})
