@@ -89,6 +89,7 @@ def _report_dict(report: SolveReport) -> dict:
     data = {
         "lower_bound": report.lower_bound,
         "upper_bound": report.upper_bound,
+        "correlated_bound": report.correlated_bound,
         "iterations": report.iterations,
         "restarts_used": report.restarts_used,
         "converged": report.converged,
@@ -130,6 +131,7 @@ def cmd_solve(args) -> int:
     report = run_solver(args.solver, game, timeout=args.timeout, **params)
     print(f"lower bound     {report.lower_bound!r}")
     print(f"upper bound     {report.upper_bound!r}")
+    print(f"correlated      {report.correlated_bound!r}")
     print(f"iterations      {report.iterations}")
     print(f"restarts used   {report.restarts_used}")
     print(f"converged       {str(report.converged).lower()}")

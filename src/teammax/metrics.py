@@ -33,12 +33,12 @@ from .game import (
     json_object,
     normalize_payoffs,
     read_json,
+    to_joint_game,
 )
 from .generators import check_family, make_instance
 from .solvers import (
     DEFAULT_TIMEOUT,
     SolveReport,
-    correlated_team_maxmin,
     run_solver,
     solver_params,
 )
@@ -52,11 +52,11 @@ class ConfigError(ValueError):
 class PouReport:
     """Correlation premium estimate.
 
-    pou_upper_estimate = v_correlated / v_team_lower over-estimates the true
-    premium whenever v_team_lower undershoots the independent optimum, so it
-    is always a valid upper estimate; `exact` marks the case where the lower
-    bound came from a grid oracle sweep that ran to completion, so that its
-    error is certified.
+    pou_upper_estimate = v_correlated / v_team_lower, v_correlated the
+    solver report's v_C, over-estimates the true premium whenever
+    v_team_lower undershoots the independent optimum, so it is always a
+    valid upper estimate; `exact` marks a lower bound from a grid oracle
+    sweep that ran to completion, whose error is certified.
     """
 
     v_correlated: float
@@ -73,14 +73,14 @@ def compute_pou(
 ) -> PouReport:
     """Upper estimate of the correlation premium of a game.
 
-    The numerator is the exact correlated value from the LP; the denominator
-    is whatever lower bound the chosen solver certifies. A zero denominator
-    with a positive numerator yields an infinite estimate; the degenerate
-    all-zero case reports 1 (no premium to speak of).
+    The numerator is v_C off the solver's report (a game over to_joint_game's
+    cap raises CapacityError first); the denominator is the lower bound the
+    solver certifies. A zero denominator with a positive numerator yields an
+    infinite estimate; the degenerate all-zero case reports 1.
     """
-    _, v_correlated = correlated_team_maxmin(game)
+    to_joint_game(game)  # over its cap a report's correlated bound is not v_C
     report = run_solver(team_solver, game, timeout=timeout, **solver_params)
-    lower = report.lower_bound
+    v_correlated, lower = report.correlated_bound, report.lower_bound
     if lower > 0.0:
         estimate = v_correlated / lower
     elif abs(v_correlated) <= 1e-12 and abs(lower) <= 1e-12:
@@ -226,7 +226,7 @@ def build_instances(config: ExperimentConfig) -> list[tuple[str, int, TeamGame]]
 
 
 # the report of a failed cell: NaN bounds, no work, not converged
-_FAILED = SolveReport(math.nan, math.nan, None, 0, 0.0, False)
+_FAILED = SolveReport(math.nan, math.nan, math.nan, None, 0, 0.0, False)
 
 
 def _run_cell(family, seed, game, solver, config) -> ResultRow:

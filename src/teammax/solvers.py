@@ -61,6 +61,11 @@ class SolveReport:
     """Certified bracket [lower_bound, upper_bound] for the team-maxmin
     value, with the profile realizing the lower bound.
 
+    correlated_bound is v_C, or the largest payoff over to_joint_game's cap
+    (_correlated_bound). Every upper bound is max(lower_bound,
+    min(correlated_bound, the solver's own certificate)); construction
+    rejects one above max(correlated_bound, lower_bound). NaN passes.
+
     traces holds, per restart of an iterative solver, the sequence of
     accepted objective values (non-decreasing within each restart);
     restarts_used is their count.
@@ -68,6 +73,7 @@ class SolveReport:
 
     lower_bound: float
     upper_bound: float
+    correlated_bound: float
     witness: TeamProfile | None
     iterations: int
     wall_time: float
@@ -79,6 +85,12 @@ class SolveReport:
             raise ValueError(
                 f"lower bound {self.lower_bound} exceeds upper bound "
                 f"{self.upper_bound}"
+            )
+        ceiling = max(self.correlated_bound, self.lower_bound)
+        if self.upper_bound > ceiling + BOUND_SLACK:
+            raise ValueError(
+                f"upper bound {self.upper_bound} exceeds the correlated bound "
+                f"{self.correlated_bound} and the lower bound"
             )
         if self.iterations < 0 or self.wall_time < 0:
             raise ValueError("counters must be nonnegative")
@@ -133,15 +145,13 @@ def correlated_team_maxmin(game: TeamGame) -> tuple[JointDistribution, float]:
     return dist, value
 
 
-def _correlated_upper_bound(game: TeamGame, lower: float) -> float:
-    """max(v_C, lower): v_C bounds every independent profile. A game whose
-    joint team actions exceed to_joint_game's cap gets its largest payoff
-    instead."""
+def _correlated_bound(game: TeamGame) -> float:
+    """v_C, which bounds every independent profile. A game whose joint team
+    actions exceed to_joint_game's cap gets its largest payoff instead."""
     try:
-        _, correlated_value = correlated_team_maxmin(game)
+        return correlated_team_maxmin(game)[1]
     except CapacityError:
-        correlated_value = float(game.team_utility.max())
-    return max(correlated_value, lower)
+        return float(game.team_utility.max())
 
 
 def reconstruct_mixed(
@@ -197,6 +207,7 @@ def reconstruct_best_pivot(
     return SolveReport(
         lower_bound=best_value,
         upper_bound=max(correlated_value, best_value),
+        correlated_bound=correlated_value,
         witness=best_profile,
         iterations=evaluated,
         wall_time=time.perf_counter() - start,
@@ -248,7 +259,7 @@ def support_enumeration(
     _grid_search searches every profile of such mixtures and returns what
     scoring each one and keeping the first best would. When it finishes,
     the lower bound is within epsilon of the team-maxmin value. The upper
-    bound is the correlated value v_C (see _correlated_upper_bound).
+    bound is the correlated value v_C (_correlated_bound).
 
     timeout is the one stop rule: the search reads the clock between
     chunks of candidates, so it scores at least one chunk, and a search it
@@ -266,9 +277,11 @@ def support_enumeration(
     )
     total = math.prod(_grid_counts(game.team_sizes, steps))
     best_value, witness, covered = _grid_search(game, steps, deadline)
+    correlated = _correlated_bound(game)
     return SolveReport(
         lower_bound=best_value,
-        upper_bound=_correlated_upper_bound(game, best_value),
+        upper_bound=max(correlated, best_value),
+        correlated_bound=correlated,
         witness=witness,
         iterations=covered,
         wall_time=time.perf_counter() - start,
@@ -306,7 +319,7 @@ def iterated_lp(
     timeout: float | None = DEFAULT_TIMEOUT,
     max_rounds: int = 1000,
     *,
-    upper_bound: float | None = None,
+    correlated_bound: float | None = None,
 ) -> SolveReport:
     """Alternating best-response LP ascent over team members.
 
@@ -328,11 +341,10 @@ def iterated_lp(
     off `seed`, so results do not depend on scheduling.
 
     The report's lower bound is the best value across restarts; its upper
-    bound is the correlated value v_C, solved once the ascent is done (see
-    _correlated_upper_bound), or max(upper_bound, lower bound) when the
-    caller already holds an upper bound such as v_C. upper_bound is
-    keyword-only, so SOLVERS leaves it out: global_optimize passes its
-    root's bound down, so that one run solves the correlated LP once.
+    bound is v_C (_correlated_bound), solved once the ascent is done unless
+    the caller passes it as correlated_bound. That keyword is keyword-only,
+    so SOLVERS leaves it out: global_optimize passes its root's v_C down, so
+    that one run solves the correlated LP once.
     iterations counts rounds summed over restarts. converged is False if the
     timeout cut work short or some restart hit max_rounds while still
     improving.
@@ -395,13 +407,12 @@ def iterated_lp(
             converged = False
         if timed_out:
             break
-    if upper_bound is None:
-        upper = _correlated_upper_bound(game, best_value)
-    else:
-        upper = max(upper_bound, best_value)
+    if correlated_bound is None:
+        correlated_bound = _correlated_bound(game)
     return SolveReport(
         lower_bound=best_value,
-        upper_bound=upper,
+        upper_bound=max(correlated_bound, best_value),
+        correlated_bound=correlated_bound,
         witness=best_profile,
         iterations=total_rounds,
         wall_time=time.perf_counter() - start,
@@ -883,7 +894,7 @@ def global_optimize(
     Starts from reconstruct_best_pivot's bracket: the correlated upper
     bound and its best-pivot reconstruction (timeout 0 returns exactly
     those). With time left it sharpens the lower bound by iterated
-    LP ascent, which is handed that upper bound instead of solving the
+    LP ascent, which is handed the root's v_C instead of solving the
     correlated LP again, then refines the upper bound by best-first branch
     and bound: the team strategy box is split on the widest coordinate
     interval and each box is bounded by the correlated relaxation
@@ -925,7 +936,7 @@ def global_optimize(
             restarts=8,
             seed=0,
             timeout=max(remaining * 0.5, 0.0),
-            upper_bound=upper,
+            correlated_bound=root.correlated_bound,
         )
         traces = ascent.traces
         if ascent.lower_bound > lower:
@@ -993,6 +1004,7 @@ def global_optimize(
     return SolveReport(
         lower_bound=lower,
         upper_bound=upper,
+        correlated_bound=root.correlated_bound,
         witness=witness,
         iterations=nodes,
         wall_time=time.perf_counter() - start,
@@ -1069,9 +1081,9 @@ def run_solver(
 
     Used by the command line and the experiment harness; every solver comes
     back as a SolveReport so downstream code never cares which one ran.
-    grid_oracle's estimate becomes one whose upper bound is value +
-    error_bound, or v_C for a sweep cut short (as support_enumeration's),
-    and whose wall_time runs from this call. Unknown names and parameters,
+    grid_oracle's estimate becomes one whose upper bound is the lesser of
+    v_C and value + error_bound, which is inf for a sweep cut short, and
+    whose wall_time runs from this call. Unknown names and parameters,
     values of the wrong type, out of range or not among the choices, and a
     timeout that is negative or NaN raise ValueError; a timeout of None sets
     no limit.
@@ -1081,16 +1093,14 @@ def run_solver(
     result = globals()[SOLVERS[name][0]](game, timeout=timeout, **resolved)
     if isinstance(result, SolveReport):
         return result
-    converged = result.error_bound < math.inf
+    correlated = _correlated_bound(game)
+    upper = min(correlated, result.value + result.error_bound)
     return SolveReport(
         lower_bound=result.value,
-        upper_bound=(
-            result.value + result.error_bound
-            if converged
-            else _correlated_upper_bound(game, result.value)
-        ),
+        upper_bound=max(result.value, upper),
+        correlated_bound=correlated,
         witness=result.witness,
         iterations=result.evaluations,
         wall_time=time.perf_counter() - start,
-        converged=converged,
+        converged=result.error_bound < math.inf,
     )

@@ -186,9 +186,10 @@ def test_solve_never_prints_lower_above_upper(tmp_path, capsys):
     ):
         assert main(["solve", str(path), "--solver", solver, *extra]) == 0
         lines = capsys.readouterr().out.splitlines()
-        lower = float(next(l for l in lines if l.startswith("lower bound")).split()[-1])
-        upper = float(next(l for l in lines if l.startswith("upper bound")).split()[-1])
+        values = {l.rsplit(maxsplit=1)[0]: l.split()[-1] for l in lines[1:5]}
+        lower, upper = float(values["lower bound"]), float(values["upper bound"])
         assert lower <= upper + 1e-7
+        assert upper <= max(float(values["correlated"]), lower)
 
 
 def test_solve_writes_report_json(tmp_path, capsys):
@@ -199,6 +200,8 @@ def test_solve_writes_report_json(tmp_path, capsys):
     ) == 0
     report = json.loads(report_path.read_text())
     assert report["lower_bound"] == pytest.approx(0.25, abs=1e-9)
+    assert report["upper_bound"] == report["correlated_bound"]
+    assert report["correlated_bound"] == pytest.approx(0.5, abs=1e-9)
     assert report["converged"] is True
     assert len(report["witness"]) == 2
     assert "wall" not in json.dumps(report)  # report stays deterministic

@@ -10,7 +10,7 @@ import re
 import numpy as np
 import pytest
 
-from teammax.game import TeamGame
+from teammax.game import CapacityError, TeamGame, normalize_payoffs
 from teammax.metrics import (
     AGGREGATE_HEADER,
     CSV_HEADER,
@@ -30,8 +30,8 @@ from teammax.metrics import (
     write_aggregate_csv,
     write_rows_csv,
 )
-from teammax.generators import diagonal_game, poa_game, pou_one_game
-from teammax.solvers import run_solver
+from teammax.generators import diagonal_game, poa_game, pou_one_game, random_team_game
+from teammax.solvers import SOLVER_NAMES, correlated_team_maxmin, run_solver
 
 
 # ---------------------------------------------------------------------------
@@ -86,6 +86,49 @@ def test_pou_degenerate_all_zero_game():
     game = TeamGame(3, (2, 2, 2), np.zeros(8))
     report = compute_pou(game, team_solver="reconstruct")
     assert report.pou_upper_estimate == 1.0
+
+
+# small settings, so that every solver finishes in well under a second
+_POU_PARAMS = {
+    "reconstruct": {},
+    "support-enum": {"epsilon": 0.5},
+    "iterated-lp": {"restarts": 2},
+    "global": {"accuracy": 1e-2, "max_nodes": 50},
+    "oracle": {"target_error": 0.2},
+}
+
+
+@pytest.mark.parametrize("solver", SOLVER_NAMES)
+def test_pou_solves_the_correlated_lp_once(monkeypatch, solver):
+    # v_C is read off the solver's report, not solved again for the numerator
+    calls = []
+
+    def counted(game):
+        calls.append(game)
+        return correlated_team_maxmin(game)
+
+    monkeypatch.setattr("teammax.solvers.correlated_team_maxmin", counted)
+    # metrics does not import it; should it ever, its calls count as well
+    monkeypatch.setattr(
+        "teammax.metrics.correlated_team_maxmin", counted, raising=False
+    )
+    game = normalize_payoffs(random_team_game(3, 4, seed=0))
+    report = compute_pou(game, team_solver=solver, **_POU_PARAMS[solver])
+    assert len(calls) == 1
+    assert report.v_correlated == correlated_team_maxmin(game)[1]
+
+
+def test_pou_raises_over_the_joint_cap_before_the_solver_runs(monkeypatch):
+    # over to_joint_game's cap a report's correlated bound is the largest
+    # payoff, not v_C, so the premium is refused rather than divided from it
+    def no_solver(*args, **params):
+        raise AssertionError("ran the solver")
+
+    monkeypatch.setattr("teammax.game.MAX_JOINT_ROWS", 3)
+    monkeypatch.setattr("teammax.metrics.run_solver", no_solver)
+    game = normalize_payoffs(random_team_game(3, 2, seed=0))
+    with pytest.raises(CapacityError, match="exceeds the cap 3"):
+        compute_pou(game, team_solver="iterated-lp")
 
 
 def test_bracket_ratio():

@@ -80,10 +80,11 @@ from test_lp import box_from_splits, per_member
 REPO = pathlib.Path(__file__).resolve().parent.parent
 
 
-def _report(lower, upper):
+def _report(lower, upper, correlated=1.0):
     return SolveReport(
         lower_bound=lower,
         upper_bound=upper,
+        correlated_bound=correlated,
         witness=None,
         iterations=0,
         wall_time=0.0,
@@ -98,7 +99,17 @@ def test_solve_report_rejects_inverted_bounds():
 
 def test_solve_report_rejects_negative_counters():
     with pytest.raises(ValueError):
-        SolveReport(0.0, 1.0, None, -1, 0.0, True)
+        SolveReport(0.0, 1.0, 1.0, None, -1, 0.0, True)
+
+
+def test_solve_report_rejects_an_upper_bound_above_its_correlated_bound():
+    # v_C caps every upper bound, unless the lower bound is above it
+    with pytest.raises(ValueError, match="exceeds the correlated bound 0.5"):
+        _report(0.25, 0.75, correlated=0.5)
+    assert _report(0.25, 0.5 + 1e-8, correlated=0.5).upper_bound > 0.5
+    assert _report(0.75, 0.75, correlated=0.5).upper_bound == 0.75
+    # a failed cell's report is NaN throughout
+    assert math.isnan(_report(math.nan, math.nan, math.nan).upper_bound)
 
 
 # ---------------------------------------------------------------------------
@@ -328,11 +339,17 @@ def test_upper_bound_without_the_correlated_lp_is_the_largest_payoff(monkeypatch
 
     monkeypatch.setattr("teammax.solvers.to_joint_game", over_the_cap)
     game = normalize_payoffs(random_team_game(3, 3, seed=0))
-    for report in (
+    searches = (
         iterated_lp(game, restarts=2, seed=0),
         support_enumeration(game, epsilon=1.0),
-    ):
+    )
+    for report in searches:
         assert report.lower_bound < report.upper_bound == 1.0
+    # the oracle's certified error is the lesser bound there
+    oracle = run_solver("oracle", game)
+    assert oracle.converged and oracle.lower_bound < oracle.upper_bound < 1.0
+    for report in (*searches, oracle):
+        assert report.correlated_bound == 1.0
 
 
 def test_enumeration_witness_achieves_bound():
@@ -939,7 +956,10 @@ def test_oracle_timeout_stops_between_chunks(monkeypatch):
     full = run_solver("oracle", game, target_error=0.05)
     est = grid_oracle(game, target_error=0.05)
     assert full.converged and full.iterations == est.evaluations == rows**2
-    assert full.upper_bound == est.value + est.error_bound
+    # v_C caps the grid's certified bound, and is the lower of the two here
+    assert est.value <= v_c < est.value + est.error_bound
+    assert full.upper_bound == v_c
+    assert report.correlated_bound == full.correlated_bound == v_c
     assert report.lower_bound <= full.lower_bound
 
 
@@ -1175,11 +1195,12 @@ def test_a_global_report_carries_its_ascents_traces():
 def test_iterated_lp_takes_a_known_upper_bound():
     game, _ = make_instance("random", n=3, m=4, seed=1)
     solved = iterated_lp(game, restarts=2, seed=0)
-    given_bound = iterated_lp(game, restarts=2, seed=0, upper_bound=2.0)
-    below = iterated_lp(game, restarts=2, seed=0, upper_bound=-1.0)
+    given_bound = iterated_lp(game, restarts=2, seed=0, correlated_bound=2.0)
+    below = iterated_lp(game, restarts=2, seed=0, correlated_bound=-1.0)
     assert given_bound.lower_bound == solved.lower_bound
-    assert given_bound.upper_bound == 2.0
+    assert given_bound.upper_bound == given_bound.correlated_bound == 2.0
     assert below.upper_bound == below.lower_bound
+    assert below.correlated_bound == -1.0
 
 
 def test_global_bracket_valid_on_random_games():
