@@ -242,6 +242,22 @@ def _grid_steps(spread: float, error: float, key: str, value: float) -> int:
     return max(1, math.ceil(steps))
 
 
+def _grid_radius(game: TeamGame) -> float:
+    """k times the certified error of the best profile of k-step grid
+    mixtures: (hi - lo) / 2 * sum_i r(m_i), [lo, hi] the range of the team's
+    payoffs. Every mixture of m actions lies within r(m) / k =
+    2 floor(m/2) ceil(m/2) / (m k) in L1 of a point of the k-step grid
+    (Bomze, Gollowitzer & Yildirim, "Rounding on the standard simplex:
+    regular grids for global optimization", J. Global Optim. 2014), and
+    each member's mixture moves a worst-case value by at most (hi - lo) / 2
+    times its L1 distance (grid_oracle; Shubert, SIAM J. Numer. Anal.
+    1972)."""
+    lo = float(game.team_utility.min())
+    hi = float(game.team_utility.max())
+    rounding = sum(2.0 * (m // 2) * (m - m // 2) / m for m in game.team_sizes)
+    return (hi - lo) / 2.0 * rounding
+
+
 def _check_enumeration(epsilon: float) -> None:
     """support_enumeration's range rules."""
     if not 0.0 < epsilon <= 1.0:
@@ -258,12 +274,14 @@ def support_enumeration(
     largest team-member action count (Lipton, Markakis & Mehta, EC 2003).
     _grid_search searches every profile of such mixtures and returns what
     scoring each one and keeping the first best would. When it finishes,
-    the lower bound is within epsilon of the team-maxmin value. The upper
-    bound is the correlated value v_C (_correlated_bound).
+    the lower bound is within epsilon of the team-maxmin value, and the
+    grid certifies the value at most _grid_radius(game) / steps above it,
+    as grid_oracle's does: the upper bound is the lesser of that and the
+    correlated value v_C (_correlated_bound).
 
     timeout is the one stop rule: the search reads the clock between
     chunks of candidates, so it scores at least one chunk, and a search it
-    cuts short reports converged=False with the best bracket so far.
+    cuts short reports converged=False, the best value so far and v_C.
     iterations counts the candidates covered, scored or ruled out by
     _grid_search's bound: the whole grid when the search finishes, the
     candidates scored when the timeout cuts it.
@@ -278,9 +296,12 @@ def support_enumeration(
     total = math.prod(_grid_counts(game.team_sizes, steps))
     best_value, witness, covered = _grid_search(game, steps, deadline)
     correlated = _correlated_bound(game)
+    upper = correlated
+    if covered == total:
+        upper = min(correlated, best_value + _grid_radius(game) / steps)
     return SolveReport(
         lower_bound=best_value,
-        upper_bound=max(correlated, best_value),
+        upper_bound=max(upper, best_value),
         correlated_bound=correlated,
         witness=witness,
         iterations=covered,
@@ -661,12 +682,15 @@ def grid_oracle(
     rows of member 0's grid that its Lipschitz bound cannot rule out and
     returns what scoring every combination would; the best value found is
     a valid lower bound. Rounding any optimal profile onto the grid loses
-    at most the certified error, so the true value lies within
-    [value, value + error_bound] with error_bound <= target_error. The
-    rounding radius: every mixture of m actions lies within
-    2 floor(m/2) ceil(m/2) / (m k) in L1 of a point of the k-step grid
-    (Bomze, Gollowitzer & Yildirim, "Rounding on the standard simplex:
-    regular grids for global optimization", J. Global Optim. 2014).
+    at most error_bound = _grid_radius(game) / k, so the true value lies
+    within [value, value + error_bound], and k = ceil(radius / target_error)
+    keeps error_bound <= target_error. The proof, with payoffs in [lo, hi]:
+
+    * fix the other members and one adversary action: the payoff is linear
+      in one member's mixture with coefficients in [lo, hi], so it is
+      (hi - lo) / 2-Lipschitz in L1;
+    * the minimum over the adversary keeps that constant;
+    * summed over the members, rounding each one loses at most radius / k.
 
     The step count k is rounded up to a multiple of lcm(team sizes) when
     small, which puts the uniform profile on the grid. A grid too large to
@@ -682,10 +706,8 @@ def grid_oracle(
     _check_oracle(target_error)
     deadline = _deadline(time.perf_counter(), timeout)
     team_sizes = game.team_sizes
-    members = len(team_sizes)
-    # a k-step grid lies within this radius / k, in L1, of every mixture
-    worst = max(2.0 * (m // 2) * (m - m // 2) / m for m in team_sizes)
-    k = _grid_steps(members * worst, target_error, "target_error", target_error)
+    radius = _grid_radius(game)
+    k = _grid_steps(radius, target_error, "target_error", target_error)
     scale = math.lcm(*team_sizes)
     if scale <= 512:
         k = ((k + scale - 1) // scale) * scale
@@ -693,7 +715,7 @@ def grid_oracle(
     value, witness, covered = _grid_search(game, k, deadline)
     return OracleEstimate(
         value=value,
-        error_bound=members * worst / k if covered == total else math.inf,
+        error_bound=radius / k if covered == total else math.inf,
         witness=witness,
         resolution=k,
         evaluations=covered,

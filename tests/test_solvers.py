@@ -69,6 +69,7 @@ from teammax.rng import SplitMix64
 from teammax.solvers import (
     _CHUNK_ENTRIES,
     _composition_grid,
+    _grid_radius,
     _grid_search,
     _node_incidence,
     _node_rows,
@@ -322,7 +323,29 @@ def test_enumeration_requires_normalized_payoffs():
         support_enumeration(game, epsilon=0.5)
 
 
+@pytest.mark.parametrize(
+    "game, epsilon, steps, upper, v_c",
+    [
+        (poa_game()[0], 0.2, 9, 0.358025, 0.5),
+        (poa_game()[0], 0.1, 35, 0.278367, 0.5),
+        (diagonal_game(3, 3)[0], 0.2, 14, 0.197279, 1 / 3),
+    ],
+    ids=["poa-0.2", "poa-0.1", "diagonal-0.2"],
+)
+def test_enumeration_upper_bound_is_the_grid_certificate(
+    game, epsilon, steps, upper, v_c
+):
+    # a finished search certifies the value within _grid_radius / steps of
+    # its lower bound, as the oracle's grid does, which beats v_C here
+    report = support_enumeration(game, epsilon=epsilon)
+    assert report.converged
+    assert report.correlated_bound == pytest.approx(v_c, abs=1e-12)
+    assert report.upper_bound == report.lower_bound + _grid_radius(game) / steps
+    assert report.upper_bound == pytest.approx(upper, abs=1e-6)
+
+
 def test_enumeration_upper_bound_is_the_correlated_value():
+    # one step per member: the grid's certified end, lower + 4/3, is above v_C
     for seed in range(3):
         game = normalize_payoffs(random_team_game(3, 3, seed=seed))
         _, v_c = correlated_team_maxmin(game)
@@ -929,6 +952,46 @@ def test_grid_oracle_brackets_the_optimum_from_below():
     assert est.value >= true_value - est.error_bound - 1e-12
 
 
+def _certificate_games():
+    """Normalized games with their team-maxmin value bracketed: the closed
+    form of a family, or global's bracket at 1e-7 on games whose members
+    have different action counts."""
+    games = []
+    for name, (game, facts) in (
+        ("diagonal-m2", diagonal_game(3, 2)),
+        ("diagonal-m3", diagonal_game(3, 3)),
+        ("poa", poa_game()),
+        ("irrational", irrational_game()),
+    ):
+        game, value = _normalized_family(game, facts)
+        games.append((name, game, (value, value)))
+    for shape, seed in (((2, 4, 3), 1), ((3, 2, 4), 2), ((2, 2, 3, 2), 2)):
+        game = _random_shaped(shape, seed)
+        report = global_optimize(game, accuracy=1e-7)
+        assert report.converged
+        games.append((shape, game, (report.lower_bound, report.upper_bound)))
+    return games
+
+
+def test_grid_oracle_certifies_the_value_within_its_radius():
+    # value <= v* <= value + error_bound, with error_bound the radius over
+    # k: (hi - lo) / 2 times the members' summed rounding radii, not
+    # members times the largest
+    for name, game, (low, high) in _certificate_games():
+        for target in (0.2, 0.1, 0.05):
+            est = grid_oracle(game, target_error=target)
+            assert est.error_bound == _grid_radius(game) / est.resolution, name
+            assert est.error_bound <= target, name
+            assert est.value <= high + 1e-9, name
+            assert low <= est.value + est.error_bound + 1e-9, name
+    # the sum beats members x the largest radius on unequal action counts:
+    # radii 1 and 2 at 2 and 4 actions give k = ceil(1.5 / 0.05) = 30, snapped
+    # to 32 (lcm 4); 2 x 2 / 0.05 took 80
+    game = _random_shaped((2, 4, 3), 1)
+    assert _grid_radius(game) == 1.5
+    assert grid_oracle(game, target_error=0.05).resolution == 32
+
+
 def test_grid_oracle_trivial_single_action_members():
     game, _ = coordination_game(3, 1)
     est = grid_oracle(game, target_error=0.5)
@@ -982,11 +1045,11 @@ def test_grid_oracle_capacity_error(monkeypatch):
 
 
 def test_grid_oracle_defaults_solve_a_three_player_game():
-    # the default target_error searches C(268, 2)^2 candidates at k = 267,
+    # the default target_error searches C(137, 2)^2 candidates at k = 135,
     # most of them ruled out by the Lipschitz bound, well within the timeout
     report = run_solver("oracle", normalize_payoffs(random_team_game(3, 3, seed=2)))
     assert report.converged
-    assert report.iterations == 1_299_314_116
+    assert report.iterations == 86_787_856
     assert report.upper_bound - report.lower_bound <= 0.01
 
 
@@ -1522,7 +1585,7 @@ def test_run_solver_every_name():
             "oracle",
             ("random", 3, 3, 1),
             {"target_error": 0.05},
-            {"iterations": 2_371_600, "converged": True},
+            {"iterations": 164_836, "converged": True},
         ),
         (
             "global",
