@@ -95,15 +95,6 @@ class LpSolution:
     basis: list[int]
 
 
-def _pivot(work: np.ndarray, row: int, column: np.ndarray) -> None:
-    """Rank-one update of work that turns the entering column, as work
-    holds it, into the unit vector of row."""
-    work[row] /= column[row]
-    factors = column.copy()
-    factors[row] = 0.0
-    work -= factors[:, None] * work[row]
-
-
 def _run_simplex(
     work: np.ndarray, cols: np.ndarray | None, basis: list[int], max_iter: int
 ) -> int:
@@ -129,6 +120,15 @@ def _run_simplex(
     first non-degenerate pivot. The leaving row breaks ratio ties by lowest
     basic variable index throughout, which is Bland's leaving rule.
 
+    A pivot divides the leaving row by the pivot entry, subtracts the
+    entering column times that row from work and writes the divided row
+    back. That is the usual rank-one update, which zeroes the leaving
+    entry of a copy of the column, bit for bit, except that the usual
+    update's x - 0 x turns a negative zero in the leaving row positive
+    where this one keeps it. A pivot makes no negative zero off the cost
+    row, barring a division that underflows, so on a work with none there,
+    as _tableau builds it, the two leave the same bits.
+
     Termination: a non-degenerate pivot strictly lowers the objective, so
     no basis seen before it recurs after it, and a cycle would have to lie
     within one run of degenerate pivots. Such a run makes at most
@@ -137,9 +137,11 @@ def _run_simplex(
     """
     num_rows = work.shape[0] - 1
     num_cols = work.shape[1] - 1 if cols is None else len(cols)
+    # views, which every pivot's in-place update keeps current
+    cost_row, dual_row, rhs_column = work[-1, :-1], work[-1], work[:num_rows, -1]
     degenerate = 0
     for pivots in range(max_iter):
-        cost = work[-1, :-1] if cols is None else cols @ work[-1]
+        cost = cost_row if cols is None else cols @ dual_row
         if degenerate < _DEGENERATE_STREAK:
             entering = int(cost.argmin())
             if cost[entering] >= -OPTIMALITY_TOL:
@@ -152,8 +154,8 @@ def _run_simplex(
         column = work[:, entering] if cols is None else work @ cols[entering]
         # the scan reads Python floats, which compare and divide as the
         # tableau's float64 entries do
-        col = column[:num_rows].tolist()
-        rhs = work[:num_rows, -1].tolist()
+        col = column.tolist()
+        rhs = rhs_column.tolist()
         best_ratio = np.inf
         leaving = -1
         for i in range(num_rows):
@@ -174,7 +176,12 @@ def _run_simplex(
             degenerate += 1
         else:
             degenerate = 0
-        _pivot(work, leaving, column)
+        # the rank-one update that turns the entering column into the unit
+        # vector of the leaving row; the product is formed before work
+        # changes, so a column that is a view of work is read whole
+        pivot_row = work[leaving] / col[leaving]
+        work -= column[:, None] * pivot_row
+        work[leaving] = pivot_row
         basis[leaving] = entering
     raise LpSolveError(
         f"simplex did not terminate within {max_iter} pivots "
@@ -218,9 +225,14 @@ def solve_lp(lp: LinearProgram) -> LpSolution:
     return _solve_lp(lp, _prices_from_inverse(*lp.a_ub.shape))
 
 
-def _solve_lp(lp: LinearProgram, inverse: bool) -> LpSolution:
-    """solve_lp, with _run_simplex on the basis inverse if inverse, else
-    on the whole tableau."""
+def _tableau(
+    lp: LinearProgram, inverse: bool
+) -> tuple[np.ndarray, np.ndarray | None]:
+    """work and cols of _run_simplex at lp's slack basis: [Q | rhs] and the
+    tableau's columns if inverse, else the whole tableau and None. Adding
+    0.0 to the data turns a negative zero positive, so that no negative
+    zero lies off the cost row (see _run_simplex). Raises ValueError on
+    data that is not finite."""
     m, n = lp.a_ub.shape
     if inverse:
         # [Q | rhs] of the slack basis, Q the identity of order m + 1, and
@@ -231,17 +243,25 @@ def _solve_lp(lp: LinearProgram, inverse: bool) -> LpSolution:
         # the slacks' unit columns, entries (n + i, i), every (m + 3)th
         cols.reshape(-1)[n * (m + 2) :: m + 3] = 1.0
         work = np.eye(m + 1, m + 2)
-        work[:m, -1] = lp.b_ub
+        np.add(lp.b_ub, 0.0, out=work[:m, -1])
     else:
         work = np.zeros((m + 1, n + m + 1))
-        work[:m, :n] = lp.a_ub
+        np.add(lp.a_ub, 0.0, out=work[:m, :n])
         # the slack identity, entries (i, n + i), every (n + m + 2)th
         work.reshape(-1)[n : m * (n + m + 2) : n + m + 2] = 1.0
-        work[:m, -1] = lp.b_ub
+        np.add(lp.b_ub, 0.0, out=work[:m, -1])
         work[-1, :n] = -lp.objective
         cols = None
     if not (np.isfinite(work).all() and (cols is None or np.isfinite(cols).all())):
         raise ValueError("linear program data must be finite")
+    return work, cols
+
+
+def _solve_lp(lp: LinearProgram, inverse: bool) -> LpSolution:
+    """solve_lp, with _run_simplex on the basis inverse if inverse, else
+    on the whole tableau."""
+    m, n = lp.a_ub.shape
+    work, cols = _tableau(lp, inverse)
     basis = list(range(n, n + m))
     pivots = _run_simplex(work, cols, basis, 1000 * (2 * m + n + 10))
     values = np.zeros(n + m)
@@ -300,7 +320,13 @@ def build_maxmin_lp(
     The column player's packing LP is build_maxmin_lp(-M^T): the shift of
     -M^T is 1 + (hi - M^T) / s, bit for bit, because negation is exact.
     """
-    matrix = _game(matrix)
+    return _packing_lp(_game(matrix), rows)
+
+
+def _packing_lp(
+    matrix: np.ndarray, rows: tuple[np.ndarray, np.ndarray] | None = None
+) -> LinearProgram:
+    """build_maxmin_lp of a matrix that _game has checked."""
     lo, hi = float(matrix.min()), float(matrix.max())
     # 1 + (M - lo) / s, in place
     packing = matrix - lo
@@ -317,14 +343,18 @@ def build_maxmin_lp(
 
 def _mixtures(
     solution: LpSolution, cols: int
-) -> tuple[np.ndarray, np.ndarray, np.floating]:
-    """The row mixture u / sum(u), the column mixture w / sum(w) and sum(w)
-    of an optimal packing LP solution with cols columns of P, negative
-    rounding clipped to 0."""
+) -> tuple[np.ndarray, np.floating, np.ndarray, np.floating]:
+    """The row weights u and their sum, then the column weights w and their
+    sum, of an optimal packing LP solution with cols columns of P, negative
+    rounding clipped to 0: u / sum(u) is the row mixture and w / sum(w) the
+    column mixture. Raises LpSolveError unless both sums are positive, as
+    they are at an optimum, whose objective is positive."""
     u = np.maximum(solution.duals, 0.0)
     w = np.maximum(solution.variable_values[:cols], 0.0)
-    weight = w.sum()
-    return u / u.sum(), w / weight, weight
+    u_sum, w_sum = u.sum(), w.sum()
+    if not (u_sum > 0.0 and w_sum > 0.0):
+        raise LpSolveError("maxmin LP weights do not sum to a positive number")
+    return u, u_sum, w, w_sum
 
 
 def check_maxmin(
@@ -349,12 +379,14 @@ def check_maxmin(
     payoffs. Without rows lam is empty and the bound is max(matrix @ y).
     The LP is bounded whenever the polytope meets the simplex; over an
     empty polytope it is unbounded, and solve_lp raises LpSolveError before
-    there is a solution to check. A certificate that does not check is a
-    solver defect and raises LpSolveError.
+    there is a solution to check. A certificate that does not check, or
+    weights that do not sum to a positive number, are a solver defect and
+    raise LpSolveError.
     """
     matrix = np.asarray(matrix, dtype=np.float64)
     cols = matrix.shape[1]
-    x, y, weight = _mixtures(solution, cols)
+    u, u_sum, w, weight = _mixtures(solution, cols)
+    x, y = u / u_sum, w / weight
     value = float((x @ matrix).min())
     if rows is None:
         _certify(matrix, value, y)
@@ -379,9 +411,9 @@ def _certify(
     against y (see check_maxmin), so the optimum is at most that bound, and
     a value that the bound exceeds by at most _CHECK_TOL is at most
     _CHECK_TOL below the optimum. Without rows the bound is max(matrix @ y),
-    minimax over the simplex.
+    minimax over the simplex. A NaN in y, the value or the bound fails.
     """
-    if y.min() < -_CHECK_TOL or abs(y.sum() - 1.0) > _CHECK_TOL:
+    if not (y.min() >= -_CHECK_TOL and abs(y.sum() - 1.0) <= _CHECK_TOL):
         raise LpSolveError("maxmin LP duals are not a column mixture")
     if rows is None:
         bound = float((matrix @ y).max())
@@ -389,7 +421,7 @@ def _certify(
         g, h = rows
         bound = float((matrix @ y - lam @ g).max()) + float(lam @ h)
     excess = bound - value
-    if excess > _CHECK_TOL:
+    if not excess <= _CHECK_TOL:
         raise LpSolveError(
             f"maxmin value not optimal: a row beats the column mixture by {excess:.3e}"
         )
@@ -427,30 +459,33 @@ def _solve_packing(matrix: np.ndarray, transposed: bool) -> tuple[float, np.ndar
     """solve_maxmin on the packing LP of matrix, or of -matrix^T when
     transposed; an unbounded LP raises LpSolveError in solve_lp."""
     # the row player of -M^T is the column player of M
-    lp = build_maxmin_lp(-matrix.T if transposed else matrix)
+    lp = _packing_lp(-matrix.T if transposed else matrix)
     solution = solve_lp(lp)
     m, n = lp.a_ub.shape
-    u_mix, w_mix, _ = _mixtures(solution, n)
+    u, u_sum, w, w_sum = _mixtures(solution, n)
     # the basic columns of P and the rows of P whose slack left the basis
     # index the square system of the optimal basis
     in_basis = np.zeros(n + m, dtype=bool)
     in_basis[solution.basis] = True
     columns, tight = in_basis[:n].nonzero()[0], (~in_basis[n:]).nonzero()[0]
+    # the row mixture's weights, and the certificate
     if transposed:
-        x, y, support, active = w_mix, u_mix, columns, tight
+        weights, total, y, support, active = w, w_sum, u / u_sum, columns, tight
     else:
-        x, y, support, active = u_mix, w_mix, tight, columns
-    x = _solve_on_support(matrix, x, support, active)
+        weights, total, y, support, active = u, u_sum, w / w_sum, tight, columns
+    x = _solve_on_support(matrix, support, active)
+    if x is None:
+        x = weights / total
     value = float((x @ matrix).min())
     _certify(matrix, value, y)
     return value, x
 
 
 def _solve_on_support(
-    matrix: np.ndarray, x: np.ndarray, support: np.ndarray, active: np.ndarray
-) -> np.ndarray:
+    matrix: np.ndarray, support: np.ndarray, active: np.ndarray
+) -> np.ndarray | None:
     """The row mixture that pays every active column the same, on the rows
-    of support, or x unchanged if that is not a mixture.
+    of support, or None if that is not a mixture.
 
     Solves x_S @ matrix[S, T] = v, sum(x_S) = 1 for (x_S, v) with
     |S| = |T|, the optimal basis's equations in the original payoffs.
@@ -464,8 +499,8 @@ def _solve_on_support(
     rhs[k] = 1.0
     solved = np.linalg.solve(system, rhs)[:k]
     if not (solved >= 0.0).all():
-        return x
-    exact = np.zeros(x.size)
+        return None
+    exact = np.zeros(matrix.shape[0])
     exact[support] = solved
     return exact
 

@@ -40,6 +40,7 @@ from .game import (
     uniform_profile,
 )
 from .lp import (
+    LpSolveError,
     build_maxmin_lp,
     check_maxmin,
     member_payoff_matrix,
@@ -693,9 +694,9 @@ def grid_oracle(
     * summed over the members, rounding each one loses at most radius / k.
 
     The step count k is rounded up to a multiple of lcm(team sizes) when
-    small, which puts the uniform profile on the grid. A grid too large to
-    materialize raises CapacityError before any search, as does a step
-    count too large for a float.
+    that at most doubles it, which puts the uniform profile on the grid. A
+    grid too large to materialize raises CapacityError before any search,
+    as does a step count too large for a float.
 
     timeout is the one stop rule: the sweep reads the clock between chunks
     of candidates, as support_enumeration does, and one it cuts short
@@ -709,8 +710,9 @@ def grid_oracle(
     radius = _grid_radius(game)
     k = _grid_steps(radius, target_error, "target_error", target_error)
     scale = math.lcm(*team_sizes)
-    if scale <= 512:
-        k = ((k + scale - 1) // scale) * scale
+    snapped = -(-k // scale) * scale
+    if snapped <= 2 * k:
+        k = snapped
     total = math.prod(_grid_counts(team_sizes, k))
     value, witness, covered = _grid_search(game, k, deadline)
     return OracleEstimate(
@@ -932,12 +934,16 @@ def global_optimize(
     team action and one column per row, solved in one simplex run from its
     slack basis. Its bound is the worth of the LP's joint mixture,
     certified by check_maxmin with the dual certificate (y, lam) that holds
-    every z satisfying the rows to it, so a node LP that is not solved to
-    optimality raises LpSolveError. The product of the joint mixture's
-    marginals (JointDistribution.marginal) is a team profile, evaluated as
-    a lower bound. A timeout of None sets no deadline. The ascent is
-    iterated_lp with 8 restarts from seed 0, given half the time left; the
-    report's traces are its traces, none when it did not run.
+    every z satisfying the rows to it. A node LP that raises LpSolveError
+    (no optimum reached, or a certificate that does not check) gives its
+    box the parent's bound, which holds it because the box lies inside
+    the parent's. The product of the joint mixture's marginals
+    (JointDistribution.marginal) is a team profile in the box, evaluated as
+    a lower bound unless the box's bound plus BOUND_SLACK is at most the
+    incumbent, which no point of the box can then beat. A timeout of None
+    sets no deadline. The ascent is iterated_lp with 8 restarts from seed
+    0, given half the time left; the report's traces are its traces, none
+    when it did not run.
     """
     _require_normalized(game, "global_optimize")
     _check_global(accuracy, max_nodes)
@@ -1005,17 +1011,25 @@ def global_optimize(
                 # the correlated relaxation cut down to the box by its
                 # marginal and McCormick rows
                 rows = _node_rows(incidence, child_lo, child_hi)
-                bound, probs = check_maxmin(
-                    matrix, solve_lp(build_maxmin_lp(matrix, rows)), rows
-                )
-                joint = JointDistribution(game.team_sizes, probs)
-                marginals = [joint.marginal(i) for i in range(members)]
-                probe = TeamProfile(
-                    tuple(MixedStrategy(p / p.sum()) for p in marginals)
-                )
-                probe_value = team_value(game, probe).value
-                if probe_value > lower:
-                    lower, witness = probe_value, probe
+                try:
+                    bound, probs = check_maxmin(
+                        matrix, solve_lp(build_maxmin_lp(matrix, rows)), rows
+                    )
+                except LpSolveError:
+                    # the child's box lies inside its parent's, so the
+                    # parent's bound holds it
+                    bound, probs = top, None
+                # the probe is a point of the box, worth at most the
+                # certified bound plus check_maxmin's 1e-8 tolerance
+                if probs is not None and bound + BOUND_SLACK > lower:
+                    joint = JointDistribution(game.team_sizes, probs)
+                    marginals = [joint.marginal(i) for i in range(members)]
+                    probe = TeamProfile(
+                        tuple(MixedStrategy(p / p.sum()) for p in marginals)
+                    )
+                    probe_value = team_value(game, probe).value
+                    if probe_value > lower:
+                        lower, witness = probe_value, probe
                 if bound > lower:
                     heapq.heappush(
                         heap,

@@ -302,6 +302,39 @@ def test_maxmin_rejects_a_value_its_duals_do_not_certify(duals, message):
         lp_module._certify(matrix, value, np.array(duals))
 
 
+@pytest.mark.parametrize("zeroed", ["w", "u"])
+def test_maxmin_weights_that_sum_to_zero_raise(zeroed):
+    # no optimal packing LP solution has them: the mixtures would be 0 / 0
+    matrix = np.array([[2.0, 1.0], [0.0, 0.0]])
+    solution = solve_lp(build_maxmin_lp(matrix))
+    w, u = solution.variable_values, solution.duals
+    if zeroed == "w":
+        w = np.zeros_like(w)
+    else:
+        u = np.zeros_like(u)
+    broken = LpSolution(w, solution.iterations, u, solution.basis)
+    with pytest.raises(LpSolveError, match="do not sum to a positive number"):
+        check_maxmin(matrix, broken)
+    with pytest.raises(LpSolveError, match="do not sum to a positive number"):
+        lp_module._mixtures(broken, matrix.shape[1])
+
+
+def test_certify_fails_a_nan():
+    # NaN > tol is False, so each test is written to fail on a NaN
+    matrix = np.array([[2.0, 1.0], [0.0, 0.0]])
+    y = np.array([0.0, 1.0])
+    lp_module._certify(matrix, 1.0, y)
+    with pytest.raises(LpSolveError, match="not a column mixture"):
+        lp_module._certify(matrix, 1.0, np.array([math.nan, 1.0]))
+    with pytest.raises(LpSolveError, match="a row beats"):
+        lp_module._certify(matrix, math.nan, y)
+    # a NaN multiplier makes the bound NaN
+    rows = (np.array([[1.0, 0.0]]), np.array([0.5]))
+    lp_module._certify(matrix, 1.0, y, rows, np.array([0.0]))
+    with pytest.raises(LpSolveError, match="a row beats"):
+        lp_module._certify(matrix, 1.0, y, rows, np.array([math.nan]))
+
+
 def test_maxmin_certifies_the_mixture_it_returns(monkeypatch):
     # the same suboptimal row mixture, planted after the simplex: the
     # value is its worth, 0, and the simplex's column mixture refutes it

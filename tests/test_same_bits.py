@@ -1,23 +1,28 @@
 """The branch-and-bound node helpers and the maxmin LP path, bit for bit
 against plain references.
 
-_node_rows, _tighten_box, the tableau solve_lp builds, build_maxmin_lp,
-check_maxmin and solve_maxmin make as few numpy calls as they can. The
-references below compute the same floating-point operations the plain way,
-one numpy call per step; every output must have the same bits on whatever
-numpy runs the tests, so that a solve's bounds, counts and witness do not
-depend on which of the two is run.
+_node_rows, _tighten_box, the simplex loop, the tableau solve_lp builds,
+build_maxmin_lp, check_maxmin, solve_maxmin and global_optimize's node loop
+make as few numpy calls as they can. The references below compute the same
+floating-point operations the plain way, one numpy call per step; every
+output must have the same bits on whatever numpy runs the tests, so that a
+solve's bounds, counts and witness do not depend on which of the two is
+run.
 """
 
 import itertools
+import math
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 import teammax.lp as lp_module
-from teammax.game import to_joint_game
+from teammax import solvers
+from teammax.game import team_value, to_joint_game
 from teammax.generators import make_instance
 from teammax.lp import (
     LinearProgram,
@@ -28,8 +33,13 @@ from teammax.lp import (
     solve_lp,
     solve_maxmin,
 )
-from teammax.solvers import _node_incidence, _node_rows, _tighten_box
-from test_lp import BADLY_SCALED_GAME, box_from_splits, per_member
+from teammax.solvers import (
+    _node_incidence,
+    _node_rows,
+    _tighten_box,
+    global_optimize,
+)
+from test_lp import BADLY_SCALED_GAME, BEALE_LP, box_from_splits, per_member
 
 # ---------------------------------------------------------------------------
 # references
@@ -72,6 +82,59 @@ def _reference_tighten_box(los, his):
             if lo.sum() > 1.0 + 1e-9 or hi.sum() < 1.0 - 1e-9:
                 return False
     return True
+
+
+def _reference_run_simplex(work, cols, basis, max_iter):
+    # the loop with the usual rank-one update: divide the leaving row in
+    # place, then subtract a copy of the entering column, its leaving entry
+    # zeroed, times that row
+    num_rows = work.shape[0] - 1
+    num_cols = work.shape[1] - 1 if cols is None else len(cols)
+    degenerate = 0
+    for pivots in range(max_iter):
+        cost = work[-1, :-1] if cols is None else cols @ work[-1]
+        if degenerate < lp_module._DEGENERATE_STREAK:
+            entering = int(cost.argmin())
+            if cost[entering] >= -lp_module.OPTIMALITY_TOL:
+                return pivots
+        else:
+            improving = (cost < -lp_module.OPTIMALITY_TOL).nonzero()[0]
+            if improving.size == 0:
+                return pivots
+            entering = int(improving[0])
+        column = work[:, entering] if cols is None else work @ cols[entering]
+        col = column[:num_rows].tolist()
+        rhs = work[:num_rows, -1].tolist()
+        best_ratio = np.inf
+        leaving = -1
+        tie = lp_module._RATIO_TIE_TOL
+        for i in range(num_rows):
+            if col[i] > lp_module.FEASIBILITY_TOL:
+                ratio = rhs[i] / col[i]
+                if ratio < best_ratio - tie or (
+                    ratio <= best_ratio + tie
+                    and (leaving < 0 or basis[i] < basis[leaving])
+                ):
+                    if ratio < best_ratio:
+                        best_ratio = ratio
+                    leaving = i
+        if leaving < 0:
+            raise LpSolveError(
+                f"linear program unbounded: column {entering} enters, no row leaves"
+            )
+        if rhs[leaving] / col[leaving] <= tie:
+            degenerate += 1
+        else:
+            degenerate = 0
+        work[leaving] /= column[leaving]
+        factors = column.copy()
+        factors[leaving] = 0.0
+        work -= factors[:, None] * work[leaving]
+        basis[leaving] = entering
+    raise LpSolveError(
+        f"simplex did not terminate within {max_iter} pivots "
+        f"({num_rows} rows, {num_cols} columns)"
+    )
 
 
 def _reference_solve_lp(lp, inverse=None):
@@ -294,6 +357,61 @@ def test_node_lp_and_its_check_match_their_references(shape, seed, splits):
 
 
 # ---------------------------------------------------------------------------
+# the simplex loop
+
+
+def _run_both(lp, inverse):
+    """(pivots or the error message, basis, work) of _run_simplex and of
+    the reference, each from its own copy of _tableau's work."""
+    m, n = lp.a_ub.shape
+    runs = []
+    for run in (lp_module._run_simplex, _reference_run_simplex):
+        work, cols = lp_module._tableau(lp, inverse)
+        basis = list(range(n, n + m))
+        try:
+            pivots = run(work, cols, basis, 1000 * (2 * m + n + 10))
+        except LpSolveError as error:
+            pivots = str(error)
+        runs.append((pivots, basis, work))
+    (pivots, basis, work), (want_pivots, want_basis, want_work) = runs
+    assert (pivots, basis) == (want_pivots, want_basis)
+    _assert_same_bits(work, want_work)
+    return pivots
+
+
+# small integers tie ratios, zeros in the rhs make degenerate pivots, and
+# negative zeros are data that _tableau turns positive
+_ENTRIES = st.sampled_from([-2.0, -1.0, -0.0, 0.0, 1.0, 2.0, 3.0])
+_RHS = st.sampled_from([-0.0, 0.0, 0.0, 1.0, 2.0])
+
+
+@settings(max_examples=300)
+@given(
+    st.integers(1, 6).flatmap(
+        lambda m: st.integers(1, 8).flatmap(
+            lambda n: st.tuples(
+                arrays(np.float64, n, elements=_ENTRIES),
+                arrays(np.float64, (m, n), elements=_ENTRIES),
+                arrays(np.float64, m, elements=_RHS),
+            )
+        )
+    ),
+    st.booleans(),
+    st.sampled_from([1, 2, lp_module._DEGENERATE_STREAK]),
+)
+def test_run_simplex_matches_the_usual_update(data, inverse, streak):
+    # a short degenerate streak sends small LPs into the Bland phase
+    with mock.patch.object(lp_module, "_DEGENERATE_STREAK", streak):
+        _run_both(LinearProgram(*data), inverse)
+
+
+@pytest.mark.parametrize("inverse", [False, True])
+def test_run_simplex_matches_the_usual_update_on_beales_lp(inverse):
+    # 54 pivots, the last of them under Bland's rule after 50 degenerate ones
+    assert _run_both(BEALE_LP, inverse) == 54
+
+
+# ---------------------------------------------------------------------------
 # the LP in both forms, and unboxed maxmin LPs
 
 
@@ -348,3 +466,50 @@ def test_solve_maxmin_on_small_integer_games_matches_its_reference(rows, cols, s
     want_value, want_x = _reference_solve_maxmin(matrix)
     assert value.hex() == want_value.hex()
     _assert_same_bits(x, want_x)
+
+
+# ---------------------------------------------------------------------------
+# global_optimize's node loop
+
+# the branch-bound workload's games, accuracy and node caps
+_BRANCH_BOUND_GAMES = [
+    ("random", 3, 4, 1, 3000),
+    ("random", 3, 4, 2, 3000),
+    ("random", 4, 3, 0, 3000),
+    ("random", 4, 3, 1, 3000),
+    ("poa", None, None, None, 3000),
+    ("diagonal", 3, 3, None, 1000),
+]
+
+
+def test_global_skips_only_probes_that_cannot_raise_the_lower_bound(monkeypatch):
+    # with BOUND_SLACK infinite every child with a certified bound is
+    # probed, as before the skip: the reports are the same, and the skip
+    # evaluates fewer profiles
+    calls = []
+
+    def counted(game, profile):
+        calls[-1] += 1
+        return team_value(game, profile)
+
+    monkeypatch.setattr(solvers, "team_value", counted)
+    slacks = (solvers.BOUND_SLACK, math.inf)
+    totals = np.zeros(2, dtype=int)
+    for family, n, m, seed, max_nodes in _BRANCH_BOUND_GAMES:
+        game, _ = make_instance(family, n=n, m=m, seed=seed)
+        reports = []
+        for slack in slacks:
+            monkeypatch.setattr(solvers, "BOUND_SLACK", slack)
+            calls.append(0)
+            reports.append(global_optimize(game, accuracy=1e-3, max_nodes=max_nodes))
+        got, want = reports
+        for field in ("lower_bound", "upper_bound", "correlated_bound"):
+            assert getattr(got, field).hex() == getattr(want, field).hex()
+        assert (got.iterations, got.converged) == (want.iterations, want.converged)
+        assert got.traces == want.traces
+        for mine, theirs in zip(got.witness, want.witness, strict=True):
+            _assert_same_bits(mine.probs, theirs.probs)
+        skipped, probed = calls[-2:]
+        assert skipped <= probed
+        totals += skipped, probed
+    assert totals[0] < totals[1]

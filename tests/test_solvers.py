@@ -15,6 +15,7 @@ import re
 import runpy
 import tracemalloc
 import types
+import warnings
 
 import numpy as np
 import pytest
@@ -59,6 +60,7 @@ from teammax.solvers import (
     support_enumeration,
 )
 from teammax.lp import (
+    LpSolveError,
     build_maxmin_lp,
     check_maxmin,
     member_payoff_matrix,
@@ -992,6 +994,18 @@ def test_grid_oracle_certifies_the_value_within_its_radius():
     assert grid_oracle(game, target_error=0.05).resolution == 32
 
 
+def test_grid_oracle_snaps_k_only_when_that_at_most_doubles_it():
+    # team sizes 5 and 7: the radius asks for k = 15, and rounding up to a
+    # multiple of lcm 35 would make a grid the memory guard refuses
+    game = _random_shaped((5, 7, 2), 0)
+    cut = grid_oracle(game, target_error=0.2, timeout=0.0)
+    assert cut.resolution == 15
+    # a snap that at most doubles k is kept: 30 -> 32 at lcm 4 above, and
+    # k = 1 -> 2 here
+    small = grid_oracle(_random_shaped((2, 2, 2), 0), target_error=1.0)
+    assert small.resolution == 2
+
+
 def test_grid_oracle_trivial_single_action_members():
     game, _ = coordination_game(3, 1)
     est = grid_oracle(game, target_error=0.5)
@@ -1428,6 +1442,72 @@ def test_global_keeps_the_bound_of_a_box_too_deep_to_split(monkeypatch):
     assert report.upper_bound == pytest.approx(0.2, abs=1e-12)
 
 
+def _failing_node_lps(monkeypatch):
+    """Wrap global_optimize's node LP calls; the list counts those that
+    raised LpSolveError."""
+    failures = []
+
+    def recorded(function):
+        def wrapper(*args):
+            try:
+                return function(*args)
+            except LpSolveError:
+                failures.append(function.__name__)
+                raise
+
+        return wrapper
+
+    for name in ("solve_lp", "check_maxmin"):
+        monkeypatch.setattr(solvers, name, recorded(getattr(solvers, name)))
+    return failures
+
+
+@pytest.mark.parametrize("n, m, max_nodes", [(4, 3, 300), (5, 2, 600)])
+def test_global_brackets_the_diagonal_value_past_failed_node_lps(
+    monkeypatch, n, m, max_nodes
+):
+    # node LPs of these games end at bases off their optimum (on n4 m3 a
+    # row beats the column mixture by 8.4e-4, on n5 m2 an inequality
+    # residual is 1.1e-6); each such child keeps its parent's bound, so
+    # global returns a bracket where it used to raise
+    failures = _failing_node_lps(monkeypatch)
+    game, facts = make_instance("diagonal", n=n, m=m)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        report = global_optimize(game, accuracy=1e-2, max_nodes=max_nodes)
+    assert failures
+    assert report.iterations == max_nodes
+    known = facts.known_team_maxmin
+    assert report.lower_bound - BOUND_SLACK <= known <= report.upper_bound
+    assert team_value(game, report.witness).value == report.lower_bound
+
+
+def test_a_child_whose_node_lp_raises_keeps_its_parents_bound(monkeypatch):
+    # the root's first child fails its certificate: it is pushed with the
+    # root's bound, v_C, and no probe. After one node the upper bound is
+    # v_C, where the two children's own bounds give 0.25; the search then
+    # goes on below the failed child and closes the bracket
+    game, facts = make_instance("diagonal", n=3, m=3)
+    assert global_optimize(game, accuracy=1e-3, max_nodes=1).upper_bound < 0.26
+    calls = []
+    check = solvers.check_maxmin
+
+    def first_child_fails(*args):
+        calls.append(None)
+        if len(calls) == 1:
+            raise LpSolveError("planted failure")
+        return check(*args)
+
+    monkeypatch.setattr(solvers, "check_maxmin", first_child_fails)
+    report = global_optimize(game, accuracy=1e-3, max_nodes=1)
+    assert report.upper_bound == report.correlated_bound
+    calls.clear()
+    report = global_optimize(game, accuracy=1e-3, max_nodes=1000)
+    assert report.converged
+    known = facts.known_team_maxmin
+    assert report.lower_bound - BOUND_SLACK <= known <= report.upper_bound
+
+
 def test_global_argument_validation():
     game, _ = diagonal_game(3, 2)
     with pytest.raises(ValueError):
@@ -1669,15 +1749,35 @@ def test_run_solver_rejects_unknown_parameter():
         run_solver("global", game, seed=1, restarts=3)
 
 
+# Each case names itself, so that deleting one renames no other; the names
+# are the ones pytest gave the cases by their position, kept as they were.
 @pytest.mark.parametrize(
     "name, params, key",
     [
-        ("iterated-lp", {"restarts": 2.7}, "restarts"),
-        ("iterated-lp", {"restarts": True}, "restarts"),
-        ("global", {"accuracy": "1e-3"}, "accuracy"),
-        ("support-enum", {"epsilon": False}, "epsilon"),
-        ("global", {"max_nodes": 10.0}, "max_nodes"),
-        ("oracle", {"target_error": None}, "target_error"),
+        pytest.param(
+            "iterated-lp", {"restarts": 2.7}, "restarts",
+            id="iterated-lp-params0-restarts",
+        ),
+        pytest.param(
+            "iterated-lp", {"restarts": True}, "restarts",
+            id="iterated-lp-params1-restarts",
+        ),
+        pytest.param(
+            "global", {"accuracy": "1e-3"}, "accuracy",
+            id="global-params2-accuracy",
+        ),
+        pytest.param(
+            "support-enum", {"epsilon": False}, "epsilon",
+            id="support-enum-params3-epsilon",
+        ),
+        pytest.param(
+            "global", {"max_nodes": 10.0}, "max_nodes",
+            id="global-params4-max_nodes",
+        ),
+        pytest.param(
+            "oracle", {"target_error": None}, "target_error",
+            id="oracle-params5-target_error",
+        ),
     ],
 )
 def test_solver_params_rejects_values_of_the_wrong_type(name, params, key):
@@ -1688,17 +1788,50 @@ def test_solver_params_rejects_values_of_the_wrong_type(name, params, key):
 @pytest.mark.parametrize(
     "name, params, message",
     [
-        ("support-enum", {"epsilon": 2.0}, "epsilon must be in (0, 1], got 2.0"),
-        ("support-enum", {"epsilon": 0.0}, "epsilon must be in (0, 1], got 0.0"),
-        ("iterated-lp", {"init": "uniformly"}, "init must be 'random' or 'uniform'"),
-        ("iterated-lp", {"restarts": 0}, "restarts must be at least 1, got 0"),
-        ("global", {"accuracy": math.nan}, "accuracy must be positive, got nan"),
-        ("global", {"accuracy": 0.0}, "accuracy must be positive, got 0.0"),
-        ("oracle", {"target_error": -1.0}, "target_error must be positive, got -1.0"),
-        ("iterated-lp", {"max_rounds": -3}, "max_rounds must be at least 1, got -3"),
-        ("iterated-lp", {"max_rounds": 0}, "max_rounds must be at least 1, got 0"),
-        ("global", {"max_nodes": -1}, "max_nodes must be nonnegative, got -1"),
-        ("oracle", {"target_error": math.nan}, "target_error must be positive, got nan"),
+        pytest.param(
+            "support-enum", {"epsilon": 2.0}, "epsilon must be in (0, 1], got 2.0",
+            id="support-enum-params0-epsilon must be in (0, 1], got 2.0",
+        ),
+        pytest.param(
+            "support-enum", {"epsilon": 0.0}, "epsilon must be in (0, 1], got 0.0",
+            id="support-enum-params1-epsilon must be in (0, 1], got 0.0",
+        ),
+        pytest.param(
+            "iterated-lp", {"init": "uniformly"}, "init must be 'random' or 'uniform'",
+            id="iterated-lp-params2-init must be 'random' or 'uniform'",
+        ),
+        pytest.param(
+            "iterated-lp", {"restarts": 0}, "restarts must be at least 1, got 0",
+            id="iterated-lp-params3-restarts must be at least 1, got 0",
+        ),
+        pytest.param(
+            "global", {"accuracy": math.nan}, "accuracy must be positive, got nan",
+            id="global-params4-accuracy must be positive, got nan",
+        ),
+        pytest.param(
+            "global", {"accuracy": 0.0}, "accuracy must be positive, got 0.0",
+            id="global-params5-accuracy must be positive, got 0.0",
+        ),
+        pytest.param(
+            "oracle", {"target_error": -1.0}, "target_error must be positive, got -1.0",
+            id="oracle-params6-target_error must be positive, got -1.0",
+        ),
+        pytest.param(
+            "iterated-lp", {"max_rounds": -3}, "max_rounds must be at least 1, got -3",
+            id="iterated-lp-params7-max_rounds must be at least 1, got -3",
+        ),
+        pytest.param(
+            "iterated-lp", {"max_rounds": 0}, "max_rounds must be at least 1, got 0",
+            id="iterated-lp-params8-max_rounds must be at least 1, got 0",
+        ),
+        pytest.param(
+            "global", {"max_nodes": -1}, "max_nodes must be nonnegative, got -1",
+            id="global-params9-max_nodes must be nonnegative, got -1",
+        ),
+        pytest.param(
+            "oracle", {"target_error": math.nan}, "target_error must be positive, got nan",
+            id="oracle-params10-target_error must be positive, got nan",
+        ),
     ],
 )
 def test_solver_params_checks_ranges_and_choices(name, params, message):
