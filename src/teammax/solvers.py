@@ -40,6 +40,7 @@ from .game import (
     uniform_profile,
 )
 from .lp import (
+    CertificateError,
     LpSolveError,
     build_maxmin_lp,
     check_maxmin,
@@ -934,13 +935,17 @@ def global_optimize(
     team action and one column per row, solved in one simplex run from its
     slack basis. Its bound is the worth of the LP's joint mixture,
     certified by check_maxmin with the dual certificate (y, lam) that holds
-    every z satisfying the rows to it. A node LP that raises LpSolveError
-    (no optimum reached, or a certificate that does not check) gives its
-    box the parent's bound, which holds it because the box lies inside
-    the parent's. The product of the joint mixture's marginals
-    (JointDistribution.marginal) is a team profile in the box, evaluated as
-    a lower bound unless the box's bound plus BOUND_SLACK is at most the
-    incumbent, which no point of the box can then beat. A timeout of None
+    every z satisfying the rows to it. A node LP whose certificate is a
+    column mixture with a finite bound that does not certify the LP's value
+    (CertificateError) gives its box the smaller of that bound and the
+    parent's. Any other LpSolveError (no optimum reached, weights that do
+    not sum to a positive number, a certificate that is no mixture or has
+    no finite bound) gives the box the parent's bound, which holds it
+    because the box lies inside the parent's. The product of the joint
+    mixture's marginals (JointDistribution.marginal) is a team profile in
+    the box, evaluated as a lower bound unless the box's bound plus
+    BOUND_SLACK is at most the incumbent, which no point of the box can
+    then beat. A timeout of None
     sets no deadline. The ascent is iterated_lp with 8 restarts from seed
     0, given half the time left; the report's traces are its traces, none
     when it did not run.
@@ -1015,6 +1020,10 @@ def global_optimize(
                     bound, probs = check_maxmin(
                         matrix, solve_lp(build_maxmin_lp(matrix, rows)), rows
                     )
+                except CertificateError as error:
+                    # a dual certificate that fails to certify the LP's
+                    # value still bounds the box, by weak duality
+                    bound, probs = min(top, error.bound), None
                 except LpSolveError:
                     # the child's box lies inside its parent's, so the
                     # parent's bound holds it

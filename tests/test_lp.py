@@ -19,6 +19,7 @@ import teammax.solvers as solvers_module
 from teammax.game import MixedStrategy, TeamGame, TeamProfile, to_joint_game
 from teammax.generators import make_instance
 from teammax.lp import (
+    CertificateError,
     LinearProgram,
     LpSolution,
     LpSolveError,
@@ -79,12 +80,13 @@ BEALE_LP = _lp(
 
 
 def test_beale_cycling_example_terminates():
-    # the fallback to Bland's rule after a run of degenerate pivots ends
-    # the cycle
+    # on the tableau the fallback to Bland's rule after a run of degenerate
+    # pivots ends Dantzig's cycle; steepest edge on the basis inverse does
+    # not enter it
     lp = BEALE_LP
-    for inverse in (False, True):
+    for inverse, pivots in ((False, 54), (True, 5)):
         solution = lp_module._solve_lp(lp, inverse)
-        assert solution.iterations == 54
+        assert solution.iterations == pivots
         assert lp.objective @ solution.variable_values == pytest.approx(
             0.05, abs=1e-12
         )
@@ -132,11 +134,12 @@ def _recorded_lps(monkeypatch, solve):
     return lps
 
 
-def _assert_same_pivots(lp):
+def _assert_same_optimum(lp):
+    # the forms price differently, so they take different pivots to the
+    # same optimal basis, whose rows may hold its columns in another order
     tableau = lp_module._solve_lp(lp, inverse=False)
     inverse = lp_module._solve_lp(lp, inverse=True)
-    assert tableau.iterations == inverse.iterations
-    assert tableau.basis == inverse.basis
+    assert sorted(tableau.basis) == sorted(inverse.basis)
     for field in ("variable_values", "duals"):
         a, b = getattr(tableau, field), getattr(inverse, field)
         assert np.allclose(a, b, rtol=0.0, atol=1e-12), field
@@ -156,7 +159,7 @@ _CORRELATED_LADDER = [
 def test_correlated_lp_pivots_alike_in_both_forms(monkeypatch, family, n, m, seed):
     game, _ = make_instance(family, n=n, m=m, seed=seed)
     (lp,) = _recorded_lps(monkeypatch, lambda: solve_maxmin(to_joint_game(game)))
-    _assert_same_pivots(lp)
+    _assert_same_optimum(lp)
 
 
 def test_best_response_lp_pivots_alike_in_both_forms(monkeypatch):
@@ -167,7 +170,19 @@ def test_best_response_lp_pivots_alike_in_both_forms(monkeypatch):
     matrix = member_payoff_matrix(game, profile, 0)
     (lp,) = _recorded_lps(monkeypatch, lambda: solve_maxmin(matrix))
     assert lp.a_ub.shape == (20, 20)
-    _assert_same_pivots(lp)
+    _assert_same_optimum(lp)
+
+
+def test_the_inverse_form_prices_by_steepest_edge(monkeypatch):
+    # Dantzig's rule on the tableau, steepest edge among its leading
+    # candidates on the basis inverse: the pivots of the correlated LP of
+    # random n3 m40 s0, so that a return to Dantzig's rule shows
+    game, _ = make_instance("random", n=3, m=40, seed=0)
+    (lp,) = _recorded_lps(monkeypatch, lambda: solve_maxmin(to_joint_game(game)))
+    assert lp.a_ub.shape == (40, 1600)
+    assert lp_module._solve_lp(lp, inverse=False).iterations == 173
+    assert lp_module._solve_lp(lp, inverse=True).iterations == 81
+    assert solve_lp(lp).iterations == 81
 
 
 @st.composite
@@ -642,6 +657,28 @@ def test_box_certificate_by_hand():
     low = LpSolution(w, 1, np.array([0.4, 0.6]), [1, 2])
     with pytest.raises(LpSolveError, match="a row beats"):
         check_maxmin(matrix, low, rows)
+
+
+def test_a_certificate_that_does_not_check_carries_its_finite_bound():
+    # the node of test_box_certificate_by_hand, whose optimum is 0.5
+    matrix = np.array([[2.0, 1.0], [0.0, 0.0]])
+    rows = box_rows([0.0, 0.0], [0.5, 1.0])
+    w = np.array([0.0, 0.8, 0.4])
+    # the row mixture (0.4, 0.6) is worth 0.4; (y, lam) = ((0, 1), 1)
+    # still bounds the node at 0.5
+    low = LpSolution(w, 1, np.array([0.4, 0.6]), [1, 2])
+    with pytest.raises(CertificateError, match="a row beats") as error:
+        check_maxmin(matrix, low, rows)
+    assert error.value.bound == 0.5
+    # a NaN value fails, and the bound still holds
+    with pytest.raises(CertificateError) as error:
+        lp_module._certify(matrix, math.nan, np.array([0.0, 1.0]))
+    assert error.value.bound == 1.0
+    # no mixture, or a bound that is not finite, bounds nothing
+    for y, lam in (([0.5, 0.0], [1.0]), ([0.0, 1.0], [math.nan])):
+        with pytest.raises(LpSolveError) as error:
+            lp_module._certify(matrix, 0.4, np.array(y), rows, np.array(lam))
+        assert not isinstance(error.value, CertificateError)
 
 
 def _tampered(solution, values):

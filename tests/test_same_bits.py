@@ -84,6 +84,27 @@ def _reference_tighten_box(los, his):
     return True
 
 
+def _reference_steepest_edge(work, cols, cost):
+    # Dantzig's leading candidates, the most negative first and ties to
+    # the lowest index, then the one of steepest edge, ties to the lowest
+    # index, each by a plain loop over the columns
+    tol = lp_module.OPTIMALITY_TOL
+    cut = lp_module._CANDIDATE_FRACTION * min(cost)
+    leading = [j for j, c in enumerate(cost) if c <= cut and c < -tol]
+    ranked = sorted(leading, key=lambda j: cost[j])
+    candidates = sorted(ranked[: lp_module._CANDIDATES])
+    columns = work @ cols[candidates].T
+    best, best_score = -1, -np.inf
+    for k, j in enumerate(candidates):
+        edge = 0.0
+        for entry in columns[:-1, k]:
+            edge += entry * entry
+        score = cost[j] ** 2 / (1.0 + edge)
+        if score > best_score:
+            best, best_score = k, score
+    return candidates[best], columns[:, best]
+
+
 def _reference_run_simplex(work, cols, basis, max_iter):
     # the loop with the usual rank-one update: divide the leaving row in
     # place, then subtract a copy of the entering column, its leaving entry
@@ -93,7 +114,8 @@ def _reference_run_simplex(work, cols, basis, max_iter):
     degenerate = 0
     for pivots in range(max_iter):
         cost = work[-1, :-1] if cols is None else cols @ work[-1]
-        if degenerate < lp_module._DEGENERATE_STREAK:
+        bland = degenerate >= lp_module._DEGENERATE_STREAK
+        if not bland:
             entering = int(cost.argmin())
             if cost[entering] >= -lp_module.OPTIMALITY_TOL:
                 return pivots
@@ -102,7 +124,12 @@ def _reference_run_simplex(work, cols, basis, max_iter):
             if improving.size == 0:
                 return pivots
             entering = int(improving[0])
-        column = work[:, entering] if cols is None else work @ cols[entering]
+        if cols is None:
+            column = work[:, entering]
+        elif bland:
+            column = work @ cols[entering]
+        else:
+            entering, column = _reference_steepest_edge(work, cols, cost)
         col = column[:num_rows].tolist()
         rhs = work[:num_rows, -1].tolist()
         best_ratio = np.inf
@@ -398,17 +425,22 @@ _RHS = st.sampled_from([-0.0, 0.0, 0.0, 1.0, 2.0])
     ),
     st.booleans(),
     st.sampled_from([1, 2, lp_module._DEGENERATE_STREAK]),
+    st.sampled_from([1, 2, lp_module._CANDIDATES]),
 )
-def test_run_simplex_matches_the_usual_update(data, inverse, streak):
-    # a short degenerate streak sends small LPs into the Bland phase
-    with mock.patch.object(lp_module, "_DEGENERATE_STREAK", streak):
+def test_run_simplex_matches_the_usual_update(data, inverse, streak, candidates):
+    # a short degenerate streak sends small LPs into the Bland phase, and a
+    # short candidate list cuts Dantzig's leading columns
+    with mock.patch.multiple(
+        lp_module, _DEGENERATE_STREAK=streak, _CANDIDATES=candidates
+    ):
         _run_both(LinearProgram(*data), inverse)
 
 
 @pytest.mark.parametrize("inverse", [False, True])
 def test_run_simplex_matches_the_usual_update_on_beales_lp(inverse):
-    # 54 pivots, the last of them under Bland's rule after 50 degenerate ones
-    assert _run_both(BEALE_LP, inverse) == 54
+    # on the tableau 54 pivots, the last of them under Bland's rule after
+    # 50 degenerate ones; steepest edge on the basis inverse takes 5
+    assert _run_both(BEALE_LP, inverse) == (5 if inverse else 54)
 
 
 # ---------------------------------------------------------------------------

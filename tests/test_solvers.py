@@ -60,6 +60,7 @@ from teammax.solvers import (
     support_enumeration,
 )
 from teammax.lp import (
+    CertificateError,
     LpSolveError,
     build_maxmin_lp,
     check_maxmin,
@@ -1114,7 +1115,9 @@ _METAMORPHIC_SOLVERS = {
     "reconstruct": {},
     "iterated-lp": {"restarts": 4},
     "support-enum": {"epsilon": 0.6},
-    "global": {"accuracy": 1e-3, "max_nodes": 300},
+    # no drawn example needs more than 82 nodes; the cap binds on the
+    # pinned diagonal n4 m3 example alone
+    "global": {"accuracy": 1e-3, "max_nodes": 250},
     "oracle": {"target_error": 0.1},
 }
 
@@ -1183,6 +1186,9 @@ def _rescale(game, seed):
 # members of 3 and 2 actions: node boxes that slice every member by the
 # first member's action count break this bracket
 @example((_random_shaped((3, 2, 4), 2), None), _reverse_team, 0)
+# diagonal n4 m3: global's 27 x 129 node LPs run on the basis inverse, and
+# past about 200 nodes some fail their certificate or raise
+@example(_normalized_family(*diagonal_game(4, 3)), _permute_actions, 0)
 def test_solvers_agree_on_a_game_and_its_relabelled_or_rescaled_copy(
     case, transform, seed
 ):
@@ -1501,6 +1507,46 @@ def test_a_child_whose_node_lp_raises_keeps_its_parents_bound(monkeypatch):
     monkeypatch.setattr(solvers, "check_maxmin", first_child_fails)
     report = global_optimize(game, accuracy=1e-3, max_nodes=1)
     assert report.upper_bound == report.correlated_bound
+    calls.clear()
+    report = global_optimize(game, accuracy=1e-3, max_nodes=1000)
+    assert report.converged
+    known = facts.known_team_maxmin
+    assert report.lower_bound - BOUND_SLACK <= known <= report.upper_bound
+
+
+@pytest.mark.parametrize(
+    "planted, upper",
+    [
+        # below v_C, the parent's bound, and above the other child's 0.2
+        (0.3, 0.3),
+        # above the parent's bound, which then holds the child
+        (0.5, 1.0 / 3.0),
+        # below the incumbent 1/9: the child is not pushed
+        (0.05, 0.19999999999999998),
+    ],
+)
+def test_a_child_whose_certificate_fails_keeps_the_smaller_bound(
+    monkeypatch, planted, upper
+):
+    # the root's first child fails its certificate, whose finite bound
+    # still holds the box by weak duality: the child is pushed with the
+    # smaller of that bound and the root's, v_C, and gets no probe. After
+    # one node the upper bound is the larger child's; the search then goes
+    # on and closes the bracket
+    game, facts = make_instance("diagonal", n=3, m=3)
+    calls = []
+    check = solvers.check_maxmin
+
+    def first_child_fails(*args):
+        calls.append(None)
+        if len(calls) == 1:
+            raise CertificateError("planted failure", planted)
+        return check(*args)
+
+    monkeypatch.setattr(solvers, "check_maxmin", first_child_fails)
+    report = global_optimize(game, accuracy=1e-3, max_nodes=1)
+    assert report.correlated_bound == 1.0 / 3.0
+    assert report.upper_bound == upper
     calls.clear()
     report = global_optimize(game, accuracy=1e-3, max_nodes=1000)
     assert report.converged
