@@ -9,6 +9,10 @@ estimate. The diagonal family realizes the worst possible premium m^(n-2),
 and the two-peak instance shows a correlated/independent gap alongside
 equilibria that are worthless to the team.
 
+Past three players it runs `global` on the diagonal family and prints the
+certified premium bracket [v_C / upper, v_C / lower] next to m^(n-2). It
+exits 1 if a bracket misses m^(n-2) by more than a relative 1e-9.
+
 Example:
     python3 scripts/worst_case_report.py --max-m 4
 """
@@ -25,7 +29,7 @@ from teammax.generators import (
     pou_one_game,
 )
 from teammax.metrics import compute_pou
-from teammax.solvers import grid_oracle
+from teammax.solvers import global_optimize, grid_oracle
 
 
 def describe(name, game, facts, oracle_target):
@@ -60,6 +64,25 @@ def describe(name, game, facts, oracle_target):
     print()
 
 
+def premium_bracket(n, m, accuracy):
+    """Print global's certified bracket on the premium of diagonal n, m next
+    to the worst case m^(n-2); True when the bracket holds it."""
+    game, facts = diagonal_game(n, m)
+    report = global_optimize(game, accuracy=accuracy)
+    v_c = report.correlated_bound
+    low, high = v_c / report.upper_bound, v_c / report.lower_bound
+    worst = facts.known_pou
+    print(f"== diagonal family n={n} m={m}, global at accuracy {accuracy:g}")
+    print(
+        f"   team-maxmin bracket [{report.lower_bound:.6f}, "
+        f"{report.upper_bound:.6f}], {report.iterations} nodes, "
+        f"converged {str(report.converged).lower()}"
+    )
+    print(f"   premium bracket    [{low:.6f}, {high:.6f}], m^(n-2) = {worst:g}")
+    print()
+    return low <= worst * (1 + 1e-9) and worst * (1 - 1e-9) <= high
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument(
@@ -91,6 +114,15 @@ def main(argv=None) -> int:
         # quadratic grids get expensive: loosen the target as m grows
         target = args.oracle_target if m == 2 else max(args.oracle_target, 0.05)
         describe(f"diagonal family n=3 m={m}", game, facts, target)
+
+    missed = [
+        (n, m)
+        for n, m in ((4, 2), (4, 3), (5, 2), (6, 2))
+        if not premium_bracket(n, m, accuracy=1e-2)
+    ]
+    if missed:
+        print(f"premium bracket misses m^(n-2) on diagonal (n, m) {missed}")
+        return 1
     return 0
 
 

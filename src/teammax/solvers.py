@@ -729,146 +729,63 @@ def grid_oracle(
 # global anytime bounds
 
 
-# (p_ab, x_a, x_b) of the five kinds of entry of a row of _node_rows, one
-# kind per row of these columns. An envelope's entry at a joint action that
-# has member i play a (x_a = 1) or not and member j play b (x_b = 1) or not
-# is of kind 2 x_a + x_b, with p_ab = x_a x_b; a marginal row's entry is of
-# kind 4, (1, 0, 0), where its member plays its action and of kind 0
-# elsewhere
-_PAIR = np.array([[0.0], [0.0], [0.0], [1.0], [1.0]])
-_X_A = np.array([[0.0], [0.0], [1.0], [1.0], [0.0]])
-_X_B = np.array([[0.0], [1.0], [0.0], [1.0], [0.0]])
-_ONE = np.ones(1)
-
-
-@dataclass(frozen=True, eq=False)
-class _Incidence:
-    """What a branch-and-bound node takes from the team's action counts,
-    whatever its box. A box is two vectors, lo and hi, of every member's
-    action intervals, member 0's first; members holds each member's slice
-    of them. For _node_rows, every candidate row, in _node_rows's order,
-    has
-
-    * ends: the indices of its endpoints alpha and beta, shape (2, rows),
-      into the vector of lo, hi and a 1;
-    * signs: the sign of G's row;
-    * heights: the sign of alpha beta in h;
-    * equal_drops: the row is left out when alpha and beta are 0 or 1 and
-      (alpha == beta) equals this;
-    * entries: for every joint action, the index of the entry's value in
-      the flattened (5, rows) table of _node_rows, kind * rows + row.
-    """
-
-    members: tuple[slice, ...]
-    ends: np.ndarray
-    signs: np.ndarray
-    heights: np.ndarray
-    equal_drops: np.ndarray
-    entries: np.ndarray
-
-
-def _node_incidence(team_sizes: tuple[int, ...]) -> _Incidence:
-    """The _Incidence of a team with these action counts."""
-    members = len(team_sizes)
-    actions = np.indices(team_sizes).reshape(members, -1)
-    total = sum(team_sizes)
-    starts = [sum(team_sizes[:i]) for i in range(members)]
-    alphas, betas, signs, heights, drops, codes = [], [], [], [], [], []
-    # member i's marginal rows -x_a <= -l_a, then x_a <= u_a, each with
-    # beta = 1: left out when l_a is 0 or u_a is 1
-    for i, m in enumerate(team_sizes):
-        plays = np.arange(m)[:, None] == actions[i]
-        for sign, offset in ((-1.0, 0), (1.0, total)):
-            alphas += range(offset + starts[i], offset + starts[i] + m)
-            betas += [2 * total] * m
-            signs += [sign] * m
-            heights += [sign] * m
-            drops += [sign > 0.0] * m
-            codes.append(4 * plays)
-    # the four envelopes of every pair, through (alpha, beta) =
-    # (l_a, l_b), (u_a, u_b), (u_a, l_b), (l_a, u_b), each over (a, b) in
-    # C order
-    for i, j in itertools.combinations(range(members), 2):
-        pairs = list(itertools.product(range(team_sizes[i]), range(team_sizes[j])))
-        plays_a = np.arange(team_sizes[i])[:, None, None] == actions[i]
-        plays_b = np.arange(team_sizes[j])[:, None] == actions[j]
-        code = (2 * plays_a + plays_b).reshape(len(pairs), -1)
-        for sign, high_a, high_b in (
-            (-1.0, False, False),
-            (-1.0, True, True),
-            (1.0, True, False),
-            (1.0, False, True),
-        ):
-            alphas += [total * high_a + starts[i] + a for a, _ in pairs]
-            betas += [total * high_b + starts[j] + b for _, b in pairs]
-            signs += [sign] * len(pairs)
-            heights += [-sign] * len(pairs)
-            drops += [sign < 0.0] * len(pairs)
-            codes.append(code)
-    codes = np.concatenate(codes)
-    return _Incidence(
-        members=tuple(slice(a, a + m) for a, m in zip(starts, team_sizes)),
-        ends=np.array([alphas, betas]),
-        signs=np.array(signs),
-        heights=np.array(heights),
-        equal_drops=np.array(drops),
-        entries=codes * len(codes) + np.arange(len(codes))[:, None],
-    )
+def _node_factors(team_sizes: tuple[int, ...]) -> list[tuple]:
+    """What a node's rows take from the team's action counts, built once per
+    run. For each member: its slice of a box vector lo or hi (every
+    member's action intervals, member 0's first), its block [1^T; I; -I],
+    and the rows of the product of the members before it and of its block
+    that make each candidate row up to it, in C order. The candidates are
+    the products of every degree if their prod(1 + 2 m_i) - 1 rows times
+    prod(m_i) joint actions are at most _MAX_MATERIALIZED, else those of
+    degree 1 and 2."""
+    sizes = [1 + 2 * m for m in team_sizes]
+    entries = (math.prod(sizes) - 1) * math.prod(team_sizes)
+    most = len(team_sizes) if entries <= _MAX_MATERIALIZED else 2
+    start, degrees, factors = 0, np.zeros(1, dtype=int), []
+    for m, size in zip(team_sizes, sizes):
+        above, here = np.divmod(np.arange(degrees.size * size), size)
+        degrees = degrees[above] + (here > 0)
+        keep = degrees <= most
+        degrees = degrees[keep]
+        block = np.concatenate((np.ones((1, m)), np.eye(m), -np.eye(m)))
+        factors.append((slice(start, start + m), block, above[keep], here[keep]))
+        start += m
+    return factors
 
 
 def _node_rows(
-    incidence: _Incidence, lo: np.ndarray, hi: np.ndarray
+    factors: list[tuple], lo: np.ndarray, hi: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """Rows (G, h) of a branch-and-bound node's relaxation: G z <= h holds
-    for the joint distribution z of every team profile whose member i plays
-    each action a with probability in [lo[k], hi[k]], k = a + the start of
-    incidence.members[i]. z is indexed by joint team action in C order, as
-    the rows of to_joint_game. incidence is _node_incidence(team_sizes),
-    built once per run: what the rows take from the team's action counts
-    alone.
+    for the joint distribution z, indexed by joint team action in C order
+    as the rows of to_joint_game, of every team profile inside the box lo,
+    hi. factors is _node_factors(team_sizes).
 
-    With x_a the marginal of member i's action a, x_b that of member j's
-    action b, p_ab = x_a x_b their pair marginal and [l_a, u_a], [l_b, u_b]
-    their intervals, the rows are, in this order:
-
-    * the marginal rows l_a <= x_a <= u_a, for every member and action;
-    * for every pair of members i < j, the McCormick envelopes of p_ab
-      (McCormick, Math. Prog. 1976; Al-Khayyal & Falk, Math. Oper. Res.
-      1983), each over every pair of actions (a, b):
-      p_ab >= l_a x_b + x_a l_b - l_a l_b,
-      p_ab >= u_a x_b + x_a u_b - u_a u_b,
-      p_ab <= u_a x_b + x_a l_b - u_a l_b,
-      p_ab <= l_a x_b + x_a u_b - l_a u_b.
-
-    Rows that z >= 0 and sum(z) = 1 already imply are left out: a marginal
-    row on a low of 0 or a high of 1, and an envelope whose endpoints, 0 or
-    1, make it a Frechet bound (p_ab >= 0, p_ab >= x_a + x_b - 1,
-    p_ab <= x_a or p_ab <= x_b).
-
-    How they are computed: the envelope through endpoints (alpha, beta) of
-    (a, b) is the row sign (p_ab - alpha x_b - beta x_a) <= -sign alpha beta,
-    with sign -1 for the two lower envelopes and +1 for the two upper ones,
-    and it is a Frechet bound when alpha and beta are 0 or 1, equal for a
-    lower envelope and different for an upper one. A marginal row,
-    sign x_a <= sign alpha with sign -1 for a low and +1 for a high, is the
-    same row with x_a in the place of p_ab, 0 in those of x_a and x_b,
-    beta = 1 and sign alpha beta on the right; it is implied when alpha is
-    0 for a low or 1 for a high. An entry of a row thus takes one of five
-    values, by its kind (_PAIR, _X_A, _X_B): the five are computed for
-    every candidate row at once, and the kept rows' entries gathered by
-    incidence.entries. Each entry is the floating-point expression it would
-    be if written entry by entry, so it has the same bits.
+    Every row is a product of bound factors, at most one per member (the
+    Reformulation-Linearization Technique: Sherali & Adams, SIAM J.
+    Discrete Math. 1990; the team's payoff is multilinear). Member i's
+    block B_i = [1^T; I - l 1^T; u 1^T - I] holds, per action a, the member
+    absent (1), the factor d_a - l_a or the factor u_a - d_a, d_a = 1 where
+    i plays a. The rows are G = -(B_0 kron ... kron B_{k-1}) without its
+    first row (every member absent), each entry its factors multiplied in
+    member order, and h = 0. They hold because a product of factors that
+    are nonnegative on the box is nonnegative at every point of it, so its
+    expectation under a profile in the box is too; and the rows of full
+    degree force z to be the product of its marginals at a point box, so
+    the bound closes on the value there. Degree 1 is the marginal rows and
+    degree 2 the McCormick envelopes of every pair marginal. A row without
+    a positive entry in G is implied by z >= 0 and left out: for two
+    members, a marginal row on a low of 0 or a high of 1, and an envelope
+    that is a Frechet bound.
     """
-    ends = np.concatenate((lo, hi, _ONE))
-    alpha, beta = ends[incidence.ends]
-    values = incidence.signs * ((_PAIR - alpha * _X_B) - beta * _X_A)
-    h = (incidence.heights * alpha) * beta
-    on_edge = ((ends == 0.0) | (ends == 1.0))[incidence.ends]
-    drop = (alpha == beta) == incidence.equal_drops
-    drop &= on_edge[0]
-    drop &= on_edge[1]
-    keep = ~drop
-    return values.take(incidence.entries[keep]), h[keep]
+    product = np.ones((1, 1))
+    for k, block, above, here in factors:
+        block = block + np.concatenate(([0.0], -lo[k], hi[k]))[:, None]
+        product = product[above][:, :, None] * block[here][:, None, :]
+        product = product.reshape(above.size, -1)
+    product = product[1:]
+    g = -product[(product < 0.0).any(axis=1)]
+    return g, np.zeros(len(g))
 
 
 def _tighten_box(
@@ -929,23 +846,23 @@ def global_optimize(
     bound stays in the upper bound. Bounds are valid whenever it stops;
     converged means the bracket width reached `accuracy`. Each node LP is
     build_maxmin_lp with the node's rows (_node_rows): the correlated
-    relaxation over joint team strategies z, cut down by marginal rows that
-    keep every member's marginals in its box and by the McCormick envelopes
-    of every pair marginal. It is the packing LP with one row per joint
-    team action and one column per row, solved in one simplex run from its
-    slack basis. Its bound is the worth of the LP's joint mixture,
-    certified by check_maxmin with the dual certificate (y, lam) that holds
-    every z satisfying the rows to it. A node LP whose certificate is a
-    column mixture with a finite bound that does not certify the LP's value
-    (CertificateError) gives its box the smaller of that bound and the
-    parent's. Any other LpSolveError (no optimum reached, weights that do
-    not sum to a positive number, a certificate that is no mixture or has
-    no finite bound) gives the box the parent's bound, which holds it
-    because the box lies inside the parent's. The product of the joint
-    mixture's marginals (JointDistribution.marginal) is a team profile in
-    the box, evaluated as a lower bound unless the box's bound plus
-    BOUND_SLACK is at most the incumbent, which no point of the box can
-    then beat. A timeout of None
+    relaxation over joint team strategies z, cut down by every product of
+    per-member bound factors that is nonnegative on the box and not implied
+    by z >= 0. That is every degree up to the team's size when the
+    candidate rows times the joint actions fit in _MAX_MATERIALIZED
+    entries, and degrees 1 and 2 (marginal rows and pair envelopes)
+    otherwise. It is the packing LP with one row per joint team action and
+    one column per row, solved in one simplex run from its slack basis. Its
+    bound is the worth of the LP's joint mixture, certified by check_maxmin
+    with the dual certificate (y, lam) that holds every z satisfying the
+    rows to it. A node LP whose certificate is a finite bound that does not
+    certify the LP's value (CertificateError) gives its box the smaller of
+    that bound and the parent's; any other LpSolveError gives it the
+    parent's bound, which holds it because the box lies inside the
+    parent's. The product of the joint mixture's marginals
+    (JointDistribution.marginal) is a team profile in the box, evaluated as
+    a lower bound unless the box's bound plus BOUND_SLACK is at most the
+    incumbent, which no point of the box can then beat. A timeout of None
     sets no deadline. The ascent is iterated_lp with 8 restarts from seed
     0, given half the time left; the report's traces are its traces, none
     when it did not run.
@@ -978,7 +895,8 @@ def global_optimize(
     if not done():
         matrix = to_joint_game(game)
         members = game.num_team_members
-        incidence = _node_incidence(game.team_sizes)
+        factors = _node_factors(game.team_sizes)
+        slices = tuple(k for k, *_ in factors)
         entries = sum(game.team_sizes)
         counter = itertools.count()
         heap = [(-upper, next(counter), 0, np.zeros(entries), np.ones(entries))]
@@ -1011,11 +929,11 @@ def global_optimize(
                     child_hi[widest] = mid
                 else:
                     child_lo[widest] = mid
-                if not _tighten_box(child_lo, child_hi, incidence.members):
+                if not _tighten_box(child_lo, child_hi, slices):
                     continue
                 # the correlated relaxation cut down to the box by its
-                # marginal and McCormick rows
-                rows = _node_rows(incidence, child_lo, child_hi)
+                # products of bound factors
+                rows = _node_rows(factors, child_lo, child_hi)
                 try:
                     bound, probs = check_maxmin(
                         matrix, solve_lp(build_maxmin_lp(matrix, rows)), rows

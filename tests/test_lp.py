@@ -30,7 +30,7 @@ from teammax.lp import (
     solve_maxmin,
 )
 from teammax.rng import SplitMix64
-from teammax.solvers import _node_incidence, _node_rows, _tighten_box
+from teammax.solvers import _node_factors, _node_rows, _tighten_box
 
 
 def _lp(objective, a_ub=None, b_ub=None):
@@ -230,11 +230,11 @@ def test_shape_rule(m, n, inverse):
 
 def test_same_lp_twice_is_bitwise_identical_and_few_pivots():
     # a branch-and-bound node LP of the n3 m20 correlated game: 400 rows,
-    # 20 payoff columns and one column per marginal or envelope row
+    # 20 payoff columns and one column per product row
     game, _ = make_instance("random", n=3, m=20, seed=0)
     splits = [(0, 3, True), (1, 5, False), (0, 7, False), (1, 2, True)]
     box = box_from_splits(game.team_sizes, splits)
-    rows = _node_rows(_node_incidence(game.team_sizes), *box)
+    rows = _node_rows(_node_factors(game.team_sizes), *box)
     lp = build_maxmin_lp(to_joint_game(game), rows)
     assert lp.a_ub.shape == (400, 20 + rows[1].size)
     first, second = solve_lp(lp), solve_lp(lp)
@@ -494,7 +494,7 @@ def box_from_splits(team_sizes, splits):
     each split as global_optimize does, keeps the lower half when `upper`
     is false, and intersects with the simplex; splits that would empty the
     box are skipped."""
-    members = _node_incidence(team_sizes).members
+    members = member_slices(team_sizes)
     lo, hi = np.zeros(sum(team_sizes)), np.ones(sum(team_sizes))
     for member, action, upper in splits:
         member %= len(team_sizes)
@@ -508,6 +508,12 @@ def box_from_splits(team_sizes, splits):
         if _tighten_box(child_lo, child_hi, members):
             lo, hi = child_lo, child_hi
     return lo, hi
+
+
+def member_slices(team_sizes):
+    """Each member's slice of a box vector, as global_optimize passes them
+    to _tighten_box."""
+    return tuple(k for k, *_ in _node_factors(team_sizes))
 
 
 def per_member(team_sizes, vector):
@@ -694,7 +700,7 @@ def test_node_certificate_needs_its_multipliers_and_its_column_mixture():
     v_c, _ = solve_maxmin(matrix)
     splits = [(0, 0, False), (1, 2, True)]
     box = box_from_splits(game.team_sizes, splits)
-    rows = _node_rows(_node_incidence(game.team_sizes), *box)
+    rows = _node_rows(_node_factors(game.team_sizes), *box)
     solution, (value, x) = node_solution(matrix, rows)
     assert value < v_c - 1e-3
     cols = matrix.shape[1]

@@ -16,7 +16,10 @@ from teammax.lp import (  # noqa: E402
     solve_lp,
     solve_maxmin,
 )
-from teammax.solvers import _node_incidence, _node_rows  # noqa: E402
+from teammax.game import team_value, to_joint_game, uniform_profile  # noqa: E402
+from teammax.generators import make_instance  # noqa: E402
+from teammax.rng import SplitMix64  # noqa: E402
+from teammax.solvers import _node_factors, _node_rows, _random_profile  # noqa: E402
 from test_lp import box_from_splits  # noqa: E402
 
 
@@ -120,8 +123,8 @@ def test_badly_scaled_maxmin_value_matches_highs(matrix):
 @st.composite
 def _node_games(draw):
     # the joint payoff matrix of a normalized team game (entries 0 or at
-    # least 1e-3, as in _float_matrices) and the marginal and envelope rows
-    # of a branch-and-bound node
+    # least 1e-3, as in _float_matrices) and the product rows of a
+    # branch-and-bound node
     shapes = [((3, 3), 3), ((4, 4), 4), ((3, 3, 3), 3)]
     team_sizes, adversary = draw(st.sampled_from(shapes))
     size = int(np.prod(team_sizes)) * adversary
@@ -129,7 +132,7 @@ def _node_games(draw):
     values = draw(st.lists(entries, min_size=size, max_size=size))
     split = st.tuples(st.integers(0, 2), st.integers(0, 3), st.booleans())
     lo, hi = box_from_splits(team_sizes, draw(st.lists(split, max_size=8)))
-    rows = _node_rows(_node_incidence(team_sizes), lo, hi)
+    rows = _node_rows(_node_factors(team_sizes), lo, hi)
     return np.array(values).reshape(-1, adversary), rows
 
 
@@ -144,3 +147,32 @@ def test_node_maxmin_value_matches_highs(case):
     assert value == pytest.approx(_highs_maxmin(matrix, rows), abs=1e-9)
     g, h = rows
     assert np.all(g @ strategy <= h + 1e-9)
+
+
+@pytest.mark.parametrize(
+    "family, n, m, seed, slack",
+    [
+        ("diagonal", 4, 3, None, 1e-7),
+        ("diagonal", 5, 2, None, 1e-7),
+        ("random", 4, 3, 2, 2e-6),
+    ],
+)
+def test_node_rows_are_exact_on_a_point_box(family, n, m, seed, slack):
+    # the node LP on a box of half-width 1e-6 around a profile x: the rows
+    # of full degree force z to be the product of its marginals, so the
+    # bound is the best team value in the box. At the uniform profile, the
+    # optimum of the diagonal games, that is the value at x within 1e-7;
+    # around the seeded profile of the random game the value itself moves
+    # by up to about 1e-6 inside the box. Rows of degree 1 and 2 alone
+    # leave 0.074, 0.0625 and 0.055 above the value
+    game, _ = make_instance(family, n=n, m=m, seed=seed)
+    if seed is None:
+        profile = uniform_profile(game)
+    else:
+        profile = _random_profile(game, SplitMix64(seed))
+    x = np.concatenate([strategy.probs for strategy in profile.strategies])
+    lo, hi = np.maximum(x - 1e-6, 0.0), np.minimum(x + 1e-6, 1.0)
+    rows = _node_rows(_node_factors(game.team_sizes), lo, hi)
+    bound = _highs_maxmin(to_joint_game(game), rows)
+    value = team_value(game, profile).value
+    assert value - 1e-9 <= bound <= value + slack

@@ -34,42 +34,51 @@ from teammax.lp import (
     solve_maxmin,
 )
 from teammax.solvers import (
-    _node_incidence,
+    _node_factors,
     _node_rows,
     _tighten_box,
     global_optimize,
 )
-from test_lp import BADLY_SCALED_GAME, BEALE_LP, box_from_splits, per_member
+from test_lp import (
+    BADLY_SCALED_GAME,
+    BEALE_LP,
+    box_from_splits,
+    member_slices,
+    per_member,
+)
 
 # ---------------------------------------------------------------------------
 # references
 
 
-def _reference_node_rows(team_sizes, los, his):
-    members = len(team_sizes)
-    actions = np.indices(team_sizes).reshape(members, -1)
-    marks = [
-        (np.arange(m)[:, None] == act).astype(np.float64)
-        for m, act in zip(team_sizes, actions)
+def _reference_node_rows(team_sizes, los, his, most=None):
+    # every product of bound factors, one loop step at a time: for each
+    # choice per member, in C order, of absent (None), d_a - l_a or
+    # u_a - d_a, with at least one member and at most `most` present, the
+    # row of -(the present factors multiplied in member order) at every
+    # joint action, d_a being 1 where the member plays a; a row without a
+    # positive entry is left out
+    joint = list(itertools.product(*map(range, team_sizes)))
+    choices = [
+        [None] + [(a, False) for a in range(m)] + [(a, True) for a in range(m)]
+        for m in team_sizes
     ]
-    g_blocks, h_blocks = [], []
-    for mark, lo, hi in zip(marks, los, his):
-        low, high = lo > 0.0, hi < 1.0
-        g_blocks += [-mark[low], mark[high]]
-        h_blocks += [-lo[low], hi[high]]
-    signs = np.array([-1.0, -1.0, 1.0, 1.0])[:, None, None]
-    lower = signs < 0.0
-    for i, j in itertools.combinations(range(members), 2):
-        x_a, x_b = marks[i][:, None, :], marks[j][None, :, :]
-        pair = x_a * x_b
-        alpha = np.stack([los[i], his[i], his[i], los[i]])[:, :, None]
-        beta = np.stack([los[j], his[j], los[j], his[j]])[:, None, :]
-        on_edge = ((alpha == 0.0) | (alpha == 1.0)) & ((beta == 0.0) | (beta == 1.0))
-        keep = ~(on_edge & ((alpha == beta) == lower))
-        g = signs[..., None] * (pair - alpha[..., None] * x_b - beta[..., None] * x_a)
-        g_blocks.append(g[keep])
-        h_blocks.append((-signs * alpha * beta)[keep])
-    return np.concatenate(g_blocks), np.concatenate(h_blocks)
+    g = []
+    for choice in itertools.product(*choices):
+        present = [(i, c) for i, c in enumerate(choice) if c is not None]
+        if not present or len(present) > (most or len(team_sizes)):
+            continue
+        row = []
+        for action in joint:
+            product = None
+            for i, (a, upper) in present:
+                played = float(action[i] == a)
+                factor = his[i][a] - played if upper else played - los[i][a]
+                product = factor if product is None else product * factor
+            row.append(-product)
+        if max(row) > 0.0:
+            g.append(row)
+    return np.array(g).reshape(-1, len(joint)), np.zeros(len(g))
 
 
 def _reference_tighten_box(los, his):
@@ -282,7 +291,7 @@ def _assert_same_solution(got, want):
 # branch-and-bound node helpers
 
 _SPLITS = st.lists(
-    st.tuples(st.integers(0, 2), st.integers(0, 4), st.booleans()), max_size=14
+    st.tuples(st.integers(0, 3), st.integers(0, 4), st.booleans()), max_size=14
 )
 
 
@@ -314,37 +323,37 @@ def _tighten_both(team_sizes, members, lo, hi):
 def test_tighten_box_finds_an_empty_box():
     # member 0's lows sum to 1.2, so no mixture lies in the box
     team_sizes = (3, 3)
-    members = _node_incidence(team_sizes).members
+    members = member_slices(team_sizes)
     lo = np.array([0.5, 0.4, 0.3, 0.0, 0.0, 0.0])
     assert not _tighten_both(team_sizes, members, lo, np.ones(6))
 
 
-def _assert_same_rows(team_sizes, incidence, lo, hi):
-    g, h = _node_rows(incidence, lo, hi)
+def _assert_same_rows(team_sizes, factors, lo, hi, most=None):
+    g, h = _node_rows(factors, lo, hi)
     want_g, want_h = _reference_node_rows(
-        team_sizes, per_member(team_sizes, lo), per_member(team_sizes, hi)
+        team_sizes, per_member(team_sizes, lo), per_member(team_sizes, hi), most
     )
     _assert_same_bits(g, want_g)
     _assert_same_bits(h, want_h)
 
 
-@settings(max_examples=100)
+@settings(max_examples=100, deadline=None)
 @given(
-    st.sampled_from([(3, 3), (4, 4), (2, 5), (3, 3, 3)]),
+    st.sampled_from([(3, 3), (4, 4), (2, 5), (2, 2, 2), (3, 3, 3), (2, 2, 2, 2)]),
     st.none() | st.integers(0, 2**32 - 1),
     _SPLITS,
 )
 def test_node_helpers_match_their_references(team_sizes, seed, splits):
     # splits as global_optimize makes them, from the whole simplex or from
-    # a random box, and the rows of every box the splits reach
-    incidence = _node_incidence(team_sizes)
-    members = incidence.members
+    # a random box, every box the splits reach tightened, and the rows of
+    # the box they end at
+    factors = _node_factors(team_sizes)
+    members = member_slices(team_sizes)
     lo, hi = np.zeros(sum(team_sizes)), np.ones(sum(team_sizes))
     if seed is not None:
         lo, hi = _random_box(team_sizes, seed)
         if not _tighten_both(team_sizes, members, lo, hi):
             return
-        _assert_same_rows(team_sizes, incidence, lo, hi)
     for member, action, upper in splits:
         member %= len(team_sizes)
         k = members[member].start + action % team_sizes[member]
@@ -353,7 +362,21 @@ def test_node_helpers_match_their_references(team_sizes, seed, splits):
         (child_lo if upper else child_hi)[k] = mid
         if _tighten_both(team_sizes, members, child_lo, child_hi):
             lo, hi = child_lo, child_hi
-            _assert_same_rows(team_sizes, incidence, lo, hi)
+    _assert_same_rows(team_sizes, factors, lo, hi)
+
+
+@pytest.mark.parametrize("cap, most, count", [(9234, 3, 335), (9233, 2, 119)])
+def test_node_rows_of_every_degree_fit_under_the_cap(cap, most, count):
+    # a (3, 3, 3) team has 7^3 - 1 candidate rows of 27 joint actions,
+    # 9,234 entries: at the cap it takes every degree, one entry over it
+    # the marginal rows and the pair envelopes, degrees 1 and 2
+    team_sizes = (3, 3, 3)
+    with mock.patch.object(solvers, "_MAX_MATERIALIZED", cap):
+        factors = _node_factors(team_sizes)
+    lo, hi = _random_box(team_sizes, 0)
+    assert _tighten_box(lo, hi, member_slices(team_sizes))
+    _assert_same_rows(team_sizes, factors, lo, hi, most)
+    assert _node_rows(factors, lo, hi)[0].shape == (count, 27)
 
 
 @settings(max_examples=60)
@@ -367,7 +390,7 @@ def test_node_lp_and_its_check_match_their_references(shape, seed, splits):
     game, _ = make_instance("random", n=n, m=m, seed=seed)
     matrix = to_joint_game(game)
     box = box_from_splits(game.team_sizes, splits)
-    rows = _node_rows(_node_incidence(game.team_sizes), *box)
+    rows = _node_rows(_node_factors(game.team_sizes), *box)
     lp = build_maxmin_lp(matrix, rows)
     want_lp = _reference_build_maxmin_lp(matrix, rows)
     for got, want in zip(
