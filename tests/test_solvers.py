@@ -7,6 +7,7 @@ instances. No solver is ever validated only against itself.
 """
 
 import dataclasses
+import functools
 import itertools
 import json
 import math
@@ -1356,6 +1357,39 @@ def test_node_bound_holds_every_profile_in_its_box(shape, seed, splits):
             tuple(MixedStrategy(mixes[k]) for mixes in samples)
         )
         assert team_value(game, profile).value <= bound + 1e-9
+
+
+def _reference_node_rows(team_sizes, los, his):
+    # the rows _node_rows documents, as its formula reads: per member the
+    # block [1^T; I - l 1^T; u 1^T - I] over its actions, G the negated
+    # Kronecker product of the blocks in member order without its first
+    # row, less the rows with no positive entry, and h = 0
+    blocks = [
+        np.concatenate(
+            (np.ones((1, m)), np.eye(m) - lo[:, None], hi[:, None] - np.eye(m))
+        )
+        for m, lo, hi in zip(team_sizes, los, his)
+    ]
+    g = -functools.reduce(np.kron, blocks)[1:]
+    g = g[(g > 0.0).any(axis=1)]
+    return g, np.zeros(len(g))
+
+
+@given(
+    st.sampled_from([(2, 3), (3, 3), (3, 2), (4, 2)]),
+    st.lists(
+        st.tuples(st.integers(0, 2), st.integers(0, 2), st.booleans()), max_size=12
+    ),
+)
+def test_node_rows_are_the_documented_rows(shape, splits):
+    team_sizes = (shape[1],) * (shape[0] - 1)
+    lo, hi = box_from_splits(team_sizes, splits)
+    got = _node_rows(_node_factors(team_sizes), lo, hi)
+    want = _reference_node_rows(
+        team_sizes, per_member(team_sizes, lo), per_member(team_sizes, hi)
+    )
+    for a, b in zip(got, want):
+        assert a.shape == b.shape and np.array_equal(a, b)
 
 
 @pytest.mark.parametrize(
