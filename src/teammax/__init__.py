@@ -17,7 +17,6 @@ from .solvers import (
     SolveReport,
     correlated_team_maxmin,
     global_optimize,
-    grid_oracle,
     iterated_lp,
     reconstruct_best_pivot,
     run_solver,
@@ -35,7 +34,6 @@ __all__ = [
     "compute_pou",
     "correlated_team_maxmin",
     "global_optimize",
-    "grid_oracle",
     "iterated_lp",
     "reconstruct_best_pivot",
     "run_solver",

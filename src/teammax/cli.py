@@ -206,10 +206,10 @@ def cmd_pou(args) -> int:
     if args.normalize:
         game = normalize_payoffs(game)
     report = compute_pou(game, team_solver=args.team_solver, **params)
-    print(f"correlated value        {report.v_correlated!r}")
-    print(f"independent lower bound {report.v_team_lower!r}")
-    print(f"premium upper estimate  {report.pou_upper_estimate!r}")
-    print(f"oracle certified        {str(report.exact).lower()}")
+    bounds = report.report
+    print(f"correlated value        {bounds.correlated_bound!r}")
+    print(f"team-maxmin bracket     [{bounds.lower_bound!r}, {bounds.upper_bound!r}]")
+    print(f"premium bracket         [{report.low!r}, {report.high!r}]")
     return EXIT_OK
 
 
@@ -312,7 +312,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.set_defaults(func=cmd_verify_nash)
 
-    p = sub.add_parser("pou", help="correlation premium upper estimate")
+    p = sub.add_parser("pou", help="certified bracket on the correlation premium")
     p.add_argument("game", type=pathlib.Path)
     p.add_argument(
         "--team-solver",

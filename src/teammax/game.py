@@ -252,12 +252,6 @@ class JointDistribution:
         object.__setattr__(self, "team_sizes", sizes)
         object.__setattr__(self, "probs", _frozen_array(probs))
 
-    def index_of(self, actions: tuple[int, ...]) -> int:
-        return int(np.ravel_multi_index(actions, self.team_sizes))
-
-    def actions_of(self, index: int) -> tuple[int, ...]:
-        return tuple(int(a) for a in np.unravel_index(index, self.team_sizes))
-
     def marginal(self, member: int) -> np.ndarray:
         shaped = self.probs.reshape(self.team_sizes)
         axes = tuple(i for i in range(len(self.team_sizes)) if i != member)
@@ -379,16 +373,6 @@ def expected_team_utility(
         )
     per_action = per_adversary_utilities(game, profile)
     return float(per_action @ adversary.probs)
-
-
-def joint_team_value(game: TeamGame, dist: JointDistribution) -> ValueReport:
-    """Worst-case team utility of a correlated (joint) team strategy."""
-    if dist.team_sizes != game.team_sizes:
-        raise ValueError(
-            f"joint distribution over {dist.team_sizes} does not match "
-            f"team sizes {game.team_sizes}"
-        )
-    return _worst_case(dist.probs @ to_joint_game(game))
 
 
 def verify_nash(
@@ -548,10 +532,6 @@ def load_game(path) -> TeamGame:
     return game_from_dict(read_json(path, GameFormatError))
 
 
-def profile_to_dict(strategies) -> dict:
-    return {"strategies": [[float(p) for p in s.probs] for s in strategies]}
-
-
 def strategies_from_dict(data: dict) -> list[MixedStrategy]:
     data = json_object(TeamProfile, data, "profile document", GameFormatError)
     strategies = []
@@ -567,12 +547,6 @@ def strategies_from_dict(data: dict) -> list[MixedStrategy]:
     except ValueError as exc:
         raise GameFormatError(f"invalid profile document: {exc}") from None
     return strategies
-
-
-def save_profile(strategies, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(profile_to_dict(strategies), fh, indent=2)
-        fh.write("\n")
 
 
 def load_strategies(path) -> list[MixedStrategy]:

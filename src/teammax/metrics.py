@@ -1,11 +1,10 @@
 """Efficiency metrics and the batch experiment harness.
 
-The headline metric is the correlation premium: the ratio between the value
-the team gets when it can correlate (joint-strategy LP) and the best known
-value under independent mixing. Because the independent value is generally
-only known through lower bounds, the ratio computed here is an upper
-estimate of the true premium; it is exact only when the lower bound is
-oracle-certified.
+The headline metric is the correlation premium v_C / v_M: the ratio between
+the value the team gets when it can correlate (joint-strategy LP) and its
+team-maxmin value under independent mixing. A solver certifies v_M only
+within a bracket [lower, upper], so the premium is reported as the
+certified bracket [v_C / upper, v_C / lower] from one solver report.
 
 The experiment harness runs a grid of (instance, solver) cells, records one
 CSV row per cell with certified bounds, and aggregates mean and quartiles
@@ -50,19 +49,26 @@ class ConfigError(ValueError):
 
 @dataclass(frozen=True, eq=False)
 class PouReport:
-    """Correlation premium estimate.
+    """Certified bracket [low, high] on the correlation premium v_C / v_M.
 
-    pou_upper_estimate = v_correlated / v_team_lower, v_correlated the
-    solver report's v_C, over-estimates the true premium whenever
-    v_team_lower undershoots the independent optimum, so it is always a
-    valid upper estimate; `exact` marks a lower bound from a grid oracle
-    sweep that ran to completion, whose error is certified.
+    low = v_C / upper and high = v_C / lower, with v_C the correlated value
+    and [lower, upper] the team-maxmin bracket of `report`, so the bracket
+    holds the premium whenever the report's bounds hold v_M.
     """
 
-    v_correlated: float
-    v_team_lower: float
-    pou_upper_estimate: float
-    exact: bool
+    report: SolveReport
+    low: float
+    high: float
+
+
+def _premium(v_correlated: float, bound: float) -> float:
+    """v_correlated / bound for a positive bound; 1 when both are zero
+    (within 1e-12), infinite otherwise."""
+    if bound > 0.0:
+        return v_correlated / bound
+    if abs(v_correlated) <= 1e-12 and abs(bound) <= 1e-12:
+        return 1.0
+    return math.inf
 
 
 def compute_pou(
@@ -71,27 +77,19 @@ def compute_pou(
     timeout: float | None = DEFAULT_TIMEOUT,
     **solver_params,
 ) -> PouReport:
-    """Upper estimate of the correlation premium of a game.
+    """Certified bracket on the correlation premium of a game.
 
-    The numerator is v_C off the solver's report (a game over to_joint_game's
-    cap raises CapacityError first); the denominator is the lower bound the
-    solver certifies. A zero denominator with a positive numerator yields an
-    infinite estimate; the degenerate all-zero case reports 1.
+    v_C is read off the solver's report (a game over to_joint_game's cap
+    raises CapacityError first) and divided by the report's upper and lower
+    bounds on the team-maxmin value, by _premium's rule.
     """
     to_joint_game(game)  # over its cap a report's correlated bound is not v_C
     report = run_solver(team_solver, game, timeout=timeout, **solver_params)
-    v_correlated, lower = report.correlated_bound, report.lower_bound
-    if lower > 0.0:
-        estimate = v_correlated / lower
-    elif abs(v_correlated) <= 1e-12 and abs(lower) <= 1e-12:
-        estimate = 1.0
-    else:
-        estimate = math.inf
+    v_correlated = report.correlated_bound
     return PouReport(
-        v_correlated=v_correlated,
-        v_team_lower=lower,
-        pou_upper_estimate=estimate,
-        exact=team_solver == "oracle" and report.converged,
+        report=report,
+        low=_premium(v_correlated, report.upper_bound),
+        high=_premium(v_correlated, report.lower_bound),
     )
 
 

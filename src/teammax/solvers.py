@@ -296,19 +296,24 @@ def support_enumeration(
         math.log(game.max_team_actions), 2.0 * epsilon * epsilon, "epsilon", epsilon
     )
     total = math.prod(_grid_counts(game.team_sizes, steps))
-    best_value, witness, covered = _grid_search(game, steps, deadline)
+    value, witness, covered = _grid_search(game, steps, deadline)
+    error = _grid_radius(game) / steps if covered == total else math.inf
+    return _grid_report(game, value, error, witness, covered, start)
+
+
+def _grid_report(game, value, error, witness, covered, start) -> SolveReport:
+    """The report of a grid search started at `start` whose best value
+    `value` lies within `error` of the team-maxmin value (inf for a search
+    cut short): its upper bound is the lesser of v_C and value + error."""
     correlated = _correlated_bound(game)
-    upper = correlated
-    if covered == total:
-        upper = min(correlated, best_value + _grid_radius(game) / steps)
     return SolveReport(
-        lower_bound=best_value,
-        upper_bound=max(upper, best_value),
+        lower_bound=value,
+        upper_bound=max(min(correlated, value + error), value),
         correlated_bound=correlated,
         witness=witness,
         iterations=covered,
         wall_time=time.perf_counter() - start,
-        converged=covered == total,
+        converged=error < math.inf,
     )
 
 
@@ -1044,26 +1049,23 @@ def run_solver(
 
     Used by the command line and the experiment harness; every solver comes
     back as a SolveReport so downstream code never cares which one ran.
-    grid_oracle's estimate becomes one whose upper bound is the lesser of
-    v_C and value + error_bound, which is inf for a sweep cut short, and
-    whose wall_time runs from this call. Unknown names and parameters,
-    values of the wrong type, out of range or not among the choices, and a
-    timeout that is negative or NaN raise ValueError; a timeout of None sets
-    no limit.
+    grid_oracle's estimate becomes _grid_report's: its upper bound is the
+    lesser of v_C and value + error_bound, which is inf for a sweep cut
+    short, and its wall_time runs from this call. Unknown names and
+    parameters, values of the wrong type, out of range or not among the
+    choices, and a timeout that is negative or NaN raise ValueError; a
+    timeout of None sets no limit.
     """
     resolved = solver_params(name, params)
     start = time.perf_counter()
     result = globals()[SOLVERS[name][0]](game, timeout=timeout, **resolved)
     if isinstance(result, SolveReport):
         return result
-    correlated = _correlated_bound(game)
-    upper = min(correlated, result.value + result.error_bound)
-    return SolveReport(
-        lower_bound=result.value,
-        upper_bound=max(result.value, upper),
-        correlated_bound=correlated,
-        witness=result.witness,
-        iterations=result.evaluations,
-        wall_time=time.perf_counter() - start,
-        converged=result.error_bound < math.inf,
+    return _grid_report(
+        game,
+        result.value,
+        result.error_bound,
+        result.witness,
+        result.evaluations,
+        start,
     )

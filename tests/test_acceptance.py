@@ -96,7 +96,7 @@ def test_criterion_1_diagonal_family_exact_values():
                 float(m) ** -(n - 1), abs=1e-9
             )
             premium = compute_pou(game, team_solver="reconstruct")
-            assert premium.pou_upper_estimate == pytest.approx(
+            assert premium.high == pytest.approx(
                 float(m) ** (n - 2), abs=1e-7
             )
 
@@ -236,7 +236,7 @@ def test_criterion_8_soft_premium_statistics():
                 report = compute_pou(
                     game, team_solver="iterated-lp", restarts=5, seed=0
                 )
-                estimates.append(report.pou_upper_estimate)
+                estimates.append(report.high)
         mean = float(np.mean(estimates))
         assert all(e >= 1.0 - 1e-9 for e in estimates)
         assert mean >= 1.0 - 1e-9

@@ -8,11 +8,10 @@ import argparse
 import json
 import math
 
-import numpy as np
 import pytest
 
 from teammax.cli import build_parser, main
-from teammax.game import game_to_dict, load_game, save_game, save_profile, MixedStrategy
+from teammax.game import game_to_dict, load_game, save_game
 from teammax.generators import diagonal_game, irrational_game, poa_game
 from teammax.lp import LpSolveError
 from teammax.solvers import SOLVERS
@@ -305,13 +304,7 @@ def test_solve_unnormalized_oracle_is_usage_error(tmp_path):
 def test_evaluate_team_profile(tmp_path, capsys):
     game_path = _generate(tmp_path, "diagonal", "--n", "3", "--m", "2")
     profile_path = tmp_path / "team.json"
-    save_profile(
-        [
-            MixedStrategy(np.array([0.5, 0.5])),
-            MixedStrategy(np.array([0.5, 0.5])),
-        ],
-        profile_path,
-    )
+    profile_path.write_text('{"strategies": [[0.5, 0.5], [0.5, 0.5]]}')
     capsys.readouterr()
     assert main(["evaluate", str(game_path), "--profile", str(profile_path)]) == 0
     out = capsys.readouterr().out
@@ -322,14 +315,7 @@ def test_evaluate_team_profile(tmp_path, capsys):
 def test_evaluate_full_profile_reports_expected_value(tmp_path, capsys):
     game_path = _generate(tmp_path, "diagonal", "--n", "3", "--m", "2")
     profile_path = tmp_path / "full.json"
-    save_profile(
-        [
-            MixedStrategy(np.array([1.0, 0.0])),
-            MixedStrategy(np.array([1.0, 0.0])),
-            MixedStrategy(np.array([0.0, 1.0])),
-        ],
-        profile_path,
-    )
+    profile_path.write_text('{"strategies": [[1.0, 0.0], [1.0, 0.0], [0.0, 1.0]]}')
     capsys.readouterr()
     assert main(["evaluate", str(game_path), "--profile", str(profile_path)]) == 0
     out = capsys.readouterr().out
@@ -340,7 +326,7 @@ def test_evaluate_full_profile_reports_expected_value(tmp_path, capsys):
 def test_evaluate_wrong_size_profile(tmp_path):
     game_path = _generate(tmp_path, "diagonal", "--n", "3", "--m", "2")
     profile_path = tmp_path / "short.json"
-    save_profile([MixedStrategy(np.array([0.5, 0.5]))], profile_path)
+    profile_path.write_text('{"strategies": [[0.5, 0.5]]}')
     assert main(["evaluate", str(game_path), "--profile", str(profile_path)]) == 3
 
 
@@ -349,14 +335,7 @@ def test_verify_nash_accepts_equilibrium(tmp_path, capsys):
     game_path = tmp_path / "poa.json"
     save_game(game, game_path)
     profile_path = tmp_path / "eq.json"
-    save_profile(
-        [
-            MixedStrategy(np.array([0.0, 1.0])),
-            MixedStrategy(np.array([0.0, 1.0])),
-            MixedStrategy(np.array([1.0, 0.0])),
-        ],
-        profile_path,
-    )
+    profile_path.write_text('{"strategies": [[0.0, 1.0], [0.0, 1.0], [1.0, 0.0]]}')
     capsys.readouterr()
     code = main(["verify-nash", str(game_path), "--profile", str(profile_path)])
     out = capsys.readouterr().out
@@ -369,14 +348,7 @@ def test_verify_nash_rejects_deviation_with_gap(tmp_path, capsys):
     game_path = tmp_path / "poa.json"
     save_game(game, game_path)
     profile_path = tmp_path / "bad.json"
-    save_profile(
-        [
-            MixedStrategy(np.array([0.9, 0.1])),
-            MixedStrategy(np.array([0.0, 1.0])),
-            MixedStrategy(np.array([1.0, 0.0])),
-        ],
-        profile_path,
-    )
+    profile_path.write_text('{"strategies": [[0.9, 0.1], [0.0, 1.0], [1.0, 0.0]]}')
     capsys.readouterr()
     code = main(["verify-nash", str(game_path), "--profile", str(profile_path)])
     out = capsys.readouterr().out
@@ -390,14 +362,7 @@ def test_verify_nash_huge_tolerance_accepts_anything(tmp_path):
     game_path = tmp_path / "poa.json"
     save_game(game, game_path)
     profile_path = tmp_path / "any.json"
-    save_profile(
-        [
-            MixedStrategy(np.array([0.9, 0.1])),
-            MixedStrategy(np.array([0.0, 1.0])),
-            MixedStrategy(np.array([1.0, 0.0])),
-        ],
-        profile_path,
-    )
+    profile_path.write_text('{"strategies": [[0.9, 0.1], [0.0, 1.0], [1.0, 0.0]]}')
     assert main(
         ["verify-nash", str(game_path), "--profile", str(profile_path), "--tol", "1.0"]
     ) == 0
@@ -433,13 +398,7 @@ def test_verify_nash_needs_every_player(tmp_path):
     game_path = tmp_path / "poa.json"
     save_game(game, game_path)
     profile_path = tmp_path / "team-only.json"
-    save_profile(
-        [
-            MixedStrategy(np.array([0.5, 0.5])),
-            MixedStrategy(np.array([0.5, 0.5])),
-        ],
-        profile_path,
-    )
+    profile_path.write_text('{"strategies": [[0.5, 0.5], [0.5, 0.5]]}')
     assert main(["verify-nash", str(game_path), "--profile", str(profile_path)]) == 3
 
 
@@ -449,14 +408,7 @@ def test_verify_nash_wrong_action_counts_is_input_error(tmp_path, capsys):
     game_path = tmp_path / "poa.json"
     save_game(game, game_path)
     profile_path = tmp_path / "wide.json"
-    save_profile(
-        [
-            MixedStrategy(np.array([0.5, 0.5])),
-            MixedStrategy(np.array([0.2, 0.3, 0.5])),
-            MixedStrategy(np.array([1.0, 0.0])),
-        ],
-        profile_path,
-    )
+    profile_path.write_text('{"strategies": [[0.5, 0.5], [0.2, 0.3, 0.5], [1.0, 0.0]]}')
     for command in ("verify-nash", "evaluate"):
         assert main([command, str(game_path), "--profile", str(profile_path)]) == 3
         assert "match neither the team" in capsys.readouterr().err
@@ -467,8 +419,8 @@ def test_pou_subcommand(tmp_path, capsys):
     capsys.readouterr()
     assert main(["pou", str(game_path)]) == 0
     out = capsys.readouterr().out
-    line = next(l for l in out.splitlines() if "premium upper estimate" in l)
-    assert float(line.split()[-1]) == pytest.approx(2.0, abs=1e-7)
+    line = next(l for l in out.splitlines() if l.startswith("premium bracket"))
+    assert float(line.split()[-1].rstrip("]")) == pytest.approx(2.0, abs=1e-7)
 
 
 def test_experiment_end_to_end(tmp_path, capsys):

@@ -18,7 +18,6 @@ from teammax.metrics import (
     ConfigError,
     ExperimentConfig,
     GameSpec,
-    PouReport,
     ResultRow,
     SolverSpec,
     aggregate_rows,
@@ -31,61 +30,58 @@ from teammax.metrics import (
     write_rows_csv,
 )
 from teammax.generators import diagonal_game, poa_game, pou_one_game, random_team_game
-from teammax.solvers import SOLVER_NAMES, correlated_team_maxmin, run_solver
+from teammax.solvers import SOLVER_NAMES, correlated_team_maxmin
 
 
 # ---------------------------------------------------------------------------
 # premium estimates
 
 
-def test_pou_on_diagonal_with_oracle_is_exact():
+def test_pou_brackets_the_diagonal_premium_through_the_oracle():
     game, facts = diagonal_game(3, 2)
     report = compute_pou(game, team_solver="oracle", target_error=0.01)
-    assert report.exact
-    assert report.pou_upper_estimate == pytest.approx(2.0, abs=1e-9)
-    assert report.v_correlated == pytest.approx(0.5, abs=1e-9)
-    assert report.v_team_lower == pytest.approx(0.25, abs=1e-9)
+    assert report.low <= facts.known_pou <= report.high
+    assert report.high == pytest.approx(2.0, abs=1e-9)
+    assert report.report.correlated_bound == pytest.approx(0.5, abs=1e-9)
+    assert report.report.lower_bound == pytest.approx(0.25, abs=1e-9)
 
 
-@pytest.mark.parametrize("timeout, exact", [(None, True), (0.0, False)])
-def test_pou_is_exact_only_when_the_oracle_sweep_finishes(timeout, exact):
-    # a timeout of 0 stops the sweep after its first chunk of probe rows,
-    # and a sweep cut short certifies no error
+def test_pou_of_an_oracle_sweep_cut_short_has_the_trivial_low_end():
+    # a timeout of 0 stops the sweep after its first chunk of probe rows; a
+    # sweep cut short certifies no error, so its upper bound is v_C
     game, _ = poa_game()
-    report = compute_pou(
-        game, team_solver="oracle", timeout=timeout, target_error=0.002
-    )
-    assert report.exact is exact
-    oracle = run_solver("oracle", game, timeout=timeout, target_error=0.002)
-    assert oracle.converged is exact
-    assert report.v_team_lower == oracle.lower_bound
+    report = compute_pou(game, team_solver="oracle", timeout=0.0, target_error=0.002)
+    bounds = report.report
+    assert not bounds.converged
+    assert bounds.upper_bound == bounds.correlated_bound
+    assert report.low == 1.0
+    assert report.high == bounds.correlated_bound / bounds.lower_bound
 
 
 def test_pou_on_diagonal_with_reconstruction():
     for m in (2, 3, 4):
         game, facts = diagonal_game(3, m)
         report = compute_pou(game, team_solver="reconstruct")
-        assert not report.exact
-        assert report.pou_upper_estimate == pytest.approx(float(m), abs=1e-7)
+        assert report.high == pytest.approx(float(m), abs=1e-7)
 
 
 def test_pou_is_one_when_correlation_cannot_help():
     game, facts = pou_one_game()
     report = compute_pou(game, team_solver="oracle", target_error=0.01)
-    assert report.pou_upper_estimate == pytest.approx(1.0, abs=1e-9)
+    assert report.high == pytest.approx(1.0, abs=1e-9)
 
 
 def test_pou_estimate_dominates_exact_premium():
     # a lower bound below the team-maxmin value can only inflate the estimate
     game, facts = diagonal_game(3, 3)
     weak = compute_pou(game, team_solver="reconstruct")
-    assert weak.pou_upper_estimate >= facts.known_pou - 1e-7
+    assert weak.high >= facts.known_pou - 1e-7
 
 
 def test_pou_degenerate_all_zero_game():
     game = TeamGame(3, (2, 2, 2), np.zeros(8))
     report = compute_pou(game, team_solver="reconstruct")
-    assert report.pou_upper_estimate == 1.0
+    assert report.low == report.high == 1.0
 
 
 # small settings, so that every solver finishes in well under a second
@@ -115,7 +111,27 @@ def test_pou_solves_the_correlated_lp_once(monkeypatch, solver):
     game = normalize_payoffs(random_team_game(3, 4, seed=0))
     report = compute_pou(game, team_solver=solver, **_POU_PARAMS[solver])
     assert len(calls) == 1
-    assert report.v_correlated == correlated_team_maxmin(game)[1]
+    assert report.report.correlated_bound == correlated_team_maxmin(game)[1]
+
+
+@pytest.mark.parametrize("solver", SOLVER_NAMES)
+def test_pou_bracket_divides_v_c_by_the_reports_bounds(solver):
+    game = normalize_payoffs(random_team_game(3, 4, seed=0))
+    report = compute_pou(game, team_solver=solver, **_POU_PARAMS[solver])
+    bounds = report.report
+    assert report.low == bounds.correlated_bound / bounds.upper_bound
+    assert report.high == bounds.correlated_bound / bounds.lower_bound
+    assert report.low <= report.high
+
+
+@pytest.mark.parametrize("n, m", [(3, 2), (3, 3), (3, 4), (4, 2)])
+def test_global_pou_brackets_hold_the_worst_case_premium(n, m):
+    # the diagonal family attains the efficiency bound m^(n-2)
+    game, _ = diagonal_game(n, m)
+    report = compute_pou(game, team_solver="global", accuracy=1e-2)
+    worst = float(m) ** (n - 2)
+    assert report.low <= worst * (1 + 1e-9)
+    assert worst * (1 - 1e-9) <= report.high
 
 
 def test_pou_raises_over_the_joint_cap_before_the_solver_runs(monkeypatch):

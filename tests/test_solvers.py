@@ -126,7 +126,8 @@ def test_correlated_value_on_counting_game():
     dist, value = correlated_team_maxmin(game)
     # joint row (1,1) dominates: min(6, 7) = 6
     assert value == pytest.approx(6.0, abs=1e-9)
-    assert dist.probs[dist.index_of((1, 1))] == pytest.approx(1.0, abs=1e-9)
+    index = np.ravel_multi_index((1, 1), dist.team_sizes)
+    assert dist.probs[index] == pytest.approx(1.0, abs=1e-9)
 
 
 @pytest.mark.parametrize("n,m", [(3, 2), (3, 3), (3, 4), (4, 2)])
@@ -183,7 +184,7 @@ def test_correlated_on_matching_game_concentrates_on_matched_pairs():
     dist, value = correlated_team_maxmin(game)
     assert value == pytest.approx(1.0, abs=1e-9)
     for index in np.flatnonzero(dist.probs > 1e-9):
-        actions = dist.actions_of(int(index))
+        actions = np.unravel_index(index, dist.team_sizes)
         assert actions[0] == actions[1]
 
 
@@ -193,7 +194,7 @@ def test_correlated_on_diagonal_is_uniform_over_matches():
     dist, value = correlated_team_maxmin(game)
     assert value == pytest.approx(1.0 / 3.0, abs=1e-9)
     for index in range(dist.probs.size):
-        actions = dist.actions_of(index)
+        actions = np.unravel_index(index, dist.team_sizes)
         expected = 1.0 / 3.0 if actions[0] == actions[1] else 0.0
         assert dist.probs[index] == pytest.approx(expected, abs=1e-9)
 
@@ -212,14 +213,13 @@ def test_two_player_game_reconstruction_is_lossless():
 def test_reconstruct_mixed_guarantee_for_arbitrary_distributions(seed):
     # the support-size guarantee is a property of the construction itself,
     # not of LP optima, so it must hold for any feasible joint distribution
-    from teammax.game import joint_team_value
     from teammax.rng import SplitMix64
 
     rng = SplitMix64(seed)
     game = normalize_payoffs(random_team_game(3, 3, seed=seed))
     probs = rng.simplex_point(9)
     dist = JointDistribution((3, 3), probs)
-    joint_worst = joint_team_value(game, dist).value
+    joint_worst = (dist.probs @ to_joint_game(game)).min()
     for pivot in range(2):
         profile = reconstruct_mixed(dist, game, pivot)
         other = 1 - pivot
