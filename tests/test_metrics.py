@@ -37,25 +37,37 @@ from teammax.solvers import SOLVER_NAMES, correlated_team_maxmin
 # premium estimates
 
 
-def test_pou_brackets_the_diagonal_premium_through_the_oracle():
+def test_pou_on_diagonal_with_oracle_is_exact():
+    # a finished oracle sweep brackets the premium, and its lower bound is
+    # the exact team-maxmin value on the diagonal family
     game, facts = diagonal_game(3, 2)
     report = compute_pou(game, team_solver="oracle", target_error=0.01)
+    assert report.report.converged
     assert report.low <= facts.known_pou <= report.high
     assert report.high == pytest.approx(2.0, abs=1e-9)
     assert report.report.correlated_bound == pytest.approx(0.5, abs=1e-9)
     assert report.report.lower_bound == pytest.approx(0.25, abs=1e-9)
 
 
-def test_pou_of_an_oracle_sweep_cut_short_has_the_trivial_low_end():
+@pytest.mark.parametrize("timeout, exact", [(None, True), (0.0, False)])
+def test_pou_is_exact_only_when_the_oracle_sweep_finishes(timeout, exact):
     # a timeout of 0 stops the sweep after its first chunk of probe rows; a
-    # sweep cut short certifies no error, so its upper bound is v_C
+    # sweep cut short certifies no error, so its upper bound is v_C and the
+    # bracket's low end is the trivial 1
     game, _ = poa_game()
-    report = compute_pou(game, team_solver="oracle", timeout=0.0, target_error=0.002)
+    report = compute_pou(
+        game, team_solver="oracle", timeout=timeout, target_error=0.002
+    )
     bounds = report.report
-    assert not bounds.converged
-    assert bounds.upper_bound == bounds.correlated_bound
-    assert report.low == 1.0
+    assert bounds.converged is exact
     assert report.high == bounds.correlated_bound / bounds.lower_bound
+    assert report.low == bounds.correlated_bound / bounds.upper_bound
+    if exact:
+        assert bounds.upper_bound <= bounds.lower_bound + 0.002 + 1e-12
+        assert report.low > 1.0
+    else:
+        assert bounds.upper_bound == bounds.correlated_bound
+        assert report.low == 1.0
 
 
 def test_pou_on_diagonal_with_reconstruction():
