@@ -28,8 +28,8 @@ with b >= 0. Its slack basis is feasible, so solve_lp runs the simplex once
 from it: no phase 1, no artificial or free variables, no equality rows.
 build_maxmin_lp writes every maxmin LP in that form, a branch-and-bound
 node's relaxation included: the payoffs are shifted and scaled into [1, 2],
-the column player's side is solved as a packing LP, and each linear row
-g @ x <= h on the row mixture becomes one extra column h 1 - g. check_maxmin
+the column player's side is solved as a packing LP, and each homogeneous
+row f @ x >= 0 on the row mixture becomes one extra column f. check_maxmin
 reads the row mixture and the dual certificate (column mixture and row
 multipliers) off the solution and certifies the value; solve_maxmin, for a
 game without rows, also orients the tableau by shape and refines the row
@@ -351,28 +351,29 @@ def _game(matrix: np.ndarray) -> np.ndarray:
 
 
 def build_maxmin_lp(
-    matrix: np.ndarray, rows: tuple[np.ndarray, np.ndarray] | None = None
+    matrix: np.ndarray, rows: np.ndarray | None = None
 ) -> LinearProgram:
     """Packing LP of the row player's maxmin of a zero-sum matrix game, with
-    the row mixture x restricted to the polytope G x <= h if rows = (G, h)
-    is given.
+    the row mixture x restricted to the cone F x >= 0 if the rows F are
+    given.
 
     The payoffs are shifted and scaled into P = 1 + (M - lo) / s in [1, 2],
     where lo and hi are the smallest and largest payoff and s is
     (hi - lo) or 1. Every mixture then earns at least 1 against every
-    column, so the row player's LP max t s.t. x @ P >= t 1, G x <= h over
+    column, so the row player's LP max t s.t. x @ P >= t 1, F x >= 0 over
     the simplex has t >= 1, and u = x / t turns it into
-    min 1 @ u s.t. u @ P >= 1, G u <= h (1 @ u), u >= 0, with optimum 1 / t
+    min 1 @ u s.t. u @ P >= 1, F u >= 0, u >= 0, with optimum 1 / t
     (Charnes & Cooper, "Programming with linear fractional functionals",
-    NRLQ 1962). Its dual is the LP built here:
+    NRLQ 1962); the rows are homogeneous, so the scaling leaves them as
+    they are. Its dual is the LP built here:
 
-        max 1 @ w  s.t.  P w + sum_k lambda_k (h_k 1 - G[k]) <= 1,
-                         w, lambda >= 0.
+        max 1 @ w  s.t.  P w + F^T lambda <= 1,  w, lambda >= 0.
 
     The variables are w, one per column of M, then lambda, one per row of
-    G in order. The right-hand side is all ones, so the slack basis is
-    feasible (Dantzig, *Linear Programming and Extensions* (1963), ch. 13).
-    Without rows the LP is max 1 @ w s.t. P w <= 1. The objective is
+    F in order. A row g @ x <= h on the simplex is the row h 1 - g of F.
+    The right-hand side is all ones, so the slack basis is feasible
+    (Dantzig, *Linear Programming and Extensions* (1963), ch. 13). Without
+    rows the LP is max 1 @ w s.t. P w <= 1. The objective is
     max(1, hi - lo) times 1 @ w, so that a simplex that stops within
     OPTIMALITY_TOL of the optimum in P does so in the original payoffs too.
     At the optimum the reduced costs of the slacks are u, and w / sum(w) is
@@ -384,9 +385,7 @@ def build_maxmin_lp(
     return _packing_lp(_game(matrix), rows)
 
 
-def _packing_lp(
-    matrix: np.ndarray, rows: tuple[np.ndarray, np.ndarray] | None = None
-) -> LinearProgram:
+def _packing_lp(matrix: np.ndarray, rows: np.ndarray | None = None) -> LinearProgram:
     """build_maxmin_lp of a matrix that _game has checked."""
     lo, hi = float(matrix.min()), float(matrix.max())
     # 1 + (M - lo) / s, in place
@@ -395,8 +394,9 @@ def _packing_lp(
     packing += 1.0
     a_ub = packing
     if rows is not None:
-        g, h = rows
-        a_ub = np.concatenate((packing, h - g.T), axis=1)
+        # adding 0.0 turns the rows' negative zeros positive, which the
+        # basis inverse, copying its columns as they are, would keep
+        a_ub = np.concatenate((packing, rows.T + 0.0), axis=1)
     objective = np.zeros(a_ub.shape[1])
     objective[: packing.shape[1]] = max(1.0, hi - lo)
     return LinearProgram(objective, a_ub, np.ones(packing.shape[0]))
@@ -419,30 +419,27 @@ def _mixtures(
 
 
 def check_maxmin(
-    matrix: np.ndarray,
-    solution: LpSolution,
-    rows: tuple[np.ndarray, np.ndarray] | None = None,
+    matrix: np.ndarray, solution: LpSolution, rows: np.ndarray | None = None
 ) -> tuple[float, np.ndarray]:
     """Value and row mixture of a solution of build_maxmin_lp(matrix, rows),
     certified from both sides.
 
     The row mixture x is the slacks' reduced costs scaled by their sum; it
-    satisfies G x <= h because the reduced costs of the lambda columns are
+    satisfies F x >= 0 because the reduced costs of the lambda columns are
     nonnegative at the optimum. The value is its worth,
     min_c (x @ matrix)[c], which x guarantees. The upper side is the dual
     certificate (y, lam): the column mixture y = w / sum(w) and the row
     multipliers lam = lambda s / sum(w), for the scale s of
-    build_maxmin_lp. For every mixture z with G z <= h and every lam >= 0,
-    z @ matrix @ y <= z @ (matrix @ y - G^T lam) + lam @ h
-    <= max_r (matrix @ y - G^T lam)_r + lam @ h (weak duality), and
-    dividing row r of the LP by sum(w) and undoing the shift shows that
-    bound is the value at the optimum. _certify checks it in the original
-    payoffs. Without rows lam is empty and the bound is max(matrix @ y).
-    The LP is bounded whenever the polytope meets the simplex; over an
-    empty polytope it is unbounded, and solve_lp raises LpSolveError before
-    there is a solution to check. A certificate that does not check, or
-    weights that do not sum to a positive number, are a solver defect and
-    raise LpSolveError.
+    build_maxmin_lp. For every mixture z with F z >= 0 and every lam >= 0,
+    z @ matrix @ y <= z @ (matrix @ y + F^T lam)
+    <= max_r (matrix @ y + F^T lam)_r (weak duality), and dividing row r
+    of the LP by sum(w) and undoing the shift shows that bound is the value
+    at the optimum. _certify checks it in the original payoffs. Without
+    rows lam is empty and the bound is max(matrix @ y). The LP is bounded
+    whenever the cone meets the simplex; otherwise it is unbounded, and
+    solve_lp raises LpSolveError before there is a solution to check. A
+    certificate that does not check, or weights that do not sum to a
+    positive number, are a solver defect and raise LpSolveError.
     """
     matrix = np.asarray(matrix, dtype=np.float64)
     cols = matrix.shape[1]
@@ -462,27 +459,26 @@ def _certify(
     matrix: np.ndarray,
     value: float,
     y: np.ndarray,
-    rows: tuple[np.ndarray, np.ndarray] | None = None,
+    rows: np.ndarray | None = None,
     lam: np.ndarray | None = None,
 ) -> None:
     """Raise LpSolveError unless (y, lam) holds every row mixture z with
-    G z <= h to at most value + _CHECK_TOL, for rows = (G, h).
+    F z >= 0 to at most value + _CHECK_TOL, for the rows F.
 
-    No such mixture earns more than max_r (matrix @ y - G^T lam)_r + lam @ h
-    against y (see check_maxmin), so the optimum is at most that bound, and
-    a value that the bound exceeds by at most _CHECK_TOL is at most
-    _CHECK_TOL below the optimum. Without rows the bound is max(matrix @ y),
-    minimax over the simplex. A NaN in y, the value or the bound fails. A
-    column mixture whose finite bound exceeds the value by more raises
+    No such mixture earns more than max_r (matrix @ y + F^T lam)_r against
+    y (see check_maxmin), so the optimum is at most that bound, and a value
+    that the bound exceeds by at most _CHECK_TOL is at most _CHECK_TOL
+    below the optimum. Without rows the bound is max(matrix @ y), minimax
+    over the simplex. A NaN in y, the value or the bound fails. A column
+    mixture whose finite bound exceeds the value by more raises
     CertificateError with that bound, which still holds every such z.
     """
     if not (y.min() >= -_CHECK_TOL and abs(y.sum() - 1.0) <= _CHECK_TOL):
         raise LpSolveError("maxmin LP duals are not a column mixture")
-    if rows is None:
-        bound = float((matrix @ y).max())
-    else:
-        g, h = rows
-        bound = float((matrix @ y - lam @ g).max()) + float(lam @ h)
+    payoffs = matrix @ y
+    if rows is not None:
+        payoffs += lam @ rows
+    bound = float(payoffs.max())
     excess = bound - value
     if not excess <= _CHECK_TOL:
         message = (

@@ -758,30 +758,27 @@ def _node_factors(team_sizes: tuple[int, ...]) -> list[tuple]:
     return factors
 
 
-def _node_rows(
-    factors: list[tuple], lo: np.ndarray, hi: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Rows (G, h) of a branch-and-bound node's relaxation: G z <= h holds
-    for the joint distribution z, indexed by joint team action in C order
-    as the rows of to_joint_game, of every team profile inside the box lo,
-    hi. factors is _node_factors(team_sizes).
+def _node_rows(factors: list[tuple], lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """Rows F of a branch-and-bound node's relaxation: F z >= 0 holds for
+    the joint distribution z, indexed by joint team action in C order as
+    the rows of to_joint_game, of every team profile inside the box lo, hi.
+    factors is _node_factors(team_sizes).
 
     Every row is a product of bound factors, at most one per member (the
     Reformulation-Linearization Technique: Sherali & Adams, SIAM J.
     Discrete Math. 1990; the team's payoff is multilinear). Member i's
     block B_i = [1^T; I - l 1^T; u 1^T - I] holds, per action a, the member
     absent (1), the factor d_a - l_a or the factor u_a - d_a, d_a = 1 where
-    i plays a. The rows are G = -(B_0 kron ... kron B_{k-1}) without its
-    first row (every member absent), each entry its factors multiplied in
-    member order, and h = 0. They hold because a product of factors that
-    are nonnegative on the box is nonnegative at every point of it, so its
-    expectation under a profile in the box is too; and the rows of full
-    degree force z to be the product of its marginals at a point box, so
-    the bound closes on the value there. Degree 1 is the marginal rows and
-    degree 2 the McCormick envelopes of every pair marginal. A row without
-    a positive entry in G is implied by z >= 0 and left out: for two
-    members, a marginal row on a low of 0 or a high of 1, and an envelope
-    that is a Frechet bound.
+    i plays a. The rows are F = B_0 kron ... kron B_{k-1} without its first
+    row (every member absent), each entry its factors multiplied in member
+    order. They hold because a product of factors that are nonnegative on
+    the box is nonnegative at every point of it, so its expectation under a
+    profile in the box is too; and the rows of full degree force z to be
+    the product of its marginals at a point box, so the bound closes on the
+    value there. Degree 1 is the marginal rows and degree 2 the McCormick
+    envelopes of every pair marginal. A row without a negative entry is
+    implied by z >= 0 and left out: for two members, a marginal row on a
+    low of 0 or a high of 1, and an envelope that is a Frechet bound.
     """
     product = np.ones((1, 1))
     for k, block, above, here in factors:
@@ -789,8 +786,7 @@ def _node_rows(
         product = product[above][:, :, None] * block[here][:, None, :]
         product = product.reshape(above.size, -1)
     product = product[1:]
-    g = -product[(product < 0.0).any(axis=1)]
-    return g, np.zeros(len(g))
+    return product[(product < 0.0).any(axis=1)]
 
 
 def _tighten_box(
@@ -850,25 +846,25 @@ def global_optimize(
     is MAX_DEPTH splits per team member deep, is not split again: its
     bound stays in the upper bound. Bounds are valid whenever it stops;
     converged means the bracket width reached `accuracy`. Each node LP is
-    build_maxmin_lp with the node's rows (_node_rows): the correlated
-    relaxation over joint team strategies z, cut down by every product of
-    per-member bound factors that is nonnegative on the box and not implied
-    by z >= 0. That is every degree up to the team's size when the
-    candidate rows times the joint actions fit in _MAX_MATERIALIZED
-    entries, and degrees 1 and 2 (marginal rows and pair envelopes)
-    otherwise. It is the packing LP with one row per joint team action and
-    one column per row, solved in one simplex run from its slack basis. Its
-    bound is the worth of the LP's joint mixture, certified by check_maxmin
-    with the dual certificate (y, lam) that holds every z satisfying the
-    rows to it. A node LP whose certificate is a finite bound that does not
-    certify the LP's value (CertificateError) gives its box the smaller of
-    that bound and the parent's; any other LpSolveError gives it the
-    parent's bound, which holds it because the box lies inside the
-    parent's. The product of the joint mixture's marginals
-    (JointDistribution.marginal) is a team profile in the box, evaluated as
-    a lower bound unless the box's bound plus BOUND_SLACK is at most the
-    incumbent, which no point of the box can then beat. A timeout of None
-    sets no deadline. The ascent is iterated_lp with 8 restarts from seed
+    build_maxmin_lp with the node's rows F (_node_rows): the correlated
+    relaxation over joint team strategies z, cut down by F z >= 0, where
+    each row of F is a product of per-member bound factors that is
+    nonnegative on the box and not implied by z >= 0. That is every degree
+    up to the team's size when the candidate rows times the joint actions
+    fit in _MAX_MATERIALIZED entries, and degrees 1 and 2 (marginal rows
+    and pair envelopes) otherwise. It is the packing LP with one row per
+    joint team action and one column per row of F, solved in one simplex
+    run from its slack basis. Its bound is the worth of the LP's joint
+    mixture, certified by check_maxmin with the dual certificate (y, lam):
+    every z with F z >= 0 earns at most max_r (M y + F^T lam)_r. A node LP
+    whose certificate is a finite bound that does not certify the LP's
+    value (CertificateError) gives its box the smaller of that bound and
+    the parent's; any other LpSolveError gives it the parent's bound,
+    which holds it because the box lies inside the parent's. The product
+    of the joint mixture's marginals (JointDistribution.marginal) is a team
+    profile in the box, evaluated as a lower bound unless the box's bound
+    plus BOUND_SLACK is at most the incumbent, which no point of the box
+    can then beat. A timeout of None sets no deadline. The ascent is iterated_lp with 8 restarts from seed
     0, given half the time left; the report's traces are its traces, none
     when it did not run.
     """

@@ -236,7 +236,7 @@ def test_same_lp_twice_is_bitwise_identical_and_few_pivots():
     box = box_from_splits(game.team_sizes, splits)
     rows = _node_rows(_node_factors(game.team_sizes), *box)
     lp = build_maxmin_lp(to_joint_game(game), rows)
-    assert lp.a_ub.shape == (400, 20 + rows[1].size)
+    assert lp.a_ub.shape == (400, 20 + len(rows))
     first, second = solve_lp(lp), solve_lp(lp)
     assert first.iterations == second.iterations
     assert first.variable_values.tobytes() == second.variable_values.tobytes()
@@ -343,8 +343,8 @@ def test_certify_fails_a_nan():
         lp_module._certify(matrix, 1.0, np.array([math.nan, 1.0]))
     with pytest.raises(LpSolveError, match="a row beats"):
         lp_module._certify(matrix, math.nan, y)
-    # a NaN multiplier makes the bound NaN
-    rows = (np.array([[1.0, 0.0]]), np.array([0.5]))
+    # a NaN multiplier makes the bound NaN; the row is x_0 <= 1/2
+    rows = np.array([[-0.5, 0.5]])
     lp_module._certify(matrix, 1.0, y, rows, np.array([0.0]))
     with pytest.raises(LpSolveError, match="a row beats"):
         lp_module._certify(matrix, 1.0, y, rows, np.array([math.nan]))
@@ -460,9 +460,8 @@ def test_maxmin_lp_structure():
     value, strategy = check_maxmin(matrix, solution)
     assert value == pytest.approx(0.5)
     assert np.allclose(strategy, [0.5, 0.5])
-    # a row g @ x <= h adds the column h 1 - g: -x_0 <= -1/4 the column
-    # e_0 - 1/4, then x_0 <= 1/2 the column 1/2 - e_0; payoffs spanning 2
-    # price at 2
+    # each row f of F adds the column f: x_0 >= 1/4 is the row e_0 - 1/4,
+    # then x_0 <= 1/2 the row 1/2 - e_0; payoffs spanning 2 price at 2
     lp = build_maxmin_lp(2.0 * matrix, box_rows([0.25, 0.0], [0.5, 1.0]))
     assert np.array_equal(
         lp.a_ub, [[2.0, 1.0, 0.75, -0.5], [1.0, 2.0, -0.25, 0.5]]
@@ -537,15 +536,13 @@ def joint_box(team_sizes, splits):
 
 
 def box_rows(lows, highs):
-    """lows <= x <= highs as rows (G, h): -x_r <= -lows_r for every positive
-    low, then x_r <= highs_r for every high below 1."""
+    """lows <= x <= highs on the simplex as rows F of F x >= 0: the row
+    e_r - lows_r 1 for every positive low, then highs_r 1 - e_r for every
+    high below 1."""
     lows, highs = np.asarray(lows, dtype=float), np.asarray(highs, dtype=float)
     eye = np.eye(lows.size)
     low, high = lows > 0.0, highs < 1.0
-    return (
-        np.vstack([-eye[low], eye[high]]),
-        np.concatenate([-lows[low], highs[high]]),
-    )
+    return np.vstack([eye[low] - lows[low, None], highs[high, None] - eye[high]])
 
 
 def node_solution(matrix, rows):
@@ -584,7 +581,7 @@ def test_box_lp_is_the_reference_box_lp_bit_for_bit(n, m, upper, seed):
     # two splits per member on random actions. Lower halves leave at least
     # two of m >= 3 highs at 1, so every low stays 0; upper halves raise a
     # low of every member, which adds e_r - lows_r columns. A box's rows
-    # give the columns h 1 - g of build_maxmin_lp
+    # are the columns build_maxmin_lp appends
     game, _ = make_instance("random", n=n, m=m, seed=seed)
     matrix = to_joint_game(game)
     draws = SplitMix64(seed).floats(2 * (n - 1))

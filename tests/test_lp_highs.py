@@ -24,23 +24,23 @@ from test_lp import box_from_splits  # noqa: E402
 
 
 def _highs_maxmin(matrix: np.ndarray, rows=None) -> float:
-    """max t s.t. x @ matrix >= t 1, x >= 0, sum(x) = 1 and G x <= h for
-    rows = (G, h), by HiGHS."""
+    """max t s.t. x @ matrix >= t 1, x >= 0, sum(x) = 1 and F x >= 0 for
+    the rows F, by HiGHS."""
     num_rows, cols = matrix.shape
-    g, h = (np.zeros((0, num_rows)), np.zeros(0)) if rows is None else rows
+    rows = np.zeros((0, num_rows)) if rows is None else rows
     objective = np.zeros(num_rows + 1)
     objective[-1] = -1.0
     a_ub = np.vstack(
         [
             np.hstack([-matrix.T, np.ones((cols, 1))]),
-            np.hstack([g, np.zeros((h.size, 1))]),
+            np.hstack([-rows, np.zeros((len(rows), 1))]),
         ]
     )
     a_eq = np.append(np.ones(num_rows), 0.0)[None, :]
     result = optimize.linprog(
         objective,
         A_ub=a_ub,
-        b_ub=np.concatenate([np.zeros(cols), h]),
+        b_ub=np.zeros(cols + len(rows)),
         A_eq=a_eq,
         b_eq=[1.0],
         bounds=[(0.0, None)] * num_rows + [(None, None)],
@@ -138,15 +138,14 @@ def _node_games(draw):
 
 @given(_node_games())
 def test_node_maxmin_value_matches_highs(case):
-    # HiGHS solves max t over {z >= 0, sum(z) = 1, G z <= h} directly; the
-    # packing LP reaches it through the columns h 1 - g, and check_maxmin
+    # HiGHS solves max t over {z >= 0, sum(z) = 1, F z >= 0} directly; the
+    # packing LP reaches it through the columns F^T, and check_maxmin
     # raises unless its (y, lam) certificate holds
     matrix, rows = case
     solution = solve_lp(build_maxmin_lp(matrix, rows))
     value, strategy = check_maxmin(matrix, solution, rows)
     assert value == pytest.approx(_highs_maxmin(matrix, rows), abs=1e-9)
-    g, h = rows
-    assert np.all(g @ strategy <= h + 1e-9)
+    assert np.all(rows @ strategy >= -1e-9)
 
 
 @pytest.mark.parametrize(

@@ -55,15 +55,15 @@ def _reference_node_rows(team_sizes, los, his, most=None):
     # every product of bound factors, one loop step at a time: for each
     # choice per member, in C order, of absent (None), d_a - l_a or
     # u_a - d_a, with at least one member and at most `most` present, the
-    # row of -(the present factors multiplied in member order) at every
-    # joint action, d_a being 1 where the member plays a; a row without a
-    # positive entry is left out
+    # row of the present factors multiplied in member order at every joint
+    # action, d_a being 1 where the member plays a; a row without a
+    # negative entry is left out
     joint = list(itertools.product(*map(range, team_sizes)))
     choices = [
         [None] + [(a, False) for a in range(m)] + [(a, True) for a in range(m)]
         for m in team_sizes
     ]
-    g = []
+    rows = []
     for choice in itertools.product(*choices):
         present = [(i, c) for i, c in enumerate(choice) if c is not None]
         if not present or len(present) > (most or len(team_sizes)):
@@ -75,10 +75,10 @@ def _reference_node_rows(team_sizes, los, his, most=None):
                 played = float(action[i] == a)
                 factor = his[i][a] - played if upper else played - los[i][a]
                 product = factor if product is None else product * factor
-            row.append(-product)
-        if max(row) > 0.0:
-            g.append(row)
-    return np.array(g).reshape(-1, len(joint)), np.zeros(len(g))
+            row.append(product)
+        if min(row) < 0.0:
+            rows.append(row)
+    return np.array(rows).reshape(-1, len(joint))
 
 
 def _reference_tighten_box(los, his):
@@ -206,8 +206,8 @@ def _reference_build_maxmin_lp(matrix, rows=None):
     packing = 1.0 + (matrix - lo) / ((hi - lo) or 1.0)
     a_ub = packing
     if rows is not None:
-        g, h = rows
-        a_ub = np.hstack([packing, h - g.T])
+        # the rows as columns, every zero positive
+        a_ub = np.hstack([packing, np.where(rows.T == 0.0, 0.0, rows.T)])
     objective = np.zeros(a_ub.shape[1])
     objective[: packing.shape[1]] = max(1.0, hi - lo)
     return LinearProgram(objective, a_ub, np.ones(packing.shape[0]))
@@ -329,12 +329,10 @@ def test_tighten_box_finds_an_empty_box():
 
 
 def _assert_same_rows(team_sizes, factors, lo, hi, most=None):
-    g, h = _node_rows(factors, lo, hi)
-    want_g, want_h = _reference_node_rows(
+    want = _reference_node_rows(
         team_sizes, per_member(team_sizes, lo), per_member(team_sizes, hi), most
     )
-    _assert_same_bits(g, want_g)
-    _assert_same_bits(h, want_h)
+    _assert_same_bits(_node_rows(factors, lo, hi), want)
 
 
 @settings(max_examples=100, deadline=None)
@@ -376,7 +374,7 @@ def test_node_rows_of_every_degree_fit_under_the_cap(cap, most, count):
     lo, hi = _random_box(team_sizes, 0)
     assert _tighten_box(lo, hi, member_slices(team_sizes))
     _assert_same_rows(team_sizes, factors, lo, hi, most)
-    assert _node_rows(factors, lo, hi)[0].shape == (count, 27)
+    assert _node_rows(factors, lo, hi).shape == (count, 27)
 
 
 @settings(max_examples=60)

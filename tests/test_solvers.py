@@ -1361,18 +1361,17 @@ def test_node_bound_holds_every_profile_in_its_box(shape, seed, splits):
 
 def _reference_node_rows(team_sizes, los, his):
     # the rows _node_rows documents, as its formula reads: per member the
-    # block [1^T; I - l 1^T; u 1^T - I] over its actions, G the negated
-    # Kronecker product of the blocks in member order without its first
-    # row, less the rows with no positive entry, and h = 0
+    # block [1^T; I - l 1^T; u 1^T - I] over its actions, F the Kronecker
+    # product of the blocks in member order without its first row, less
+    # the rows with no negative entry
     blocks = [
         np.concatenate(
             (np.ones((1, m)), np.eye(m) - lo[:, None], hi[:, None] - np.eye(m))
         )
         for m, lo, hi in zip(team_sizes, los, his)
     ]
-    g = -functools.reduce(np.kron, blocks)[1:]
-    g = g[(g > 0.0).any(axis=1)]
-    return g, np.zeros(len(g))
+    rows = functools.reduce(np.kron, blocks)[1:]
+    return rows[(rows < 0.0).any(axis=1)]
 
 
 @given(
@@ -1388,8 +1387,41 @@ def test_node_rows_are_the_documented_rows(shape, splits):
     want = _reference_node_rows(
         team_sizes, per_member(team_sizes, lo), per_member(team_sizes, hi)
     )
-    for a, b in zip(got, want):
-        assert a.shape == b.shape and np.array_equal(a, b)
+    assert got.shape == want.shape and np.array_equal(got, want)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from([(3, 2), (3, 3), (3, 4), (4, 3), (4, 2), (5, 2)]),
+    st.integers(0, 2**16),
+    st.lists(
+        st.tuples(st.integers(0, 3), st.integers(0, 3), st.booleans()), max_size=10
+    ),
+)
+def test_node_rows_hold_in_their_box_and_at_the_node_optimum(shape, seed, splits):
+    # F z >= 0 at the joint distribution z of every product profile in the
+    # box, and the node LP's joint mixture x satisfies F x >= 0 with its
+    # marginals in the box: a row of the wrong sign fails one or the other
+    n, m = shape
+    game, _ = make_instance("random", n=n, m=m, seed=seed)
+    team_sizes = game.team_sizes
+    lo, hi = box_from_splits(team_sizes, splits)
+    rows = _node_rows(_node_factors(team_sizes), lo, hi)
+    boxes = list(zip(per_member(team_sizes, lo), per_member(team_sizes, hi)))
+    rng = SplitMix64(seed)
+    samples = [
+        _mixtures_in_box(low, high, rng.spawn(i), 36)
+        for i, (low, high) in enumerate(boxes)
+    ]
+    for mixes in zip(*samples):
+        assert (rows @ functools.reduce(np.kron, mixes)).min(initial=0.0) >= -1e-12
+    matrix = to_joint_game(game)
+    _, x = check_maxmin(matrix, solve_lp(build_maxmin_lp(matrix, rows)), rows)
+    assert (rows @ x).min(initial=0.0) >= -1e-9
+    joint = JointDistribution(team_sizes, x)
+    for i, (low, high) in enumerate(boxes):
+        marginal = joint.marginal(i)
+        assert np.all(low - 1e-9 <= marginal) and np.all(marginal <= high + 1e-9)
 
 
 @pytest.mark.parametrize(
