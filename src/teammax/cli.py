@@ -3,10 +3,10 @@
 Exit codes: 0 success (or verification passed), 1 verification failed,
 2 usage error, 3 input error (unreadable or malformed files), 4 capacity
 exceeded, 5 solver failure (LpSolveError: an LP of the solver's did not
-reach a certified optimum). Every subcommand prints its resolved configuration as a single
-JSON line before any output, and everything written to standard output is
-deterministic given identical flags and input files; timing goes to
-standard error.
+reach a certified optimum). Every subcommand prints its resolved
+configuration as a single JSON line before any output, and everything
+written to standard output is deterministic given identical flags and
+input files; timing goes to standard error.
 """
 
 from __future__ import annotations

@@ -31,13 +31,13 @@ node's relaxation included: the payoffs are shifted and scaled into [1, 2],
 the column player's side is solved as a packing LP, and each homogeneous
 row f @ x >= 0 on the row mixture becomes one extra column f. check_maxmin
 reads the row mixture and the dual certificate (column mixture and row
-multipliers) off the solution and certifies the value; solve_maxmin, for a
-game without rows, also orients the tableau by shape and refines the row
-mixture in the original payoffs. The shift costs absolute precision on a
-game whose payoffs span a wide range; the value returned is the worth of
-the row mixture, and its certificate bounds how far the value can be from
-the optimum. Problems in this package are small and well scaled; the
-tolerances below are absolute.
+multipliers) off the solution and returns the bound that the certificate
+proves by weak duality. solve_maxmin, for a game without rows, orients the
+tableau by shape, refines the row mixture in the original payoffs and
+returns its worth, which the certificate's bound must exceed by at most
+_CHECK_TOL. The shift costs absolute precision on a game whose payoffs
+span a wide range, which that check bounds. Problems in this package are
+small and well scaled; the tolerances below are absolute.
 """
 
 from __future__ import annotations
@@ -70,16 +70,6 @@ _CALL_COST = 9000
 class LpSolveError(RuntimeError):
     """An unbounded LP, or a numerical failure in the simplex (no
     termination, bad basis)."""
-
-
-class CertificateError(LpSolveError):
-    """A maxmin value that its dual certificate does not certify, though
-    the certificate is a column mixture whose bound is finite: the optimum
-    is at most that bound, by weak duality."""
-
-    def __init__(self, message: str, bound: float):
-        super().__init__(message)
-        self.bound = bound
 
 
 @dataclass(frozen=True, eq=False)
@@ -421,57 +411,48 @@ def _mixtures(
 def check_maxmin(
     matrix: np.ndarray, solution: LpSolution, rows: np.ndarray | None = None
 ) -> tuple[float, np.ndarray]:
-    """Value and row mixture of a solution of build_maxmin_lp(matrix, rows),
-    certified from both sides.
+    """The bound that the dual certificate of a solution of
+    build_maxmin_lp(matrix, rows) proves, and the solution's row mixture.
 
-    The row mixture x is the slacks' reduced costs scaled by their sum; it
-    satisfies F x >= 0 because the reduced costs of the lambda columns are
-    nonnegative at the optimum. The value is its worth,
-    min_c (x @ matrix)[c], which x guarantees. The upper side is the dual
-    certificate (y, lam): the column mixture y = w / sum(w) and the row
-    multipliers lam = lambda s / sum(w), for the scale s of
-    build_maxmin_lp. For every mixture z with F z >= 0 and every lam >= 0,
-    z @ matrix @ y <= z @ (matrix @ y + F^T lam)
-    <= max_r (matrix @ y + F^T lam)_r (weak duality), and dividing row r
-    of the LP by sum(w) and undoing the shift shows that bound is the value
-    at the optimum. _certify checks it in the original payoffs. Without
-    rows lam is empty and the bound is max(matrix @ y). The LP is bounded
-    whenever the cone meets the simplex; otherwise it is unbounded, and
-    solve_lp raises LpSolveError before there is a solution to check. A
-    certificate that does not check, or weights that do not sum to a
-    positive number, are a solver defect and raise LpSolveError.
+    The certificate is (y, lam): the column mixture y = w / sum(w) and the
+    row multipliers lam = lambda s / sum(w), for the scale s of
+    build_maxmin_lp. It bounds the optimum by max_r (matrix @ y + F^T lam)_r
+    (_dual_bound) whatever basis the simplex stopped at; at an optimal
+    basis, dividing row r of the LP by sum(w) and undoing the shift shows
+    that the bound is the optimum, up to rounding. Without rows lam is
+    empty and the bound is max(matrix @ y). The row mixture x is the
+    slacks' reduced costs scaled by their sum; at the optimum it satisfies
+    F x >= 0, because the reduced costs of the lambda columns are
+    nonnegative, and its worth min_c (x @ matrix)[c] is the bound up to
+    rounding. The LP is bounded whenever the cone meets the simplex;
+    otherwise it is unbounded, and solve_lp raises LpSolveError before
+    there is a solution to check. Raises LpSolveError only where there is
+    no certificate: weights that do not sum to a positive number, a y that
+    is not a column mixture, or a bound that is not finite.
     """
     matrix = np.asarray(matrix, dtype=np.float64)
     cols = matrix.shape[1]
     u, u_sum, w, weight = _mixtures(solution, cols)
-    x, y = u / u_sum, w / weight
-    value = float((x @ matrix).min())
-    if rows is None:
-        _certify(matrix, value, y)
-    else:
+    lam = None
+    if rows is not None:
         spread = float(matrix.max() - matrix.min()) or 1.0
         lam = np.maximum(solution.variable_values[cols:], 0.0) * (spread / weight)
-        _certify(matrix, value, y, rows, lam)
-    return value, x
+    return _dual_bound(matrix, w / weight, rows, lam), u / u_sum
 
 
-def _certify(
+def _dual_bound(
     matrix: np.ndarray,
-    value: float,
     y: np.ndarray,
     rows: np.ndarray | None = None,
     lam: np.ndarray | None = None,
-) -> None:
-    """Raise LpSolveError unless (y, lam) holds every row mixture z with
-    F z >= 0 to at most value + _CHECK_TOL, for the rows F.
-
-    No such mixture earns more than max_r (matrix @ y + F^T lam)_r against
-    y (see check_maxmin), so the optimum is at most that bound, and a value
-    that the bound exceeds by at most _CHECK_TOL is at most _CHECK_TOL
-    below the optimum. Without rows the bound is max(matrix @ y), minimax
-    over the simplex. A NaN in y, the value or the bound fails. A column
-    mixture whose finite bound exceeds the value by more raises
-    CertificateError with that bound, which still holds every such z.
+) -> float:
+    """max_r (matrix @ y + F^T lam)_r, for the column mixture y and the
+    multipliers lam >= 0 of the rows F: no row mixture z with F z >= 0
+    earns more against y, since
+    z @ matrix @ y <= z @ (matrix @ y + F^T lam) <= max_r (...)_r (weak
+    duality). Without rows it is max(matrix @ y), minimax over the
+    simplex. Raises LpSolveError unless y is a column mixture to
+    _CHECK_TOL and the bound is finite; a NaN in y or lam fails.
     """
     if not (y.min() >= -_CHECK_TOL and abs(y.sum() - 1.0) <= _CHECK_TOL):
         raise LpSolveError("maxmin LP duals are not a column mixture")
@@ -479,14 +460,22 @@ def _certify(
     if rows is not None:
         payoffs += lam @ rows
     bound = float(payoffs.max())
-    excess = bound - value
+    if not math.isfinite(bound):
+        raise LpSolveError(f"maxmin LP dual bound {bound} is not finite")
+    return bound
+
+
+def _certify(matrix: np.ndarray, value: float, y: np.ndarray) -> None:
+    """Raise LpSolveError unless the column mixture y holds every row
+    mixture to at most value + _CHECK_TOL. The optimum is at most y's
+    bound (_dual_bound), so such a value is at most _CHECK_TOL below it. A
+    NaN in y, the value or the bound fails.
+    """
+    excess = _dual_bound(matrix, y) - value
     if not excess <= _CHECK_TOL:
-        message = (
+        raise LpSolveError(
             f"maxmin value not optimal: a row beats the column mixture by {excess:.3e}"
         )
-        if math.isfinite(bound):
-            raise CertificateError(message, bound)
-        raise LpSolveError(message)
 
 
 def solve_maxmin(matrix: np.ndarray) -> tuple[float, np.ndarray]:

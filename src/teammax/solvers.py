@@ -40,7 +40,6 @@ from .game import (
     uniform_profile,
 )
 from .lp import (
-    CertificateError,
     LpSolveError,
     build_maxmin_lp,
     check_maxmin,
@@ -854,19 +853,18 @@ def global_optimize(
     fit in _MAX_MATERIALIZED entries, and degrees 1 and 2 (marginal rows
     and pair envelopes) otherwise. It is the packing LP with one row per
     joint team action and one column per row of F, solved in one simplex
-    run from its slack basis. Its bound is the worth of the LP's joint
-    mixture, certified by check_maxmin with the dual certificate (y, lam):
-    every z with F z >= 0 earns at most max_r (M y + F^T lam)_r. A node LP
-    whose certificate is a finite bound that does not certify the LP's
-    value (CertificateError) gives its box the smaller of that bound and
-    the parent's; any other LpSolveError gives it the parent's bound,
+    run from its slack basis. A box's bound is the smaller of its parent's
+    and the one that check_maxmin reads off the LP's dual certificate
+    (y, lam): every z with F z >= 0 earns at most max_r (M y + F^T lam)_r,
+    by weak duality, whether or not the simplex reached the optimum. A
+    node LP that raises LpSolveError leaves its box the parent's bound,
     which holds it because the box lies inside the parent's. The product
     of the joint mixture's marginals (JointDistribution.marginal) is a team
     profile in the box, evaluated as a lower bound unless the box's bound
     plus BOUND_SLACK is at most the incumbent, which no point of the box
-    can then beat. A timeout of None sets no deadline. The ascent is iterated_lp with 8 restarts from seed
-    0, given half the time left; the report's traces are its traces, none
-    when it did not run.
+    can then beat. A timeout of None sets no deadline. The ascent is
+    iterated_lp with 8 restarts from seed 0, given half the time left; the
+    report's traces are its traces, none when it did not run.
     """
     _require_normalized(game, "global_optimize")
     _check_global(accuracy, max_nodes)
@@ -935,20 +933,17 @@ def global_optimize(
                 # the correlated relaxation cut down to the box by its
                 # products of bound factors
                 rows = _node_rows(factors, child_lo, child_hi)
+                # the child's box lies inside its parent's, so the parent's
+                # bound holds it too
                 try:
-                    bound, probs = check_maxmin(
+                    certified, probs = check_maxmin(
                         matrix, solve_lp(build_maxmin_lp(matrix, rows)), rows
                     )
-                except CertificateError as error:
-                    # a dual certificate that fails to certify the LP's
-                    # value still bounds the box, by weak duality
-                    bound, probs = min(top, error.bound), None
+                    bound = min(top, certified)
                 except LpSolveError:
-                    # the child's box lies inside its parent's, so the
-                    # parent's bound holds it
                     bound, probs = top, None
-                # the probe is a point of the box, worth at most the
-                # certified bound plus check_maxmin's 1e-8 tolerance
+                # the probe is a point of the box, worth at most its bound
+                # up to rounding
                 if probs is not None and bound + BOUND_SLACK > lower:
                     joint = JointDistribution(game.team_sizes, probs)
                     marginals = [joint.marginal(i) for i in range(members)]

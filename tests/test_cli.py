@@ -7,6 +7,7 @@ interface under test, so several tests parse it.
 import argparse
 import json
 import math
+from dataclasses import replace
 
 import pytest
 
@@ -416,11 +417,17 @@ def test_verify_nash_wrong_action_counts_is_input_error(tmp_path, capsys):
 
 def test_pou_subcommand(tmp_path, capsys):
     game_path = _generate(tmp_path, "diagonal", "--n", "3", "--m", "2")
+    # the same game with payoffs 3 u + 1, which --normalize maps back onto
+    # [0, 1]: without it the premium would be 2.5 / 1.75
+    game = load_game(game_path)
+    scaled_path = tmp_path / "scaled.json"
+    save_game(replace(game, team_utility=3.0 * game.team_utility + 1.0), scaled_path)
     capsys.readouterr()
-    assert main(["pou", str(game_path)]) == 0
-    out = capsys.readouterr().out
-    line = next(l for l in out.splitlines() if l.startswith("premium bracket"))
-    assert float(line.split()[-1].rstrip("]")) == pytest.approx(2.0, abs=1e-7)
+    for path, flags in ((game_path, []), (scaled_path, ["--normalize"])):
+        assert main(["pou", str(path), *flags]) == 0
+        out = capsys.readouterr().out
+        line = next(l for l in out.splitlines() if l.startswith("premium bracket"))
+        assert float(line.split()[-1].rstrip("]")) == pytest.approx(2.0, abs=1e-7)
 
 
 def test_experiment_end_to_end(tmp_path, capsys):

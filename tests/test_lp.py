@@ -19,7 +19,6 @@ import teammax.solvers as solvers_module
 from teammax.game import MixedStrategy, TeamGame, TeamProfile, to_joint_game
 from teammax.generators import make_instance
 from teammax.lp import (
-    CertificateError,
     LinearProgram,
     LpSolution,
     LpSolveError,
@@ -200,7 +199,7 @@ def _packing_lps(draw):
 @given(_packing_lps())
 def test_both_forms_reach_the_same_optimum(case):
     # _solve_lp raises if its solution misses the residual check, and
-    # check_maxmin unless the duals certify the value
+    # check_maxmin unless the duals are a certificate with a finite bound
     matrix, lp = case
     tableau = lp_module._solve_lp(lp, inverse=False)
     inverse = lp_module._solve_lp(lp, inverse=True)
@@ -345,9 +344,9 @@ def test_certify_fails_a_nan():
         lp_module._certify(matrix, math.nan, y)
     # a NaN multiplier makes the bound NaN; the row is x_0 <= 1/2
     rows = np.array([[-0.5, 0.5]])
-    lp_module._certify(matrix, 1.0, y, rows, np.array([0.0]))
-    with pytest.raises(LpSolveError, match="a row beats"):
-        lp_module._certify(matrix, 1.0, y, rows, np.array([math.nan]))
+    assert lp_module._dual_bound(matrix, y, rows, np.array([0.0])) == 1.0
+    with pytest.raises(LpSolveError, match="not finite"):
+        lp_module._dual_bound(matrix, y, rows, np.array([math.nan]))
 
 
 def test_maxmin_certifies_the_mixture_it_returns(monkeypatch):
@@ -653,13 +652,14 @@ def test_box_certificate_by_hand():
     w = np.array([0.0, 0.8, 0.4])
     right = LpSolution(w, 1, np.array([0.4, 0.4]), [1, 2])
     assert check_maxmin(matrix, right, rows)[0] == 0.5
-    with pytest.raises(LpSolveError, match="a row beats"):
-        check_maxmin(matrix, right)
-    # the row mixture (0.4, 0.6) is worth only 0.4, and y = (0, 1) shows a
-    # mixture in the box that earns 0.5
+    # without the row, y alone bounds the simplex, where row 0 earns 1
+    assert check_maxmin(matrix, right)[0] == 1.0
+    # the row mixture (0.4, 0.6) is worth only 0.4, but the bound is the
+    # certificate's: y = (0, 1) and lam = 1 still prove 0.5
     low = LpSolution(w, 1, np.array([0.4, 0.6]), [1, 2])
-    with pytest.raises(LpSolveError, match="a row beats"):
-        check_maxmin(matrix, low, rows)
+    bound, strategy = check_maxmin(matrix, low, rows)
+    assert bound == 0.5
+    assert np.allclose(strategy, [0.4, 0.6])
 
 
 def test_a_certificate_that_does_not_check_carries_its_finite_bound():
@@ -668,20 +668,22 @@ def test_a_certificate_that_does_not_check_carries_its_finite_bound():
     rows = box_rows([0.0, 0.0], [0.5, 1.0])
     w = np.array([0.0, 0.8, 0.4])
     # the row mixture (0.4, 0.6) is worth 0.4; (y, lam) = ((0, 1), 1)
-    # still bounds the node at 0.5
+    # still bounds the node at 0.5, and that bound is what check_maxmin
+    # returns
     low = LpSolution(w, 1, np.array([0.4, 0.6]), [1, 2])
-    with pytest.raises(CertificateError, match="a row beats") as error:
-        check_maxmin(matrix, low, rows)
-    assert error.value.bound == 0.5
-    # a NaN value fails, and the bound still holds
-    with pytest.raises(CertificateError) as error:
-        lp_module._certify(matrix, math.nan, np.array([0.0, 1.0]))
-    assert error.value.bound == 1.0
+    assert check_maxmin(matrix, low, rows)[0] == 0.5
+    # a NaN value fails _certify, and y's bound still holds
+    y = np.array([0.0, 1.0])
+    with pytest.raises(LpSolveError, match="a row beats"):
+        lp_module._certify(matrix, math.nan, y)
+    assert lp_module._dual_bound(matrix, y) == 1.0
     # no mixture, or a bound that is not finite, bounds nothing
     for y, lam in (([0.5, 0.0], [1.0]), ([0.0, 1.0], [math.nan])):
-        with pytest.raises(LpSolveError) as error:
-            lp_module._certify(matrix, 0.4, np.array(y), rows, np.array(lam))
-        assert not isinstance(error.value, CertificateError)
+        with pytest.raises(LpSolveError):
+            lp_module._dual_bound(matrix, np.array(y), rows, np.array(lam))
+    nan_lambda = LpSolution(np.array([0.0, 0.8, math.nan]), 1, low.duals, [1, 2])
+    with pytest.raises(LpSolveError, match="not finite"):
+        check_maxmin(matrix, nan_lambda, rows)
 
 
 def _tampered(solution, values):
@@ -690,8 +692,9 @@ def _tampered(solution, values):
 
 def test_node_certificate_needs_its_multipliers_and_its_column_mixture():
     # a node whose rows hold the bound below v_C: without lam the
-    # certificate is max(matrix @ y) >= v_C, and moving half of y onto the
-    # column the row mixture does best against lets that mixture beat it
+    # certificate's bound is max(matrix @ y) >= v_C, and moving half of y
+    # onto the column the row mixture does best against raises the bound
+    # by half of that column's lead over the value
     game, _ = make_instance("random", n=3, m=3, seed=0)
     matrix = to_joint_game(game)
     v_c, _ = solve_maxmin(matrix)
@@ -703,16 +706,17 @@ def test_node_certificate_needs_its_multipliers_and_its_column_mixture():
     cols = matrix.shape[1]
     values = solution.variable_values.copy()
     values[cols:] = 0.0
-    with pytest.raises(LpSolveError, match="a row beats"):
-        check_maxmin(matrix, _tampered(solution, values), rows)
+    bound, _ = check_maxmin(matrix, _tampered(solution, values), rows)
+    assert bound >= v_c - 1e-9
     best = int(np.argmax(x @ matrix))
-    assert (x @ matrix)[best] > value + 1e-3
+    lead = (x @ matrix)[best] - value
+    assert lead > 1e-3
     values = solution.variable_values.copy()
     weight = values[:cols].sum()
     values[:cols] *= 0.5
     values[best] += 0.5 * weight
-    with pytest.raises(LpSolveError, match="a row beats"):
-        check_maxmin(matrix, _tampered(solution, values), rows)
+    bound, _ = check_maxmin(matrix, _tampered(solution, values), rows)
+    assert bound >= value + 0.5 * lead - 1e-9
 
 
 def test_global_optimize_runs_the_simplex_once_per_lp(monkeypatch):

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 optimize = pytest.importorskip("scipy.optimize")
 
 from teammax.lp import (  # noqa: E402
+    LpSolution,
     build_maxmin_lp,
     check_maxmin,
     solve_lp,
@@ -146,6 +147,27 @@ def test_node_maxmin_value_matches_highs(case):
     value, strategy = check_maxmin(matrix, solution, rows)
     assert value == pytest.approx(_highs_maxmin(matrix, rows), abs=1e-9)
     assert np.all(rows @ strategy >= -1e-9)
+
+
+@given(_node_games(), st.data())
+def test_node_certificate_bounds_the_node_by_weak_duality(case, data):
+    # any column mixture y and multipliers lam >= 0 bound the node: the
+    # LP's own certificate proves its optimum, and one whose w is replaced
+    # by a drawn positive vector proves a looser bound, still above it
+    matrix, rows = case
+    highs = _highs_maxmin(matrix, rows)
+    solution = solve_lp(build_maxmin_lp(matrix, rows))
+    bound, _ = check_maxmin(matrix, solution, rows)
+    assert bound == pytest.approx(highs, abs=1e-9)
+    assert bound >= highs - 1e-12
+    cols = matrix.shape[1]
+    values = solution.variable_values.copy()
+    weights = st.lists(st.floats(1e-3, 1.0), min_size=cols, max_size=cols)
+    values[:cols] = data.draw(weights, label="w")
+    drawn = LpSolution(values, solution.iterations, solution.duals, solution.basis)
+    loose, _ = check_maxmin(matrix, drawn, rows)
+    note(f"HiGHS {highs!r}, certificate {bound!r}, drawn w {loose!r}")
+    assert loose >= highs - 1e-12
 
 
 @pytest.mark.parametrize(

@@ -28,6 +28,7 @@ from teammax.metrics import (
     run_experiment,
     write_aggregate_csv,
     write_rows_csv,
+    _premium,
 )
 from teammax.generators import diagonal_game, poa_game, pou_one_game, random_team_game
 from teammax.solvers import SOLVER_NAMES, correlated_team_maxmin
@@ -157,6 +158,14 @@ def test_pou_raises_over_the_joint_cap_before_the_solver_runs(monkeypatch):
     game = normalize_payoffs(random_team_game(3, 2, seed=0))
     with pytest.raises(CapacityError, match="exceeds the cap 3"):
         compute_pou(game, team_solver="iterated-lp")
+
+
+def test_premium_of_a_zero_bound():
+    # v_C over a zero bound: 1 when v_C is zero too (within 1e-12), else
+    # infinite, as for a team that guarantees nothing alone but gains by
+    # correlating
+    assert _premium(1e-13, 0.0) == 1.0
+    assert _premium(0.5, 0.0) == math.inf
 
 
 def test_bracket_ratio():

@@ -61,7 +61,6 @@ from teammax.solvers import (
     support_enumeration,
 )
 from teammax.lp import (
-    CertificateError,
     LpSolveError,
     build_maxmin_lp,
     check_maxmin,
@@ -1530,29 +1529,35 @@ def test_a_child_whose_node_lp_raises_keeps_its_parents_bound(monkeypatch):
         (0.3, 0.3),
         # above the parent's bound, which then holds the child
         (0.5, 1.0 / 3.0),
-        # below the incumbent 1/9: the child is not pushed
-        (0.05, 0.19999999999999998),
+        # below the incumbent 1/9: the child is not pushed, and the other
+        # child's certificate proves 0.2 up to rounding
+        (0.05, 0.20000000000000007),
+        # no certificate at all: the child keeps the parent's bound
+        (None, 1.0 / 3.0),
     ],
 )
 def test_a_child_whose_certificate_fails_keeps_the_smaller_bound(
     monkeypatch, planted, upper
 ):
-    # the root's first child fails its certificate, whose finite bound
-    # still holds the box by weak duality: the child is pushed with the
-    # smaller of that bound and the root's, v_C, and gets no probe. After
-    # one node the upper bound is the larger child's; the search then goes
-    # on and closes the bracket
+    # the root's first child gets a planted certificate bound: the child is
+    # pushed with the smaller of that bound and the root's, v_C. A node LP
+    # that raises instead keeps the root's bound. After one node the upper
+    # bound is the larger child's; the search then goes on and closes the
+    # bracket
     game, facts = make_instance("diagonal", n=3, m=3)
     calls = []
     check = solvers.check_maxmin
 
-    def first_child_fails(*args):
+    def first_child_planted(*args):
         calls.append(None)
+        bound, x = check(*args)
         if len(calls) == 1:
-            raise CertificateError("planted failure", planted)
-        return check(*args)
+            if planted is None:
+                raise LpSolveError("planted failure")
+            return planted, x
+        return bound, x
 
-    monkeypatch.setattr(solvers, "check_maxmin", first_child_fails)
+    monkeypatch.setattr(solvers, "check_maxmin", first_child_planted)
     report = global_optimize(game, accuracy=1e-3, max_nodes=1)
     assert report.correlated_bound == 1.0 / 3.0
     assert report.upper_bound == upper
@@ -1728,7 +1733,7 @@ def test_run_solver_every_name():
             {"accuracy": 1e-3, "max_nodes": 3000},
             {
                 "lower_bound": 0.5893829008703708,
-                "upper_bound": 0.5896677118601118,
+                "upper_bound": 0.5896677118601121,
                 "iterations": 12,
             },
         ),
