@@ -199,16 +199,20 @@ def _packing_lps(draw):
 @given(_packing_lps())
 def test_both_forms_reach_the_same_optimum(case):
     # _solve_lp raises if its solution misses the residual check, and
-    # check_maxmin unless the duals are a certificate with a finite bound
+    # check_maxmin unless the duals are a certificate with a finite bound;
+    # at an optimum each form's row mixture is worth that bound
     matrix, lp = case
     tableau = lp_module._solve_lp(lp, inverse=False)
     inverse = lp_module._solve_lp(lp, inverse=True)
     assert lp.objective @ inverse.variable_values == pytest.approx(
         lp.objective @ tableau.variable_values, abs=1e-9
     )
-    first, _ = check_maxmin(matrix, tableau)
-    second, _ = check_maxmin(matrix, inverse)
-    assert first == pytest.approx(second, abs=1e-9)
+    bounds = []
+    for solution in (tableau, inverse):
+        bound, x = check_maxmin(matrix, solution)
+        assert abs(bound - (x @ matrix).min()) <= lp_module._CHECK_TOL
+        bounds.append(bound)
+    assert bounds[0] == pytest.approx(bounds[1], abs=1e-9)
 
 
 @pytest.mark.parametrize(
@@ -654,12 +658,6 @@ def test_box_certificate_by_hand():
     assert check_maxmin(matrix, right, rows)[0] == 0.5
     # without the row, y alone bounds the simplex, where row 0 earns 1
     assert check_maxmin(matrix, right)[0] == 1.0
-    # the row mixture (0.4, 0.6) is worth only 0.4, but the bound is the
-    # certificate's: y = (0, 1) and lam = 1 still prove 0.5
-    low = LpSolution(w, 1, np.array([0.4, 0.6]), [1, 2])
-    bound, strategy = check_maxmin(matrix, low, rows)
-    assert bound == 0.5
-    assert np.allclose(strategy, [0.4, 0.6])
 
 
 def test_a_certificate_that_does_not_check_carries_its_finite_bound():
@@ -667,20 +665,13 @@ def test_a_certificate_that_does_not_check_carries_its_finite_bound():
     matrix = np.array([[2.0, 1.0], [0.0, 0.0]])
     rows = box_rows([0.0, 0.0], [0.5, 1.0])
     w = np.array([0.0, 0.8, 0.4])
-    # the row mixture (0.4, 0.6) is worth 0.4; (y, lam) = ((0, 1), 1)
-    # still bounds the node at 0.5, and that bound is what check_maxmin
-    # returns
+    # the row mixture (0.4, 0.6) is worth only 0.4, but the bound is the
+    # certificate's: y = (0, 1) and lam = 1 still prove 0.5
     low = LpSolution(w, 1, np.array([0.4, 0.6]), [1, 2])
-    assert check_maxmin(matrix, low, rows)[0] == 0.5
-    # a NaN value fails _certify, and y's bound still holds
-    y = np.array([0.0, 1.0])
-    with pytest.raises(LpSolveError, match="a row beats"):
-        lp_module._certify(matrix, math.nan, y)
-    assert lp_module._dual_bound(matrix, y) == 1.0
-    # no mixture, or a bound that is not finite, bounds nothing
-    for y, lam in (([0.5, 0.0], [1.0]), ([0.0, 1.0], [math.nan])):
-        with pytest.raises(LpSolveError):
-            lp_module._dual_bound(matrix, np.array(y), rows, np.array(lam))
+    bound, strategy = check_maxmin(matrix, low, rows)
+    assert bound == 0.5
+    assert np.allclose(strategy, [0.4, 0.6])
+    # a NaN multiplier proves no finite bound
     nan_lambda = LpSolution(np.array([0.0, 0.8, math.nan]), 1, low.duals, [1, 2])
     with pytest.raises(LpSolveError, match="not finite"):
         check_maxmin(matrix, nan_lambda, rows)

@@ -137,29 +137,22 @@ def _node_games(draw):
     return np.array(values).reshape(-1, adversary), rows
 
 
-@given(_node_games())
-def test_node_maxmin_value_matches_highs(case):
-    # HiGHS solves max t over {z >= 0, sum(z) = 1, F z >= 0} directly; the
-    # packing LP reaches it through the columns F^T, and check_maxmin
-    # raises unless its (y, lam) certificate holds
-    matrix, rows = case
-    solution = solve_lp(build_maxmin_lp(matrix, rows))
-    value, strategy = check_maxmin(matrix, solution, rows)
-    assert value == pytest.approx(_highs_maxmin(matrix, rows), abs=1e-9)
-    assert np.all(rows @ strategy >= -1e-9)
-
-
 @given(_node_games(), st.data())
-def test_node_certificate_bounds_the_node_by_weak_duality(case, data):
-    # any column mixture y and multipliers lam >= 0 bound the node: the
-    # LP's own certificate proves its optimum, and one whose w is replaced
-    # by a drawn positive vector proves a looser bound, still above it
+def test_node_maxmin_value_matches_highs(case, data):
+    # HiGHS solves max t over {z >= 0, sum(z) = 1, F z >= 0} directly; the
+    # packing LP reaches it through the columns F^T. check_maxmin returns
+    # the bound its (y, lam) certificate proves: at the LP's optimum that
+    # bound and the row mixture's worth both meet HiGHS. Any column mixture
+    # y and lam >= 0 bound the node by weak duality, so a certificate whose
+    # w is replaced by a drawn positive vector proves a looser bound
     matrix, rows = case
     highs = _highs_maxmin(matrix, rows)
     solution = solve_lp(build_maxmin_lp(matrix, rows))
-    bound, _ = check_maxmin(matrix, solution, rows)
+    bound, strategy = check_maxmin(matrix, solution, rows)
     assert bound == pytest.approx(highs, abs=1e-9)
     assert bound >= highs - 1e-12
+    assert (strategy @ matrix).min() == pytest.approx(highs, abs=1e-9)
+    assert np.all(rows @ strategy >= -1e-9)
     cols = matrix.shape[1]
     values = solution.variable_values.copy()
     weights = st.lists(st.floats(1e-3, 1.0), min_size=cols, max_size=cols)

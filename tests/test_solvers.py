@@ -1497,7 +1497,7 @@ def test_global_closes_the_diagonal_bracket_for_three_or_more_members(
 
 
 def test_a_child_whose_node_lp_raises_keeps_its_parents_bound(monkeypatch):
-    # the root's first child fails its certificate: it is pushed with the
+    # the root's first child's node LP raises: it is pushed with the
     # root's bound, v_C, and no probe. After one node the upper bound is
     # v_C, where the two children's own bounds give 0.25; the search then
     # goes on below the failed child and closes the bracket
@@ -1532,18 +1532,15 @@ def test_a_child_whose_node_lp_raises_keeps_its_parents_bound(monkeypatch):
         # below the incumbent 1/9: the child is not pushed, and the other
         # child's certificate proves 0.2 up to rounding
         (0.05, 0.20000000000000007),
-        # no certificate at all: the child keeps the parent's bound
-        (None, 1.0 / 3.0),
     ],
 )
 def test_a_child_whose_certificate_fails_keeps_the_smaller_bound(
     monkeypatch, planted, upper
 ):
     # the root's first child gets a planted certificate bound: the child is
-    # pushed with the smaller of that bound and the root's, v_C. A node LP
-    # that raises instead keeps the root's bound. After one node the upper
-    # bound is the larger child's; the search then goes on and closes the
-    # bracket
+    # pushed with the smaller of that bound and the root's, v_C. After one
+    # node the upper bound is the larger child's; the search then goes on
+    # and closes the bracket
     game, facts = make_instance("diagonal", n=3, m=3)
     calls = []
     check = solvers.check_maxmin
@@ -1552,8 +1549,6 @@ def test_a_child_whose_certificate_fails_keeps_the_smaller_bound(
         calls.append(None)
         bound, x = check(*args)
         if len(calls) == 1:
-            if planted is None:
-                raise LpSolveError("planted failure")
             return planted, x
         return bound, x
 
