@@ -43,6 +43,7 @@ small and well scaled; the tolerances below are absolute.
 from __future__ import annotations
 
 import math
+import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -70,6 +71,10 @@ _CALL_COST = 9000
 class LpSolveError(RuntimeError):
     """An unbounded LP, or a numerical failure in the simplex (no
     termination, bad basis)."""
+
+
+class LpDeadlineError(LpSolveError):
+    """A simplex run stopped at its deadline before reaching the optimum."""
 
 
 @dataclass(frozen=True, eq=False)
@@ -106,11 +111,16 @@ class LpSolution:
 
 
 def _run_simplex(
-    work: np.ndarray, cols: np.ndarray | None, basis: list[int], max_iter: int
+    work: np.ndarray,
+    cols: np.ndarray | None,
+    basis: list[int],
+    max_iter: int,
+    deadline: float = math.inf,
 ) -> int:
     """Minimize the cost in work[-1] in place and return the number of
     pivots made. Raises LpSolveError if the LP is unbounded, or if the
-    simplex has not stopped after max_iter pivots.
+    simplex has not stopped after max_iter pivots, and LpDeadlineError if
+    time.perf_counter() has passed a finite deadline before a pivot.
 
     work is one of two representations of the same tableau. With cols None
     it is the whole tableau, and the cost row and the entering column are
@@ -166,6 +176,8 @@ def _run_simplex(
             if improving.size == 0:
                 return pivots
             entering = int(improving[0])
+        if deadline < math.inf and time.perf_counter() > deadline:
+            raise LpDeadlineError(f"simplex passed its deadline after {pivots} pivots")
         if cols is None:
             column = work[:, entering]
         elif bland:
@@ -260,7 +272,7 @@ def _prices_from_inverse(m: int, n: int) -> bool:
     return saved > (n + 2 * m + 1) * (m + 2) + _CALL_COST
 
 
-def solve_lp(lp: LinearProgram) -> LpSolution:
+def solve_lp(lp: LinearProgram, deadline: float = math.inf) -> LpSolution:
     """Solve with the primal simplex from the slack basis.
 
     The tableau is [a_ub | I | b_ub] under the cost row [-objective | 0 | 0];
@@ -271,9 +283,11 @@ def solve_lp(lp: LinearProgram) -> LpSolution:
     reaches, with the duals of the a_ub rows and the basis. Raises
     ValueError on data that is not finite, and LpSolveError if the LP is
     unbounded or the arithmetic breaks down (non-termination, residuals out
-    of tolerance).
+    of tolerance). A finite deadline, a time.perf_counter() reading, stops
+    the simplex before the first pivot that would start after it, with
+    LpDeadlineError; the default runs it to the end.
     """
-    return _solve_lp(lp, _prices_from_inverse(*lp.a_ub.shape))
+    return _solve_lp(lp, _prices_from_inverse(*lp.a_ub.shape), deadline)
 
 
 def _tableau(
@@ -308,13 +322,15 @@ def _tableau(
     return work, cols
 
 
-def _solve_lp(lp: LinearProgram, inverse: bool) -> LpSolution:
+def _solve_lp(
+    lp: LinearProgram, inverse: bool, deadline: float = math.inf
+) -> LpSolution:
     """solve_lp, with _run_simplex on the basis inverse if inverse, else
     on the whole tableau."""
     m, n = lp.a_ub.shape
     work, cols = _tableau(lp, inverse)
     basis = list(range(n, n + m))
-    pivots = _run_simplex(work, cols, basis, 1000 * (2 * m + n + 10))
+    pivots = _run_simplex(work, cols, basis, 1000 * (2 * m + n + 10), deadline)
     values = np.zeros(n + m)
     values[basis] = work[:m, -1]
     x = values[:n]

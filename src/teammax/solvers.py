@@ -788,33 +788,16 @@ def _node_rows(factors: list[tuple], lo: np.ndarray, hi: np.ndarray) -> np.ndarr
     return product[(product < 0.0).any(axis=1)]
 
 
-def _tighten_box(
-    lo: np.ndarray, hi: np.ndarray, members: tuple[slice, ...]
-) -> bool:
-    """Intersect a box with the probability simplex of every member, in
-    place: two rounds, each lowering every high to 1 less the member's other
-    lows, then raising every low to 1 less the member's other highs.
-    members holds each member's slice of lo and hi. Returns False when the
-    intersection is empty, and leaves the box undefined then."""
-    # each entry's member's sum of lows, then of highs
-    sums = np.empty(lo.size)
-    lo_sums = [lo[k].sum() for k in members]
-    for _ in range(2):
-        for k, total in zip(members, lo_sums):
-            sums[k] = total
-        np.minimum(hi, 1.0 - (sums - lo), out=hi)
-        hi_sums = [hi[k].sum() for k in members]
-        for k, total in zip(members, hi_sums):
-            sums[k] = total
-        np.maximum(lo, 1.0 - (sums - hi), out=lo)
-        lo_sums = [lo[k].sum() for k in members]
-        if (
-            max(lo_sums) > 1.0 + 1e-9
-            or min(hi_sums) < 1.0 - 1e-9
-            or (lo > hi + 1e-12).any()
-        ):
-            return False
-    return True
+def _tighten_box(lo: np.ndarray, hi: np.ndarray) -> None:
+    """Shrink one member's box lo, hi, which meets its simplex, in place to
+    the least box around their intersection: each high drops to 1 less the
+    other lows, then each low rises to 1 less the other highs. One pass is
+    exact: each bound becomes the greatest or least value its coordinate
+    takes on box and simplex (the others at their lows, then at their new
+    highs), so a second pass moves only rounding, and both halves of a
+    midpoint split still meet the simplex."""
+    np.minimum(hi, 1.0 - (lo.sum() - lo), out=hi)
+    np.maximum(lo, 1.0 - (hi.sum() - hi), out=lo)
 
 
 def _check_global(accuracy: float, max_nodes: int) -> None:
@@ -840,13 +823,16 @@ def global_optimize(
     correlated LP again, then refines the upper bound by best-first branch
     and bound: the team strategy box is split on the widest coordinate
     interval and each box is bounded by the correlated relaxation
-    restricted to it, pruning boxes that cannot beat the incumbent. A box
-    whose widest interval is at most max(accuracy / 1000, 1e-12), or that
-    is MAX_DEPTH splits per team member deep, is not split again: its
-    bound stays in the upper bound. Bounds are valid whenever it stops;
-    converged means the bracket width reached `accuracy`. Each node LP is
-    build_maxmin_lp with the node's rows F (_node_rows): the correlated
-    relaxation over joint team strategies z, cut down by F z >= 0, where
+    restricted to it, pruning boxes that cannot beat the incumbent. Each
+    member's box is cut to its simplex (_tighten_box) at the root, and
+    after a split only the split member's: the others stay exact, and
+    neither half is empty. A box whose widest interval is at most
+    max(accuracy / 1000, 1e-12), or that is MAX_DEPTH splits per team
+    member deep, is not split again: its bound stays in the upper bound.
+    Bounds are valid whenever it stops; converged means the bracket width
+    reached `accuracy`. Each node LP is build_maxmin_lp with the node's
+    rows F (_node_rows): the correlated relaxation over joint team
+    strategies z, cut down by F z >= 0, where
     each row of F is a product of per-member bound factors that is
     nonnegative on the box and not implied by z >= 0. That is every degree
     up to the team's size when the candidate rows times the joint actions
@@ -858,9 +844,10 @@ def global_optimize(
     (y, lam): every z with F z >= 0 earns at most max_r (M y + F^T lam)_r,
     by weak duality, whether or not the simplex reached the optimum. A
     node LP that raises LpSolveError leaves its box the parent's bound,
-    which holds it because the box lies inside the parent's. The product
-    of the joint mixture's marginals (JointDistribution.marginal) is a team
-    profile in the box, evaluated as a lower bound unless the box's bound
+    which holds it because the box lies inside the parent's; so does one
+    stopped at the deadline (LpDeadlineError). The product of the joint
+    mixture's marginals (JointDistribution.marginal) is a team profile in
+    the box, evaluated as a lower bound unless the box's bound
     plus BOUND_SLACK is at most the incumbent, which no point of the box
     can then beat. A timeout of None sets no deadline. The ascent is
     iterated_lp with 8 restarts from seed 0, given half the time left; the
@@ -895,10 +882,13 @@ def global_optimize(
         matrix = to_joint_game(game)
         members = game.num_team_members
         factors = _node_factors(game.team_sizes)
-        slices = tuple(k for k, *_ in factors)
-        entries = sum(game.team_sizes)
+        # each box entry's member's slice
+        owners = [k for k, *_ in factors for _ in range(k.stop - k.start)]
+        lo, hi = np.zeros(len(owners)), np.ones(len(owners))
+        for k, *_ in factors:
+            _tighten_box(lo[k], hi[k])
         counter = itertools.count()
-        heap = [(-upper, next(counter), 0, np.zeros(entries), np.ones(entries))]
+        heap = [(-upper, next(counter), 0, lo, hi)]
         resolved = lower
         while True:
             top = -heap[0][0] if heap else -math.inf
@@ -922,23 +912,22 @@ def global_optimize(
                 resolved = max(resolved, top)
                 continue
             mid = lo[widest] + width / 2.0
+            k = owners[widest]
             for half in (0, 1):
                 child_lo, child_hi = lo.copy(), hi.copy()
                 if half == 0:
                     child_hi[widest] = mid
                 else:
                     child_lo[widest] = mid
-                if not _tighten_box(child_lo, child_hi, slices):
-                    continue
+                _tighten_box(child_lo[k], child_hi[k])
                 # the correlated relaxation cut down to the box by its
                 # products of bound factors
                 rows = _node_rows(factors, child_lo, child_hi)
                 # the child's box lies inside its parent's, so the parent's
                 # bound holds it too
                 try:
-                    certified, probs = check_maxmin(
-                        matrix, solve_lp(build_maxmin_lp(matrix, rows)), rows
-                    )
+                    solution = solve_lp(build_maxmin_lp(matrix, rows), deadline)
+                    certified, probs = check_maxmin(matrix, solution, rows)
                     bound = min(top, certified)
                 except LpSolveError:
                     bound, probs = top, None

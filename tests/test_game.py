@@ -171,6 +171,45 @@ def test_profile_game_mismatch_rejected():
         team_value(game, bad)
 
 
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (
+            lambda g: JointDistribution((2, 0), np.zeros(0)),
+            r"invalid team sizes \(2, 0\)",
+        ),
+        (
+            lambda g: JointDistribution((2, 2), np.full(3, 1 / 3)),
+            "3 entries for 4 joint actions",
+        ),
+        (
+            lambda g: team_value(g, TeamProfile((uniform_strategy(2),))),
+            "profile has 1 strategies for 2 team members",
+        ),
+        (
+            lambda g: expected_team_utility(g, uniform_profile(g), uniform_strategy(3)),
+            "adversary strategy has 3 actions, game expects 2",
+        ),
+        (
+            lambda g: verify_nash(g, uniform_profile(g), uniform_strategy(3)),
+            "adversary strategy does not match the game",
+        ),
+        (lambda g: pure_profile(g, (0,)), "1 actions given for 2 members"),
+    ],
+    ids=[
+        "joint-sizes",
+        "joint-entries",
+        "team-value-members",
+        "expected-utility-adversary",
+        "verify-nash-adversary",
+        "pure-profile-members",
+    ],
+)
+def test_inputs_that_do_not_fit_the_game_are_named(call, message):
+    with pytest.raises(ValueError, match=message):
+        call(counting_game())
+
+
 def test_to_joint_game_rows_are_row_major_pairs():
     game = counting_game()
     matrix = to_joint_game(game)

@@ -201,3 +201,19 @@ def test_make_instance_errors():
     # poa ignores n and m entirely
     game, _ = make_instance("poa", n=99, m=99)
     assert game.actions_per_player == (2, 2, 2)
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: diagonal_game(3, 0), "need at least one action, got 0"),
+        (lambda: coordination_game(1, 2), "need at least 2 players, got 1"),
+        (lambda: coordination_game(3, 0), "need at least one action, got 0"),
+        (lambda: random_team_game(1, 2, seed=0), "need at least 2 players, got 1"),
+        (lambda: random_team_game(3, 0, seed=0), "need at least one action, got 0"),
+    ],
+    ids=["diagonal-m", "coordination-n", "coordination-m", "random-n", "random-m"],
+)
+def test_sizes_below_range_are_rejected(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()

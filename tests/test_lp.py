@@ -8,6 +8,7 @@ tableau and the basis inverse, are also run against each other.
 """
 
 import math
+import time
 
 import numpy as np
 import pytest
@@ -16,10 +17,17 @@ from hypothesis import strategies as st
 
 import teammax.lp as lp_module
 import teammax.solvers as solvers_module
-from teammax.game import MixedStrategy, TeamGame, TeamProfile, to_joint_game
+from teammax.game import (
+    MixedStrategy,
+    TeamGame,
+    TeamProfile,
+    to_joint_game,
+    uniform_profile,
+)
 from teammax.generators import make_instance
 from teammax.lp import (
     LinearProgram,
+    LpDeadlineError,
     LpSolution,
     LpSolveError,
     build_maxmin_lp,
@@ -101,10 +109,20 @@ def test_simplex_that_hits_the_pivot_cap_raises(monkeypatch):
     monkeypatch.setattr(
         lp_module,
         "_run_simplex",
-        lambda work, cols, basis, max_iter: run(work, cols, basis, 10),
+        lambda work, cols, basis, max_iter, deadline: run(
+            work, cols, basis, 10, deadline
+        ),
     )
     with pytest.raises(LpSolveError, match="did not terminate within 10 pivots"):
         solve_lp(BEALE_LP)
+
+
+def test_simplex_past_its_deadline_raises():
+    # Beale's LP needs 54 pivots: a deadline already passed stops it before
+    # the first, and an infinite one, the default, lets it finish
+    with pytest.raises(LpDeadlineError, match="deadline after 0 pivots"):
+        solve_lp(BEALE_LP, time.perf_counter() - 1.0)
+    assert solve_lp(BEALE_LP, math.inf).iterations == 54
 
 
 def test_solution_that_misses_the_residual_check_raises(monkeypatch):
@@ -489,32 +507,33 @@ def test_maxmin_lp_structure():
 # maxmin LPs with rows: boxes and branch-and-bound nodes
 
 
-def box_from_splits(team_sizes, splits):
+def box_from_splits(team_sizes, splits, box=None):
     """The box of a branch-and-bound node, (lo, hi), as global_optimize
     keeps it: every member's action intervals in one vector of lows and one
-    of highs, member 0's first. Halves the interval of (member, action) for
-    each split as global_optimize does, keeps the lower half when `upper`
-    is false, and intersects with the simplex; splits that would empty the
-    box are skipped."""
+    of highs, member 0's first. Starts from `box` (by default the whole
+    box), whose part for each member must meet that member's simplex, and
+    intersects every part with its simplex. Then halves the interval of
+    (member, action) for each split as global_optimize does, keeping the
+    lower half when `upper` is false, and intersects the split member's
+    part again."""
     members = member_slices(team_sizes)
-    lo, hi = np.zeros(sum(team_sizes)), np.ones(sum(team_sizes))
+    if box is None:
+        box = np.zeros(sum(team_sizes)), np.ones(sum(team_sizes))
+    lo, hi = (v.copy() for v in box)
+    for k in members:
+        _tighten_box(lo[k], hi[k])
     for member, action, upper in splits:
         member %= len(team_sizes)
-        k = members[member].start + action % team_sizes[member]
-        child_lo, child_hi = lo.copy(), hi.copy()
-        mid = (lo[k] + hi[k]) / 2.0
-        if upper:
-            child_lo[k] = mid
-        else:
-            child_hi[k] = mid
-        if _tighten_box(child_lo, child_hi, members):
-            lo, hi = child_lo, child_hi
+        k = members[member]
+        a = k.start + action % team_sizes[member]
+        mid = (lo[a] + hi[a]) / 2.0
+        (lo if upper else hi)[a] = mid
+        _tighten_box(lo[k], hi[k])
     return lo, hi
 
 
 def member_slices(team_sizes):
-    """Each member's slice of a box vector, as global_optimize passes them
-    to _tighten_box."""
+    """Each member's slice of a box vector, as _node_factors holds them."""
     return tuple(k for k, *_ in _node_factors(team_sizes))
 
 
@@ -720,9 +739,9 @@ def test_global_optimize_runs_the_simplex_once_per_lp(monkeypatch):
         counts["runs"] += 1
         return run(*args)
 
-    def counted_solve(lp):
+    def counted_solve(*args):
         counts["lp"] += 1
-        return solve(lp)
+        return solve(*args)
 
     monkeypatch.setattr(lp_module, "_run_simplex", counted_run)
     monkeypatch.setattr(lp_module, "solve_lp", counted_solve)
@@ -782,6 +801,32 @@ def test_member_payoff_matrix_needs_one_strategy_per_member():
     short = TeamProfile((MixedStrategy(np.array([1.0, 0.0])),))
     with pytest.raises(ValueError):
         member_payoff_matrix(game, short, 0)
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: solve_maxmin(np.zeros((0, 2))), "two-dimensional and nonempty"),
+        (lambda: solve_maxmin(np.zeros((2, 2, 2))), "two-dimensional and nonempty"),
+        (lambda: build_maxmin_lp(np.zeros(3)), "two-dimensional and nonempty"),
+        (
+            lambda: member_payoff_matrix(
+                _counting_game(), uniform_profile(_counting_game()), 2
+            ),
+            "member index 2 out of range",
+        ),
+        (
+            lambda: member_payoff_matrix(
+                _counting_game(), uniform_profile(_counting_game()), -1
+            ),
+            "member index -1 out of range",
+        ),
+    ],
+    ids=["empty", "three-dimensional", "one-dimensional", "member-2", "member-minus-1"],
+)
+def test_inputs_out_of_shape_or_range_are_rejected(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
 
 
 def test_best_response_lp_recovers_best_value():

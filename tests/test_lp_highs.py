@@ -5,7 +5,7 @@ scipy is a test-only dependency; without it this module is skipped.
 
 import numpy as np
 import pytest
-from hypothesis import given, note, settings, target
+from hypothesis import assume, given, note, settings, target
 from hypothesis import strategies as st
 
 optimize = pytest.importorskip("scipy.optimize")
@@ -20,7 +20,12 @@ from teammax.lp import (  # noqa: E402
 from teammax.game import team_value, to_joint_game, uniform_profile  # noqa: E402
 from teammax.generators import make_instance  # noqa: E402
 from teammax.rng import SplitMix64  # noqa: E402
-from teammax.solvers import _node_factors, _node_rows, _random_profile  # noqa: E402
+from teammax.solvers import (  # noqa: E402
+    _node_factors,
+    _node_rows,
+    _random_profile,
+    _tighten_box,
+)
 from test_lp import box_from_splits  # noqa: E402
 
 
@@ -190,3 +195,74 @@ def test_node_rows_are_exact_on_a_point_box(family, n, m, seed, slack):
     bound = _highs_maxmin(to_joint_game(game), rows)
     value = team_value(game, profile).value
     assert value - 1e-9 <= bound <= value + slack
+
+
+# ---------------------------------------------------------------------------
+# a member's box intersected with its simplex
+
+
+def _highs_range(lo, hi, action):
+    """The least and the greatest x[action] over lo <= x <= hi, sum(x) = 1,
+    by HiGHS."""
+    ends = []
+    for sign in (1.0, -1.0):
+        objective = np.zeros(lo.size)
+        objective[action] = sign
+        result = optimize.linprog(
+            objective,
+            A_eq=np.ones((1, lo.size)),
+            b_eq=[1.0],
+            bounds=list(zip(lo, hi)),
+            method="highs",
+            options={"primal_feasibility_tolerance": 1e-10},
+        )
+        assert result.status == 0, result.message
+        ends.append(sign * result.fun)
+    return ends
+
+
+@st.composite
+def _member_boxes(draw):
+    # a box around a point x of a member's simplex: each low between 0 and
+    # x_a, each high between x_a and 1, either end included. The fractions
+    # of those ranges are 0, 1 or at least 1e-3, so that no bound lies
+    # within HiGHS's feasibility tolerance (1e-10) of another value, which
+    # HiGHS may then take for it
+    m = draw(st.integers(1, 6))
+    weights = np.array(draw(st.lists(st.floats(1e-3, 1.0), min_size=m, max_size=m)))
+    x = weights / weights.sum()
+    fraction = st.sampled_from([0.0, 1.0]) | st.floats(1e-3, 1.0)
+    down = np.array(draw(st.lists(fraction, min_size=m, max_size=m)))
+    up = np.array(draw(st.lists(fraction, min_size=m, max_size=m)))
+    lo, hi = x * down, np.minimum(x + (1.0 - x) * up, 1.0)
+    # x itself may sum to 1 only up to rounding
+    assume(lo.sum() <= 1.0 <= hi.sum())
+    return lo, hi
+
+
+@given(_member_boxes(), st.data())
+def test_one_pass_tightens_a_member_box_exactly(box, data):
+    # every tightened bound is the least or the greatest value its
+    # coordinate takes on box and simplex, so a second pass moves nothing
+    # but rounding, and both halves of a midpoint split still meet the
+    # simplex once tightened. Rounding: a sum of m rounded entries of up
+    # to 1 each is off by up to about m^2 ulps of 1 (48 at m = 6, measured)
+    lo, hi = (v.copy() for v in box)
+    rounding = 2 * lo.size**2 * np.finfo(float).eps
+    _tighten_box(lo, hi)
+    for action in range(lo.size):
+        least, greatest = _highs_range(*box, action)
+        assert lo[action] == pytest.approx(least, abs=1e-12)
+        assert hi[action] == pytest.approx(greatest, abs=1e-12)
+    again_lo, again_hi = lo.copy(), hi.copy()
+    _tighten_box(again_lo, again_hi)
+    assert np.abs(again_lo - lo).max() <= rounding
+    assert np.abs(again_hi - hi).max() <= rounding
+    action = data.draw(st.integers(0, lo.size - 1), label="split")
+    mid = lo[action] + (hi[action] - lo[action]) / 2.0
+    for half in (0, 1):
+        child_lo, child_hi = lo.copy(), hi.copy()
+        (child_lo if half else child_hi)[action] = mid
+        _tighten_box(child_lo, child_hi)
+        assert np.all(child_lo <= child_hi + rounding)
+        assert child_lo.sum() - rounding <= 1.0 <= child_hi.sum() + rounding

@@ -1,7 +1,7 @@
 """The branch-and-bound node helpers and the maxmin LP path, bit for bit
 against plain references.
 
-_node_rows, _tighten_box, the simplex loop, the tableau solve_lp builds,
+_node_rows, the simplex loop, the tableau solve_lp builds,
 build_maxmin_lp, check_maxmin, solve_maxmin and global_optimize's node loop
 make as few numpy calls as they can. The references below compute the same
 floating-point operations the plain way, one numpy call per step; every
@@ -36,14 +36,12 @@ from teammax.lp import (
 from teammax.solvers import (
     _node_factors,
     _node_rows,
-    _tighten_box,
     global_optimize,
 )
 from test_lp import (
     BADLY_SCALED_GAME,
     BEALE_LP,
     box_from_splits,
-    member_slices,
     per_member,
 )
 
@@ -79,18 +77,6 @@ def _reference_node_rows(team_sizes, los, his, most=None):
         if min(row) < 0.0:
             rows.append(row)
     return np.array(rows).reshape(-1, len(joint))
-
-
-def _reference_tighten_box(los, his):
-    for _ in range(2):
-        for lo, hi in zip(los, his):
-            np.minimum(hi, 1.0 - (lo.sum() - lo), out=hi)
-            np.maximum(lo, 1.0 - (hi.sum() - hi), out=lo)
-            if np.any(lo > hi + 1e-12):
-                return False
-            if lo.sum() > 1.0 + 1e-9 or hi.sum() < 1.0 - 1e-9:
-                return False
-    return True
 
 
 def _reference_steepest_edge(work, cols, cost):
@@ -304,27 +290,11 @@ def _random_box(team_sizes, seed):
     return lo, hi
 
 
-def _tighten_both(team_sizes, members, lo, hi):
-    # the box tightened in place by _tighten_box, and a copy by the
-    # reference through per-member views; the boxes are compared when the
-    # intersection is not empty, which is when global_optimize keeps them
-    want_lo, want_hi = lo.copy(), hi.copy()
-    tightened = _tighten_box(lo, hi, members)
-    assert tightened == _reference_tighten_box(
-        per_member(team_sizes, want_lo), per_member(team_sizes, want_hi)
+def _meets_every_simplex(team_sizes, lo, hi):
+    return all(
+        low.sum() <= 1.0 <= high.sum()
+        for low, high in zip(per_member(team_sizes, lo), per_member(team_sizes, hi))
     )
-    if tightened:
-        _assert_same_bits(lo, want_lo)
-        _assert_same_bits(hi, want_hi)
-    return tightened
-
-
-def test_tighten_box_finds_an_empty_box():
-    # member 0's lows sum to 1.2, so no mixture lies in the box
-    team_sizes = (3, 3)
-    members = member_slices(team_sizes)
-    lo = np.array([0.5, 0.4, 0.3, 0.0, 0.0, 0.0])
-    assert not _tighten_both(team_sizes, members, lo, np.ones(6))
 
 
 def _assert_same_rows(team_sizes, factors, lo, hi, most=None):
@@ -342,24 +312,15 @@ def _assert_same_rows(team_sizes, factors, lo, hi, most=None):
 )
 def test_node_helpers_match_their_references(team_sizes, seed, splits):
     # splits as global_optimize makes them, from the whole simplex or from
-    # a random box, every box the splits reach tightened, and the rows of
-    # the box they end at
-    factors = _node_factors(team_sizes)
-    members = member_slices(team_sizes)
-    lo, hi = np.zeros(sum(team_sizes)), np.ones(sum(team_sizes))
+    # a random box that meets every member's simplex, and the rows of the
+    # box they end at
+    box = None
     if seed is not None:
-        lo, hi = _random_box(team_sizes, seed)
-        if not _tighten_both(team_sizes, members, lo, hi):
+        box = _random_box(team_sizes, seed)
+        if not _meets_every_simplex(team_sizes, *box):
             return
-    for member, action, upper in splits:
-        member %= len(team_sizes)
-        k = members[member].start + action % team_sizes[member]
-        mid = lo[k] + (hi[k] - lo[k]) / 2.0
-        child_lo, child_hi = lo.copy(), hi.copy()
-        (child_lo if upper else child_hi)[k] = mid
-        if _tighten_both(team_sizes, members, child_lo, child_hi):
-            lo, hi = child_lo, child_hi
-    _assert_same_rows(team_sizes, factors, lo, hi)
+    lo, hi = box_from_splits(team_sizes, splits, box)
+    _assert_same_rows(team_sizes, _node_factors(team_sizes), lo, hi)
 
 
 @pytest.mark.parametrize("cap, most, count", [(9234, 3, 335), (9233, 2, 119)])
@@ -370,8 +331,9 @@ def test_node_rows_of_every_degree_fit_under_the_cap(cap, most, count):
     team_sizes = (3, 3, 3)
     with mock.patch.object(solvers, "_MAX_MATERIALIZED", cap):
         factors = _node_factors(team_sizes)
-    lo, hi = _random_box(team_sizes, 0)
-    assert _tighten_box(lo, hi, member_slices(team_sizes))
+    box = _random_box(team_sizes, 0)
+    assert _meets_every_simplex(team_sizes, *box)
+    lo, hi = box_from_splits(team_sizes, [], box)
     _assert_same_rows(team_sizes, factors, lo, hi, most)
     assert _node_rows(factors, lo, hi).shape == (count, 27)
 

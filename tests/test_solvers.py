@@ -1522,6 +1522,37 @@ def test_a_child_whose_node_lp_raises_keeps_its_parents_bound(monkeypatch):
     assert report.lower_bound - BOUND_SLACK <= known <= report.upper_bound
 
 
+def test_node_lps_stop_at_the_deadline_and_keep_their_parents_bound(monkeypatch):
+    # global hands its deadline to every node LP, none without a timeout.
+    # A node LP stopped at it keeps its parent's bound like any failed one,
+    # so the box is not lost: here the root's first child is given a
+    # deadline already passed, and after one node the upper bound is v_C,
+    # where the two children's own bounds give 0.25
+    game, _ = make_instance("diagonal", n=3, m=3)
+    deadlines = []
+    solve = solvers.solve_lp
+
+    def first_past_its_deadline(lp, deadline):
+        deadlines.append(deadline)
+        return solve(lp, -math.inf if len(deadlines) == 1 else deadline)
+
+    monkeypatch.setattr(solvers, "solve_lp", first_past_its_deadline)
+    start = time.perf_counter()
+    report = global_optimize(game, accuracy=1e-3, timeout=3600.0, max_nodes=1)
+    assert report.upper_bound == report.correlated_bound
+    assert len(deadlines) == 2 and deadlines[0] == deadlines[1]
+    assert start < deadlines[0] - 3600.0 < time.perf_counter()
+    deadlines.clear()
+    monkeypatch.setattr(
+        solvers,
+        "solve_lp",
+        lambda lp, deadline: deadlines.append(deadline) or solve(lp, deadline),
+    )
+    report = global_optimize(game, accuracy=1e-3, timeout=None, max_nodes=1)
+    assert deadlines == [math.inf, math.inf]
+    assert report.upper_bound < 0.26
+
+
 @pytest.mark.parametrize(
     "planted, upper",
     [
