@@ -203,9 +203,6 @@ class MixedStrategy:
     def num_actions(self) -> int:
         return int(self.probs.size)
 
-    def support(self) -> np.ndarray:
-        return np.flatnonzero(self.probs > 0.0)
-
 
 @dataclass(frozen=True, eq=False)
 class TeamProfile:

@@ -55,6 +55,8 @@ BOUND_SLACK = 1e-7
 IMPROVEMENT_TOL = 1e-9
 # global_optimize splits a box at most this many times per team member
 MAX_DEPTH = 64
+# a restart of iterated_lp makes at most this many rounds
+MAX_ROUNDS = 1000
 
 
 @dataclass(frozen=True, eq=False)
@@ -326,16 +328,12 @@ def _random_profile(game: TeamGame, rng: SplitMix64) -> TeamProfile:
     )
 
 
-def _check_ascent(
-    restarts: int, init: TeamProfile | str, max_rounds: int, **_
-) -> None:
+def _check_ascent(restarts: int, init: TeamProfile | str, **_) -> None:
     """iterated_lp's range and choice rules."""
     if restarts < 1:
         raise ValueError(f"restarts must be at least 1, got {restarts}")
     if isinstance(init, str) and init not in ("random", "uniform"):
         raise ValueError(f"init must be 'random' or 'uniform', got {init!r}")
-    if max_rounds < 1:
-        raise ValueError(f"max_rounds must be at least 1, got {max_rounds}")
 
 
 def iterated_lp(
@@ -344,7 +342,6 @@ def iterated_lp(
     restarts: int = 10,
     seed: int = 0,
     timeout: float | None = DEFAULT_TIMEOUT,
-    max_rounds: int = 1000,
     *,
     correlated_bound: float | None = None,
 ) -> SolveReport:
@@ -373,10 +370,10 @@ def iterated_lp(
     so SOLVERS leaves it out: global_optimize passes its root's v_C down, so
     that one run solves the correlated LP once.
     iterations counts rounds summed over restarts. converged is False if the
-    timeout cut work short or some restart hit max_rounds while still
+    timeout cut work short or some restart hit MAX_ROUNDS while still
     improving.
     """
-    _check_ascent(restarts, init, max_rounds)
+    _check_ascent(restarts, init)
     start = time.perf_counter()
     deadline = _deadline(start, timeout)
     master = SplitMix64(seed)
@@ -401,7 +398,7 @@ def iterated_lp(
         # member i's (value, mixture) best response to the current profile,
         # None until solved; it depends only on i's teammates
         responses: list[tuple[float, np.ndarray] | None] = [None] * num_members
-        for _ in range(max_rounds):
+        for _ in range(MAX_ROUNDS):
             if time.perf_counter() > deadline:
                 timed_out = True
                 break

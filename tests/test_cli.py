@@ -168,10 +168,11 @@ def test_solve_flags_are_the_solver_table_parameters(tmp_path, capsys):
 
     path = _generate(tmp_path, "random", "--n", "3", "--m", "3", "--seed", "3")
     capsys.readouterr()
-    args = ["solve", str(path), "--solver", "iterated-lp", "--init", "uniform"]
-    assert main([*args, "--restarts", "2", "--max-rounds", "5"]) == 0
-    assert '"max_rounds": 5' in capsys.readouterr().out.splitlines()[0]
-    assert main([*args[:-1], "uniformly"]) == 2
+    # a two-word parameter's flag reaches the config line by its name
+    assert main(["solve", str(path), "--solver", "global", "--max-nodes", "5"]) == 0
+    assert '"max_nodes": 5' in capsys.readouterr().out.splitlines()[0]
+    args = ["solve", str(path), "--solver", "iterated-lp", "--init", "uniformly"]
+    assert main(args) == 2
     assert "init must be 'random' or 'uniform'" in capsys.readouterr().err
 
 
@@ -507,6 +508,7 @@ def test_experiment_malformed_config_exits_3_before_any_output(tmp_path, capsys)
             {"name": "support-enum", "params": {"upper_bound": 0.5}},
             "upper_bound",
         ),
+        # the ascent's round cap is a constant, not a parameter
         (
             {"family": "poa"},
             {"name": "iterated-lp", "params": {"max_rounds": -3}},

@@ -116,11 +116,6 @@ def test_probability_vectors_reject_every_invalid_entry():
             JointDistribution((2,), np.array(bad))
 
 
-def test_mixed_strategy_support():
-    s = MixedStrategy(np.array([0.5, 0.0, 0.5]))
-    assert list(s.support()) == [0, 2]
-
-
 def test_team_profile_requires_a_strategy():
     with pytest.raises(ValueError):
         TeamProfile(())

@@ -659,6 +659,42 @@ def test_box_above_the_simplex_raises(excess):
         solve_lp(build_maxmin_lp(matrix, rows))
 
 
+# the simplex takes a noise pivot on these boxes and calls the LP unbounded
+_NOISE_PIVOT = pytest.mark.xfail(
+    strict=True, raises=LpSolveError, reason="ROADMAP item 1"
+)
+
+
+@pytest.mark.parametrize(
+    "n, m, eps",
+    [
+        (4, 3, 1e-5),
+        (4, 3, 1e-4),
+        (5, 2, 1e-5),
+        pytest.param(4, 3, 1e-6, marks=_NOISE_PIVOT),
+        pytest.param(5, 2, 1e-9, marks=_NOISE_PIVOT),
+        pytest.param(5, 2, 1e-6, marks=_NOISE_PIVOT),
+        pytest.param(5, 2, 1e-4, marks=_NOISE_PIVOT),
+        pytest.param(6, 2, 1e-6, marks=_NOISE_PIVOT),
+    ],
+)
+def test_node_lp_on_a_box_around_the_uniform_profile_closes_on_the_value(n, m, eps):
+    # diagonal's value is reached at the uniform profile; the node rows of
+    # every degree on a box of half-width eps around it bound the value
+    # from above, and close on it as the box shrinks
+    game, facts = make_instance("diagonal", n=n, m=m)
+    sizes = game.team_sizes
+    lo = np.full(sum(sizes), 1.0 / m - eps)
+    hi = np.full(sum(sizes), 1.0 / m + eps)
+    for k in member_slices(sizes):
+        _tighten_box(lo[k], hi[k])
+    matrix = to_joint_game(game)
+    rows = _node_rows(_node_factors(sizes), lo, hi)
+    bound, _ = check_maxmin(matrix, solve_lp(build_maxmin_lp(matrix, rows)), rows)
+    value = facts.known_team_maxmin
+    assert value - 1e-9 <= bound <= value + 1e-7
+
+
 def test_box_certificate_by_hand():
     # [[2, 1], [0, 0]] with x_0 <= 1/2: x = (1/2, 1/2) guarantees 1/2, and
     # column 1 holds every mixture in the box to 1/2, although row 0 alone

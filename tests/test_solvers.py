@@ -923,7 +923,8 @@ def test_iterated_lp_solves_only_the_movers_teammates(monkeypatch, players):
 def test_iterated_lp_single_round_solves_every_member(monkeypatch):
     game = random_team_game(4, 4, seed=7)
     calls = _count_lp_calls(monkeypatch)
-    report = iterated_lp(game, restarts=4, seed=3, max_rounds=1)
+    monkeypatch.setattr("teammax.solvers.MAX_ROUNDS", 1)
+    report = iterated_lp(game, restarts=4, seed=3)
     assert len(calls) == 1 + 4 * game.num_team_members
     assert all(len(trace) == 2 for trace in report.traces)
     assert not report.converged
@@ -1175,7 +1176,8 @@ def _rescale(game, seed):
         ),
         # players with different action counts
         st.tuples(
-            st.sampled_from([(2, 3, 2), (3, 2, 4), (2, 2, 3, 2)]), st.integers(0, 999)
+            st.sampled_from([(2, 3, 2), (3, 2, 4), (2, 2, 3, 2), (2, 2, 2, 2, 2)]),
+            st.integers(0, 999),
         ).map(lambda c: (_random_shaped(*c), None)),
         st.sampled_from([2, 3]).map(lambda m: _normalized_family(*diagonal_game(3, m))),
         st.just(_normalized_family(*irrational_game())),
@@ -1189,6 +1191,9 @@ def _rescale(game, seed):
 # diagonal n4 m3: global's 27 x 129 node LPs run on the basis inverse, and
 # past about 200 nodes some fail their certificate or raise
 @example(_normalized_family(*diagonal_game(4, 3)), _permute_actions, 0)
+# diagonal n5 m2, a team of four: global's node LPs run on the whole
+# tableau and close the bracket in 245 nodes
+@example(_normalized_family(*diagonal_game(5, 2)), _permute_actions, 0)
 def test_solvers_agree_on_a_game_and_its_relabelled_or_rescaled_copy(
     case, transform, seed
 ):
@@ -1694,7 +1699,6 @@ def test_solver_parameters_are_the_signature_defaults():
             "init": "random",
             "restarts": 10,
             "seed": 0,
-            "max_rounds": 1000,
         },
         "global": {"accuracy": 1e-6, "max_nodes": 20_000},
         "oracle": {"target_error": 0.01},
@@ -1901,14 +1905,6 @@ def test_solver_params_rejects_values_of_the_wrong_type(name, params, key):
         pytest.param(
             "oracle", {"target_error": -1.0}, "target_error must be positive, got -1.0",
             id="oracle-params6-target_error must be positive, got -1.0",
-        ),
-        pytest.param(
-            "iterated-lp", {"max_rounds": -3}, "max_rounds must be at least 1, got -3",
-            id="iterated-lp-params7-max_rounds must be at least 1, got -3",
-        ),
-        pytest.param(
-            "iterated-lp", {"max_rounds": 0}, "max_rounds must be at least 1, got 0",
-            id="iterated-lp-params8-max_rounds must be at least 1, got 0",
         ),
         pytest.param(
             "global", {"max_nodes": -1}, "max_nodes must be nonnegative, got -1",
